@@ -1,7 +1,6 @@
 """Sharp bounds on the expected winnings attributable to cheating in the
 two-state dishonest-casino hidden Markov model."""
 
-from casino_ewac.cli import PATH_1, PATH_2
 from casino_ewac.engine import (EwacBounds, EwacObjective, InfeasibleMaskError,
                                 asymptotic_ewac_rate, copula_pmf, cs_mask,
                                 ewac_bounds, ewac_objective, ewac_of_theta,
@@ -11,6 +10,7 @@ from casino_ewac.engine import (EwacBounds, EwacObjective, InfeasibleMaskError,
 from casino_ewac.hmm import (BIASED, FAIR, HmmModel, ZeroLikelihoodError,
                              canonical_model, sample_hidden_paths, simulate,
                              smooth)
+from casino_ewac.paths import PATH_1, PATH_2
 from casino_ewac.sweeps import (SweepRow, WacSamples, default_eta_grid,
                                 default_horizon_grid, eta_sweep, horizon_sweep,
                                 sample_wac)

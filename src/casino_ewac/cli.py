@@ -25,6 +25,7 @@ from casino_ewac.engine import (InfeasibleMaskError, copula_pmf, cs_mask,
                                 ewac_bounds, ewac_objective, ewac_of_theta,
                                 inhomogeneous_bounds, naive_ewac, pm_mask)
 from casino_ewac.hmm import HmmModel, ZeroLikelihoodError, canonical_model, smooth
+from casino_ewac.paths import PATH_1, PATH_2
 from casino_ewac.sweeps import (ETA_SWEEP_COLUMNS, HORIZON_SWEEP_COLUMNS,
                                 default_horizon_grid, eta_sweep, horizon_sweep,
                                 sample_wac)
@@ -33,11 +34,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
-
-PATH_1 = (3, 5, 1, 2, 5, 4, 6, 3, 5, 2, 4, 3, 6, 4, 1,
-          2, 6, 4, 2, 3, 2, 1, 6, 3, 4, 1, 5, 1, 5, 6)
-PATH_2 = (6, 5, 6, 4, 1, 3, 5, 1, 2, 2, 6, 3, 4, 5, 5,
-          3, 2, 5, 6, 3, 4, 5, 5, 4, 6, 4, 4, 6, 5, 5)
 
 _THETA_KINDS = ("lb", "ub", "independence", "comonotonic", "countermonotonic")
 _CONSTRAINT_SETS = ("none", "pm", "cs")

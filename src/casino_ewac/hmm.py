@@ -4,6 +4,13 @@ State 0 is the fair die, state 1 the biased one.  Die faces are 1..K in the
 public API; arrays indexed by face use 0-based positions internally.  All
 smoothing is done with per-step renormalised forward and backward passes, so
 horizons up to about a million periods are fine in double precision.
+
+The recursions over periods run on Python floats, one scalar per state,
+reading emissions from per-face tuples and writing results through float64
+memoryviews.  With only two states, numpy's fixed cost per call (about a
+microsecond) dominates the arithmetic on 2-element vectors, so the scalar
+loop is several times faster while doing the same operations in the same
+order.  Posterior path sampling stays vectorised across samples.
 """
 
 import numpy as np
@@ -125,23 +132,22 @@ def as_symbol_indices(model, obs):
 
 def _forward_filter(model, o):
     """Filtered state probabilities, one renormalised row per period."""
-    like = model.emission[:, o]  # (2, T)
-    T = o.size
-    alpha = np.empty((T, 2))
-    a = model.initial * like[:, 0]
-    s = a.sum()
-    if s <= 0.0:
-        raise ZeroLikelihoodError(
-            "observation at position 1 has zero probability under both states")
-    alpha[0] = a / s
-    Q = model.transition
-    for t in range(1, T):
-        a = (alpha[t - 1] @ Q) * like[:, t]
-        s = a.sum()
+    e_fair, e_biased = model.emission.tolist()
+    (q00, q01), (q10, q11) = model.transition.tolist()
+    alpha = np.empty((o.size, 2))
+    out_fair, out_biased = alpha[:, FAIR].data, alpha[:, BIASED].data
+    p0, p1 = model.initial.tolist()  # state distribution before period t
+    for t, j in enumerate(o.data):
+        a0, a1 = p0 * e_fair[j], p1 * e_biased[j]
+        s = a0 + a1
         if s <= 0.0:
             raise ZeroLikelihoodError(
+                "observation at position 1 has zero probability under both "
+                "states" if t == 0 else
                 f"observation prefix of length {t + 1} has zero probability")
-        alpha[t] = a / s
+        out_fair[t] = f = a0 / s
+        out_biased[t] = b = a1 / s
+        p0, p1 = f * q00 + b * q10, f * q01 + b * q11
     return alpha
 
 
@@ -159,18 +165,21 @@ def smooth(model, obs):
         ZeroLikelihoodError: if the path is impossible under the model.
     """
     o = as_symbol_indices(model, obs)
-    alpha = _forward_filter(model, o)
-    like = model.emission[:, o]
-    Q = model.transition
-    T = o.size
-    delta = np.empty((T, 2))
-    delta[T - 1] = alpha[T - 1]
-    b = np.ones(2)
-    for t in range(T - 2, -1, -1):
-        b = Q @ (like[:, t + 1] * b)
-        b /= b.sum()  # rescale; posteriors below are renormalised anyway
-        d = alpha[t] * b
-        delta[t] = d / d.sum()
+    # Each smoothed row overwrites its filtered row once the loop has read it.
+    delta = _forward_filter(model, o)
+    e_fair, e_biased = model.emission.tolist()
+    (q00, q01), (q10, q11) = model.transition.tolist()
+    d_fair, d_biased = delta[:, FAIR].data, delta[:, BIASED].data
+    b0 = b1 = 1.0
+    for t, j, f, b in zip(range(o.size - 2, -1, -1), o.data[:0:-1],
+                          d_fair[-2::-1], d_biased[-2::-1]):
+        x0, x1 = e_fair[j] * b0, e_biased[j] * b1
+        b0, b1 = q00 * x0 + q01 * x1, q10 * x0 + q11 * x1
+        s = b0 + b1  # rescale; posteriors below are renormalised anyway
+        b0, b1 = b0 / s, b1 / s
+        d0, d1 = f * b0, b * b1
+        s = d0 + d1
+        d_fair[t], d_biased[t] = d0 / s, d1 / s
     return delta
 
 
@@ -179,13 +188,16 @@ def _backward_sample(model, alpha, count, rng):
     T = alpha.shape[0]
     Q = model.transition
     u = rng.random((count, T))
+    # thresholds[t, k] = P(fair at t | state k at t + 1, obs up to t); an
+    # unreachable k gets 1.0 in place of 0/0 (both send u < 1 to FAIR).
+    w_fair = alpha[:, FAIR, None] * Q[FAIR]
+    total = w_fair + alpha[:, BIASED, None] * Q[BIASED]
+    thresholds = np.divide(w_fair, total, out=np.ones_like(total),
+                           where=total > 0)
     states = np.empty((count, T), dtype=np.int64)
     states[:, T - 1] = u[:, T - 1] >= alpha[T - 1, FAIR]
     for t in range(T - 2, -1, -1):
-        nxt = states[:, t + 1]
-        w_fair = alpha[t, FAIR] * Q[FAIR, nxt]
-        w_biased = alpha[t, BIASED] * Q[BIASED, nxt]
-        states[:, t] = u[:, t] >= w_fair / (w_fair + w_biased)
+        states[:, t] = u[:, t] >= thresholds[t][states[:, t + 1]]
     return states
 
 
@@ -220,13 +232,13 @@ def simulate(model, horizon, seed):
     u_state, u_obs = u[:, 0], u[:, 1]
 
     # Two states, so each transition reduces to one threshold test.
-    stay_fair = model.transition[:, FAIR]
+    stay_fair = model.transition[:, FAIR].tolist()
     states = np.empty(horizon, dtype=np.int64)
-    prev = int(u_state[0] >= model.initial[FAIR])
-    states[0] = prev
-    for t in range(1, horizon):
-        prev = int(u_state[t] >= stay_fair[prev])
-        states[t] = prev
+    out = states.data
+    threshold = model.initial[FAIR].item()
+    for t, x in enumerate(u_state.tolist()):
+        out[t] = prev = int(x >= threshold)
+        threshold = stay_fair[prev]
 
     cdf = np.cumsum(model.emission, axis=1)
     cdf[:, -1] = 1.0

@@ -94,6 +94,10 @@ def sample_wac(model, obs, theta, count, seed):
     observed face on fair periods (the counterfactual roll is the fair
     roll), and on biased periods redraws the fair face from the theta
     column of the observed face by inverse CDF in face order.
+
+    Peak memory is about 28 bytes per sample-period: the hidden paths, one
+    uniform per sample-period, the counterfactual faces (8 bytes each) and
+    two boolean masks; the uniforms are freed before the payoffs are summed.
     """
     o = as_symbol_indices(model, obs)
     theta = validate_joint_pmf(theta, model.emission[0], model.emission[1])
@@ -108,23 +112,24 @@ def sample_wac(model, obs, theta, count, seed):
     cdf[:, positive] /= col_sums[positive]
     cdf[-1, positive] = 1.0
 
-    counterfactual = np.tile(o + 1, (count, 1))
-    for t in range(o.size):
-        j = o[t]
-        biased_here = hidden[:, t] == BIASED
-        if not biased_here.any():
-            continue
-        if not positive[j]:
+    # 0-based faces until the payoffs are summed.
+    counterfactual = np.tile(o, (count, 1))
+    biased = hidden == BIASED
+    for j in range(model.num_symbols):
+        redraw = biased & (o == j)
+        if not positive[j] and redraw.any():
             # The posterior cannot put biased mass on a face the biased die
             # never rolls; reaching this line means the inputs disagree.
             raise ArithmeticError(
                 f"sampled a biased state on face {j + 1}, whose theta "
                 "column is all zero")
-        counterfactual[biased_here, t] = np.searchsorted(
-            cdf[:, j], u[biased_here, t], side="right") + 1
+        counterfactual[redraw] = np.searchsorted(cdf[:, j], u[redraw],
+                                                 side="right")
+    del u, biased, redraw
 
     w = model.rewards
-    wac = w[o].sum() - w[counterfactual - 1].sum(axis=1)
+    wac = w[o].sum() - w[counterfactual].sum(axis=1)
+    counterfactual += 1
     return WacSamples(wac=wac, counterfactual=counterfactual, hidden=hidden)
 
 

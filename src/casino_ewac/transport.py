@@ -113,8 +113,8 @@ def _pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def _bland_iterate(tab, basis, eligible):
-    """Run Bland pivots until no eligible column has negative reduced cost.
+def _bland_iterate(tab, basis, eligible, tol):
+    """Run Bland pivots until no eligible reduced cost is below ``-tol``.
 
     ``tab`` has the reduced-cost row last and the right-hand side in the
     last column.  Returns the pivot count.
@@ -124,7 +124,7 @@ def _bland_iterate(tab, basis, eligible):
     while True:
         entering = -1
         for j in range(eligible):
-            if tab[m, j] < -FEASIBILITY_TOL:
+            if tab[m, j] < -tol:
                 entering = j
                 break
         if entering < 0:
@@ -166,7 +166,8 @@ def _two_phase(A, b, c):
     tab[m, :] = -tab[:m, :].sum(axis=0)
     tab[m, n:n + m] = 0.0
 
-    iterations = _bland_iterate(tab, basis, n + m)
+    # Phase-one costs are 0 or 1, so an absolute tolerance fits.
+    iterations = _bland_iterate(tab, basis, n + m, FEASIBILITY_TOL)
     if -tab[m, -1] > FEASIBILITY_TOL:
         return "infeasible", None, iterations
 
@@ -194,7 +195,10 @@ def _two_phase(A, b, c):
     for r, j in enumerate(basis):
         tab[-1] -= tab[-1, j] * tab[r]
 
-    iterations += _bland_iterate(tab, basis, n)
+    # Phase-two reduced costs are on the scale of c; an absolute tolerance
+    # would stop early, without a single pivot, on tiny costs.
+    iterations += _bland_iterate(tab, basis, n,
+                                 FEASIBILITY_TOL * np.abs(c).max(initial=0.0))
 
     x = np.zeros(n)
     for r, j in enumerate(basis):

@@ -1,8 +1,10 @@
-"""Independent oracles used across the test modules.
+"""Independent oracles and fixtures used across the test modules.
 
 Nothing here calls the library's recursions or the simplex: smoothing and
 the cheating expectation are recomputed by exhaustive enumeration over
-hidden paths, and small transport optima by enumerating basic solutions.
+hidden paths or by the vector form of the forward-backward recursion,
+small transport optima by enumerating basic solutions, and the unmasked
+EWAC extremes by the closed-form north-west-corner couplings.
 """
 
 import itertools
@@ -143,3 +145,86 @@ def random_small_model(rng, k=3):
     emission /= emission.sum(axis=1, keepdims=True)
     rewards = np.cumsum(rng.uniform(0.5, 2.0, size=k))
     return HmmModel(initial, transition, emission, rewards)
+
+
+def north_west_corner(rows, cols):
+    """The north-west-corner fill of a transport table with these sums."""
+    rows = np.array(rows, dtype=float)
+    cols = np.array(cols, dtype=float)
+    theta = np.zeros((rows.size, cols.size))
+    i = j = 0
+    while i < rows.size and j < cols.size:
+        take = min(rows[i], cols[j])
+        theta[i, j] = take
+        rows[i] -= take
+        cols[j] -= take
+        if rows[i] <= 0.0:
+            i += 1
+        else:
+            j += 1
+    return theta
+
+
+def closed_form_extremes(model, obs, delta):
+    """(min, max) of the EWAC coefficient form over the unmasked polytope.
+
+    The coefficients are rank one, w_i * f_j with w increasing, so the
+    maximum is the comonotone coupling (north-west corner with the biased
+    faces sorted by f ascending) and the minimum the antitone one (sorted
+    descending).  ``ub - lb`` of the sharp bounds equals max - min.
+    """
+    o = np.asarray(obs, dtype=int) - 1
+    k = model.num_symbols
+    w = model.rewards
+    e_fair, e_biased = model.emission
+    mass = np.bincount(o, weights=np.asarray(delta)[:, 1], minlength=k)
+    f = np.divide(mass, e_biased, out=np.zeros(k), where=e_biased > 0)
+    order = np.argsort(f, kind="stable")
+    extremes = []
+    for cols in (order[::-1], order):
+        theta = north_west_corner(e_fair, e_biased[cols])
+        extremes.append(float(w @ theta @ f[cols]))
+    return tuple(extremes)
+
+
+def dense_smooth(model, obs):
+    """Forward-backward smoothing with one numpy matrix product per period.
+
+    The straightforward vector form of the recursion (per-step renormalised
+    filter, rescaled backward messages), independent of the library's
+    scalar loops; its cost is O(T) numpy calls, so it suits T in the
+    thousands, where path enumeration is out of reach.
+    """
+    o = np.asarray(obs, dtype=int) - 1
+    like = model.emission[:, o]
+    Q = model.transition
+    T = o.size
+    alpha = np.empty((T, 2))
+    a = model.initial * like[:, 0]
+    alpha[0] = a / a.sum()
+    for t in range(1, T):
+        a = (alpha[t - 1] @ Q) * like[:, t]
+        alpha[t] = a / a.sum()
+    delta = np.empty((T, 2))
+    delta[T - 1] = alpha[T - 1]
+    b = np.ones(2)
+    for t in range(T - 2, -1, -1):
+        b = Q @ (like[:, t + 1] * b)
+        b /= b.sum()
+        d = alpha[t] * b
+        delta[t] = d / d.sum()
+    return delta
+
+
+def sticky_model():
+    """Canonical dice on a chain whose transition rows differ, so the
+    posterior couples neighbouring periods."""
+    from casino_ewac import HmmModel
+
+    return HmmModel([0.6, 0.4], [[0.8, 0.2], [0.3, 0.7]],
+                    [np.full(6, 1 / 6), np.arange(1, 7) / 21], np.arange(1, 7))
+
+
+def digit_rows(*rows):
+    """Integer array from strings of digits, one string per row."""
+    return np.array([[int(c) for c in row] for row in rows])

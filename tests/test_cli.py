@@ -253,3 +253,18 @@ class TestDeterminism:
             capture_output=True, text=True)
         assert proc.returncode == EXIT_OK
         assert out.read_text().startswith("t,delta_fair")
+
+    def test_module_run_raises_no_warning(self):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "casino_ewac.cli",
+             "copulas", "--eta", "0.5"],
+            capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout).keys() == {
+            "independence", "comonotonic", "countermonotonic"}
+
+    def test_builtin_paths_are_shared_with_the_package(self):
+        import casino_ewac
+        assert casino_ewac.PATH_1 is PATH_1
+        assert casino_ewac.PATH_2 is PATH_2

@@ -10,7 +10,8 @@ from casino_ewac import (BIASED, FAIR, HmmModel, InfeasibleMaskError, PATH_1,
                          inhomogeneous_theta, naive_ewac, pm_mask, smooth,
                          solve, stationary, validate_joint_pmf,
                          TransportProblem)
-from helpers import brute_force_ewac, random_feasible_theta, random_small_model
+from helpers import (brute_force_ewac, closed_form_extremes,
+                     random_feasible_theta, random_small_model)
 
 
 def _objective(eta, obs):
@@ -129,6 +130,21 @@ class TestBounds:
         _, obj = _objective(1.0, PATH_2)
         pair = ewac_bounds(obj)
         assert abs(pair.lb) <= 1e-9 and abs(pair.ub) <= 1e-9
+
+    @pytest.mark.parametrize("eta,width", [(0.5, 9.651465837),
+                                           (0.99999, 4.122e-9),
+                                           (1 - 1e-7, 4.122e-13)])
+    def test_bounds_match_the_closed_form(self, eta, width):
+        # Near eta = 1 every coefficient is tiny, so the reduced-cost
+        # tolerance must shrink with them or phase two stops short.
+        model, obj = _objective(eta, PATH_1)
+        pair = ewac_bounds(obj)
+        lo, hi = closed_form_extremes(model, PATH_1, smooth(model, PATH_1))
+        scale = np.abs(obj.coeff).max()
+        assert pair.lb == pytest.approx(obj.constant - hi, abs=1e-12 * scale)
+        assert pair.ub == pytest.approx(obj.constant - lo, abs=1e-12 * scale)
+        assert pair.ub - pair.lb == pytest.approx(hi - lo, rel=1e-6)
+        assert pair.ub - pair.lb == pytest.approx(width, rel=1e-3)
 
     def test_empty_constraint_set_raises(self):
         _, obj = _objective(0.5, PATH_1)

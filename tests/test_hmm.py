@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from casino_ewac import (BIASED, FAIR, HmmModel, ZeroLikelihoodError,
+from casino_ewac import (BIASED, FAIR, PATH_1, HmmModel, ZeroLikelihoodError,
                          canonical_model, sample_hidden_paths, simulate,
                          smooth)
-from helpers import brute_force_smooth, random_small_model
+from helpers import (brute_force_smooth, dense_smooth, digit_rows,
+                     random_small_model, sticky_model)
 
 
 class TestHmmModel:
@@ -89,6 +90,19 @@ class TestSmooth:
         expected = (1 - eta) * e_b / (eta * e_f + (1 - eta) * e_b)
         np.testing.assert_allclose(delta[:, BIASED], expected, atol=1e-12)
 
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_matches_dense_recursion_on_long_paths(self, k):
+        # Path enumeration stops near T = 10; the vector-form recursion
+        # checks the scalar loops at T in the thousands.
+        rng = np.random.default_rng(100 + k)
+        for _ in range(2):
+            model = random_small_model(rng, k)
+            obs = rng.integers(1, k + 1, size=rng.integers(4000, 6000))
+            tol = 4 * obs.size * np.finfo(float).eps
+            np.testing.assert_allclose(smooth(model, obs),
+                                       dense_smooth(model, obs),
+                                       rtol=0, atol=tol)
+
     def test_impossible_path_raises(self):
         model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
                          [[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
@@ -129,6 +143,14 @@ class TestSampleHiddenPaths:
         biased = sample_hidden_paths(canonical_model(0.0), obs, 32, seed=0)
         np.testing.assert_array_equal(biased, np.ones((32, 3), dtype=int))
 
+    def test_golden_draws(self):
+        # Golden values: a fixed seed keeps drawing the same uniforms in the
+        # same order, so the sampled paths never move.
+        paths = sample_hidden_paths(sticky_model(), PATH_1[:15], 5, seed=2024)
+        np.testing.assert_array_equal(paths, digit_rows(
+            "000110000000000", "110000111000000", "000011111000100",
+            "100000000000000", "000100000000111"))
+
     def test_marginals_match_smoothing(self):
         model = random_small_model(np.random.default_rng(2))
         obs = [1, 3, 3, 2, 1, 2, 3, 1]
@@ -162,6 +184,13 @@ class TestSimulate:
         s2, o2 = simulate(model, 500, seed=9)
         np.testing.assert_array_equal(s1, s2)
         np.testing.assert_array_equal(o1, o2)
+
+    def test_golden_run(self):
+        states, obs = simulate(sticky_model(), 30, seed=5)
+        np.testing.assert_array_equal(
+            states, digit_rows("110000011111101110100000000000")[0])
+        np.testing.assert_array_equal(
+            obs, digit_rows("643162665232661142455242666625")[0])
 
     def test_outputs_lie_in_range(self):
         states, obs = simulate(canonical_model(0.5), 1000, seed=1)

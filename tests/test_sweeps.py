@@ -7,6 +7,7 @@ from casino_ewac import (BIASED, FAIR, PATH_1, SweepRow, canonical_model,
                          copula_pmf, default_eta_grid, default_horizon_grid,
                          eta_sweep, ewac_bounds, ewac_objective, ewac_of_theta,
                          horizon_sweep, naive_ewac, sample_wac, smooth)
+from helpers import digit_rows, sticky_model
 
 
 class TestSampleWac:
@@ -18,6 +19,28 @@ class TestSampleWac:
         fair_positions = draws.hidden == FAIR
         assert np.array_equal(draws.counterfactual[fair_positions],
                               np.broadcast_to(obs, draws.hidden.shape)[fair_positions])
+
+    @pytest.mark.parametrize("kind,counterfactual,wac", [
+        ("comonotonic",
+         ("241252615243641", "251144635232541", "351254633242631",
+          "351244635242531"), [6.0, 6.0, 4.0, 4.0]),
+        ("countermonotonic",
+         ("531254654243641", "646624635245141", "351254632245141",
+          "351234635245141"), [-1.0, -5.0, 6.0, 5.0]),
+    ])
+    def test_golden_draws(self, kind, counterfactual, wac):
+        # Golden values: a fixed seed keeps drawing the same uniforms in the
+        # same order, so hidden paths, counterfactuals and losses never move.
+        model = sticky_model()
+        draws = sample_wac(model, PATH_1[:15], copula_pmf(model, kind), 4,
+                           seed=7)
+        np.testing.assert_array_equal(draws.hidden, digit_rows(
+            "110001011000000", "111110000011100", "000000001001110",
+            "000010000001110"))
+        np.testing.assert_array_equal(draws.counterfactual,
+                                      digit_rows(*counterfactual))
+        np.testing.assert_array_equal(draws.wac, wac)
+        assert draws.hidden.dtype == draws.counterfactual.dtype == np.int64
 
     def test_deterministic_given_seed(self):
         model = canonical_model(0.5)

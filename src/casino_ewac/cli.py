@@ -9,8 +9,9 @@ three benchmark couplings.  Options may come from a JSON config file via
 with 12 significant digits and reruns with identical inputs produce
 byte-identical files.
 
-Exit codes: 0 success, 2 bad flags or config, 3 infeasible constraint set,
-4 numerical failure (for example an impossible observation path).
+Exit codes: 0 success, 2 bad flags or config or a run too large for the
+available memory, 3 infeasible constraint set, 4 numerical failure (for
+example an impossible observation path).
 """
 
 import argparse
@@ -43,15 +44,6 @@ log = logging.getLogger("casino_ewac")
 __all__ = ["PATH_1", "PATH_2", "main", "entry_point"]
 
 
-def _fmt(x):
-    """12 significant digits; empty string for missing values."""
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12g}"
-
-
 def _json_ready(obj):
     if obj is None:
         return None
@@ -76,11 +68,31 @@ def _write_text(out, text):
             fh.write(text)
 
 
-def _csv(columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+def _csv(header, columns):
+    """CSV text: the header, then one line per position of the columns.
+
+    Each column is a sequence of Python numbers or strings, as ``tolist()``
+    gives, and is typed by its first value: integers print in full, floats
+    with 12 significant digits and strings as they are.  One ``%`` template
+    formats each line.
+    """
+    lines = [",".join(header)]
+    if len(columns[0]):
+        spec = {int: "%d", str: "%s"}
+        template = ",".join(spec.get(type(col[0]), "%.12g") for col in columns)
+        lines += [template % row for row in zip(*columns)]
     return "\n".join(lines) + "\n"
+
+
+def _sweep_csv(header, rows):
+    """CSV of sweep rows; a field that was not computed (None) stays empty."""
+    columns = []
+    for name in header:
+        col = [getattr(row, name) for row in rows]
+        if None in col:
+            col = ["" if v is None else "%.12g" % v for v in col]
+        columns.append(col)
+    return _csv(header, columns)
 
 
 def _parse_path(spec):
@@ -171,10 +183,10 @@ def _cmd_smooth(args, config):
     model = _resolve_model(args, config)
     obs = _parse_path(_option(args, config, "path", "builtin:1"))
     delta = smooth(model, obs)
-    rows = [{"t": t + 1, "delta_fair": delta[t, 0], "delta_biased": delta[t, 1]}
-            for t in range(delta.shape[0])]
     _write_text(_option(args, config, "out"),
-                _csv(("t", "delta_fair", "delta_biased"), rows))
+                _csv(("t", "delta_fair", "delta_biased"),
+                     (range(1, len(delta) + 1), delta[:, 0].tolist(),
+                      delta[:, 1].tolist())))
     return EXIT_OK
 
 
@@ -211,7 +223,7 @@ def _cmd_sweep_eta(args, config):
     grid = _option(args, config, "grid")
     rows = eta_sweep(obs, None if grid is None else _parse_grid(grid))
     _write_text(_option(args, config, "out"),
-                _csv(ETA_SWEEP_COLUMNS, [r.as_dict() for r in rows]))
+                _sweep_csv(ETA_SWEEP_COLUMNS, rows))
     return EXIT_OK
 
 
@@ -230,13 +242,14 @@ def _cmd_sweep_horizon(args, config):
     rows = horizon_sweep(float(eta), t_grid,
                          int(_option(args, config, "seed", 0)))
     _write_text(_option(args, config, "out"),
-                _csv(HORIZON_SWEEP_COLUMNS, [r.as_dict() for r in rows]))
+                _sweep_csv(HORIZON_SWEEP_COLUMNS, rows))
     return EXIT_OK
 
 
-def _theta_for_kind(model, objective, kind, constraints):
+def _theta_for_kind(model, obs, kind, constraints):
     if kind in ("independence", "comonotonic", "countermonotonic"):
         return copula_pmf(model, kind)
+    objective = ewac_objective(model, obs, smooth(model, obs))
     mask = frozenset()
     if constraints == "pm":
         mask = pm_mask(model.num_symbols)
@@ -256,14 +269,18 @@ def _cmd_wac_dist(args, config):
     if constraints not in _CONSTRAINT_SETS:
         raise ValueError(
             f"constraints must be one of {_CONSTRAINT_SETS}, got {constraints!r}")
-    objective = ewac_objective(model, obs, smooth(model, obs))
-    theta = _theta_for_kind(model, objective, kind, constraints)
-    samples = sample_wac(model, obs, theta,
-                         int(_option(args, config, "samples", 10_000)),
-                         int(_option(args, config, "seed", 0)))
-    rows = [{"sample": s + 1, "wac": samples.wac[s]}
-            for s in range(samples.wac.size)]
-    _write_text(_option(args, config, "out"), _csv(("sample", "wac"), rows))
+    theta = _theta_for_kind(model, obs, kind, constraints)
+    count = int(_option(args, config, "samples", 10_000))
+    try:
+        wac = sample_wac(model, obs, theta, count,
+                         int(_option(args, config, "seed", 0))).wac
+    except MemoryError as exc:
+        raise MemoryError(
+            f"{count} samples of {len(obs)} periods need S*T = "
+            f"{count * len(obs)} sample-periods at 16 bytes or more each; "
+            f"lower --samples ({exc})") from None
+    _write_text(_option(args, config, "out"),
+                _csv(("sample", "wac"), (range(1, wac.size + 1), wac.tolist())))
     return EXIT_OK
 
 
@@ -356,6 +373,9 @@ def main(argv=None):
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

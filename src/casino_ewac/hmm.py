@@ -5,12 +5,21 @@ public API; arrays indexed by face use 0-based positions internally.  All
 smoothing is done with per-step renormalised forward and backward passes, so
 horizons up to about a million periods are fine in double precision.
 
-The recursions over periods run on Python floats, one scalar per state,
-reading emissions from per-face tuples and writing results through float64
-memoryviews.  With only two states, numpy's fixed cost per call (about a
-microsecond) dominates the arithmetic on 2-element vectors, so the scalar
-loop is several times faster while doing the same operations in the same
-order.  Posterior path sampling stays vectorised across samples.
+The filtering and smoothing recursions over periods run on Python floats,
+one scalar per state, reading emissions from per-face tuples and writing
+results through float64 memoryviews.  With only two states, numpy's fixed
+cost per call (about a microsecond) dominates the arithmetic on 2-element
+vectors, so the scalar loop is several times faster while doing the same
+operations in the same order.
+
+Posterior path sampling has no loop over periods.  Each backward step
+maps the successor's state to the current one by "keep", "flip" or a
+constant, so with two states composing the steps is a segmented XOR scan
+(the two-state case of the prefix-scan view of Särkkä and
+García-Fernández, "Temporal parallelization of Bayesian smoothers", IEEE
+TAC 2021).  Numpy runs it as a few accumulations over whole row blocks of
+samples and draws the same uniforms as the per-period recursion, so the
+paths are identical to it.
 """
 
 import numpy as np
@@ -183,21 +192,56 @@ def smooth(model, obs):
     return delta
 
 
+# Sample-periods per row block of path sampling and counterfactual redraws,
+# so the temporaries stay at a few tens of MB whatever S and T are.
+_BLOCK_SAMPLE_PERIODS = 1 << 20
+
+
+def _row_blocks(count, horizon):
+    """Slices of consecutive sample rows, about 2^20 sample-periods each."""
+    rows = max(1, _BLOCK_SAMPLE_PERIODS // horizon)
+    return [slice(start, min(start + rows, count))
+            for start in range(0, count, rows)]
+
+
 def _backward_sample(model, alpha, count, rng):
-    """Draw hidden paths from the posterior, vectorised across samples."""
+    """Draw hidden paths from the posterior, one row block at a time.
+
+    With thr[t, k] = P(fair at t | state k at t + 1, obs up to t), period t
+    is biased iff u_t >= thr[t, s_{t+1}].  Let g_t = [u_t >= thr[t, FAIR]]
+    and d_t = [u_t >= thr[t, BIASED]] != g_t; then s_t = g_t XOR (d_t AND
+    s_{t+1}), so s_t = P(t) XOR P(a(t) + 1), where P is the suffix XOR of
+    g with P(T) = 0 and a(t) is the first period >= t where d is false.
+    The last row of thr holds alpha[T - 1, FAIR] for both successors, so d
+    is false there and a(t) always exists.  The uniforms are the (count, T)
+    row-major draws of the per-period recursion, in the same order.
+    """
     T = alpha.shape[0]
     Q = model.transition
-    u = rng.random((count, T))
-    # thresholds[t, k] = P(fair at t | state k at t + 1, obs up to t); an
-    # unreachable k gets 1.0 in place of 0/0 (both send u < 1 to FAIR).
+    # An unreachable successor gets 1.0 in place of 0/0 (both send u < 1
+    # to FAIR).
     w_fair = alpha[:, FAIR, None] * Q[FAIR]
     total = w_fair + alpha[:, BIASED, None] * Q[BIASED]
-    thresholds = np.divide(w_fair, total, out=np.ones_like(total),
-                           where=total > 0)
+    thr = np.divide(w_fair, total, out=np.ones_like(total), where=total > 0)
+    thr[T - 1] = alpha[T - 1, FAIR]
+    after = np.arange(1, T + 1, dtype=np.int32)  # int32 holds 2T for T < 2^30
     states = np.empty((count, T), dtype=np.int64)
-    states[:, T - 1] = u[:, T - 1] >= alpha[T - 1, FAIR]
-    for t in range(T - 2, -1, -1):
-        states[:, t] = u[:, t] >= thresholds[t][states[:, t + 1]]
+    for rows in _row_blocks(count, T):
+        u = rng.random((rows.stop - rows.start, T))
+        g = u >= thr[:, FAIR]
+        d = (u >= thr[:, BIASED]) != g
+        del u
+        # suffix[:, t] = P(t); the extra last column is P(T) = 0.
+        suffix = np.zeros((g.shape[0], T + 1), dtype=bool)
+        np.bitwise_xor.accumulate(g[:, ::-1], axis=1,
+                                  out=suffix[:, T - 1::-1])
+        # a(t) + 1 is the suffix minimum of k + 1, pushed past T where d_k.
+        stop = np.multiply(d, T, dtype=np.int32)
+        stop += after
+        np.minimum.accumulate(stop[:, ::-1], axis=1, out=stop[:, ::-1])
+        # Offsets of the rows in the flattened suffix table.
+        stop += np.arange(0, suffix.size, T + 1, dtype=np.int32)[:, None]
+        states[rows] = suffix[:, :T] ^ suffix.ravel().take(stop)
     return states
 
 

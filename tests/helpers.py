@@ -4,7 +4,11 @@ Nothing here calls the library's recursions or the simplex: smoothing and
 the cheating expectation are recomputed by exhaustive enumeration over
 hidden paths or by the vector form of the forward-backward recursion,
 small transport optima by enumerating basic solutions, and the unmasked
-EWAC extremes by the closed-form north-west-corner couplings.
+EWAC extremes by the closed-form north-west-corner couplings.  The
+sampling oracles redo the posterior draws one period at a time (hidden
+paths) and one face at a time (counterfactual faces) from the filtered
+probabilities they are given, consuming the same uniforms in the same
+order as the library.
 """
 
 import itertools
@@ -228,3 +232,74 @@ def sticky_model():
 def digit_rows(*rows):
     """Integer array from strings of digits, one string per row."""
     return np.array([[int(c) for c in row] for row in rows])
+
+
+def loop_backward_sample(model, alpha, count, rng):
+    """Posterior hidden paths, drawn backwards one period at a time.
+
+    ``alpha`` holds the filtered probabilities, one row per period.  Period
+    t is biased when its uniform reaches P(fair at t | successor's state,
+    obs up to t); an unreachable successor gets the threshold 1.0.
+    """
+    T = alpha.shape[0]
+    Q = model.transition
+    u = rng.random((count, T))
+    w_fair = alpha[:, 0, None] * Q[0]
+    total = w_fair + alpha[:, 1, None] * Q[1]
+    thresholds = np.divide(w_fair, total, out=np.ones_like(total),
+                           where=total > 0)
+    states = np.empty((count, T), dtype=np.int64)
+    states[:, T - 1] = u[:, T - 1] >= alpha[T - 1, 0]
+    for t in range(T - 2, -1, -1):
+        states[:, t] = u[:, t] >= thresholds[t][states[:, t + 1]]
+    return states
+
+
+def loop_sample_wac(model, alpha, obs, theta, count, seed):
+    """(wac, counterfactual, hidden) drawn with the per-period path loop and
+    one inverse-CDF search per face, from the filtered ``alpha``."""
+    o = np.asarray(obs, dtype=np.int64) - 1
+    rng = np.random.default_rng(seed)
+    hidden = loop_backward_sample(model, alpha, count, rng)
+    u = rng.random((count, o.size))
+    theta = np.asarray(theta, dtype=float)
+    col_sums = theta.sum(axis=0)
+    cdf = np.cumsum(theta, axis=0)
+    positive = col_sums > 0
+    cdf[:, positive] /= col_sums[positive]
+    cdf[-1, positive] = 1.0
+    counterfactual = np.tile(o, (count, 1))
+    for j in range(model.num_symbols):
+        redraw = (hidden == 1) & (o == j)
+        counterfactual[redraw] = np.searchsorted(cdf[:, j], u[redraw],
+                                                 side="right")
+    w = model.rewards
+    wac = w[o].sum() - w[counterfactual].sum(axis=1)
+    return wac, counterfactual + 1, hidden
+
+
+def sampling_cases():
+    """(name, model, obs, count) inputs for the sampler-versus-oracle tests.
+
+    Random models with K = 2..7, the sticky chain, the degenerate eta 0
+    and 1 (unreachable successors), a single period with a single sample,
+    and S*T just above 2^20, so the library's draws span two row blocks.
+    """
+    from casino_ewac import canonical_model, simulate
+
+    rng = np.random.default_rng(2718)
+    cases = []
+    for k in range(2, 8):
+        for horizon in (1, int(rng.integers(2, 40)), int(rng.integers(40, 301))):
+            model = random_small_model(rng, k)
+            obs = rng.integers(1, k + 1, size=horizon)
+            cases.append((f"random-k{k}-t{horizon}", model, obs,
+                          int(rng.integers(1, 41))))
+    sticky = sticky_model()
+    cases.append(("sticky", sticky, simulate(sticky, 300, seed=4)[1], 64))
+    cases.append(("eta0", canonical_model(0.0), [2, 5, 6, 1, 1, 3], 16))
+    cases.append(("eta1", canonical_model(1.0), [2, 5, 6, 1, 1, 3], 16))
+    cases.append(("t1-count1", sticky, [6], 1))
+    cases.append(("two-row-blocks", sticky, simulate(sticky, 1000, seed=8)[1],
+                  1049))
+    return cases

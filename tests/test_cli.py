@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, config handling, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,9 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from casino_ewac import canonical_model, eta_sweep, smooth
+import casino_ewac.cli
+from casino_ewac import SweepRow, canonical_model, eta_sweep, smooth
 from casino_ewac.cli import (EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
-                             EXIT_USAGE, PATH_1, PATH_2, main)
+                             EXIT_USAGE, ETA_SWEEP_COLUMNS, PATH_1, PATH_2,
+                             _sweep_csv, main)
 
 
 def run(*argv):
@@ -142,6 +145,71 @@ class TestWacDistCommand:
                    "--seed", "2", "--out", str(out)) == EXIT_OK
         assert len(out.read_text().splitlines()) == 51
 
+    def test_copula_theta_does_not_smooth(self, tmp_path, monkeypatch):
+        def no_smoothing(*args):
+            raise AssertionError("a copula theta never reads the smoothing")
+
+        monkeypatch.setattr(casino_ewac.cli, "smooth", no_smoothing)
+        out = tmp_path / "wac.csv"
+        for kind in ("independence", "comonotonic", "countermonotonic"):
+            assert run("wac-dist", "--eta", "0.5", "--path", "builtin:1",
+                       "--theta", kind, "--samples", "20",
+                       "--out", str(out)) == EXIT_OK
+
+
+class TestGoldenOutputs:
+    # SHA-256 of the CSV bytes, recorded before the CSV writer, the path
+    # sampler and the counterfactual redraw were rewritten.
+    @pytest.mark.parametrize("argv,digest", [
+        pytest.param(
+            "smooth --eta 0.5 --path builtin:1",
+            "cd31021a5bb57bd0b5c7bb6216adc195ced23d73a592f266b5e30b6f4c6d1fba",
+            id="smooth-builtin1"),
+        pytest.param(
+            "smooth --eta 0.99999 --path builtin:1",
+            "11743e823bef4ea3803e192281bd6bb3fb32438cf9aea265eda0b41a22a48335",
+            id="smooth-builtin1-near-fair"),
+        pytest.param(
+            "wac-dist --eta 0.5 --path builtin:1 --theta comonotonic "
+            "--samples 200 --seed 21",
+            "fc8e5ceffd8b4fc8c7c341854d2bd024b2e809bf9ce16a16a2f1e6dcc0a54e5d",
+            id="wac-dist-comonotonic"),
+        pytest.param(
+            "wac-dist --eta 0.5 --path builtin:2 --theta ub --constraints cs "
+            "--samples 50 --seed 2",
+            "5f14213e2e7dfb05333ee1d3daed9f592b24644cbf6bddc43c9ab78c1277d619",
+            id="wac-dist-ub-cs"),
+        pytest.param(
+            "sweep-eta --path builtin:2 --grid 0.25,0.75",
+            "f4b58e47f4362181e14a67170bf138f87ca6cd0ef20c68b5da8d5eb6ee74bd76",
+            id="sweep-eta"),
+        pytest.param(
+            "sweep-horizon --eta 0.5 --t-grid 20,80 --seed 3",
+            "4fd11777d99299d21e958ba1c173c604246aac42772680ad81683a6f1e279757",
+            id="sweep-horizon"),
+    ])
+    def test_csv_bytes(self, argv, digest, tmp_path):
+        out = tmp_path / "out.csv"
+        assert run(*argv.split(), "--out", str(out)) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_smooth_rows(self, tmp_path):
+        out = tmp_path / "delta.csv"
+        assert run("smooth", "--eta", "0.99999", "--path", "builtin:1",
+                   "--out", str(out)) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[:3] == ["t,delta_fair,delta_biased",
+                             "1,0.999991428559,8.57144081631e-06",
+                             "2,0.999985714347,1.42856530614e-05"]
+
+    def test_missing_sweep_fields_stay_empty(self):
+        text = _sweep_csv(ETA_SWEEP_COLUMNS,
+                          [SweepRow(eta=0.5, lb=-1.0, ub=2.25, naive=0.0),
+                           SweepRow(eta=0.75, lb=1 / 3, ub=1 / 3)])
+        assert text.splitlines()[1:] == ["0.5,-1,2.25,,,,,,,,0",
+                                         "0.75,0.333333333333,0.333333333333,"
+                                         ",,,,,,,"]
+
 
 class TestCopulasCommand:
     def test_three_matrices(self, tmp_path):
@@ -230,6 +298,37 @@ class TestExitCodes:
             "path": [1, 2]}))
         assert run("smooth", "--config", str(config)) == EXIT_NUMERICAL
         assert "zero probability" in capsys.readouterr().err
+
+    def test_impossible_path_exits_four_without_smoothing(self, tmp_path,
+                                                          capsys):
+        # A copula theta skips smoothing; the sampler's filter still fails.
+        config = tmp_path / "model.json"
+        config.write_text(json.dumps({
+            "model": {"p": [1.0, 0.0], "Q": [[1.0, 0.0], [0.0, 1.0]],
+                      "E": [[1.0, 0.0], [1.0, 0.0]],
+                      "w": [1, 2]},
+            "path": [1, 2]}))
+        assert run("wac-dist", "--config", str(config), "--theta",
+                   "comonotonic", "--samples", "5") == EXIT_NUMERICAL
+        assert "zero probability" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sample_count_below_one(self, samples, capsys):
+        assert run("wac-dist", "--eta", "0.5", "--path", "builtin:1",
+                   "--samples", samples) == EXIT_USAGE
+        assert "count must be at least 1" in capsys.readouterr().err
+
+    def test_out_of_memory_names_the_size(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr(casino_ewac.cli, "sample_wac", exhausted)
+        assert run("wac-dist", "--eta", "0.5", "--path", "builtin:1",
+                   "--samples", "10000") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "out of memory" in err
+        assert "S*T = 300000" in err
+        assert "Traceback" not in err
 
     def test_usage_error_from_argparse(self):
         assert run("no-such-command") == EXIT_USAGE

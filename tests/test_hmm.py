@@ -6,8 +6,11 @@ import pytest
 from casino_ewac import (BIASED, FAIR, PATH_1, HmmModel, ZeroLikelihoodError,
                          canonical_model, sample_hidden_paths, simulate,
                          smooth)
+from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _forward_filter,
+                             as_symbol_indices)
 from helpers import (brute_force_smooth, dense_smooth, digit_rows,
-                     random_small_model, sticky_model)
+                     loop_backward_sample, random_small_model,
+                     sampling_cases, sticky_model)
 
 
 class TestHmmModel:
@@ -150,6 +153,23 @@ class TestSampleHiddenPaths:
         np.testing.assert_array_equal(paths, digit_rows(
             "000110000000000", "110000111000000", "000011111000100",
             "100000000000000", "000100000000111"))
+
+    @pytest.mark.parametrize("case", sampling_cases(), ids=lambda c: c[0])
+    def test_scan_equals_the_per_period_loop(self, case):
+        # Same seed, same uniforms: the scan must reproduce the backward
+        # recursion draw for draw.
+        _, model, obs, count = case
+        alpha = _forward_filter(model, as_symbol_indices(model, obs))
+        expected = loop_backward_sample(model, alpha, count,
+                                        np.random.default_rng(31))
+        paths = sample_hidden_paths(model, obs, count, seed=31)
+        assert paths.dtype == np.int64
+        np.testing.assert_array_equal(paths, expected)
+
+    def test_cases_cross_a_row_block(self):
+        cases = {name: (obs, count) for name, _, obs, count in sampling_cases()}
+        obs, count = cases["two-row-blocks"]
+        assert len(obs) * count > _BLOCK_SAMPLE_PERIODS > len(obs)
 
     def test_marginals_match_smoothing(self):
         model = random_small_model(np.random.default_rng(2))

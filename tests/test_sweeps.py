@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from casino_ewac import (BIASED, FAIR, PATH_1, SweepRow, canonical_model,
-                         copula_pmf, default_eta_grid, default_horizon_grid,
-                         eta_sweep, ewac_bounds, ewac_objective, ewac_of_theta,
-                         horizon_sweep, naive_ewac, sample_wac, smooth)
-from helpers import digit_rows, sticky_model
+from casino_ewac import (BIASED, FAIR, PATH_1, HmmModel, SweepRow,
+                         canonical_model, copula_pmf, default_eta_grid,
+                         default_horizon_grid, eta_sweep, ewac_bounds,
+                         ewac_objective, ewac_of_theta, horizon_sweep,
+                         naive_ewac, sample_wac, smooth)
+from casino_ewac.hmm import _forward_filter, as_symbol_indices
+from helpers import (digit_rows, loop_sample_wac, random_feasible_theta,
+                     sampling_cases, sticky_model)
 
 
 class TestSampleWac:
@@ -88,6 +91,40 @@ class TestSampleWac:
             se = draws.wac.std(ddof=1) / np.sqrt(count)
             assert errors[count] <= 3 * se
         assert errors[20_000] < errors[200]
+
+    @pytest.mark.parametrize("case", sampling_cases(), ids=lambda c: c[0])
+    def test_redraw_equals_the_per_face_search(self, case):
+        # Same seed, same uniforms: hidden paths, counterfactual faces and
+        # losses (non-integer payoffs on the random models) match the
+        # per-period path loop and the per-face searchsorted redraw.
+        _, model, obs, count = case
+        theta = random_feasible_theta(*model.emission,
+                                      np.random.default_rng(len(obs)))
+        alpha = _forward_filter(model, as_symbol_indices(model, obs))
+        wac, counterfactual, hidden = loop_sample_wac(model, alpha, obs, theta,
+                                                      count, seed=17)
+        draws = sample_wac(model, obs, theta, count, seed=17)
+        np.testing.assert_array_equal(draws.hidden, hidden)
+        np.testing.assert_array_equal(draws.counterfactual, counterfactual)
+        np.testing.assert_array_equal(draws.wac, wac)
+        assert draws.hidden.dtype == draws.counterfactual.dtype == np.int64
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, count):
+        model = canonical_model(0.5)
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            sample_wac(model, PATH_1, copula_pmf(model, "independence"), count,
+                       seed=0)
+
+    def test_biased_state_on_an_empty_theta_column_raises(self):
+        # Face 2 forces the biased state, but the theta column of face 2 is
+        # zero (within the marginal tolerance), so no redraw exists.
+        tiny = 1e-10
+        model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
+                         [[1.0, 0.0], [1.0 - tiny, tiny]], [1.0, 2.0])
+        theta = [[1.0 - tiny, 0.0], [0.0, 0.0]]
+        with pytest.raises(ArithmeticError, match="face 2"):
+            sample_wac(model, [1, 2, 1], theta, 3, seed=0)
 
     def test_infeasible_theta_rejected(self):
         model = canonical_model(0.5)

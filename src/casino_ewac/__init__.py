@@ -5,8 +5,8 @@ from casino_ewac.engine import (EwacBounds, EwacObjective, InfeasibleMaskError,
                                 asymptotic_ewac_rate, copula_pmf, cs_mask,
                                 ewac_bounds, ewac_objective, ewac_of_theta,
                                 greedy_column, inhomogeneous_bounds,
-                                inhomogeneous_theta, naive_ewac, pm_mask,
-                                stationary, validate_joint_pmf)
+                                naive_ewac, pm_mask, stationary,
+                                validate_joint_pmf)
 from casino_ewac.hmm import (BIASED, FAIR, HmmModel, ZeroLikelihoodError,
                              canonical_model, sample_hidden_paths, simulate,
                              smooth)
@@ -48,7 +48,6 @@ __all__ = [
     "greedy_column",
     "horizon_sweep",
     "inhomogeneous_bounds",
-    "inhomogeneous_theta",
     "naive_ewac",
     "pm_mask",
     "sample_hidden_paths",

@@ -5,7 +5,10 @@ roll and one biased roll, constrained to the transportation polytope whose
 row sums are the fair die and whose column sums are the biased die.  Given
 smoothed state posteriors, the conditional expectation of the winnings a
 gambler would have seen had the casino stayed fair is affine in theta, so
-both extremes over the polytope are linear programs.
+both extremes over the polytope are linear programs.  Their cost w_i * f_j
+is rank one with increasing payoffs w, so without a mask both optima are
+north-west-corner fills against the biased faces sorted by f (Hoffman 1963;
+Cambanis, Simons and Stout 1976); the simplex serves the masked sets.
 """
 
 from dataclasses import dataclass
@@ -17,6 +20,7 @@ from casino_ewac.transport import TransportProblem, solve
 
 _UNIFORM_TOL = 1e-12
 _PMF_ATOL = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "EwacObjective",
@@ -29,7 +33,6 @@ __all__ = [
     "pm_mask",
     "cs_mask",
     "greedy_column",
-    "inhomogeneous_theta",
     "inhomogeneous_bounds",
     "copula_pmf",
     "naive_ewac",
@@ -48,21 +51,23 @@ class EwacObjective:
 
     ewac(theta) = w_obs - fair_term - sum_ij coeff[i, j] * theta[i, j]
 
-    where coeff[i, j] multiplies reward i by the total smoothed biased-state
-    mass on periods that observed face j + 1, divided by the biased
-    emission probability of that face.
+    where coeff[i, j] = rewards[i] * factor[j], and factor[j] is the total
+    smoothed biased-state mass on periods that observed face j + 1, divided
+    by the biased emission probability of that face.
 
     Attributes:
         w_obs: total observed winnings.
         fair_term: sum over periods of P(fair | obs) times the observed payoff.
-        coeff: (K, K) objective coefficients.
+        rewards: (K,) payoff per face, strictly increasing.
+        factor: (K,) per-face factor, non-negative.
         row_marginals: fair emission row (required row sums of theta).
         col_marginals: biased emission row (required column sums of theta).
     """
 
     w_obs: float
     fair_term: float
-    coeff: np.ndarray
+    rewards: np.ndarray
+    factor: np.ndarray
     row_marginals: np.ndarray
     col_marginals: np.ndarray
 
@@ -70,15 +75,19 @@ class EwacObjective:
     def constant(self):
         return self.w_obs - self.fair_term
 
+    @property
+    def coeff(self):
+        return np.outer(self.rewards, self.factor)
+
 
 @dataclass(frozen=True)
 class EwacBounds:
     """Lower and upper EWAC values with the optimising PMFs.
 
     ``theta_lb`` and ``theta_ub`` are None for the time-inhomogeneous
-    relaxation, whose optimiser varies by period; see
-    ``inhomogeneous_theta`` for the per-face matrices.  ``iterations``
-    counts simplex pivots for the (lb, ub) solves.
+    relaxation, whose optimiser varies by period.  ``iterations`` counts
+    simplex pivots for the (lb, ub) solves of a masked set; the unmasked
+    bounds are two sorted north-west-corner fills and report (0, 0).
     """
 
     lb: float
@@ -124,7 +133,7 @@ def ewac_objective(model, obs, delta):
     factor = np.divide(biased_mass, e_biased,
                        out=np.zeros(k), where=e_biased > 0)
     return EwacObjective(w_obs=w_obs, fair_term=fair_term,
-                         coeff=np.outer(w, factor),
+                         rewards=w, factor=factor,
                          row_marginals=model.emission[FAIR].copy(),
                          col_marginals=e_biased.copy())
 
@@ -152,24 +161,57 @@ def ewac_of_theta(objective, theta, atol=_PMF_ATOL):
     return objective.constant - float(np.sum(objective.coeff * theta))
 
 
+def _nw_fill(rows, cols):
+    """North-west-corner fill of a table with these row and column sums.
+
+    Each cell on the walk from the top-left corner takes what its row and
+    column still lack; the walk passes every full row and column, where a
+    remainder within the rounding error of the running sums counts as full
+    (no noise cells where a row and a column end together).
+    """
+    rows = np.asarray(rows, dtype=float).tolist()
+    cols = np.asarray(cols, dtype=float).tolist()
+    theta = np.zeros((len(rows), len(cols)))
+    tol = (len(rows) + len(cols)) * _EPS * max(sum(rows), sum(cols))
+    i = j = 0
+    while i < len(rows) and j < len(cols):
+        take = min(rows[i], cols[j])
+        theta[i, j] = take
+        rows[i] -= take
+        cols[j] -= take
+        if rows[i] <= tol:
+            i += 1
+        if cols[j] <= tol:
+            j += 1
+    return theta
+
+
 def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
     """Sharp EWAC bounds over the (optionally masked) polytope.
 
     The upper bound minimises the coefficient form, the lower bound
     maximises it; both optimisers are vertices and satisfy the mask
-    exactly.
+    exactly.  Without a mask the maximiser is the north-west-corner fill
+    against the biased faces sorted by factor ascending (stable), the
+    minimiser the fill against them sorted descending, and no simplex runs.
 
     Raises:
         InfeasibleMaskError: if the mask empties the polytope.
     """
-    lo = solve(TransportProblem(costs=objective.coeff,
-                                row_targets=objective.row_marginals,
-                                col_targets=objective.col_marginals,
-                                zero_mask=zero_mask, sense="min"))
-    hi = solve(TransportProblem(costs=objective.coeff,
-                                row_targets=objective.row_marginals,
-                                col_targets=objective.col_marginals,
-                                zero_mask=zero_mask, sense="max"))
+    if not zero_mask:
+        order = np.argsort(objective.factor, kind="stable")
+        hi, lo = np.empty((2, order.size, order.size))
+        for theta, cols in ((hi, order), (lo, order[::-1])):
+            theta[:, cols] = _nw_fill(objective.row_marginals,
+                                      objective.col_marginals[cols])
+        coeff = objective.coeff
+        return EwacBounds(lb=objective.constant - float(np.sum(coeff * hi)),
+                          ub=objective.constant - float(np.sum(coeff * lo)),
+                          theta_lb=hi, theta_ub=lo, constraint_tag=tag)
+    problem = dict(costs=objective.coeff, row_targets=objective.row_marginals,
+                   col_targets=objective.col_marginals, zero_mask=zero_mask)
+    lo = solve(TransportProblem(**problem, sense="min"))
+    hi = solve(TransportProblem(**problem, sense="max"))
     if lo.status != "optimal" or hi.status != "optimal":
         raise InfeasibleMaskError(
             f"constraint set {tag!r} ({len(zero_mask)} forced zeros) admits "
@@ -206,18 +248,6 @@ def cs_mask(emission):
                      if i != j and e_biased[j] <= e_biased[i])
 
 
-def _greedy_fill(caps, total, descending):
-    col = np.zeros(len(caps))
-    rem = total
-    order = range(len(caps) - 1, -1, -1) if descending else range(len(caps))
-    for i in order:
-        col[i] = min(caps[i], rem)
-        rem -= col[i]
-        if rem <= 0.0:
-            break
-    return col
-
-
 def greedy_column(model, face, sense):
     """Optimal single-period column for one observed face.
 
@@ -233,34 +263,10 @@ def greedy_column(model, face, sense):
     k = model.num_symbols
     if not 0 <= j < k:
         raise ValueError(f"face must lie in 1..{k}, got {face}")
-    return _greedy_fill(model.emission[FAIR], model.emission[BIASED, j],
-                        sense == "max")
-
-
-def inhomogeneous_theta(model, face, sense):
-    """A full joint PMF whose ``face`` column is the greedy optimum.
-
-    The free cells only have to complete the marginals; a north-west-corner
-    fill over the remaining columns is used.  Other completions would be
-    just as valid.
-    """
-    k = model.num_symbols
-    j = int(face) - 1
-    theta = np.zeros((k, k))
-    theta[:, j] = greedy_column(model, face, sense)
-    rem = model.emission[FAIR] - theta[:, j]
-    for col in range(k):
-        if col == j:
-            continue
-        need = model.emission[BIASED, col]
-        for i in range(k):
-            take = min(rem[i], need)
-            theta[i, col] = take
-            rem[i] -= take
-            need -= take
-            if need <= 0.0:
-                break
-    return theta
+    caps, total = model.emission[FAIR], [model.emission[BIASED, j]]
+    if sense == "max":
+        return _nw_fill(caps[::-1], total)[::-1, 0]
+    return _nw_fill(caps, total)[:, 0]
 
 
 def inhomogeneous_bounds(objective):
@@ -272,12 +278,9 @@ def inhomogeneous_bounds(objective):
     form at the stacked per-face greedy columns.  Always at least as wide
     as the time-homogeneous bounds.
     """
-    k = len(objective.row_marginals)
-    caps = objective.row_marginals
-    best = np.column_stack([
-        _greedy_fill(caps, objective.col_marginals[j], True) for j in range(k)])
-    worst = np.column_stack([
-        _greedy_fill(caps, objective.col_marginals[j], False) for j in range(k)])
+    caps, totals = objective.row_marginals, objective.col_marginals
+    best = np.hstack([_nw_fill(caps[::-1], [s])[::-1] for s in totals])
+    worst = np.hstack([_nw_fill(caps, [s]) for s in totals])
     lb = objective.constant - float(np.sum(objective.coeff * best))
     ub = objective.constant - float(np.sum(objective.coeff * worst))
     return EwacBounds(lb=lb, ub=ub, theta_lb=None, theta_ub=None,
@@ -290,30 +293,21 @@ def copula_pmf(model, kind):
     ``kind`` selects the dependence structure: "independence" multiplies
     the marginals, "comonotonic" couples them through a common uniform
     (highest positive dependence), "countermonotonic" through opposed
-    uniforms (lowest).  The last two discretise the classical Frechet
-    bounds by differencing the joint CDF extremes.
+    uniforms (lowest).  The last two are the classical Frechet bounds: the
+    north-west-corner fill in face order, and the fill with the biased
+    faces reversed.
     """
     e_fair = model.emission[FAIR]
     e_biased = model.emission[BIASED]
     if kind == "independence":
         return np.outer(e_fair, e_biased)
-    cdf_fair = np.concatenate([[0.0], np.cumsum(e_fair)])
-    cdf_biased = np.concatenate([[0.0], np.cumsum(e_biased)])
-    cdf_fair[-1] = 1.0
-    cdf_biased[-1] = 1.0
     if kind == "comonotonic":
-        grid = np.minimum.outer(cdf_fair, cdf_biased)
-    elif kind == "countermonotonic":
-        grid = np.maximum(np.add.outer(cdf_fair, cdf_biased) - 1.0, 0.0)
-    else:
-        raise ValueError(
-            "kind must be 'independence', 'comonotonic' or "
-            f"'countermonotonic', got {kind!r}")
-    theta = grid[1:, 1:] - grid[:-1, 1:] - grid[1:, :-1] + grid[:-1, :-1]
-    if theta.min() < -1e-12:
-        raise ArithmeticError(
-            f"copula differencing went negative ({theta.min():.3e})")
-    return np.maximum(theta, 0.0)
+        return _nw_fill(e_fair, e_biased)
+    if kind == "countermonotonic":
+        return _nw_fill(e_fair, e_biased[::-1])[:, ::-1]
+    raise ValueError(
+        "kind must be 'independence', 'comonotonic' or "
+        f"'countermonotonic', got {kind!r}")
 
 
 def naive_ewac(model, obs):

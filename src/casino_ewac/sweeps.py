@@ -183,11 +183,16 @@ def eta_sweep(obs, eta_grid=None, constrained=True, inhomogeneous=True,
 
     Returns:
         list of SweepRow in grid order.
+
+    Raises:
+        ValueError: if the grid is empty.
     """
-    if eta_grid is None:
-        eta_grid = default_eta_grid()
+    eta_grid = np.asarray(default_eta_grid() if eta_grid is None else eta_grid,
+                          dtype=float)
+    if eta_grid.size == 0:
+        raise ValueError("fairness grid must contain at least one level")
     rows = []
-    for eta in np.asarray(eta_grid, dtype=float):
+    for eta in eta_grid:
         model = canonical_model(eta)
         objective = ewac_objective(model, obs, smooth(model, obs))
         values = {"eta": float(eta),

@@ -111,6 +111,21 @@ class TestSweepCommands:
         assert got[1] == pytest.approx(rows[0].lb, rel=1e-11)
         assert got[2] == pytest.approx(rows[0].ub, rel=1e-11)
 
+    def test_empty_eta_grid_flag_exits_usage(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run("sweep-eta", "--grid", "", "--out", str(out)) == EXIT_USAGE
+        assert "at least one level" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_eta_grid_config_exits_usage(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"path": "builtin:1", "grid": []}))
+        out = tmp_path / "sweep.csv"
+        assert run("sweep-eta", "--config", str(config),
+                   "--out", str(out)) == EXIT_USAGE
+        assert "at least one level" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_horizon_sweep_columns(self, tmp_path):
         out = tmp_path / "horizon.csv"
         assert run("sweep-horizon", "--eta", "0.5", "--t-grid", "20,80",
@@ -191,6 +206,28 @@ class TestGoldenOutputs:
     def test_csv_bytes(self, argv, digest, tmp_path):
         out = tmp_path / "out.csv"
         assert run(*argv.split(), "--out", str(out)) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # SHA-256 of the bounds JSON, recorded while the unmasked bounds still
+    # came from the simplex; they pin every printed theta_lb/theta_ub cell.
+    @pytest.mark.parametrize("path,eta,digest", [
+        ("builtin:1", "0.2",
+         "a4e1ae67fd2b20d68fd917732550cd795cc5418a3740764df9be186edec973fc"),
+        ("builtin:1", "0.5",
+         "349d0da82636ebcc1be5377f23d098aff193b27311612842330f13dc196ced0c"),
+        ("builtin:1", "0.8",
+         "df9a42c49b99fe75f4a673f7500c34f90f95a0eebad4e1f856989028e45d0ed8"),
+        ("builtin:2", "0.2",
+         "a315deca58683d2de3f25080f771d3d104ee3af1b8a509b10141c79fc599c52d"),
+        ("builtin:2", "0.5",
+         "bafe2e3e51ba8368329d2c06e64569cf5421657e1fa611fc495f383661b827d4"),
+        ("builtin:2", "0.8",
+         "4975a21384c4dfae128d41ba103a1663ac971788329e7679ed6acf7721ab62dc"),
+    ])
+    def test_bounds_json_bytes(self, path, eta, digest, tmp_path):
+        out = tmp_path / "bounds.json"
+        assert run("bounds", "--eta", eta, "--path", path,
+                   "--out", str(out)) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_smooth_rows(self, tmp_path):

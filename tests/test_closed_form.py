@@ -1,0 +1,245 @@
+"""Closed-form unmasked bounds against the simplex and vertex enumeration.
+
+The unmasked bounds are two sorted north-west-corner fills.  The simplex in
+``casino_ewac.transport`` stays the independent oracle: on random models
+the values must agree with it, and with basic-solution enumeration at
+K = 3.  Tolerances scale with max|coeff|, the largest objective coefficient,
+since theta sums to one and every value is a convex combination of
+coefficients.
+"""
+
+import itertools
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import casino_ewac.engine
+from casino_ewac import (BIASED, FAIR, FEASIBILITY_TOL, PATH_1, EwacObjective,
+                         HmmModel, TransportProblem, canonical_model, cs_mask,
+                         ewac_bounds, ewac_objective, inhomogeneous_bounds,
+                         smooth, solve, validate_joint_pmf)
+from helpers import enumerate_transport_optimum, random_small_model
+
+REL_TOL = 1e-12
+# Fixed examples keep the suite deterministic from run to run.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _scale(objective):
+    return np.abs(objective.coeff).max()
+
+
+def _form_extremes(pair, objective):
+    """(min, max) of the coefficient form at the two optimisers.
+
+    The bounds are the constant minus these; comparing the form itself
+    keeps a large constant from absorbing tiny coefficients.
+    """
+    low = float(np.sum(objective.coeff * pair.theta_ub))
+    high = float(np.sum(objective.coeff * pair.theta_lb))
+    assert pair.ub == objective.constant - low
+    assert pair.lb == objective.constant - high
+    return low, high
+
+
+def _simplex_extremes(objective):
+    problem = dict(costs=objective.coeff, row_targets=objective.row_marginals,
+                   col_targets=objective.col_marginals)
+    return (solve(TransportProblem(**problem, sense="min")).value,
+            solve(TransportProblem(**problem, sense="max")).value)
+
+
+def _assert_feasible(pair, objective, atol=1e-12):
+    for theta in (pair.theta_lb, pair.theta_ub):
+        validate_joint_pmf(theta, objective.row_marginals,
+                           objective.col_marginals, atol=atol)
+
+
+def _probabilities(draw, k, zeros=False):
+    low = 0.0 if zeros else 0.05
+    weights = np.array(draw(st.lists(st.floats(low, 1.0), min_size=k,
+                                     max_size=k)))
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    return weights / weights.sum()
+
+
+@st.composite
+def objectives(draw):
+    """Rank-one objectives with increasing rewards; the factor repeats
+    values (ties) as often as not, and marginals may hold zeros."""
+    k = draw(st.integers(2, 7))
+    rewards = np.cumsum(draw(st.lists(st.floats(0.1, 3.0), min_size=k,
+                                      max_size=k)))
+    factor = np.array(draw(st.lists(
+        st.sampled_from([0.0, 1.0, 7.5]) | st.floats(0.0, 50.0),
+        min_size=k, max_size=k)))
+    return EwacObjective(w_obs=draw(st.floats(0.0, 100.0)),
+                         fair_term=draw(st.floats(0.0, 100.0)),
+                         rewards=rewards, factor=factor,
+                         row_marginals=_probabilities(draw, k, zeros=True),
+                         col_marginals=_probabilities(draw, k, zeros=True))
+
+
+@st.composite
+def uniform_fair_cases(draw):
+    """(model, obs) with a uniform fair die, so the cs set applies."""
+    k = draw(st.integers(2, 7))
+    q = draw(st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2))
+    model = HmmModel([0.5, 0.5], [[q[0], 1 - q[0]], [q[1], 1 - q[1]]],
+                     [np.full(k, 1.0 / k), _probabilities(draw, k)],
+                     np.arange(1, k + 1))
+    obs = draw(st.lists(st.integers(1, k), min_size=1, max_size=40))
+    return model, obs
+
+
+class TestAgainstTheSimplex:
+    def test_random_models(self):
+        rng = np.random.default_rng(31)
+        for k in range(2, 8):
+            for _ in range(6):
+                model = random_small_model(rng, k)
+                obs = rng.integers(1, k + 1, size=rng.integers(1, 300))
+                obj = ewac_objective(model, obs, smooth(model, obs))
+                pair = ewac_bounds(obj)
+                np.testing.assert_allclose(_form_extremes(pair, obj),
+                                           _simplex_extremes(obj), rtol=0,
+                                           atol=REL_TOL * _scale(obj))
+                _assert_feasible(pair, obj)
+                assert pair.iterations == (0, 0)
+
+    def test_vertex_enumeration_at_k3(self):
+        rng = np.random.default_rng(32)
+        for _ in range(8):
+            model = random_small_model(rng)
+            obs = rng.integers(1, 4, size=rng.integers(1, 30))
+            obj = ewac_objective(model, obs, smooth(model, obs))
+            oracle = enumerate_transport_optimum(obj.coeff, obj.row_marginals,
+                                                 obj.col_marginals)
+            np.testing.assert_allclose(_form_extremes(ewac_bounds(obj), obj),
+                                       oracle, rtol=0,
+                                       atol=1e-9 * _scale(obj))
+
+    @PROPERTY
+    @given(objectives())
+    def test_general_objectives_with_ties(self, obj):
+        # The simplex stops once no reduced cost is below
+        # FEASIBILITY_TOL * max|c|, so on factors spanning many orders of
+        # magnitude it may fall short of the optimum by that much.
+        pair = ewac_bounds(obj)
+        np.testing.assert_allclose(_form_extremes(pair, obj),
+                                   _simplex_extremes(obj), rtol=0,
+                                   atol=FEASIBILITY_TOL * _scale(obj))
+        _assert_feasible(pair, obj)
+
+    def test_unobserved_faces_tie(self):
+        # Faces 2..5 never appear, so their factors are all zero: the
+        # sorted fill must still attain the optimum, at a valid vertex.
+        rng = np.random.default_rng(33)
+        model = random_small_model(rng, 6)
+        obs = [1, 6, 6, 1, 6, 6, 6, 1]
+        obj = ewac_objective(model, obs, smooth(model, obs))
+        assert np.count_nonzero(obj.factor == 0.0) == 4
+        pair = ewac_bounds(obj)
+        np.testing.assert_allclose(_form_extremes(pair, obj),
+                                   _simplex_extremes(obj), rtol=0,
+                                   atol=REL_TOL * _scale(obj))
+        _assert_feasible(pair, obj)
+
+
+def _exact_fill(rows, cols):
+    """North-west-corner fill in exact rational arithmetic."""
+    rows, cols = list(rows), list(cols)
+    theta = np.zeros((len(rows), len(cols)), dtype=object)
+    i = j = 0
+    while i < len(rows) and j < len(cols):
+        take = min(rows[i], cols[j])
+        theta[i, j] = take
+        rows[i] -= take
+        cols[j] -= take
+        i, j = i + (rows[i] == 0), j + (cols[j] == 0)
+    return theta
+
+
+class TestFillRounding:
+    def test_rows_and_columns_ending_together_leave_exact_zeros(self):
+        # Under some orders of the canonical biased faces (1,2 then 6,5:
+        # 3/21 + 11/21 = 4/6) the staircase meets a fair-row end exactly
+        # in rational arithmetic.  The cells off it must be exact zeros,
+        # not rounding noise, under every order.
+        model = canonical_model(0.5)
+        exact_rows = [Fraction(1, 6)] * 6
+        for order in itertools.permutations(range(6)):
+            order = np.array(order)
+            factor = np.empty(6)
+            factor[order] = np.arange(6.0)
+            obj = EwacObjective(w_obs=0.0, fair_term=0.0,
+                                rewards=model.rewards, factor=factor,
+                                row_marginals=model.emission[FAIR],
+                                col_marginals=model.emission[BIASED])
+            exact = np.zeros((6, 6))
+            exact[:, order] = _exact_fill(
+                exact_rows, [Fraction(int(j) + 1, 21) for j in order])
+            theta = ewac_bounds(obj).theta_lb
+            np.testing.assert_array_equal(theta == 0.0, exact == 0.0,
+                                          err_msg=f"order {order + 1}")
+            np.testing.assert_allclose(theta, exact, rtol=0, atol=1e-15)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(objectives())
+    def test_min_is_minus_max_of_the_negated_form(self, obj):
+        # The fill argument needs increasing rewards only, not a factor
+        # sign, so the negated form is solved by the same two fills.
+        low, high = _form_extremes(ewac_bounds(obj), obj)
+        negated = replace(obj, factor=-obj.factor)
+        neg_low, neg_high = _form_extremes(ewac_bounds(negated), negated)
+        tol = REL_TOL * _scale(obj)
+        assert low == pytest.approx(-neg_high, abs=tol)
+        assert high == pytest.approx(-neg_low, abs=tol)
+
+    @PROPERTY
+    @given(objectives(), st.randoms(use_true_random=False))
+    def test_relabelling_biased_faces(self, obj, random):
+        perm = np.array(random.sample(range(obj.factor.size), obj.factor.size))
+        relabelled = replace(obj, factor=obj.factor[perm],
+                             col_marginals=obj.col_marginals[perm])
+        other = ewac_bounds(relabelled)
+        np.testing.assert_allclose(_form_extremes(other, relabelled),
+                                   _form_extremes(ewac_bounds(obj), obj),
+                                   rtol=0, atol=REL_TOL * _scale(obj))
+        _assert_feasible(other, relabelled)
+
+    @settings(PROPERTY, max_examples=40)
+    @given(uniform_fair_cases())
+    def test_bounds_nest(self, case):
+        model, obs = case
+        obj = ewac_objective(model, obs, smooth(model, obs))
+        plain = ewac_bounds(obj)
+        tied = ewac_bounds(obj, cs_mask(model.emission), tag="cs")
+        loose = inhomogeneous_bounds(obj)
+        # The cs bounds carry the simplex's stopping tolerance, and every
+        # bound the rounding of the constant it is offset by.
+        tol = FEASIBILITY_TOL * _scale(obj) + 1e-15 * abs(obj.constant)
+        chain = (loose.lb, plain.lb, tied.lb, tied.ub, plain.ub, loose.ub)
+        assert all(a <= b + tol for a, b in zip(chain, chain[1:])), chain
+
+
+class TestNoSimplexWithoutAMask:
+    def test_unmasked_bounds_never_call_solve(self, monkeypatch):
+        def refuse(problem):
+            raise AssertionError("transport.solve called")
+
+        monkeypatch.setattr(casino_ewac.engine, "solve", refuse)
+        model = canonical_model(0.5)
+        obj = ewac_objective(model, PATH_1, smooth(model, PATH_1))
+        pair = ewac_bounds(obj)
+        assert pair.iterations == (0, 0)
+        assert pair.constraint_tag == "none"
+        with pytest.raises(AssertionError, match="transport.solve"):
+            ewac_bounds(obj, cs_mask(model.emission), tag="cs")

@@ -7,9 +7,8 @@ from casino_ewac import (BIASED, FAIR, HmmModel, InfeasibleMaskError, PATH_1,
                          PATH_2, asymptotic_ewac_rate, canonical_model,
                          copula_pmf, cs_mask, ewac_bounds, ewac_objective,
                          ewac_of_theta, greedy_column, inhomogeneous_bounds,
-                         inhomogeneous_theta, naive_ewac, pm_mask, smooth,
-                         solve, stationary, validate_joint_pmf,
-                         TransportProblem)
+                         naive_ewac, pm_mask, smooth, solve, stationary,
+                         validate_joint_pmf, TransportProblem)
 from helpers import (brute_force_ewac, closed_form_extremes,
                      random_feasible_theta, random_small_model)
 
@@ -200,17 +199,6 @@ class TestInhomogeneous:
                 sol = solve(TransportProblem(costs, r, s, sense=sense))
                 np.testing.assert_allclose(greedy_column(model, face, sense),
                                            sol.theta[:, face - 1], atol=1e-9)
-
-    def test_completion_is_feasible(self):
-        model = canonical_model(0.5)
-        for face in (1, 4, 6):
-            for sense in ("max", "min"):
-                theta = inhomogeneous_theta(model, face, sense)
-                validate_joint_pmf(theta, model.emission[FAIR],
-                                   model.emission[BIASED], atol=1e-12)
-                np.testing.assert_allclose(theta[:, face - 1],
-                                           greedy_column(model, face, sense),
-                                           atol=1e-12)
 
     def test_relaxation_is_at_least_as_wide(self):
         for eta, obs in ((0.2, PATH_1), (0.5, PATH_2), (0.8, PATH_1)):

@@ -166,6 +166,11 @@ class TestEtaSweep:
         assert row.lb_cs is None and row.ub_inhom is None
         assert row.ewac_comonotonic is None
 
+    @pytest.mark.parametrize("grid", [[], np.array([])])
+    def test_empty_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="at least one level"):
+            eta_sweep(PATH_1, grid)
+
     def test_default_grid_is_the_percent_lattice(self):
         grid = default_eta_grid()
         assert grid.size == 99

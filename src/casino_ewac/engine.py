@@ -86,8 +86,10 @@ class EwacBounds:
 
     ``theta_lb`` and ``theta_ub`` are None for the time-inhomogeneous
     relaxation, whose optimiser varies by period.  ``iterations`` counts
-    simplex pivots for the (lb, ub) solves of a masked set; the unmasked
-    bounds are two sorted north-west-corner fills and report (0, 0).
+    simplex pivots for the (lb, ub) solves of a masked set, each the whole
+    from-scratch path: the phase-one pivots, computed once per polytope
+    and reused, plus that solve's phase-two pivots.  The unmasked bounds
+    are two sorted north-west-corner fills and report (0, 0).
     """
 
     lb: float

@@ -6,8 +6,21 @@ two-phase primal simplex on the equality form of the problem.  Bland's rule
 picks both the entering and the leaving variable, which rules out cycling on
 the degenerate bases these polytopes produce, and every returned optimum is
 a vertex.
+
+Phase one depends on the polytope alone (K, the forced zeros and the two
+target vectors), not on the costs.  Its outcome, a feasible basis with its
+tableau, artificial variables cleared and redundant rows dropped, is
+computed once per polytope and kept read-only in a small least-recently-used
+cache; each solve copies that tableau and runs phase two only.  The pivot
+count a solve reports still covers the whole from-scratch path, phase one
+included, so no result depends on what was solved before.  Phase two stops
+once no reduced cost is below 64 * eps * max|c|, the scale of rounding in
+the costs, so costs spanning many orders of magnitude still reach the
+optimum.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +28,12 @@ import numpy as np
 FEASIBILITY_TOL = 1e-9
 _PIVOT_TOL = 1e-10
 _BALANCE_TOL = 1e-12
+# Phase two stops once no reduced cost is below this times max|c|: scaled,
+# since an absolute tolerance stops early on tiny costs, and at rounding
+# level, since a looser one stops short when costs span many magnitudes.
+_OPTIMALITY_TOL = 64 * float(np.finfo(float).eps)
+# Polytopes whose phase one is kept; a K = 6 entry is an 11 x 22 tableau.
+_PHASE_ONE_CACHE_SIZE = 32
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -31,6 +50,19 @@ def _validated_mask(zero_mask, k):
         if not (0 <= i < k and 0 <= j < k):
             raise ValueError(f"mask cell ({i}, {j}) outside 0..{k - 1}")
     return cells
+
+
+def _validated_targets(row_targets, col_targets, k):
+    r = np.array(row_targets, dtype=float)
+    s = np.array(col_targets, dtype=float)
+    if r.shape != (k,) or s.shape != (k,):
+        raise ValueError("row and column targets must both have length K")
+    if np.any(r < 0) or np.any(s < 0):
+        raise ValueError("targets must be non-negative")
+    if abs(r.sum() - s.sum()) > _BALANCE_TOL:
+        raise ValueError(
+            f"row total {r.sum()!r} and column total {s.sum()!r} differ")
+    return r, s
 
 
 @dataclass(frozen=True)
@@ -58,15 +90,7 @@ class TransportProblem:
         if not np.all(np.isfinite(costs)):
             raise ValueError("costs must be finite")
         k = costs.shape[0]
-        r = np.array(self.row_targets, dtype=float)
-        s = np.array(self.col_targets, dtype=float)
-        if r.shape != (k,) or s.shape != (k,):
-            raise ValueError("row and column targets must both have length K")
-        if np.any(r < 0) or np.any(s < 0):
-            raise ValueError("targets must be non-negative")
-        if abs(r.sum() - s.sum()) > _BALANCE_TOL:
-            raise ValueError(
-                f"row total {r.sum()!r} and column total {s.sum()!r} differ")
+        r, s = _validated_targets(self.row_targets, self.col_targets, k)
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         for arr in (costs, r, s):
@@ -87,29 +111,51 @@ class LpSolution:
     iterations: int
 
 
+@dataclass(frozen=True)
+class _PhaseOne:
+    """Phase-one outcome for one polytope, shared read-only by every solve.
+
+    Column idx of the equality form is cell (rows[idx], cols[idx]).  When
+    feasible, ``tab`` holds the constraint rows of the tableau over the
+    cell columns and the right-hand side, and ``basis`` the basic column
+    of each row; both are None otherwise.  ``iterations`` counts the
+    phase-one Bland pivots.
+    """
+
+    feasible: bool
+    iterations: int
+    rows: np.ndarray
+    cols: np.ndarray
+    tab: np.ndarray | None = None
+    basis: np.ndarray | None = None
+
+
 def _equality_form(k, zero_mask):
     """Constraint matrix over unmasked cells, one redundant row dropped.
 
     Rows 0..K-1 are row sums, rows K..2K-2 the first K-1 column sums; the
-    last column sum is implied because the targets balance.
+    last column sum is implied because the targets balance.  Returns the
+    cells' row and column indices, in row-major order, and the matrix.
     """
-    cells = [(i, j) for i in range(k) for j in range(k)
-             if (i, j) not in zero_mask]
-    m = 2 * k - 1
-    A = np.zeros((m, len(cells)))
-    for idx, (i, j) in enumerate(cells):
-        A[i, idx] = 1.0
-        if j < k - 1:
-            A[k + j, idx] = 1.0
-    return cells, A
+    free = np.ones((k, k), dtype=bool)
+    for cell in zero_mask:
+        free[cell] = False
+    rows, cols = np.nonzero(free)
+    A = np.zeros((2 * k - 1, rows.size))
+    A[rows, np.arange(rows.size)] = 1.0
+    summed = np.flatnonzero(cols < k - 1)
+    A[k + cols[summed], summed] = 1.0
+    return rows, cols, A
 
 
 def _pivot(tab, basis, row, col):
     piv = tab[row, col]
     tab[row] /= piv
-    for r in range(tab.shape[0]):
-        if r != row and tab[r, col] != 0.0:
-            tab[r] -= tab[r, col] * tab[row]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    # Rows with a zero in the pivot column would only subtract zeros.
+    hit = factors.nonzero()[0]
+    tab[hit] -= factors[hit, None] * tab[row]
     basis[row] = col
 
 
@@ -117,51 +163,47 @@ def _bland_iterate(tab, basis, eligible, tol):
     """Run Bland pivots until no eligible reduced cost is below ``-tol``.
 
     ``tab`` has the reduced-cost row last and the right-hand side in the
-    last column.  Returns the pivot count.
+    last column; ``basis`` is an integer array.  Returns the pivot count.
     """
     m = tab.shape[0] - 1
+    reduced = tab[m, :eligible]
+    rhs = tab[:m, -1]
     iterations = 0
     while True:
-        entering = -1
-        for j in range(eligible):
-            if tab[m, j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        below = (reduced < -tol).nonzero()[0]
+        if not below.size:
             return iterations
-        best = np.inf
-        for r in range(m):
-            a = tab[r, entering]
-            if a > _PIVOT_TOL:
-                best = min(best, tab[r, -1] / a)
-        leaving = -1
-        if np.isfinite(best):
-            # Ties broken by the smallest basic-variable index (Bland).
-            for r in range(m):
-                a = tab[r, entering]
-                if a > _PIVOT_TOL and tab[r, -1] / a <= best + _PIVOT_TOL:
-                    if leaving < 0 or basis[r] < basis[leaving]:
-                        leaving = r
-        if leaving < 0:
+        entering = below[0]
+        column = tab[:m, entering]
+        rows = (column > _PIVOT_TOL).nonzero()[0]
+        ratios = rhs[rows] / column[rows]
+        best = ratios.min(initial=np.inf)
+        if not math.isfinite(best):
             # Cannot happen on a bounded polytope; guard anyway.
             raise ArithmeticError("unbounded direction in simplex")
-        _pivot(tab, basis, leaving, entering)
+        # Ties broken by the smallest basic-variable index (Bland).
+        tied = rows[ratios <= best + _PIVOT_TOL]
+        _pivot(tab, basis, tied[basis[tied].argmin()], entering)
         iterations += 1
 
 
-def _two_phase(A, b, c):
-    """min c.x s.t. Ax = b, x >= 0 with b >= 0.
+@functools.lru_cache(maxsize=_PHASE_ONE_CACHE_SIZE)
+def _phase_one(k, zero_mask, row_bytes, col_bytes):
+    """Phase one on the polytope of these forced zeros and float64 targets.
 
-    Returns (status, x, iterations).  Artificial variables seed phase one;
-    whatever remains basic afterwards is either pivoted onto a real column
-    or its (redundant) row is deleted before phase two.
+    Artificial variables seed it; whatever remains basic afterwards is
+    either pivoted onto a real column or its (redundant) row is deleted.
     """
+    rows, cols, A = _equality_form(k, zero_mask)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
     m, n = A.shape
     tab = np.zeros((m + 1, n + m + 1))
     tab[:m, :n] = A
     tab[:m, n:n + m] = np.eye(m)
-    tab[:m, -1] = b
-    basis = list(range(n, n + m))
+    tab[:m, -1] = np.concatenate([np.frombuffer(row_bytes),
+                                  np.frombuffer(col_bytes)[:-1]])
+    basis = np.arange(n, n + m)
     # Phase-one reduced costs: artificials cost 1 and start basic.
     tab[m, :] = -tab[:m, :].sum(axis=0)
     tab[m, n:n + m] = 0.0
@@ -169,41 +211,28 @@ def _two_phase(A, b, c):
     # Phase-one costs are 0 or 1, so an absolute tolerance fits.
     iterations = _bland_iterate(tab, basis, n + m, FEASIBILITY_TOL)
     if -tab[m, -1] > FEASIBILITY_TOL:
-        return "infeasible", None, iterations
+        return _PhaseOne(False, iterations, rows, cols)
 
     # Clear leftover artificials from the basis.
     keep = []
     for r in range(m):
-        if basis[r] < n:
-            keep.append(r)
-            continue
-        pivot_col = -1
-        for j in range(n):
-            if j not in basis and abs(tab[r, j]) > _PIVOT_TOL:
-                pivot_col = j
-                break
-        if pivot_col >= 0:
-            _pivot(tab, basis, r, pivot_col)
-            keep.append(r)
-        # else: redundant constraint row, drop it below
+        if basis[r] >= n:
+            free = np.abs(tab[r, :n]) > _PIVOT_TOL
+            free[basis[basis < n]] = False
+            if not free.any():
+                continue  # redundant constraint row, dropped below
+            _pivot(tab, basis, r, free.argmax())
+        keep.append(r)
+    tab = tab[np.ix_(keep, np.r_[:n, n + m])]
+    basis = basis[keep]
+    tab.setflags(write=False)
+    basis.setflags(write=False)
+    return _PhaseOne(True, iterations, rows, cols, tab, basis)
 
-    rows = keep + [m]
-    basis = [basis[r] for r in keep]
-    tab = tab[np.ix_(rows, list(range(n)) + [n + m])]
-    tab[-1, :] = 0.0
-    tab[-1, :n] = c
-    for r, j in enumerate(basis):
-        tab[-1] -= tab[-1, j] * tab[r]
 
-    # Phase-two reduced costs are on the scale of c; an absolute tolerance
-    # would stop early, without a single pivot, on tiny costs.
-    iterations += _bland_iterate(tab, basis, n,
-                                 FEASIBILITY_TOL * np.abs(c).max(initial=0.0))
-
-    x = np.zeros(n)
-    for r, j in enumerate(basis):
-        x[j] = tab[r, -1]
-    return "optimal", x, iterations
+def _phase_one_of(k, zero_mask, row_targets, col_targets):
+    return _phase_one(k, zero_mask, row_targets.tobytes(),
+                      col_targets.tobytes())
 
 
 def solve(problem):
@@ -213,25 +242,35 @@ def solve(problem):
     max(c) == -min(-c) holds exactly.
     """
     k = problem.costs.shape[0]
-    cells, A = _equality_form(k, problem.zero_mask)
-    b = np.concatenate([problem.row_targets, problem.col_targets[:-1]])
-    c = np.array([problem.costs[i, j] for i, j in cells])
+    first = _phase_one_of(k, problem.zero_mask, problem.row_targets,
+                          problem.col_targets)
+    if not first.feasible:
+        return LpSolution(status="infeasible", value=np.nan, theta=None,
+                          iterations=first.iterations)
+
+    # Phase two only, from a copy of the cached feasible basis.
+    c = problem.costs[first.rows, first.cols]
     if problem.sense == "max":
         c = -c
+    m, n = first.tab.shape[0], c.size
+    tab = np.zeros((m + 1, n + 1))
+    tab[:m] = first.tab
+    tab[m, :n] = c
+    for r, j in enumerate(first.basis):
+        tab[m] -= tab[m, j] * tab[r]
+    basis = first.basis.copy()
+    iterations = first.iterations + _bland_iterate(
+        tab, basis, n, _OPTIMALITY_TOL * np.abs(c).max(initial=0.0))
 
-    status, x, iterations = _two_phase(A, b, c)
-    if status != "optimal":
-        return LpSolution(status="infeasible", value=np.nan, theta=None,
-                          iterations=iterations)
-
+    x = np.zeros(n)
+    x[basis] = tab[:m, -1]
     if x.size and x.min() < -FEASIBILITY_TOL:
         raise ArithmeticError(
             f"simplex produced a negative cell ({x.min():.3e})")
     x = np.maximum(x, 0.0)
 
     theta = np.zeros((k, k))
-    for idx, (i, j) in enumerate(cells):
-        theta[i, j] = x[idx]
+    theta[first.rows, first.cols] = x
     row_err = np.abs(theta.sum(axis=1) - problem.row_targets).max()
     col_err = np.abs(theta.sum(axis=0) - problem.col_targets).max()
     if max(row_err, col_err) > FEASIBILITY_TOL:
@@ -246,12 +285,8 @@ def solve(problem):
 def check_feasibility(row_targets, col_targets, zero_mask=frozenset()):
     """True when some matrix meets the targets with the masked cells zero.
 
-    Runs phase one only (zero objective) on the same equality form.
+    Reads the status of the same cached phase one that ``solve`` runs.
     """
     k = len(row_targets)
-    problem = TransportProblem(costs=np.zeros((k, k)), row_targets=row_targets,
-                               col_targets=col_targets, zero_mask=zero_mask)
-    cells, A = _equality_form(k, problem.zero_mask)
-    b = np.concatenate([problem.row_targets, problem.col_targets[:-1]])
-    status, _, _ = _two_phase(A, b, np.zeros(len(cells)))
-    return status == "optimal"
+    r, s = _validated_targets(row_targets, col_targets, k)
+    return _phase_one_of(k, _validated_mask(zero_mask, k), r, s).feasible

@@ -5,6 +5,8 @@ the cheating expectation are recomputed by exhaustive enumeration over
 hidden paths or by the vector form of the forward-backward recursion,
 small transport optima by enumerating basic solutions, and the unmasked
 EWAC extremes by the closed-form north-west-corner couplings.  The
+transport solver's pivot path is redone one tableau element and one row at
+a time, phase one included on every solve, with no cache.  The
 sampling oracles redo the posterior draws one period at a time (hidden
 paths) and one face at a time (counterfactual faces) from the filtered
 probabilities they are given, consuming the same uniforms in the same
@@ -114,6 +116,123 @@ def enumerate_transport_optimum(costs, row_targets, col_targets,
     if not values:
         return None
     return min(values), max(values)
+
+
+# The solver's tolerances: phase one's feasibility test and the ratio test.
+_FEASIBILITY_TOL = 1e-9
+_PIVOT_TOL = 1e-10
+
+
+def loop_pivot(tab, basis, row, col):
+    piv = tab[row, col]
+    tab[row] /= piv
+    for r in range(tab.shape[0]):
+        if r != row and tab[r, col] != 0.0:
+            tab[r] -= tab[r, col] * tab[row]
+    basis[row] = col
+
+
+def loop_bland_iterate(tab, basis, eligible, tol):
+    """Bland pivots, one reduced cost and one ratio at a time, until no
+    eligible reduced cost is below ``-tol``.  Returns the pivot count."""
+    m = tab.shape[0] - 1
+    iterations = 0
+    while True:
+        entering = -1
+        for j in range(eligible):
+            if tab[m, j] < -tol:
+                entering = j
+                break
+        if entering < 0:
+            return iterations
+        best = np.inf
+        for r in range(m):
+            a = tab[r, entering]
+            if a > _PIVOT_TOL:
+                best = min(best, tab[r, -1] / a)
+        leaving = -1
+        if np.isfinite(best):
+            for r in range(m):
+                a = tab[r, entering]
+                if a > _PIVOT_TOL and tab[r, -1] / a <= best + _PIVOT_TOL:
+                    if leaving < 0 or basis[r] < basis[leaving]:
+                        leaving = r
+        if leaving < 0:
+            raise ArithmeticError("unbounded direction in simplex")
+        loop_pivot(tab, basis, leaving, entering)
+        iterations += 1
+
+
+def loop_two_phase(A, b, c):
+    """min c.x s.t. Ax = b, x >= 0 from scratch: (status, x, iterations).
+
+    Phase two stops once no reduced cost is below 64 * eps * max|c|.
+    """
+    m, n = A.shape
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = A
+    tab[:m, n:n + m] = np.eye(m)
+    tab[:m, -1] = b
+    basis = list(range(n, n + m))
+    tab[m, :] = -tab[:m, :].sum(axis=0)
+    tab[m, n:n + m] = 0.0
+    iterations = loop_bland_iterate(tab, basis, n + m, _FEASIBILITY_TOL)
+    if -tab[m, -1] > _FEASIBILITY_TOL:
+        return "infeasible", None, iterations
+
+    keep = []
+    for r in range(m):
+        if basis[r] < n:
+            keep.append(r)
+            continue
+        pivot_col = -1
+        for j in range(n):
+            if j not in basis and abs(tab[r, j]) > _PIVOT_TOL:
+                pivot_col = j
+                break
+        if pivot_col >= 0:
+            loop_pivot(tab, basis, r, pivot_col)
+            keep.append(r)
+
+    rows = keep + [m]
+    basis = [basis[r] for r in keep]
+    tab = tab[np.ix_(rows, list(range(n)) + [n + m])]
+    tab[-1, :] = 0.0
+    tab[-1, :n] = c
+    for r, j in enumerate(basis):
+        tab[-1] -= tab[-1, j] * tab[r]
+    eps = np.finfo(float).eps
+    iterations += loop_bland_iterate(tab, basis, n,
+                                     64 * eps * np.abs(c).max(initial=0.0))
+    x = np.zeros(n)
+    for r, j in enumerate(basis):
+        x[j] = tab[r, -1]
+    return "optimal", x, iterations
+
+
+def loop_solve(problem):
+    """(status, value, theta, iterations) of a ``TransportProblem`` from
+    the per-element simplex, phase one rerun from scratch."""
+    k = problem.costs.shape[0]
+    cells = [(i, j) for i in range(k) for j in range(k)
+             if (i, j) not in problem.zero_mask]
+    A = np.zeros((2 * k - 1, len(cells)))
+    for idx, (i, j) in enumerate(cells):
+        A[i, idx] = 1.0
+        if j < k - 1:
+            A[k + j, idx] = 1.0
+    b = np.concatenate([problem.row_targets, problem.col_targets[:-1]])
+    c = np.array([problem.costs[i, j] for i, j in cells])
+    if problem.sense == "max":
+        c = -c
+    status, x, iterations = loop_two_phase(A, b, c)
+    if status != "optimal":
+        return status, np.nan, None, iterations
+    x = np.maximum(x, 0.0)
+    theta = np.zeros((k, k))
+    for idx, (i, j) in enumerate(cells):
+        theta[i, j] = x[idx]
+    return status, float(np.sum(problem.costs * theta)), theta, iterations
 
 
 def random_feasible_theta(row_marginals, col_marginals, rng, moves=25):

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,15 @@ from casino_ewac.cli import (EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_module(*args):
+    """``python -m casino_ewac.cli`` in a child process that imports the
+    package under test, wherever pytest found it."""
+    src = str(Path(casino_ewac.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 class TestBuiltinPaths:
@@ -383,18 +394,14 @@ class TestDeterminism:
 
     def test_console_script_wiring(self, tmp_path):
         out = tmp_path / "delta.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "casino_ewac.cli", "smooth", "--eta", "0.5",
-             "--path", "builtin:1", "--out", str(out)],
-            capture_output=True, text=True)
+        proc = run_module("-m", "casino_ewac.cli", "smooth", "--eta", "0.5",
+                          "--path", "builtin:1", "--out", str(out))
         assert proc.returncode == EXIT_OK
         assert out.read_text().startswith("t,delta_fair")
 
     def test_module_run_raises_no_warning(self):
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "casino_ewac.cli",
-             "copulas", "--eta", "0.5"],
-            capture_output=True, text=True)
+        proc = run_module("-W", "error", "-m", "casino_ewac.cli", "copulas",
+                          "--eta", "0.5")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stderr == ""
         assert json.loads(proc.stdout).keys() == {

@@ -1,11 +1,15 @@
 """Transportation LP solver against enumeration oracles and exact identities."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from casino_ewac import (FEASIBILITY_TOL, TransportProblem, canonical_model,
-                         check_feasibility, solve)
-from helpers import enumerate_transport_optimum
+import casino_ewac.transport as transport
+from casino_ewac import (FEASIBILITY_TOL, PATH_1, PATH_2, TransportProblem,
+                         canonical_model, check_feasibility, cs_mask,
+                         eta_sweep, ewac_objective, pm_mask, smooth, solve)
+from helpers import enumerate_transport_optimum, loop_pivot, loop_solve
 
 
 def _canonical_marginals():
@@ -106,6 +110,12 @@ class TestInfeasibility:
         assert not check_feasibility([1.0, 0.0], [0.0, 1.0],
                                      zero_mask={(0, 1)})
 
+    def test_check_feasibility_validates_its_targets(self):
+        with pytest.raises(ValueError, match="differ"):
+            check_feasibility([0.6, 0.4], [0.5, 0.4])
+        with pytest.raises(ValueError, match="mask cell"):
+            check_feasibility([0.5, 0.5], [0.5, 0.5], zero_mask={(2, 0)})
+
     def test_fully_masked_with_mass_left(self):
         mask = {(i, j) for i in range(2) for j in range(2)}
         assert not check_feasibility([0.5, 0.5], [0.5, 0.5], zero_mask=mask)
@@ -187,3 +197,180 @@ class TestSolutionInvariants:
             costs = rng.normal(size=(6, 6))
             sol = solve(TransportProblem(costs, r, s))
             assert np.count_nonzero(sol.theta > 1e-12) <= 11
+
+
+class TestStoppingTolerance:
+    def test_costs_spanning_many_orders_reach_the_optimum(self):
+        # Found by hypothesis: while phase two stopped at reduced costs of
+        # 1e-9 * max|c|, the maximum came out 1.5e-8 instead of 2e-8 (face
+        # 4 of the fair die on biased face 4, the rest on face 2).
+        costs = np.outer([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 3.0, 1e-8])
+        sol = solve(TransportProblem(costs, [0.0, 0.0, 0.5, 0.5],
+                                     [0.0, 0.5, 0.0, 0.5], sense="max"))
+        assert sol.status == "optimal"
+        assert sol.value == pytest.approx(2e-8, rel=1e-12, abs=0)
+
+
+def _canonical_problems():
+    """Rank-one EWAC costs of both builtin paths at several fairness
+    levels, and random costs, under the pm and cs masks."""
+    rng = np.random.default_rng(17)
+    r, s = _canonical_marginals()
+    masks = (cs_mask(canonical_model(0.5).emission), pm_mask(6))
+    costs = [rng.normal(size=(6, 6)) for _ in range(3)]
+    for eta in (0.01, 0.2, 0.5, 0.8, 0.99999, 1.0):
+        model = canonical_model(eta)
+        for path in (PATH_1, PATH_2):
+            objective = ewac_objective(model, path, smooth(model, path))
+            costs.append(objective.coeff)
+    return [TransportProblem(c, r, s, zero_mask=mask, sense=sense)
+            for mask in masks for c in costs for sense in ("min", "max")]
+
+
+def _random_masked_problem(rng, k, zero_rate=0.0):
+    """Random marginals (some zero at ``zero_rate``), costs spanning ten
+    orders of magnitude, and a random mask."""
+    r, s = (np.where(rng.random(k) < zero_rate, 0.0, rng.random(k))
+            for _ in range(2))
+    r[0] += r.sum() == 0.0
+    s[0] += s.sum() == 0.0
+    r, s = r / r.sum(), s / s.sum()
+    costs = rng.normal(size=(k, k)) * 10.0 ** rng.integers(-8, 3, size=(k, k))
+    mask = {(i, j) for i in range(k) for j in range(k) if rng.random() < 0.3}
+    return [TransportProblem(costs, r, s, zero_mask=mask, sense=sense)
+            for sense in ("min", "max")]
+
+
+def _assert_identical(problem):
+    """``solve`` agrees with the per-element simplex rerun from scratch:
+    the same bytes, the same pivot counts.  Returns the status."""
+    status, value, theta, iterations = loop_solve(problem)
+    sol = solve(problem)
+    assert sol.status == status
+    assert sol.iterations == iterations
+    if status == "optimal":
+        assert sol.value == value
+        assert sol.theta.tobytes() == theta.tobytes()
+    else:
+        assert sol.theta is None and np.isnan(sol.value)
+    return status
+
+
+class TestAgainstTheLoopOracle:
+    """The vectorised pivots and the cached phase one against the
+    per-element loops."""
+
+    def test_pivot_keeps_the_row_loop_bits(self):
+        # Signed zeros included: rows with a zero in the pivot column are
+        # left alone, and a negative pivot turns a row's zeros into -0.0.
+        rng = np.random.default_rng(54)
+        for _ in range(200):
+            m, n = rng.integers(2, 9, size=2)
+            tab = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.5)
+            tab[rng.random((m, n)) < 0.2] = -0.0
+            row, col = rng.integers(m), rng.integers(n)
+            tab[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            ours, theirs = tab.copy(), tab.copy()
+            basis, loop_basis = np.arange(m), list(range(m))
+            transport._pivot(ours, basis, row, col)
+            loop_pivot(theirs, loop_basis, row, col)
+            assert ours.tobytes() == theirs.tobytes()
+            assert basis.tolist() == loop_basis
+
+    def test_random_masked_instances(self):
+        rng = np.random.default_rng(55)
+        statuses = []
+        for k in range(2, 8):
+            for _ in range(12):
+                for problem in _random_masked_problem(rng, k):
+                    statuses.append(_assert_identical(problem))
+        assert statuses.count("optimal") >= 60
+        assert statuses.count("infeasible") >= 10
+
+    def test_canonical_marginals_under_cs_and_pm(self):
+        for problem in _canonical_problems():
+            assert _assert_identical(problem) == "optimal"
+
+    def test_infeasible_masks(self):
+        rng = np.random.default_rng(56)
+        infeasible = 0
+        while infeasible < 20:
+            costs, r, s, mask = _random_rational_instance(
+                rng, k=int(rng.integers(2, 6)), mask_rate=0.6)
+            problem = TransportProblem(costs, r, s, zero_mask=mask)
+            if _assert_identical(problem) == "infeasible":
+                assert not check_feasibility(r, s, mask)
+                infeasible += 1
+
+    def test_zero_marginals(self):
+        rng = np.random.default_rng(57)
+        for k in range(2, 8):
+            for _ in range(6):
+                for problem in _random_masked_problem(rng, k, zero_rate=0.4):
+                    _assert_identical(problem)
+        for mask in (frozenset(), pm_mask(3), {(0, 0), (1, 1), (2, 2)}):
+            _assert_identical(
+                TransportProblem(np.ones((3, 3)), np.zeros(3), np.zeros(3),
+                                 zero_mask=mask))
+
+
+class TestPhaseOneCache:
+    def test_cold_and_warm_solves_agree(self):
+        problem = _canonical_problems()[0]
+        transport._phase_one.cache_clear()
+        cold = solve(problem)
+        warm = solve(problem)
+        assert transport._phase_one.cache_info().hits == 1
+        assert (warm.status, warm.value, warm.iterations) == (
+            cold.status, cold.value, cold.iterations)
+        assert warm.theta.tobytes() == cold.theta.tobytes()
+
+    def test_interleaved_polytopes_change_no_result(self):
+        rng = np.random.default_rng(58)
+        problems = _canonical_problems()[:4] + [
+            p for k in (3, 4, 5) for p in _random_masked_problem(rng, k)]
+        for order in (range(len(problems)),
+                      rng.permutation(len(problems)),
+                      rng.permutation(len(problems))):
+            for n in order:
+                _assert_identical(problems[n])
+
+    def test_mutating_a_returned_theta_leaves_later_solves_intact(self):
+        problem = _canonical_problems()[1]
+        first = solve(problem)
+        reference = first.theta.copy()
+        first.theta[:] = 7.0
+        assert solve(problem).theta.tobytes() == reference.tobytes()
+
+    def test_cache_stays_within_its_bound(self):
+        bound = transport._PHASE_ONE_CACHE_SIZE
+        rng = np.random.default_rng(59)
+        transport._phase_one.cache_clear()
+        problems = []
+        for _ in range(bound + 8):
+            costs, r, s, _ = _random_rational_instance(rng, k=4)
+            problems.append(
+                TransportProblem(costs, r, s, zero_mask=pm_mask(4)))
+            solve(problems[-1])
+        info = transport._phase_one.cache_info()
+        assert info.currsize <= bound == info.maxsize
+        # An evicted polytope is recomputed with the same result.
+        _assert_identical(problems[0])
+
+    def test_phase_one_runs_once_per_polytope_in_an_eta_sweep(self,
+                                                              monkeypatch):
+        # The canonical dice do not depend on eta, so every cs solve of the
+        # sweep shares one polytope.
+        runs = []
+        inner = transport._phase_one.__wrapped__
+
+        def counted(*key):
+            runs.append(key)
+            return inner(*key)
+
+        monkeypatch.setattr(transport, "_phase_one", functools.lru_cache(
+            maxsize=transport._PHASE_ONE_CACHE_SIZE)(counted))
+        for path in (PATH_1, PATH_2):
+            rows = eta_sweep(path)
+            assert all(row.lb_cs is not None for row in rows)
+        assert len(runs) == 1

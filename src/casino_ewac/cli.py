@@ -68,31 +68,23 @@ def _write_text(out, text):
             fh.write(text)
 
 
-def _csv(header, columns):
+def _csv(header, columns=None, rows=None):
     """CSV text: the header, then one line per position of the columns.
 
-    Each column is a sequence of Python numbers or strings, as ``tolist()``
-    gives, and is typed by its first value: integers print in full, floats
-    with 12 significant digits and strings as they are.  One ``%`` template
-    formats each line.
+    Each column is a sequence of Python numbers, as ``tolist()`` gives, and
+    is typed by its first value: integers print in full and floats with 12
+    significant digits.  ``rows`` of sweep records stand in for the
+    columns: column ``name`` holds each row's attribute ``name``.  One
+    ``%`` template formats each line.
     """
+    if rows is not None:
+        columns = [[getattr(row, name) for row in rows] for name in header]
     lines = [",".join(header)]
     if len(columns[0]):
-        spec = {int: "%d", str: "%s"}
-        template = ",".join(spec.get(type(col[0]), "%.12g") for col in columns)
+        template = ",".join("%d" if type(col[0]) is int else "%.12g"
+                            for col in columns)
         lines += [template % row for row in zip(*columns)]
     return "\n".join(lines) + "\n"
-
-
-def _sweep_csv(header, rows):
-    """CSV of sweep rows; a field that was not computed (None) stays empty."""
-    columns = []
-    for name in header:
-        col = [getattr(row, name) for row in rows]
-        if None in col:
-            col = ["" if v is None else "%.12g" % v for v in col]
-        columns.append(col)
-    return _csv(header, columns)
 
 
 def _parse_path(spec):
@@ -223,7 +215,7 @@ def _cmd_sweep_eta(args, config):
     grid = _option(args, config, "grid")
     rows = eta_sweep(obs, None if grid is None else _parse_grid(grid))
     _write_text(_option(args, config, "out"),
-                _sweep_csv(ETA_SWEEP_COLUMNS, rows))
+                _csv(ETA_SWEEP_COLUMNS, rows=rows))
     return EXIT_OK
 
 
@@ -242,7 +234,7 @@ def _cmd_sweep_horizon(args, config):
     rows = horizon_sweep(float(eta), t_grid,
                          int(_option(args, config, "seed", 0)))
     _write_text(_option(args, config, "out"),
-                _sweep_csv(HORIZON_SWEEP_COLUMNS, rows))
+                _csv(HORIZON_SWEEP_COLUMNS, rows=rows))
     return EXIT_OK
 
 
@@ -270,15 +262,9 @@ def _cmd_wac_dist(args, config):
         raise ValueError(
             f"constraints must be one of {_CONSTRAINT_SETS}, got {constraints!r}")
     theta = _theta_for_kind(model, obs, kind, constraints)
-    count = int(_option(args, config, "samples", 10_000))
-    try:
-        wac = sample_wac(model, obs, theta, count,
-                         int(_option(args, config, "seed", 0))).wac
-    except MemoryError as exc:
-        raise MemoryError(
-            f"{count} samples of {len(obs)} periods need S*T = "
-            f"{count * len(obs)} sample-periods at 16 bytes or more each; "
-            f"lower --samples ({exc})") from None
+    wac = sample_wac(model, obs, theta,
+                     int(_option(args, config, "samples", 10_000)),
+                     int(_option(args, config, "seed", 0))).wac
     _write_text(_option(args, config, "out"),
                 _csv(("sample", "wac"), (range(1, wac.size + 1), wac.tolist())))
     return EXIT_OK

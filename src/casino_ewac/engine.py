@@ -146,6 +146,8 @@ def validate_joint_pmf(theta, row_marginals, col_marginals, atol=_PMF_ATOL):
     k = len(row_marginals)
     if theta.shape != (k, k):
         raise ValueError(f"theta must have shape ({k}, {k}), got {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
     if theta.min() < -atol:
         raise ValueError(f"theta has a negative cell ({theta.min():.3e})")
     row_err = np.abs(theta.sum(axis=1) - row_marginals).max()

@@ -19,7 +19,9 @@ constant, so with two states composing the steps is a segmented XOR scan
 García-Fernández, "Temporal parallelization of Bayesian smoothers", IEEE
 TAC 2021).  Numpy runs it as a few accumulations over whole row blocks of
 samples and draws the same uniforms as the per-period recursion, so the
-paths are identical to it.
+paths are identical to it.  The sampler yields one row block at a time,
+so a caller that reduces each block (the loss sampler keeps per-face
+biased counts) never holds all S x T states at once.
 """
 
 import numpy as np
@@ -192,20 +194,14 @@ def smooth(model, obs):
     return delta
 
 
-# Sample-periods per row block of path sampling and counterfactual redraws,
-# so the temporaries stay at a few tens of MB whatever S and T are.
+# Sample-periods per row block of path sampling, so the temporaries stay
+# at a few tens of MB whatever S and T are.
 _BLOCK_SAMPLE_PERIODS = 1 << 20
 
 
-def _row_blocks(count, horizon):
-    """Slices of consecutive sample rows, about 2^20 sample-periods each."""
-    rows = max(1, _BLOCK_SAMPLE_PERIODS // horizon)
-    return [slice(start, min(start + rows, count))
-            for start in range(0, count, rows)]
-
-
 def _backward_sample(model, alpha, count, rng):
-    """Draw hidden paths from the posterior, one row block at a time.
+    """Yield hidden paths from the posterior, one boolean row block
+    (True = biased) at a time.
 
     With thr[t, k] = P(fair at t | state k at t + 1, obs up to t), period t
     is biased iff u_t >= thr[t, s_{t+1}].  Let g_t = [u_t >= thr[t, FAIR]]
@@ -224,10 +220,11 @@ def _backward_sample(model, alpha, count, rng):
     total = w_fair + alpha[:, BIASED, None] * Q[BIASED]
     thr = np.divide(w_fair, total, out=np.ones_like(total), where=total > 0)
     thr[T - 1] = alpha[T - 1, FAIR]
-    after = np.arange(1, T + 1, dtype=np.int32)  # int32 holds 2T for T < 2^30
-    states = np.empty((count, T), dtype=np.int64)
-    for rows in _row_blocks(count, T):
-        u = rng.random((rows.stop - rows.start, T))
+    del w_fair, total  # the generator's frame outlives each yield
+    after = np.arange(1, T + 1)  # intp, so take() below copies no index
+    block = max(1, _BLOCK_SAMPLE_PERIODS // T)
+    for start in range(0, count, block):
+        u = rng.random((min(block, count - start), T))
         g = u >= thr[:, FAIR]
         d = (u >= thr[:, BIASED]) != g
         del u
@@ -236,13 +233,14 @@ def _backward_sample(model, alpha, count, rng):
         np.bitwise_xor.accumulate(g[:, ::-1], axis=1,
                                   out=suffix[:, T - 1::-1])
         # a(t) + 1 is the suffix minimum of k + 1, pushed past T where d_k.
-        stop = np.multiply(d, T, dtype=np.int32)
+        stop = np.multiply(d, T, dtype=after.dtype)
         stop += after
         np.minimum.accumulate(stop[:, ::-1], axis=1, out=stop[:, ::-1])
         # Offsets of the rows in the flattened suffix table.
-        stop += np.arange(0, suffix.size, T + 1, dtype=np.int32)[:, None]
-        states[rows] = suffix[:, :T] ^ suffix.ravel().take(stop)
-    return states
+        stop += np.arange(0, suffix.size, T + 1)[:, None]
+        states = suffix[:, :T] ^ suffix.ravel().take(stop)
+        del g, d, suffix, stop  # free the scan before the caller's turn
+        yield states
 
 
 def sample_hidden_paths(model, obs, count, seed):
@@ -257,7 +255,8 @@ def sample_hidden_paths(model, obs, count, seed):
     o = as_symbol_indices(model, obs)
     alpha = _forward_filter(model, o)
     rng = np.random.default_rng(seed)
-    return _backward_sample(model, alpha, count, rng)
+    return np.vstack(list(_backward_sample(model, alpha, count, rng)),
+                     dtype=np.int64)
 
 
 def simulate(model, horizon, seed):

@@ -14,9 +14,9 @@ from casino_ewac.engine import (copula_pmf, cs_mask, ewac_bounds,
                                 ewac_objective, ewac_of_theta,
                                 inhomogeneous_bounds, naive_ewac,
                                 validate_joint_pmf)
-from casino_ewac.hmm import (BIASED, _backward_sample, _forward_filter,
-                             _row_blocks, as_symbol_indices, canonical_model,
-                             simulate, smooth)
+from casino_ewac.hmm import (_backward_sample, _forward_filter,
+                             as_symbol_indices, canonical_model, simulate,
+                             smooth)
 
 __all__ = [
     "WacSamples",
@@ -39,14 +39,12 @@ class WacSamples:
 
     Attributes:
         wac: (S,) sampled losses, observed minus counterfactual winnings.
-        counterfactual: (S, T) counterfactual faces; equals the observed
-            face wherever the sampled hidden state is fair.
-        hidden: (S, T) sampled hidden paths.
+        biased_counts: (S, K) int64; entry (s, j) counts the periods that
+            sample s put in the biased state while face j + 1 showed.
     """
 
     wac: np.ndarray
-    counterfactual: np.ndarray
-    hidden: np.ndarray
+    biased_counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,71 +88,65 @@ HORIZON_SWEEP_COLUMNS = ("horizon", "lb", "ub", "naive")
 def sample_wac(model, obs, theta, count, seed):
     """Draw the cheating-loss distribution induced by one joint PMF.
 
-    Each draw samples a hidden path from the exact posterior, keeps the
-    observed face on fair periods (the counterfactual roll is the fair
-    roll), and on biased periods redraws the fair face from the theta
-    column of the observed face by inverse CDF in face order.
+    Each draw samples a hidden path from the exact posterior.  A fair
+    period's counterfactual roll is the observed one, and a biased period
+    showing face j redraws its fair face X from the theta column of j, so
+    it adds w_j - w_X to the loss.  The loss therefore depends on the path
+    only through the number b_j of biased periods on each face j:
 
-    Memory is 16 bytes per sample-period for the two int64 (S, T) arrays
-    returned, 8(K - 1) bytes per period for the redraw cut-offs, and the
-    temporaries of one row block of about 2^20 sample-periods.  With
-    S = 50, T = 10^5 and K = 6 the peak allocation traced by tracemalloc
-    was 92-97 MB, about 19 bytes per sample-period.
+        WAC = sum_j sum_i M_ij (w_j - w_i),
+        M_.j ~ Multinomial(b_j, theta_.j / c_j),
+
+    with c_j the column sum, which has the same law as redrawing period by
+    period.  Each row block of paths is reduced to its (S_b, K) counts and
+    dropped; after the last block one multinomial per face with a
+    non-empty column draws all S redraws of that face.  Theta cells that
+    the marginal check lets through slightly below zero count as zero.
+
+    Memory is the temporaries of one row block of about 2^20
+    sample-periods (about 12 bytes each: the uniforms, then the scan's
+    flags and int64 indices), 8K bytes per period for the one-hot faces
+    besides the filter's arrays, and the counts, one face's redraws and
+    the losses, about 200 bytes per sample at K = 6.  None of it grows
+    with S * T: tracemalloc saw 12.7 MB at S = 1024, T = 2000, 13.3 MB at
+    S = 4096, and 21.6 MB at S = 50, T = 10^5.
 
     Raises:
         ValueError: if ``count`` is below 1 or theta is not a joint PMF
             of the fair and biased dice.
         ZeroLikelihoodError: if the path is impossible under the model.
+        ArithmeticError: if a sampled path is biased on a face whose theta
+            column is all zero.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     o = as_symbol_indices(model, obs)
-    theta = validate_joint_pmf(theta, model.emission[0], model.emission[1])
+    theta = np.maximum(
+        validate_joint_pmf(theta, model.emission[0], model.emission[1]), 0.0)
     alpha = _forward_filter(model, o)
     rng = np.random.default_rng(seed)
-    hidden = _backward_sample(model, alpha, count, rng)
+    faces = np.arange(model.num_symbols)
+    one_hot = (o[:, None] == faces).astype(float)
+    # Integer-valued float sums, so the cast to int64 is exact.
+    counts = np.vstack([block @ one_hot for block in
+                        _backward_sample(model, alpha, count, rng)],
+                       dtype=np.int64, casting="unsafe")
 
     col_sums = theta.sum(axis=0)
-    cdf = np.cumsum(theta, axis=0)
-    positive = col_sums > 0
-    cdf[:, positive] /= col_sums[positive]
-    cdf[-1, positive] = 1.0
+    hit = (col_sums <= 0) & counts.any(axis=0)
+    if hit.any():
+        # The posterior cannot put biased mass on a face the biased die
+        # never rolls; reaching this line means the inputs disagree.
+        raise ArithmeticError(
+            f"sampled a biased state on face {faces[hit][0] + 1}, "
+            "whose theta column is all zero")
 
-    empty = ~positive[o]
-    if empty.any():
-        hit = (hidden[:, empty] == BIASED).any(axis=0)
-        if hit.any():
-            # The posterior cannot put biased mass on a face the biased die
-            # never rolls; reaching this line means the inputs disagree.
-            raise ArithmeticError(
-                f"sampled a biased state on face {o[empty][hit].min() + 1}, "
-                "whose theta column is all zero")
-
-    # Inverse CDF without a search: on a nondecreasing column,
-    # searchsorted(side="right") counts the cut-offs <= u, and the last
-    # cut-off is 1.0 > u, so it never counts.
-    cuts = cdf[:-1, o]
-    drawn_type = np.min_scalar_type(model.num_symbols - 1)
-    o_narrow = o.astype(drawn_type)
     w = model.rewards
-    observed = w[o].sum()
-    counterfactual = np.empty_like(hidden)  # 0-based until the end
-    wac = np.empty(count)
-    for rows in _row_blocks(count, o.size):
-        u = rng.random((rows.stop - rows.start, o.size))
-        drawn = np.zeros(u.shape, dtype=drawn_type)
-        for cut in cuts:
-            drawn += u >= cut
-        del u
-        # where(biased, drawn, o) as o ^ (biased * (drawn ^ o)): numpy's
-        # masked selects on small integers cost several times more.
-        drawn ^= o_narrow
-        drawn *= hidden[rows] == BIASED
-        drawn ^= o_narrow
-        counterfactual[rows] = drawn
-        wac[rows] = observed - w[counterfactual[rows]].sum(axis=1)
-    counterfactual += 1
-    return WacSamples(wac=wac, counterfactual=counterfactual, hidden=hidden)
+    wac = np.zeros(count)
+    for j in faces[col_sums > 0]:
+        redrawn = rng.multinomial(counts[:, j], theta[:, j] / col_sums[j])
+        wac += redrawn @ (w[j] - w)
+    return WacSamples(wac=wac, biased_counts=counts)
 
 
 def default_eta_grid():
@@ -170,16 +162,15 @@ def default_horizon_grid(t_min=10, t_max=100_000, points=25):
     return np.unique(np.rint(grid).astype(np.int64))
 
 
-def eta_sweep(obs, eta_grid=None, constrained=True, inhomogeneous=True,
-              copulas=True):
+def eta_sweep(obs, eta_grid=None):
     """Bounds and benchmarks across fairness levels of the canonical model.
+
+    Every row holds the plain, cs-constrained and per-period relaxed
+    bounds, the three benchmark couplings and the naive estimate.
 
     Args:
         obs: observation path, faces 1..6.
         eta_grid: fairness levels; defaults to ``default_eta_grid()``.
-        constrained: also solve under the no-loss constraint set (cs).
-        inhomogeneous: also compute the per-period relaxed bounds.
-        copulas: also evaluate the three benchmark couplings.
 
     Returns:
         list of SweepRow in grid order.
@@ -199,16 +190,13 @@ def eta_sweep(obs, eta_grid=None, constrained=True, inhomogeneous=True,
                   "naive": naive_ewac(model, obs)}
         plain = ewac_bounds(objective)
         values["lb"], values["ub"] = plain.lb, plain.ub
-        if constrained:
-            tied = ewac_bounds(objective, cs_mask(model.emission), tag="cs")
-            values["lb_cs"], values["ub_cs"] = tied.lb, tied.ub
-        if inhomogeneous:
-            loose = inhomogeneous_bounds(objective)
-            values["lb_inhom"], values["ub_inhom"] = loose.lb, loose.ub
-        if copulas:
-            for kind in ("independence", "comonotonic", "countermonotonic"):
-                values[f"ewac_{kind}"] = ewac_of_theta(
-                    objective, copula_pmf(model, kind))
+        tied = ewac_bounds(objective, cs_mask(model.emission), tag="cs")
+        values["lb_cs"], values["ub_cs"] = tied.lb, tied.ub
+        loose = inhomogeneous_bounds(objective)
+        values["lb_inhom"], values["ub_inhom"] = loose.lb, loose.ub
+        for kind in ("independence", "comonotonic", "countermonotonic"):
+            values[f"ewac_{kind}"] = ewac_of_theta(
+                objective, copula_pmf(model, kind))
         rows.append(SweepRow(**values))
     return rows
 

@@ -57,6 +57,10 @@ def _validated_targets(row_targets, col_targets, k):
     s = np.array(col_targets, dtype=float)
     if r.shape != (k,) or s.shape != (k,):
         raise ValueError("row and column targets must both have length K")
+    for name, arr in (("row", r), ("column", s)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(
+                f"{name} targets must be finite, got {arr.tolist()}")
     if np.any(r < 0) or np.any(s < 0):
         raise ValueError("targets must be non-negative")
     if abs(r.sum() - s.sum()) > _BALANCE_TOL:

@@ -8,9 +8,10 @@ EWAC extremes by the closed-form north-west-corner couplings.  The
 transport solver's pivot path is redone one tableau element and one row at
 a time, phase one included on every solve, with no cache.  The
 sampling oracles redo the posterior draws one period at a time (hidden
-paths) and one face at a time (counterfactual faces) from the filtered
-probabilities they are given, consuming the same uniforms in the same
-order as the library.
+paths) from the filtered probabilities they are given, count the biased
+periods of each face by a plain loop and redraw each face's fair faces by
+one multinomial, consuming the same random numbers in the same order as
+the library; the loss moments of an i.i.d. chain come in closed form.
 """
 
 import itertools
@@ -374,27 +375,61 @@ def loop_backward_sample(model, alpha, count, rng):
     return states
 
 
-def loop_sample_wac(model, alpha, obs, theta, count, seed):
-    """(wac, counterfactual, hidden) drawn with the per-period path loop and
-    one inverse-CDF search per face, from the filtered ``alpha``."""
+def loop_count_sample_wac(model, alpha, obs, theta, count, seed):
+    """(wac, biased_counts) from the per-period path loop, reduced to
+    biased counts one face at a time, then redrawn by one multinomial per
+    face with a non-empty theta column, in face order.
+
+    Given b_j biased periods on face j, the fair faces redrawn there are
+    M_.j ~ Multinomial(b_j, theta_.j / c_j), and each adds w_j - w_i.
+    """
     o = np.asarray(obs, dtype=np.int64) - 1
     rng = np.random.default_rng(seed)
     hidden = loop_backward_sample(model, alpha, count, rng)
-    u = rng.random((count, o.size))
-    theta = np.asarray(theta, dtype=float)
-    col_sums = theta.sum(axis=0)
-    cdf = np.cumsum(theta, axis=0)
-    positive = col_sums > 0
-    cdf[:, positive] /= col_sums[positive]
-    cdf[-1, positive] = 1.0
-    counterfactual = np.tile(o, (count, 1))
-    for j in range(model.num_symbols):
-        redraw = (hidden == 1) & (o == j)
-        counterfactual[redraw] = np.searchsorted(cdf[:, j], u[redraw],
-                                                 side="right")
+    k = model.num_symbols
+    counts = np.zeros((count, k), dtype=np.int64)
+    for j in range(k):
+        counts[:, j] = hidden[:, o == j].sum(axis=1)
+    theta = np.maximum(np.asarray(theta, dtype=float), 0.0)
     w = model.rewards
-    wac = w[o].sum() - w[counterfactual].sum(axis=1)
-    return wac, counterfactual + 1, hidden
+    wac = np.zeros(count)
+    for j in range(k):
+        col_sum = theta[:, j].sum()
+        if col_sum > 0:
+            redrawn = rng.multinomial(counts[:, j], theta[:, j] / col_sum)
+            wac += redrawn @ (w[j] - w)
+    return wac, counts
+
+
+def iid_wac_moments(model, obs, theta):
+    """Exact mean and variance of the loss when the hidden chain is i.i.d.
+
+    Period t is biased with probability p_j on face j, independently, and
+    then loses w_j - X, X drawn from theta column j; with m_j and v_j the
+    mean and variance of w_j - X, face j's n_j periods add n_j p_j m_j to
+    the mean and n_j [p_j v_j + p_j (1 - p_j) m_j^2] to the variance.
+    """
+    eta = model.transition[0, 0]
+    assert np.array_equal(model.transition[0], model.transition[1])
+    assert np.array_equal(model.initial, model.transition[0])
+    o = np.asarray(obs, dtype=np.int64) - 1
+    k = model.num_symbols
+    n = np.bincount(o, minlength=k)
+    e_fair, e_biased = model.emission
+    p = (1 - eta) * e_biased / (eta * e_fair + (1 - eta) * e_biased)
+    theta = np.asarray(theta, dtype=float)
+    w = model.rewards
+    mean = variance = 0.0
+    for j in range(k):
+        if n[j] == 0 or p[j] == 0:
+            continue
+        x = theta[:, j] / theta[:, j].sum()
+        loss = w[j] - w
+        m = float(x @ loss)
+        v = float(x @ (loss - m) ** 2)
+        mean += n[j] * p[j] * m
+        variance += n[j] * (p[j] * v + p[j] * (1 - p[j]) * m ** 2)
+    return mean, variance
 
 
 def sampling_cases():

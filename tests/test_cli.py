@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 import casino_ewac.cli
-from casino_ewac import SweepRow, canonical_model, eta_sweep, smooth
+from casino_ewac import canonical_model, eta_sweep, smooth
 from casino_ewac.cli import (EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
-                             EXIT_USAGE, ETA_SWEEP_COLUMNS, PATH_1, PATH_2,
-                             _sweep_csv, main)
+                             EXIT_USAGE, PATH_1, PATH_2, main)
 
 
 def run(*argv):
@@ -184,8 +183,11 @@ class TestWacDistCommand:
 
 
 class TestGoldenOutputs:
-    # SHA-256 of the CSV bytes, recorded before the CSV writer, the path
-    # sampler and the counterfactual redraw were rewritten.
+    # SHA-256 of the CSV bytes.  smooth, sweep-eta and sweep-horizon were
+    # recorded before the CSV writer and the path sampler were rewritten;
+    # the wac-dist digests were derived from the losses of
+    # helpers.loop_count_sample_wac (per-face multinomial redraws), written
+    # as "%d,%.12g" lines under a "sample,wac" header.
     @pytest.mark.parametrize("argv,digest", [
         pytest.param(
             "smooth --eta 0.5 --path builtin:1",
@@ -198,12 +200,12 @@ class TestGoldenOutputs:
         pytest.param(
             "wac-dist --eta 0.5 --path builtin:1 --theta comonotonic "
             "--samples 200 --seed 21",
-            "fc8e5ceffd8b4fc8c7c341854d2bd024b2e809bf9ce16a16a2f1e6dcc0a54e5d",
+            "77eadbf2adfcca07186a0f33408e247c10ce409012f4e8cf0299259b44d27bcc",
             id="wac-dist-comonotonic"),
         pytest.param(
             "wac-dist --eta 0.5 --path builtin:2 --theta ub --constraints cs "
             "--samples 50 --seed 2",
-            "5f14213e2e7dfb05333ee1d3daed9f592b24644cbf6bddc43c9ab78c1277d619",
+            "1de78f1a7d9e0dcafa6a4f03cd7ca6fe1421b7c77de24c07c09537b6bae43bea",
             id="wac-dist-ub-cs"),
         pytest.param(
             "sweep-eta --path builtin:2 --grid 0.25,0.75",
@@ -249,14 +251,6 @@ class TestGoldenOutputs:
         assert lines[:3] == ["t,delta_fair,delta_biased",
                              "1,0.999991428559,8.57144081631e-06",
                              "2,0.999985714347,1.42856530614e-05"]
-
-    def test_missing_sweep_fields_stay_empty(self):
-        text = _sweep_csv(ETA_SWEEP_COLUMNS,
-                          [SweepRow(eta=0.5, lb=-1.0, ub=2.25, naive=0.0),
-                           SweepRow(eta=0.75, lb=1 / 3, ub=1 / 3)])
-        assert text.splitlines()[1:] == ["0.5,-1,2.25,,,,,,,,0",
-                                         "0.75,0.333333333333,0.333333333333,"
-                                         ",,,,,,,"]
 
 
 class TestCopulasCommand:
@@ -375,7 +369,6 @@ class TestExitCodes:
                    "--samples", "10000") == EXIT_USAGE
         err = capsys.readouterr().err
         assert "out of memory" in err
-        assert "S*T = 300000" in err
         assert "Traceback" not in err
 
     def test_usage_error_from_argparse(self):

@@ -7,8 +7,8 @@ from casino_ewac import (BIASED, FAIR, HmmModel, InfeasibleMaskError, PATH_1,
                          PATH_2, asymptotic_ewac_rate, canonical_model,
                          copula_pmf, cs_mask, ewac_bounds, ewac_objective,
                          ewac_of_theta, greedy_column, inhomogeneous_bounds,
-                         naive_ewac, pm_mask, smooth, solve, stationary,
-                         validate_joint_pmf, TransportProblem)
+                         naive_ewac, pm_mask, sample_wac, smooth, solve,
+                         stationary, validate_joint_pmf, TransportProblem)
 from helpers import (brute_force_ewac, closed_form_extremes,
                      random_feasible_theta, random_small_model)
 
@@ -84,6 +84,18 @@ class TestEwacOfTheta:
         theta[0, 0] -= 1e-3  # break a marginal as well as positivity
         with pytest.raises(ValueError):
             ewac_of_theta(obj, theta)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_cell_rejected(self, value):
+        # NaN passes the sign and marginal comparisons; unchecked, it made
+        # the EWAC NaN and the sampler drop the face's redraws.
+        model, obj = _objective(0.5, PATH_1)
+        theta = copula_pmf(model, "comonotonic")
+        theta[0, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            ewac_of_theta(obj, theta)
+        with pytest.raises(ValueError, match="finite"):
+            sample_wac(model, PATH_1, theta, 10, seed=0)
 
 
 class TestBounds:

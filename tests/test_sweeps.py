@@ -1,49 +1,55 @@
 """Monte-Carlo loss draws and the two sweep drivers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from casino_ewac import (BIASED, FAIR, PATH_1, HmmModel, SweepRow,
-                         canonical_model, copula_pmf, default_eta_grid,
-                         default_horizon_grid, eta_sweep, ewac_bounds,
-                         ewac_objective, ewac_of_theta, horizon_sweep,
-                         naive_ewac, sample_wac, smooth)
-from casino_ewac.hmm import _forward_filter, as_symbol_indices
-from helpers import (digit_rows, loop_sample_wac, random_feasible_theta,
-                     sampling_cases, sticky_model)
+from casino_ewac import (PATH_1, HmmModel, SweepRow, canonical_model,
+                         copula_pmf, default_eta_grid, default_horizon_grid,
+                         eta_sweep, ewac_bounds, ewac_objective,
+                         ewac_of_theta, horizon_sweep, naive_ewac,
+                         sample_hidden_paths, sample_wac, simulate, smooth)
+from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _forward_filter,
+                             as_symbol_indices)
+from helpers import (digit_rows, iid_wac_moments, loop_count_sample_wac,
+                     random_feasible_theta, sampling_cases, sticky_model)
+
+
+def face_counts(hidden, obs, k=6):
+    """Biased periods of each face, one row per sampled path."""
+    o = np.asarray(obs) - 1
+    return np.stack([hidden[:, o == j].sum(axis=1) for j in range(k)], axis=1)
 
 
 class TestSampleWac:
-    def test_counterfactual_keeps_observed_faces_on_fair_periods(self):
-        model = canonical_model(0.5)
+    def test_biased_counts_reduce_the_hidden_paths(self):
+        # The same seed draws the same paths first, so the counts are the
+        # per-face reduction of sample_hidden_paths.
+        model = sticky_model()
         theta = copula_pmf(model, "independence")
         draws = sample_wac(model, PATH_1, theta, 500, seed=3)
-        obs = np.asarray(PATH_1)
-        fair_positions = draws.hidden == FAIR
-        assert np.array_equal(draws.counterfactual[fair_positions],
-                              np.broadcast_to(obs, draws.hidden.shape)[fair_positions])
+        hidden = sample_hidden_paths(model, PATH_1, 500, seed=3)
+        np.testing.assert_array_equal(draws.biased_counts,
+                                      face_counts(hidden, PATH_1))
+        assert draws.biased_counts.dtype == np.int64
 
-    @pytest.mark.parametrize("kind,counterfactual,wac", [
-        ("comonotonic",
-         ("241252615243641", "251144635232541", "351254633242631",
-          "351244635242531"), [6.0, 6.0, 4.0, 4.0]),
-        ("countermonotonic",
-         ("531254654243641", "646624635245141", "351254632245141",
-          "351234635245141"), [-1.0, -5.0, 6.0, 5.0]),
+    @pytest.mark.parametrize("kind,wac", [
+        ("comonotonic", [5.0, 7.0, 5.0, 5.0]),
+        ("countermonotonic", [2.0, -5.0, 4.0, 5.0]),
     ])
-    def test_golden_draws(self, kind, counterfactual, wac):
+    def test_golden_draws(self, kind, wac):
         # Golden values: a fixed seed keeps drawing the same uniforms in the
-        # same order, so hidden paths, counterfactuals and losses never move.
+        # same order, so hidden paths, their face counts and the losses
+        # never move.  The losses come from helpers.loop_count_sample_wac.
         model = sticky_model()
         draws = sample_wac(model, PATH_1[:15], copula_pmf(model, kind), 4,
                            seed=7)
-        np.testing.assert_array_equal(draws.hidden, digit_rows(
-            "110001011000000", "111110000011100", "000000001001110",
-            "000010000001110"))
-        np.testing.assert_array_equal(draws.counterfactual,
-                                      digit_rows(*counterfactual))
+        hidden = digit_rows("110001011000000", "111110000011100",
+                            "000000001001110", "000010000001110")
+        np.testing.assert_array_equal(draws.biased_counts,
+                                      face_counts(hidden, PATH_1[:15]))
         np.testing.assert_array_equal(draws.wac, wac)
-        assert draws.hidden.dtype == draws.counterfactual.dtype == np.int64
 
     def test_deterministic_given_seed(self):
         model = canonical_model(0.5)
@@ -51,23 +57,27 @@ class TestSampleWac:
         a = sample_wac(model, PATH_1, theta, 200, seed=9)
         b = sample_wac(model, PATH_1, theta, 200, seed=9)
         np.testing.assert_array_equal(a.wac, b.wac)
-        np.testing.assert_array_equal(a.counterfactual, b.counterfactual)
+        np.testing.assert_array_equal(a.biased_counts, b.biased_counts)
 
     def test_always_fair_chain_yields_zero_loss(self):
         model = canonical_model(1.0)
         theta = copula_pmf(model, "independence")
         draws = sample_wac(model, PATH_1, theta, 100, seed=1)
         np.testing.assert_array_equal(draws.wac, np.zeros(100))
-        np.testing.assert_array_equal(draws.hidden, np.zeros((100, 30)))
+        np.testing.assert_array_equal(draws.biased_counts,
+                                      np.zeros((100, 6)))
 
     def test_wac_decomposes_over_periods(self):
-        model = canonical_model(0.4)
-        theta = copula_pmf(model, "countermonotonic")
-        draws = sample_wac(model, PATH_1, theta, 50, seed=7)
-        w = model.rewards
-        obs = np.asarray(PATH_1)
-        recomputed = w[obs - 1].sum() - w[draws.counterfactual - 1].sum(axis=1)
-        np.testing.assert_allclose(draws.wac, recomputed, atol=1e-12)
+        # Identical dice and a theta whose columns are point masses (face 1
+        # redraws as face 2 and back): each biased period on face j adds
+        # exactly w_j - w_other, so the loss is fixed by the counts.
+        model = HmmModel([0.5, 0.5], [[0.7, 0.3], [0.4, 0.6]],
+                         [[0.5, 0.5], [0.5, 0.5]], [1.0, 3.5])
+        theta = [[0.0, 0.5], [0.5, 0.0]]
+        draws = sample_wac(model, [1, 2, 2, 1, 2], theta, 300, seed=7)
+        np.testing.assert_array_equal(
+            draws.wac, draws.biased_counts @ [1.0 - 3.5, 3.5 - 1.0])
+        assert draws.biased_counts.sum() > 0
 
     def test_sample_means_match_the_analytic_value(self):
         model = canonical_model(0.5)
@@ -92,22 +102,74 @@ class TestSampleWac:
             assert errors[count] <= 3 * se
         assert errors[20_000] < errors[200]
 
+    @pytest.mark.parametrize("kind", ["independence", "comonotonic",
+                                      "countermonotonic"])
+    def test_variance_matches_the_iid_formula(self, kind):
+        # The canonical chain is i.i.d., so the loss variance is exact:
+        # sum_j n_j [p_j v_j + p_j (1 - p_j) m_j^2].  The sample variance
+        # lies within 4 standard errors of it, the error estimated from
+        # the sample's fourth central moment.
+        model = canonical_model(0.5)
+        theta = copula_pmf(model, kind)
+        count = 200_000
+        wac = sample_wac(model, PATH_1, theta, count, seed=5).wac
+        mean, variance = iid_wac_moments(model, PATH_1, theta)
+        objective = ewac_objective(model, PATH_1, smooth(model, PATH_1))
+        assert mean == pytest.approx(ewac_of_theta(objective, theta),
+                                     abs=1e-12)
+        centred = wac - wac.mean()
+        sample_variance = wac.var(ddof=1)
+        se = np.sqrt((np.mean(centred ** 4) - sample_variance ** 2) / count)
+        assert abs(sample_variance - variance) <= 4 * se
+
     @pytest.mark.parametrize("case", sampling_cases(), ids=lambda c: c[0])
     def test_redraw_equals_the_per_face_search(self, case):
-        # Same seed, same uniforms: hidden paths, counterfactual faces and
-        # losses (non-integer payoffs on the random models) match the
-        # per-period path loop and the per-face searchsorted redraw.
+        # Same seed, same random numbers: biased counts and losses
+        # (non-integer payoffs on the random models) match the per-period
+        # path loop reduced face by face, with the same per-face
+        # multinomial redraws.
         _, model, obs, count = case
         theta = random_feasible_theta(*model.emission,
                                       np.random.default_rng(len(obs)))
         alpha = _forward_filter(model, as_symbol_indices(model, obs))
-        wac, counterfactual, hidden = loop_sample_wac(model, alpha, obs, theta,
-                                                      count, seed=17)
+        wac, counts = loop_count_sample_wac(model, alpha, obs, theta, count,
+                                            seed=17)
         draws = sample_wac(model, obs, theta, count, seed=17)
-        np.testing.assert_array_equal(draws.hidden, hidden)
-        np.testing.assert_array_equal(draws.counterfactual, counterfactual)
+        np.testing.assert_array_equal(draws.biased_counts, counts)
         np.testing.assert_array_equal(draws.wac, wac)
-        assert draws.hidden.dtype == draws.counterfactual.dtype == np.int64
+        assert draws.biased_counts.dtype == np.int64
+
+    def test_slightly_negative_theta_cells_count_as_zero(self):
+        # The marginal check accepts cells down to -1e-8; a multinomial
+        # rejects negative probabilities, so such cells are clipped.
+        model = canonical_model(0.5)
+        theta = copula_pmf(model, "comonotonic")
+        i, j = np.argwhere((theta == 0) & (theta.sum(axis=0) > 0))[0]
+        donor = np.argmax(theta[:, j])
+        theta[i, j] -= 5e-9
+        theta[donor, j] += 5e-9
+        draws = sample_wac(model, PATH_1, theta, 100, seed=4)
+        clipped = sample_wac(model, PATH_1, np.maximum(theta, 0.0), 100,
+                             seed=4)
+        np.testing.assert_array_equal(draws.wac, clipped.wac)
+
+    def test_peak_memory_does_not_grow_with_count(self):
+        # Both counts span several row blocks; quadrupling them must not
+        # add even one byte per added sample-period, as an (S, T) array
+        # would.
+        model = sticky_model()
+        obs = simulate(model, 2000, seed=1)[1]
+        theta = copula_pmf(model, "comonotonic")
+        peaks = {}
+        for count in (1024, 4096):
+            assert count * len(obs) > _BLOCK_SAMPLE_PERIODS
+            tracemalloc.start()
+            try:
+                sample_wac(model, obs, theta, count, seed=1)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4096] - peaks[1024] < (4096 - 1024) * len(obs)
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_count_below_one_rejected(self, count):
@@ -157,14 +219,6 @@ class TestEtaSweep:
                 assert row.lb - 1e-9 <= value <= row.ub + 1e-9
             assert row.naive == 0.0
             assert row.horizon is None
-
-    def test_options_switch_blocks_off(self):
-        rows = eta_sweep(PATH_1, [0.5], constrained=False, inhomogeneous=False,
-                        copulas=False)
-        row = rows[0]
-        assert row.lb is not None and row.ub is not None
-        assert row.lb_cs is None and row.ub_inhom is None
-        assert row.ewac_comonotonic is None
 
     @pytest.mark.parametrize("grid", [[], np.array([])])
     def test_empty_grid_rejected(self, grid):

@@ -38,6 +38,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-negative"):
             TransportProblem(np.zeros((2, 2)), [1.5, -0.5], [0.5, 0.5])
 
+    @pytest.mark.parametrize("rows,cols,name", [
+        ([np.nan, 0.5], [0.5, 0.5], "row"),
+        ([0.5, 0.5], [0.5, np.nan], "column"),
+        ([np.inf, 0.0], [np.inf, 0.0], "row"),
+        ([0.5, 0.5], [-np.inf, np.inf], "column"),
+    ])
+    def test_non_finite_targets_rejected(self, rows, cols, name):
+        # NaN passes every comparison and inf - inf balances as NaN, so
+        # without the check these reach the simplex and end in an
+        # ArithmeticError.
+        with pytest.raises(ValueError, match=f"{name} targets must be finite"):
+            TransportProblem(np.zeros((2, 2)), rows, cols)
+
     def test_mask_must_be_in_range(self):
         with pytest.raises(ValueError, match="mask cell"):
             TransportProblem(np.zeros((2, 2)), [0.5, 0.5], [0.5, 0.5],
@@ -115,6 +128,16 @@ class TestInfeasibility:
             check_feasibility([0.6, 0.4], [0.5, 0.4])
         with pytest.raises(ValueError, match="mask cell"):
             check_feasibility([0.5, 0.5], [0.5, 0.5], zero_mask={(2, 0)})
+
+    @pytest.mark.parametrize("rows,cols,name", [
+        ([0.5, np.nan], [0.5, 0.5], "row"),
+        ([1.0, 0.0], [np.nan, np.nan], "column"),
+        ([0.5, 0.5], [np.inf, np.inf], "column"),
+    ])
+    def test_check_feasibility_rejects_non_finite_targets(self, rows, cols,
+                                                          name):
+        with pytest.raises(ValueError, match=f"{name} targets must be finite"):
+            check_feasibility(rows, cols, zero_mask={(0, 1)})
 
     def test_fully_masked_with_mass_left(self):
         mask = {(i, j) for i in range(2) for j in range(2)}

@@ -22,9 +22,10 @@ import sys
 
 import numpy as np
 
-from casino_ewac.engine import (InfeasibleMaskError, copula_pmf, cs_mask,
-                                ewac_bounds, ewac_objective, ewac_of_theta,
-                                inhomogeneous_bounds, naive_ewac, pm_mask)
+from casino_ewac.engine import (InfeasibleMaskError, _path_objective,
+                                copula_pmf, cs_mask, ewac_bounds,
+                                ewac_of_theta, inhomogeneous_bounds,
+                                naive_ewac, pm_mask)
 from casino_ewac.hmm import HmmModel, ZeroLikelihoodError, canonical_model, smooth
 from casino_ewac.paths import PATH_1, PATH_2
 from casino_ewac.sweeps import (ETA_SWEEP_COLUMNS, HORIZON_SWEEP_COLUMNS,
@@ -98,13 +99,22 @@ def _parse_path(spec):
         return list(PATH_2)
     if spec.startswith("builtin:"):
         raise ValueError(f"unknown builtin path {spec!r}; use builtin:1 or builtin:2")
+    source = "observation path"
     if spec.startswith("@"):
+        source = f"observation path file {spec[1:]!r}"
         with open(spec[1:]) as fh:
             spec = fh.read().replace("\n", ",")
+    tokens = [tok for tok in spec.replace(" ", "").split(",") if tok]
     try:
-        return [int(tok) for tok in spec.replace(" ", "").split(",") if tok]
-    except ValueError as exc:
-        raise ValueError(f"bad observation path {spec!r}: {exc}") from None
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        for position, tok in enumerate(tokens, 1):
+            try:
+                np.int64(tok)
+            except (ValueError, OverflowError):
+                raise ValueError(f"bad {source}: token {position} is "
+                                 f"{tok[:20]!r}, not a 64-bit integer") from None
+        raise
 
 
 def _parse_grid(spec, cast=float):
@@ -185,7 +195,7 @@ def _cmd_smooth(args, config):
 def _cmd_bounds(args, config):
     model = _resolve_model(args, config)
     obs = _parse_path(_option(args, config, "path", "builtin:1"))
-    objective = ewac_objective(model, obs, smooth(model, obs))
+    objective, _ = _path_objective(model, obs)
     plain = ewac_bounds(objective)
     loose = inhomogeneous_bounds(objective)
     report = {
@@ -238,19 +248,6 @@ def _cmd_sweep_horizon(args, config):
     return EXIT_OK
 
 
-def _theta_for_kind(model, obs, kind, constraints):
-    if kind in ("independence", "comonotonic", "countermonotonic"):
-        return copula_pmf(model, kind)
-    objective = ewac_objective(model, obs, smooth(model, obs))
-    mask = frozenset()
-    if constraints == "pm":
-        mask = pm_mask(model.num_symbols)
-    elif constraints == "cs":
-        mask = cs_mask(model.emission)
-    pair = ewac_bounds(objective, mask, tag=constraints)
-    return pair.theta_lb if kind == "lb" else pair.theta_ub
-
-
 def _cmd_wac_dist(args, config):
     model = _resolve_model(args, config)
     obs = _parse_path(_option(args, config, "path", "builtin:1"))
@@ -261,10 +258,22 @@ def _cmd_wac_dist(args, config):
     if constraints not in _CONSTRAINT_SETS:
         raise ValueError(
             f"constraints must be one of {_CONSTRAINT_SETS}, got {constraints!r}")
-    theta = _theta_for_kind(model, obs, kind, constraints)
+    alpha = None  # a Markov chain's forward filter, once computed
+    if kind in ("lb", "ub"):
+        objective, alpha = _path_objective(model, obs)
+        mask = frozenset()
+        if constraints == "pm":
+            mask = pm_mask(model.num_symbols)
+        elif constraints == "cs":
+            mask = cs_mask(model.emission)
+        pair = ewac_bounds(objective, mask, tag=constraints)
+        theta = pair.theta_lb if kind == "lb" else pair.theta_ub
+    else:
+        theta = copula_pmf(model, kind)
     wac = sample_wac(model, obs, theta,
                      int(_option(args, config, "samples", 10_000)),
-                     int(_option(args, config, "seed", 0))).wac
+                     int(_option(args, config, "seed", 0)),
+                     filtered=alpha).wac
     _write_text(_option(args, config, "out"),
                 _csv(("sample", "wac"), (range(1, wac.size + 1), wac.tolist())))
     return EXIT_OK

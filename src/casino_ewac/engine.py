@@ -11,11 +11,12 @@ north-west-corner fills against the biased faces sorted by f (Hoffman 1963;
 Cambanis, Simons and Stout 1976); the simplex serves the masked sets.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from casino_ewac.hmm import BIASED, FAIR, as_symbol_indices
+from casino_ewac.hmm import (BIASED, FAIR, _forward_filter, _iid_posteriors,
+                             _smooth_filtered, as_symbol_indices)
 from casino_ewac.transport import TransportProblem, solve
 
 _UNIFORM_TOL = 1e-12
@@ -119,25 +120,50 @@ def ewac_objective(model, obs, delta):
             f"delta must have shape ({o.size}, 2), got {delta.shape}")
     k = model.num_symbols
     w = model.rewards
-    e_biased = model.emission[BIASED]
+    mass = np.column_stack([np.bincount(o, weights=d, minlength=k)
+                            for d in delta.T])
+    # Sums over periods, in path order, for the two totals.
+    return replace(_face_objective(model, np.bincount(o, minlength=k), mass),
+                   w_obs=float(w[o].sum()),
+                   fair_term=float((delta[:, FAIR] * w[o]).sum()))
 
-    observed = np.bincount(o, minlength=k) > 0
-    conflict = observed & (e_biased == 0.0)
+
+def _face_objective(model, counts, mass):
+    """The objective from face counts n and per-face posterior masses
+    (K, 2): w_obs = n.w, fair_term = sum_j mass[j, 0] w_j and factor_j =
+    mass[j, 1] / e_b[j].  Raises as ``ewac_objective`` does."""
+    w = model.rewards
+    e_biased = model.emission[BIASED]
+    conflict = (counts > 0) & (e_biased == 0.0)
     if conflict.any():
         face = int(np.nonzero(conflict)[0][0]) + 1
         raise ValueError(
             f"face {face} was observed but has zero biased emission "
             "probability; cannot condition the biased roll on it")
-
-    w_obs = float(w[o].sum())
-    fair_term = float((delta[:, FAIR] * w[o]).sum())
-    biased_mass = np.bincount(o, weights=delta[:, BIASED], minlength=k)
-    factor = np.divide(biased_mass, e_biased,
-                       out=np.zeros(k), where=e_biased > 0)
-    return EwacObjective(w_obs=w_obs, fair_term=fair_term,
+    factor = np.divide(mass[:, BIASED], e_biased,
+                       out=np.zeros(w.size), where=e_biased > 0)
+    return EwacObjective(w_obs=float(counts @ w),
+                         fair_term=float(mass[:, FAIR] @ w),
                          rewards=w, factor=factor,
                          row_marginals=model.emission[FAIR].copy(),
                          col_marginals=e_biased.copy())
+
+
+def _path_objective(model, obs):
+    """(objective, alpha): from face counts for an i.i.d. chain, alpha
+    None; else from smoothing a copy of the forward filter alpha, which
+    ``sample_wac`` can reuse."""
+    o = as_symbol_indices(model, obs)
+    iid = _iid_posteriors(model, o)
+    if iid is None:
+        alpha = _forward_filter(model, o)
+        delta = _smooth_filtered(model, o, alpha.copy())
+        return ewac_objective(model, obs, delta), alpha
+    table, first = iid
+    counts = np.bincount(o, minlength=model.num_symbols)
+    mass = counts[:, None] * table
+    mass[o[0]] += first - table[o[0]]
+    return _face_objective(model, counts, mass), None
 
 
 def validate_joint_pmf(theta, row_marginals, col_marginals, atol=_PMF_ATOL):

@@ -1,16 +1,14 @@
 """Two-state hidden Markov model of a casino that may swap in a biased die.
 
 State 0 is the fair die, state 1 the biased one.  Die faces are 1..K in the
-public API; arrays indexed by face use 0-based positions internally.  All
-smoothing is done with per-step renormalised forward and backward passes, so
-horizons up to about a million periods are fine in double precision.
-
-The filtering and smoothing recursions over periods run on Python floats,
-one scalar per state, reading emissions from per-face tuples and writing
-results through float64 memoryviews.  With only two states, numpy's fixed
-cost per call (about a microsecond) dominates the arithmetic on 2-element
-vectors, so the scalar loop is several times faster while doing the same
-operations in the same order.
+public API; arrays indexed by face use 0-based positions internally.  With
+equal transition rows (the canonical casino) the hidden states are
+independent and each period's posterior is Bayes' rule on its own face, so
+smoothing is one gather from a per-face table.  Other chains are smoothed
+by per-step renormalised forward and backward passes, fine for horizons up
+to about a million periods in double precision.  They run on Python
+floats, one scalar per state, through float64 memoryviews: with two states,
+numpy's fixed cost per call (about a microsecond) outweighs the arithmetic.
 
 Posterior path sampling has no loop over periods.  Each backward step
 maps the successor's state to the current one by "keep", "flip" or a
@@ -162,6 +160,50 @@ def _forward_filter(model, o):
     return alpha
 
 
+def _face_posteriors(prior, emission):
+    """P(state | face), (..., K, 2), of a period whose state has the law
+    ``prior`` (..., 2), by the forward filter's first step; zero on faces
+    both states rule out."""
+    joint = prior[..., None, :] * emission.T
+    total = joint.sum(axis=-1, keepdims=True)
+    return np.divide(joint, total, out=np.zeros_like(joint), where=total > 0)
+
+
+def _iid_posteriors(model, o):
+    """With equal transition rows, (P(state | face) under the row, (K, 2),
+    for periods 2..T, period 1's posterior under ``initial``); else None.
+    A face both states rule out raises the filter's ZeroLikelihoodError."""
+    row = model.transition[FAIR]
+    if not np.array_equal(row, model.transition[BIASED]):
+        return None
+    table, start = _face_posteriors(np.stack([row, model.initial]),
+                                    model.emission)
+    dead = ~table.any(axis=1)[o]
+    dead[0] = not start[o[0]].any()
+    if dead.any():
+        # The filter of the prefix ending there raises the same error.
+        _forward_filter(model, o[:dead.argmax() + 1])
+    return table, start[o[0]]
+
+
+def _smooth_filtered(model, o, delta):
+    """Smooths the filtered rows ``delta`` in place and returns them."""
+    e_fair, e_biased = model.emission.tolist()
+    (q00, q01), (q10, q11) = model.transition.tolist()
+    d_fair, d_biased = delta[:, FAIR].data, delta[:, BIASED].data
+    b0 = b1 = 1.0
+    for t, j, f, b in zip(range(o.size - 2, -1, -1), o.data[:0:-1],
+                          d_fair[-2::-1], d_biased[-2::-1]):
+        x0, x1 = e_fair[j] * b0, e_biased[j] * b1
+        b0, b1 = q00 * x0 + q01 * x1, q10 * x0 + q11 * x1
+        s = b0 + b1  # rescale; posteriors below are renormalised anyway
+        b0, b1 = b0 / s, b1 / s
+        d0, d1 = f * b0, b * b1
+        s = d0 + d1
+        d_fair[t], d_biased[t] = d0 / s, d1 / s
+    return delta
+
+
 def smooth(model, obs):
     """Posterior state probabilities given the whole observation path.
 
@@ -176,21 +218,11 @@ def smooth(model, obs):
         ZeroLikelihoodError: if the path is impossible under the model.
     """
     o = as_symbol_indices(model, obs)
-    # Each smoothed row overwrites its filtered row once the loop has read it.
-    delta = _forward_filter(model, o)
-    e_fair, e_biased = model.emission.tolist()
-    (q00, q01), (q10, q11) = model.transition.tolist()
-    d_fair, d_biased = delta[:, FAIR].data, delta[:, BIASED].data
-    b0 = b1 = 1.0
-    for t, j, f, b in zip(range(o.size - 2, -1, -1), o.data[:0:-1],
-                          d_fair[-2::-1], d_biased[-2::-1]):
-        x0, x1 = e_fair[j] * b0, e_biased[j] * b1
-        b0, b1 = q00 * x0 + q01 * x1, q10 * x0 + q11 * x1
-        s = b0 + b1  # rescale; posteriors below are renormalised anyway
-        b0, b1 = b0 / s, b1 / s
-        d0, d1 = f * b0, b * b1
-        s = d0 + d1
-        d_fair[t], d_biased[t] = d0 / s, d1 / s
+    iid = _iid_posteriors(model, o)
+    if iid is None:
+        return _smooth_filtered(model, o, _forward_filter(model, o))
+    delta = iid[0][o]
+    delta[0] = iid[1]
     return delta
 
 

@@ -2,21 +2,21 @@
 
 Everything here is deterministic given its seed.  Sweeps over the fairness
 level consume no randomness at all; the horizon sweep simulates one long
-path and re-smooths each truncation so every row is an honest analysis of
-the shorter record.
+path and analyses each truncation from its face counts, which suffice for
+the canonical casino's i.i.d. hidden states.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from casino_ewac.engine import (copula_pmf, cs_mask, ewac_bounds,
-                                ewac_objective, ewac_of_theta,
-                                inhomogeneous_bounds, naive_ewac,
-                                validate_joint_pmf)
-from casino_ewac.hmm import (_backward_sample, _forward_filter,
-                             as_symbol_indices, canonical_model, simulate,
-                             smooth)
+from casino_ewac.engine import (_face_objective, _path_objective,
+                                copula_pmf, cs_mask, ewac_bounds,
+                                ewac_of_theta, inhomogeneous_bounds,
+                                naive_ewac, validate_joint_pmf)
+from casino_ewac.hmm import (_backward_sample, _face_posteriors,
+                             _forward_filter, _iid_posteriors,
+                             as_symbol_indices, canonical_model, simulate)
 
 __all__ = [
     "WacSamples",
@@ -85,31 +85,31 @@ ETA_SWEEP_COLUMNS = ("eta", "lb", "ub", "lb_cs", "ub_cs", "lb_inhom",
 HORIZON_SWEEP_COLUMNS = ("horizon", "lb", "ub", "naive")
 
 
-def sample_wac(model, obs, theta, count, seed):
+def sample_wac(model, obs, theta, count, seed, *, filtered=None):
     """Draw the cheating-loss distribution induced by one joint PMF.
 
-    Each draw samples a hidden path from the exact posterior.  A fair
+    Each draw samples the hidden states from the exact posterior.  A fair
     period's counterfactual roll is the observed one, and a biased period
     showing face j redraws its fair face X from the theta column of j, so
-    it adds w_j - w_X to the loss.  The loss therefore depends on the path
-    only through the number b_j of biased periods on each face j:
+    it adds w_j - w_X to the loss.  The loss therefore depends on the
+    states only through the number b_j of biased periods on each face j:
 
         WAC = sum_j sum_i M_ij (w_j - w_i),
         M_.j ~ Multinomial(b_j, theta_.j / c_j),
 
     with c_j the column sum, which has the same law as redrawing period by
-    period.  Each row block of paths is reduced to its (S_b, K) counts and
-    dropped; after the last block one multinomial per face with a
-    non-empty column draws all S redraws of that face.  Theta cells that
-    the marginal check lets through slightly below zero count as zero.
-
-    Memory is the temporaries of one row block of about 2^20
-    sample-periods (about 12 bytes each: the uniforms, then the scan's
-    flags and int64 indices), 8K bytes per period for the one-hot faces
-    besides the filter's arrays, and the counts, one face's redraws and
-    the losses, about 200 bytes per sample at K = 6.  None of it grows
-    with S * T: tracemalloc saw 12.7 MB at S = 1024, T = 2000, 13.3 MB at
-    S = 4096, and 21.6 MB at S = 50, T = 10^5.
+    period.  With equal transition rows the states are independent: the
+    draws are b_j ~ Binomial(n_j, p_j) for the n_j periods after the first
+    that show face j, p_j their posterior biased probability, as one
+    (S, K) row-major array, then S uniforms for period 1 (biased when one
+    reaches its fair posterior).  Otherwise paths are drawn backwards from
+    the forward filter (``filtered``, if the caller has it) in row blocks
+    of about 2^20 sample-periods, each summed to (S_b, K) counts and
+    dropped.  One multinomial per face with a non-empty column follows.
+    Theta cells that the marginal check lets through slightly below zero
+    count as zero.  No memory grows with S * T: besides the path, an
+    i.i.d. chain needs O(S K), a Markov chain the filter's arrays and one
+    row block's temporaries.
 
     Raises:
         ValueError: if ``count`` is below 1 or theta is not a joint PMF
@@ -123,14 +123,19 @@ def sample_wac(model, obs, theta, count, seed):
     o = as_symbol_indices(model, obs)
     theta = np.maximum(
         validate_joint_pmf(theta, model.emission[0], model.emission[1]), 0.0)
-    alpha = _forward_filter(model, o)
     rng = np.random.default_rng(seed)
     faces = np.arange(model.num_symbols)
-    one_hot = (o[:, None] == faces).astype(float)
-    # Integer-valued float sums, so the cast to int64 is exact.
-    counts = np.vstack([block @ one_hot for block in
-                        _backward_sample(model, alpha, count, rng)],
-                       dtype=np.int64, casting="unsafe")
+    iid = _iid_posteriors(model, o)
+    if iid is not None:
+        counts = rng.binomial(np.bincount(o[1:], minlength=faces.size),
+                              iid[0][:, 1], size=(count, faces.size))
+        counts[:, o[0]] += rng.random(count) >= iid[1][0]
+    else:
+        alpha = _forward_filter(model, o) if filtered is None else filtered
+        periods = [np.flatnonzero(o == j) for j in faces]
+        counts = np.vstack([
+            np.column_stack([block[:, at].sum(axis=1) for at in periods])
+            for block in _backward_sample(model, alpha, count, rng)])
 
     col_sums = theta.sum(axis=0)
     hit = (col_sums <= 0) & counts.any(axis=0)
@@ -166,7 +171,8 @@ def eta_sweep(obs, eta_grid=None):
     """Bounds and benchmarks across fairness levels of the canonical model.
 
     Every row holds the plain, cs-constrained and per-period relaxed
-    bounds, the three benchmark couplings and the naive estimate.
+    bounds, the three benchmark couplings and the naive estimate, from the
+    path's face counts and one (E, K) array of per-face posteriors.
 
     Args:
         obs: observation path, faces 1..6.
@@ -176,28 +182,34 @@ def eta_sweep(obs, eta_grid=None):
         list of SweepRow in grid order.
 
     Raises:
-        ValueError: if the grid is empty.
+        ValueError: if the grid is empty or a level lies outside [0, 1].
     """
     eta_grid = np.asarray(default_eta_grid() if eta_grid is None else eta_grid,
                           dtype=float)
     if eta_grid.size == 0:
         raise ValueError("fairness grid must contain at least one level")
+    # The extremes (a NaN among them) validate every level.
+    model = canonical_model(eta_grid.min())
+    canonical_model(eta_grid.max())
+    counts = np.bincount(as_symbol_indices(model, obs),
+                         minlength=model.num_symbols)
+    priors = np.column_stack([eta_grid, 1.0 - eta_grid])
+    masses = counts[:, None] * _face_posteriors(priors, model.emission)
+    copulas = {kind: copula_pmf(model, kind)
+               for kind in ("independence", "comonotonic", "countermonotonic")}
+    mask = cs_mask(model.emission)
+    naive = naive_ewac(model, obs)
     rows = []
-    for eta in eta_grid:
-        model = canonical_model(eta)
-        objective = ewac_objective(model, obs, smooth(model, obs))
-        values = {"eta": float(eta),
-                  "naive": naive_ewac(model, obs)}
+    for eta, mass in zip(eta_grid.tolist(), masses):
+        objective = _face_objective(model, counts, mass)
         plain = ewac_bounds(objective)
-        values["lb"], values["ub"] = plain.lb, plain.ub
-        tied = ewac_bounds(objective, cs_mask(model.emission), tag="cs")
-        values["lb_cs"], values["ub_cs"] = tied.lb, tied.ub
+        tied = ewac_bounds(objective, mask, tag="cs")
         loose = inhomogeneous_bounds(objective)
-        values["lb_inhom"], values["ub_inhom"] = loose.lb, loose.ub
-        for kind in ("independence", "comonotonic", "countermonotonic"):
-            values[f"ewac_{kind}"] = ewac_of_theta(
-                objective, copula_pmf(model, kind))
-        rows.append(SweepRow(**values))
+        rows.append(SweepRow(
+            eta=eta, lb=plain.lb, ub=plain.ub, lb_cs=tied.lb, ub_cs=tied.ub,
+            lb_inhom=loose.lb, ub_inhom=loose.ub, naive=naive,
+            **{f"ewac_{kind}": ewac_of_theta(objective, theta)
+               for kind, theta in copulas.items()}))
     return rows
 
 
@@ -205,9 +217,9 @@ def horizon_sweep(eta, t_grid=None, seed=0):
     """Per-period bounds along truncations of one simulated path.
 
     Simulates the canonical model at the largest horizon once, then for
-    each grid value T smooths the first T observations from scratch and
-    reports lb/T, ub/T and naive/T.  The asymptotic per-period rate these
-    approach is ``asymptotic_ewac_rate(canonical_model(eta))``.
+    each grid value T analyses the face counts of the first T observations
+    and reports lb/T, ub/T and naive/T.  The asymptotic per-period rate
+    these approach is ``asymptotic_ewac_rate(canonical_model(eta))``.
     """
     if t_grid is None:
         t_grid = default_horizon_grid()
@@ -217,11 +229,10 @@ def horizon_sweep(eta, t_grid=None, seed=0):
     model = canonical_model(eta)
     _, obs = simulate(model, int(t_grid[-1]), seed)
     rows = []
-    for horizon in t_grid:
+    for horizon in t_grid.tolist():
         prefix = obs[:horizon]
-        objective = ewac_objective(model, prefix, smooth(model, prefix))
-        plain = ewac_bounds(objective)
-        rows.append(SweepRow(horizon=int(horizon),
+        plain = ewac_bounds(_path_objective(model, prefix)[0])
+        rows.append(SweepRow(horizon=horizon,
                              lb=plain.lb / horizon,
                              ub=plain.ub / horizon,
                              naive=naive_ewac(model, prefix) / horizon))

@@ -32,6 +32,9 @@ _BALANCE_TOL = 1e-12
 # since an absolute tolerance stops early on tiny costs, and at rounding
 # level, since a looser one stops short when costs span many magnitudes.
 _OPTIMALITY_TOL = 64 * float(np.finfo(float).eps)
+# Ratios tie within this times the starting max|rhs|, the rounding of the
+# right-hand side: a wider tie lets a ratio near 1e-10 tie with 0.
+_TIE_TOL = 64 * float(np.finfo(float).eps)
 # Polytopes whose phase one is kept; a K = 6 entry is an 11 x 22 tableau.
 _PHASE_ONE_CACHE_SIZE = 32
 
@@ -172,6 +175,9 @@ def _bland_iterate(tab, basis, eligible, tol):
     m = tab.shape[0] - 1
     reduced = tab[m, :eligible]
     rhs = tab[:m, -1]
+    # On a transportation polytope no basic value grows past 2K - 1 times
+    # the starting maximum, so one scale serves every pivot.
+    tie = _TIE_TOL * np.abs(rhs).max()
     iterations = 0
     while True:
         below = (reduced < -tol).nonzero()[0]
@@ -185,8 +191,8 @@ def _bland_iterate(tab, basis, eligible, tol):
         if not math.isfinite(best):
             # Cannot happen on a bounded polytope; guard anyway.
             raise ArithmeticError("unbounded direction in simplex")
-        # Ties broken by the smallest basic-variable index (Bland).
-        tied = rows[ratios <= best + _PIVOT_TOL]
+        # Ties go to the smallest basic-variable index (Bland).
+        tied = rows[ratios <= best + tie]
         _pivot(tab, basis, tied[basis[tied].argmin()], entering)
         iterations += 1
 

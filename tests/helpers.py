@@ -11,12 +11,17 @@ sampling oracles redo the posterior draws one period at a time (hidden
 paths) from the filtered probabilities they are given, count the biased
 periods of each face by a plain loop and redraw each face's fair faces by
 one multinomial, consuming the same random numbers in the same order as
-the library; the loss moments of an i.i.d. chain come in closed form.
+the library; for an i.i.d. chain they draw each face's binomial count and
+period 1's uniform one scalar at a time instead.  The loss moments of an
+i.i.d. chain come in closed form, and its exact distribution, for integer
+payoffs, by convolving the per-period ones.  ``iid_cases`` generates
+i.i.d. models for hypothesis.
 """
 
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 def path_posterior(model, obs):
@@ -119,9 +124,11 @@ def enumerate_transport_optimum(costs, row_targets, col_targets,
     return min(values), max(values)
 
 
-# The solver's tolerances: phase one's feasibility test and the ratio test.
+# The solver's tolerances: phase one's feasibility test, the pivot-column
+# entries the ratio test reads, and its ratio ties relative to max|rhs|.
 _FEASIBILITY_TOL = 1e-9
 _PIVOT_TOL = 1e-10
+_TIE_TOL = 64 * np.finfo(float).eps
 
 
 def loop_pivot(tab, basis, row, col):
@@ -137,6 +144,8 @@ def loop_bland_iterate(tab, basis, eligible, tol):
     """Bland pivots, one reduced cost and one ratio at a time, until no
     eligible reduced cost is below ``-tol``.  Returns the pivot count."""
     m = tab.shape[0] - 1
+    # Ratios within 64 * eps * max|rhs| at the start of the best tie.
+    tie = _TIE_TOL * max(abs(tab[r, -1]) for r in range(m))
     iterations = 0
     while True:
         entering = -1
@@ -155,7 +164,7 @@ def loop_bland_iterate(tab, basis, eligible, tol):
         if np.isfinite(best):
             for r in range(m):
                 a = tab[r, entering]
-                if a > _PIVOT_TOL and tab[r, -1] / a <= best + _PIVOT_TOL:
+                if a > _PIVOT_TOL and tab[r, -1] / a <= best + tie:
                     if leaving < 0 or basis[r] < basis[leaving]:
                         leaving = r
         if leaving < 0:
@@ -271,6 +280,43 @@ def random_small_model(rng, k=3):
     return HmmModel(initial, transition, emission, rewards)
 
 
+def random_iid_model(rng, k, stationary=False):
+    """A strictly positive model with k faces, equal transition rows and,
+    unless ``stationary``, an initial distribution of its own."""
+    from casino_ewac import HmmModel
+
+    eta = rng.uniform(0.05, 0.95)
+    row = np.array([eta, 1.0 - eta])
+    p = rng.uniform(0.05, 0.95)
+    initial = row if stationary else np.array([p, 1.0 - p])
+    emission = rng.uniform(0.05, 1.0, size=(2, k))
+    emission /= emission.sum(axis=1, keepdims=True)
+    rewards = np.cumsum(rng.uniform(0.5, 2.0, size=k))
+    return HmmModel(initial, [row, row], emission, rewards)
+
+
+@st.composite
+def iid_cases(draw):
+    """(model, obs) of a chain with equal transition rows: K = 2..7,
+    fairness levels 0 and 1 as often as not, a first period of its own
+    half the time, strictly positive dice and up to 300 periods."""
+    from casino_ewac import HmmModel
+
+    k = draw(st.integers(2, 7))
+    eta = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    row = [eta, 1.0 - eta]
+    first = draw(st.none() | st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    dice = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=2 * k,
+                                  max_size=2 * k))).reshape(2, k)
+    dice /= dice.sum(axis=1, keepdims=True)
+    rewards = np.cumsum(draw(st.lists(st.floats(0.1, 3.0), min_size=k,
+                                      max_size=k)))
+    model = HmmModel(row if first is None else [first, 1.0 - first],
+                     [row, row], dice, rewards)
+    obs = draw(st.lists(st.integers(1, k), min_size=1, max_size=300))
+    return model, obs
+
+
 def north_west_corner(rows, cols):
     """The north-west-corner fill of a transport table with these sums."""
     rows = np.array(rows, dtype=float)
@@ -375,6 +421,19 @@ def loop_backward_sample(model, alpha, count, rng):
     return states
 
 
+def _redraw(rng, counts, theta, rewards):
+    """Losses from biased counts: one multinomial per face with a non-empty
+    theta column, in face order, each fair face i adding w_j - w_i."""
+    theta = np.maximum(np.asarray(theta, dtype=float), 0.0)
+    wac = np.zeros(counts.shape[0])
+    for j in range(counts.shape[1]):
+        col_sum = theta[:, j].sum()
+        if col_sum > 0:
+            redrawn = rng.multinomial(counts[:, j], theta[:, j] / col_sum)
+            wac += redrawn @ (rewards[j] - rewards)
+    return wac
+
+
 def loop_count_sample_wac(model, alpha, obs, theta, count, seed):
     """(wac, biased_counts) from the per-period path loop, reduced to
     biased counts one face at a time, then redrawn by one multinomial per
@@ -390,46 +449,108 @@ def loop_count_sample_wac(model, alpha, obs, theta, count, seed):
     counts = np.zeros((count, k), dtype=np.int64)
     for j in range(k):
         counts[:, j] = hidden[:, o == j].sum(axis=1)
-    theta = np.maximum(np.asarray(theta, dtype=float), 0.0)
-    w = model.rewards
-    wac = np.zeros(count)
-    for j in range(k):
-        col_sum = theta[:, j].sum()
-        if col_sum > 0:
-            redrawn = rng.multinomial(counts[:, j], theta[:, j] / col_sum)
-            wac += redrawn @ (w[j] - w)
-    return wac, counts
+    return _redraw(rng, counts, theta, model.rewards), counts
+
+
+def is_iid(model):
+    return np.array_equal(model.transition[0], model.transition[1])
+
+
+def bayes(prior, model, face):
+    """(P(fair | face), P(biased | face)) of one period with state
+    distribution ``prior``, by Bayes' rule in the library's float
+    operations; (0, 0) for a face both states rule out."""
+    fair = float(prior[0]) * float(model.emission[0, face])
+    biased = float(prior[1]) * float(model.emission[1, face])
+    total = fair + biased
+    return (fair / total, biased / total) if total > 0 else (0.0, 0.0)
+
+
+def _iid_periods(model, obs):
+    """(p, o): P(biased | obs) of every period of an i.i.d. chain, period 1
+    under the initial distribution and the rest under the transition row,
+    and the 0-based faces."""
+    assert is_iid(model)
+    o = np.asarray(obs, dtype=np.int64) - 1
+    p = [bayes(model.transition[0], model, j)[1] for j in o]
+    p[0] = bayes(model.initial, model, o[0])[1]
+    return np.array(p), o
+
+
+def loop_iid_sample_wac(model, obs, theta, count, seed):
+    """(wac, biased_counts) of an i.i.d. chain, one scalar draw at a time.
+
+    The order of draws: for each sample, for each face j, the biased count
+    among the n_j periods after the first that show face j, a
+    Binomial(n_j, p_j); then one uniform per sample for period 1, biased
+    when it reaches P(fair | o_1) under the initial distribution; then the
+    per-face multinomial redraws of ``loop_count_sample_wac``.
+    """
+    o = np.asarray(obs, dtype=np.int64) - 1
+    k = model.num_symbols
+    n = [0] * k
+    for face in o[1:]:
+        n[face] += 1
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((count, k), dtype=np.int64)
+    for s in range(count):
+        for j in range(k):
+            counts[s, j] = rng.binomial(n[j],
+                                        bayes(model.transition[0], model, j)[1])
+    fair_first = bayes(model.initial, model, o[0])[0]
+    for s in range(count):
+        counts[s, o[0]] += rng.random() >= fair_first
+    return _redraw(rng, counts, theta, model.rewards), counts
+
+
+def _column_losses(model, theta, j):
+    """(losses, probabilities) of w_j - X, X drawn from theta column j."""
+    theta = np.asarray(theta, dtype=float)
+    return model.rewards[j] - model.rewards, theta[:, j] / theta[:, j].sum()
 
 
 def iid_wac_moments(model, obs, theta):
     """Exact mean and variance of the loss when the hidden chain is i.i.d.
 
-    Period t is biased with probability p_j on face j, independently, and
-    then loses w_j - X, X drawn from theta column j; with m_j and v_j the
-    mean and variance of w_j - X, face j's n_j periods add n_j p_j m_j to
-    the mean and n_j [p_j v_j + p_j (1 - p_j) m_j^2] to the variance.
+    Period t is biased with probability p_t, independently (period 1
+    under the initial distribution, the rest under the transition row),
+    and then loses w_j - X, X drawn from theta column j of its face j;
+    with m_j and v_j the mean and variance of w_j - X, the period adds
+    p_t m_j to the mean and p_t v_j + p_t (1 - p_t) m_j^2 to the variance.
     """
-    eta = model.transition[0, 0]
-    assert np.array_equal(model.transition[0], model.transition[1])
-    assert np.array_equal(model.initial, model.transition[0])
-    o = np.asarray(obs, dtype=np.int64) - 1
-    k = model.num_symbols
-    n = np.bincount(o, minlength=k)
-    e_fair, e_biased = model.emission
-    p = (1 - eta) * e_biased / (eta * e_fair + (1 - eta) * e_biased)
-    theta = np.asarray(theta, dtype=float)
-    w = model.rewards
+    p, o = _iid_periods(model, obs)
     mean = variance = 0.0
-    for j in range(k):
-        if n[j] == 0 or p[j] == 0:
+    for p_t, j in zip(p, o):
+        if p_t == 0:
             continue
-        x = theta[:, j] / theta[:, j].sum()
-        loss = w[j] - w
+        loss, x = _column_losses(model, theta, j)
         m = float(x @ loss)
         v = float(x @ (loss - m) ** 2)
-        mean += n[j] * p[j] * m
-        variance += n[j] * (p[j] * v + p[j] * (1 - p[j]) * m ** 2)
+        mean += p_t * m
+        variance += p_t * v + p_t * (1 - p_t) * m ** 2
     return mean, variance
+
+
+def iid_wac_pmf(model, obs, theta):
+    """Exact distribution of the loss of an i.i.d. chain with integer
+    payoffs: the convolution of the per-period loss distributions.
+
+    Returns (support, pmf): consecutive integers and their probabilities.
+    """
+    p, o = _iid_periods(model, obs)
+    w = model.rewards
+    assert np.array_equal(w, np.round(w))
+    span = int(w.max() - w.min())
+    low = 0  # the loss that pmf[0] stands for
+    pmf = np.ones(1)
+    for p_t, j in zip(p, o):
+        loss, x = _column_losses(model, theta, j)
+        period = np.zeros(2 * span + 1)  # losses -span .. span
+        np.add.at(period, loss.astype(int) + span, p_t * x)
+        period[span] += 1.0 - p_t
+        pmf = np.convolve(pmf, period)
+        low -= span
+    return np.arange(low, low + pmf.size), pmf
 
 
 def sampling_cases():
@@ -437,9 +558,11 @@ def sampling_cases():
 
     Random models with K = 2..7, the sticky chain, the degenerate eta 0
     and 1 (unreachable successors), a single period with a single sample,
-    and S*T just above 2^20, so the library's draws span two row blocks.
+    S*T just above 2^20, so the library's draws span two row blocks, the
+    canonical chain at eta 0.5, and random i.i.d. chains with K = 2..7 and
+    a first period of their own.
     """
-    from casino_ewac import canonical_model, simulate
+    from casino_ewac import PATH_1, canonical_model, simulate
 
     rng = np.random.default_rng(2718)
     cases = []
@@ -456,4 +579,12 @@ def sampling_cases():
     cases.append(("t1-count1", sticky, [6], 1))
     cases.append(("two-row-blocks", sticky, simulate(sticky, 1000, seed=8)[1],
                   1049))
+    cases.append(("eta-half", canonical_model(0.5), PATH_1, 40))
+    rng = np.random.default_rng(1618)
+    for k in range(2, 8):
+        model = random_iid_model(rng, k)
+        horizon = int(rng.integers(1, 301))
+        cases.append((f"iid-first-k{k}-t{horizon}", model,
+                      rng.integers(1, k + 1, size=horizon),
+                      int(rng.integers(1, 41))))
     return cases

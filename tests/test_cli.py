@@ -5,15 +5,18 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import casino_ewac.cli
+from casino_ewac import engine, hmm, sweeps
 from casino_ewac import canonical_model, eta_sweep, smooth
 from casino_ewac.cli import (EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                              EXIT_USAGE, PATH_1, PATH_2, main)
+from helpers import sticky_model
 
 
 def run(*argv):
@@ -182,12 +185,63 @@ class TestWacDistCommand:
                        "--out", str(out)) == EXIT_OK
 
 
+def sticky_config(tmp_path, path="builtin:1"):
+    """A config file holding helpers.sticky_model(), a Markov chain."""
+    model = sticky_model()
+    config = tmp_path / "sticky.json"
+    config.write_text(json.dumps({
+        "model": {"p": model.initial.tolist(), "Q": model.transition.tolist(),
+                  "E": model.emission.tolist(), "w": model.rewards.tolist()},
+        "path": path}))
+    return config
+
+
+class TestForwardFilterCalls:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts ``_forward_filter`` calls from every module using it."""
+        seen = []
+        original = hmm._forward_filter
+
+        def counting(*args):
+            seen.append(args)
+            return original(*args)
+
+        for module in (hmm, engine, sweeps):
+            monkeypatch.setattr(module, "_forward_filter", counting)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["lb", "ub"])
+    def test_markov_optimiser_draws_filter_once(self, kind, calls, tmp_path):
+        # The filter serves the smoothing behind the optimiser and the
+        # path draws alike.
+        assert run("wac-dist", "--config", str(sticky_config(tmp_path)),
+                   "--theta", kind, "--samples", "20",
+                   "--out", str(tmp_path / "wac.csv")) == EXIT_OK
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv", [
+        "smooth --eta 0.3 --path builtin:1",
+        "bounds --eta 0.3 --path builtin:2",
+        "sweep-eta --path builtin:1 --grid 0.2,0.9",
+        "sweep-horizon --eta 0.5 --t-grid 20,80",
+        "wac-dist --eta 0.5 --theta ub --constraints cs --samples 20",
+        "wac-dist --eta 0.5 --theta lb --samples 20",
+        "wac-dist --eta 0.5 --theta independence --samples 20",
+    ])
+    def test_canonical_commands_never_filter(self, argv, calls, tmp_path):
+        assert run(*argv.split(), "--out", str(tmp_path / "out")) == EXIT_OK
+        assert calls == []
+
+
 class TestGoldenOutputs:
     # SHA-256 of the CSV bytes.  smooth, sweep-eta and sweep-horizon were
-    # recorded before the CSV writer and the path sampler were rewritten;
-    # the wac-dist digests were derived from the losses of
-    # helpers.loop_count_sample_wac (per-face multinomial redraws), written
-    # as "%d,%.12g" lines under a "sample,wac" header.
+    # recorded before the CSV writer and the path sampler were rewritten,
+    # and still hold with face counts in place of forward-backward; the
+    # canonical wac-dist digests were derived from the losses of
+    # helpers.loop_iid_sample_wac (scalar binomial counts, then per-face
+    # multinomial redraws), written as "%d,%.12g" lines under a
+    # "sample,wac" header.
     @pytest.mark.parametrize("argv,digest", [
         pytest.param(
             "smooth --eta 0.5 --path builtin:1",
@@ -200,12 +254,12 @@ class TestGoldenOutputs:
         pytest.param(
             "wac-dist --eta 0.5 --path builtin:1 --theta comonotonic "
             "--samples 200 --seed 21",
-            "77eadbf2adfcca07186a0f33408e247c10ce409012f4e8cf0299259b44d27bcc",
+            "d039ad218385679cd9cf0f47121c6ada959def4c14643356fec622142c3824e9",
             id="wac-dist-comonotonic"),
         pytest.param(
             "wac-dist --eta 0.5 --path builtin:2 --theta ub --constraints cs "
             "--samples 50 --seed 2",
-            "1de78f1a7d9e0dcafa6a4f03cd7ca6fe1421b7c77de24c07c09537b6bae43bea",
+            "061c77715577e2c31d34adca242dbc0d7147e4640462d6971f089c01c71c4f7a",
             id="wac-dist-ub-cs"),
         pytest.param(
             "sweep-eta --path builtin:2 --grid 0.25,0.75",
@@ -242,6 +296,54 @@ class TestGoldenOutputs:
         assert run("bounds", "--eta", eta, "--path", path,
                    "--out", str(out)) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # SHA-256 of the outputs for a Markov chain (the sticky config model on
+    # builtin:1), recorded from the forward-backward code before the
+    # i.i.d. route existed; that route must leave them alone.
+    @pytest.mark.parametrize("argv,digest", [
+        ("smooth",
+         "be8f03d9f09b5cdef33c2e5160fbaae87106acff1bc96d5805263ee4a285e917"),
+        ("bounds",
+         "c8cc468a4b8048a088b619203b42804549c4f161036ccc0cfb1712bc13b54c1a"),
+        ("wac-dist --theta lb",
+         "c0a7a529fc9e1d9a04be113b757fc896f06b76b41dfe61e74634f35271359622"),
+        ("wac-dist --theta ub",
+         "b61226cca75ddf234b6880adb2c6d85daa9c502e2eda6b2787d0281c2c10e68d"),
+        ("wac-dist --theta lb --constraints pm",
+         "155ec79c9f1a00af109d04373e0c746e5be80d9b2550c197f9530639d83e9fea"),
+        ("wac-dist --theta independence",
+         "8f659ebb03d8ef8b69caacf04a95509da73efca8b80d7fd132411eeaf2b95191"),
+        ("wac-dist --theta comonotonic",
+         "b61226cca75ddf234b6880adb2c6d85daa9c502e2eda6b2787d0281c2c10e68d"),
+        ("wac-dist --theta countermonotonic",
+         "c0a7a529fc9e1d9a04be113b757fc896f06b76b41dfe61e74634f35271359622"),
+    ])
+    def test_markov_chain_bytes(self, argv, digest, tmp_path):
+        if argv.startswith("wac-dist"):
+            argv += " --samples 300 --seed 5"
+        out = tmp_path / "out"
+        assert run(*argv.split(), "--config", str(sticky_config(tmp_path)),
+                   "--out", str(out)) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("eta", ["0.5", "0.99999", "0.2"])
+    def test_smooth_csv_is_the_exact_count_formula(self, eta, tmp_path):
+        # Bayes' rule per face in exact rationals of the model's floats,
+        # rounded once to the printed 12 digits.
+        model = canonical_model(float(eta))
+        q_fair, q_biased = map(Fraction, model.transition[0].tolist())
+        e_fair, e_biased = ([Fraction(x) for x in row]
+                            for row in model.emission.tolist())
+        lines = ["t,delta_fair,delta_biased"]
+        for t, face in enumerate(PATH_1, 1):
+            fair = q_fair * e_fair[face - 1]
+            biased = q_biased * e_biased[face - 1]
+            lines.append("%d,%.12g,%.12g" % (t, fair / (fair + biased),
+                                             biased / (fair + biased)))
+        out = tmp_path / "delta.csv"
+        assert run("smooth", "--eta", eta, "--path", "builtin:1",
+                   "--out", str(out)) == EXIT_OK
+        assert out.read_text() == "\n".join(lines) + "\n"
 
     def test_smooth_rows(self, tmp_path):
         out = tmp_path / "delta.csv"
@@ -313,6 +415,32 @@ class TestExitCodes:
         assert run("smooth", "--eta", "0.5", "--path", "1,9,2") == EXIT_USAGE
         assert "position 2" in capsys.readouterr().err
 
+    def test_bad_token_in_a_path_file_is_named(self, tmp_path, capsys):
+        # The message names the file, the token (its first 20 characters)
+        # and its position, and stays short however long the file is.
+        faces = ["3"] * 40_001
+        faces[20_000] = "x" * 50
+        path = tmp_path / "path.txt"
+        path.write_text("\n".join(faces) + "\n")
+        assert run("smooth", "--eta", "0.5",
+                   "--path", f"@{path}") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "token 20001 is 'xxxxxxxxxxxxxxxxxxxx', not" in err
+        assert len(err) < 200 + len(str(path))
+
+    def test_path_parsing_keeps_its_syntax(self, tmp_path, capsys):
+        # Commas and newlines separate faces, spaces are dropped, and
+        # empty tokens are skipped; a face too large for int64 is a bad
+        # token, not a numerical failure.
+        path = tmp_path / "path.txt"
+        path.write_text("1, 2,,3\n4\n\n5,6\n")
+        assert run("smooth", "--eta", "0.5", "--path", f"@{path}") == EXIT_OK
+        assert capsys.readouterr().out.count("\n") == 7
+        assert run("smooth", "--eta", "0.5",
+                   "--path", "1,99999999999999999999") == EXIT_USAGE
+        assert "token 2" in capsys.readouterr().err
+
     def test_unknown_builtin_path(self, capsys):
         assert run("smooth", "--eta", "0.5",
                    "--path", "builtin:3") == EXIT_USAGE
@@ -361,7 +489,7 @@ class TestExitCodes:
         assert "count must be at least 1" in capsys.readouterr().err
 
     def test_out_of_memory_names_the_size(self, monkeypatch, capsys):
-        def exhausted(*args):
+        def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.45 GiB")
 
         monkeypatch.setattr(casino_ewac.cli, "sample_wac", exhausted)

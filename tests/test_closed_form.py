@@ -134,14 +134,14 @@ class TestAgainstTheSimplex:
     def test_general_objectives_with_ties(self, obj):
         # The simplex stops once no reduced cost is below
         # 64 * eps * max|c|, so factors spanning many orders of magnitude
-        # no longer stop it short (the example above).  What remains is
-        # its ratio test, which treats basic values within 1e-10 as tied
-        # and so can leave a cell up to about that much off before the
-        # clip at zero: 6.1e-11 * max|c| at worst in 3000 random draws.
+        # no longer stop it short (the example above), and its ratio test
+        # ties only within rounding of the right-hand side, so marginal
+        # entries near 1e-10 no longer leave a vertex that far off: the
+        # worst of 3000 random draws is 3.6e-15 * max|c|.
         pair = ewac_bounds(obj)
         np.testing.assert_allclose(_form_extremes(pair, obj),
                                    _simplex_extremes(obj), rtol=0,
-                                   atol=2e-10 * _scale(obj))
+                                   atol=REL_TOL * _scale(obj))
         _assert_feasible(pair, obj)
 
     def test_unobserved_faces_tie(self):

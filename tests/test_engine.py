@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from casino_ewac import (BIASED, FAIR, HmmModel, InfeasibleMaskError, PATH_1,
                          PATH_2, asymptotic_ewac_rate, canonical_model,
@@ -9,7 +10,9 @@ from casino_ewac import (BIASED, FAIR, HmmModel, InfeasibleMaskError, PATH_1,
                          ewac_of_theta, greedy_column, inhomogeneous_bounds,
                          naive_ewac, pm_mask, sample_wac, smooth, solve,
                          stationary, validate_joint_pmf, TransportProblem)
-from helpers import (brute_force_ewac, closed_form_extremes,
+from casino_ewac.engine import _path_objective
+from casino_ewac.hmm import _forward_filter, _smooth_filtered, as_symbol_indices
+from helpers import (brute_force_ewac, closed_form_extremes, iid_cases,
                      random_feasible_theta, random_small_model)
 
 
@@ -49,6 +52,41 @@ class TestObjective:
         delta = smooth(model, [2, 1])
         with pytest.raises(ValueError, match="face 2"):
             ewac_objective(model, [2, 1], delta)
+
+
+class TestFaceCountObjective:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(iid_cases())
+    def test_iid_counts_equal_forward_backward(self, case):
+        # Sums of T terms against count-weighted sums: the rounding of
+        # either grows with T times the largest sum, T * max(w).
+        model, obs = case
+        o = as_symbol_indices(model, obs)
+        delta = _smooth_filtered(model, o, _forward_filter(model, o))
+        expected = ewac_objective(model, obs, delta)
+        got, alpha = _path_objective(model, obs)
+        assert alpha is None
+        tol = 4 * len(obs) * np.finfo(float).eps * len(obs)
+        assert got.w_obs == pytest.approx(expected.w_obs, rel=0,
+                                          abs=tol * model.rewards.max())
+        assert got.fair_term == pytest.approx(expected.fair_term, rel=0,
+                                              abs=tol * model.rewards.max())
+        np.testing.assert_allclose(got.factor * model.emission[BIASED],
+                                   expected.factor * model.emission[BIASED],
+                                   rtol=0, atol=tol)
+
+    def test_markov_chain_keeps_the_smoothed_objective(self):
+        # Bit for bit the objective of the smoothed posterior, and the
+        # filter it returns for the sampler is left unsmoothed.
+        model = random_small_model(np.random.default_rng(4), 5)
+        obs = np.random.default_rng(5).integers(1, 6, size=200)
+        got, alpha = _path_objective(model, obs)
+        expected = ewac_objective(model, obs, smooth(model, obs))
+        assert got.w_obs == expected.w_obs
+        assert got.fair_term == expected.fair_term
+        assert got.factor.tobytes() == expected.factor.tobytes()
+        o = as_symbol_indices(model, obs)
+        assert alpha.tobytes() == _forward_filter(model, o).tobytes()
 
 
 class TestEwacOfTheta:

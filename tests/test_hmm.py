@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from casino_ewac import (BIASED, FAIR, PATH_1, HmmModel, ZeroLikelihoodError,
                          canonical_model, sample_hidden_paths, simulate,
                          smooth)
 from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _forward_filter,
-                             as_symbol_indices)
-from helpers import (brute_force_smooth, dense_smooth, digit_rows,
+                             _smooth_filtered, as_symbol_indices)
+from helpers import (brute_force_smooth, dense_smooth, digit_rows, iid_cases,
                      loop_backward_sample, random_small_model,
                      sampling_cases, sticky_model)
 
@@ -105,6 +106,35 @@ class TestSmooth:
             np.testing.assert_allclose(smooth(model, obs),
                                        dense_smooth(model, obs),
                                        rtol=0, atol=tol)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(iid_cases())
+    def test_iid_gather_equals_forward_backward(self, case):
+        # Equal transition rows: the per-face gather against the scalar
+        # forward-backward passes, which stay the route of Markov chains.
+        model, obs = case
+        o = as_symbol_indices(model, obs)
+        expected = _smooth_filtered(model, o, _forward_filter(model, o))
+        np.testing.assert_allclose(smooth(model, obs), expected, rtol=0,
+                                   atol=4 * len(obs) * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("initial,path,message", [
+        ([1.0, 0.0], [2], "position 1"),
+        ([1.0, 0.0], [2, 2, 1], "position 1"),
+        ([0.5, 0.5], [2, 1, 2, 1, 2], "length 3"),
+        ([0.0, 1.0], [2, 2], "length 2"),
+    ])
+    def test_iid_impossible_paths_fail_as_the_filter_does(
+            self, initial, path, message):
+        # Equal rows (1, 0) and a fair die that never shows face 2: only
+        # period 1, if its prior allows the biased die, can show it.
+        model = HmmModel(initial, [[1.0, 0.0], [1.0, 0.0]],
+                         [[1.0, 0.0], [0.5, 0.5]], [0.0, 1.0])
+        with pytest.raises(ZeroLikelihoodError, match=message) as iid:
+            smooth(model, path)
+        with pytest.raises(ZeroLikelihoodError) as filtered:
+            _forward_filter(model, as_symbol_indices(model, path))
+        assert str(iid.value) == str(filtered.value)
 
     def test_impossible_path_raises(self):
         model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],

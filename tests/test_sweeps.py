@@ -12,7 +12,8 @@ from casino_ewac import (PATH_1, HmmModel, SweepRow, canonical_model,
                          sample_hidden_paths, sample_wac, simulate, smooth)
 from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _forward_filter,
                              as_symbol_indices)
-from helpers import (digit_rows, iid_wac_moments, loop_count_sample_wac,
+from helpers import (digit_rows, iid_wac_moments, iid_wac_pmf, is_iid,
+                     loop_count_sample_wac, loop_iid_sample_wac,
                      random_feasible_theta, sampling_cases, sticky_model)
 
 
@@ -122,18 +123,62 @@ class TestSampleWac:
         se = np.sqrt((np.mean(centred ** 4) - sample_variance ** 2) / count)
         assert abs(sample_variance - variance) <= 4 * se
 
+    @pytest.mark.parametrize("model,kind", [
+        (canonical_model(0.5), "independence"),
+        (canonical_model(0.5), "comonotonic"),
+        (canonical_model(0.5), "countermonotonic"),
+        (HmmModel([0.1, 0.9], [[0.6, 0.4], [0.6, 0.4]],
+                  canonical_model(0.5).emission, np.arange(1, 7)),
+         "comonotonic"),
+    ], ids=["independence", "comonotonic", "countermonotonic",
+            "first-period-of-its-own"])
+    def test_binomial_draws_follow_the_exact_pmf(self, model, kind):
+        # Integer payoffs: the exact loss distribution is the convolution
+        # of the per-period ones.  Its mean and variance agree with the
+        # moment formula, and the draws' mean and variance lie within 4
+        # standard errors of them; the empirical CDF lies within the
+        # Kolmogorov-Smirnov band of level 0.001 (conservative for a
+        # discrete law), so every quantile lands on a support point whose
+        # exact CDF brackets the level within that band.
+        theta = copula_pmf(model, kind)
+        support, pmf = iid_wac_pmf(model, PATH_1, theta)
+        mean, variance = iid_wac_moments(model, PATH_1, theta)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        assert support @ pmf == pytest.approx(mean, abs=1e-10)
+        assert (support - mean) ** 2 @ pmf == pytest.approx(variance,
+                                                            abs=1e-10)
+        count = 100_000
+        wac = sample_wac(model, PATH_1, theta, count, seed=8).wac
+        centred = wac - wac.mean()
+        assert abs(wac.mean() - mean) <= 4 * np.sqrt(variance / count)
+        se = np.sqrt((np.mean(centred ** 4) - wac.var() ** 2) / count)
+        assert abs(wac.var(ddof=1) - variance) <= 4 * se
+        band = 1.95 / np.sqrt(count)
+        cdf = np.cumsum(pmf)
+        empirical = np.searchsorted(np.sort(wac), support, side="right")
+        assert np.abs(empirical / count - cdf).max() <= band
+        for level in (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99):
+            at = np.searchsorted(support,
+                                 np.quantile(wac, level, method="inverted_cdf"))
+            assert cdf[at] >= level - band
+            assert cdf[at] - pmf[at] <= level + band
+
     @pytest.mark.parametrize("case", sampling_cases(), ids=lambda c: c[0])
     def test_redraw_equals_the_per_face_search(self, case):
         # Same seed, same random numbers: biased counts and losses
         # (non-integer payoffs on the random models) match the per-period
-        # path loop reduced face by face, with the same per-face
-        # multinomial redraws.
+        # path loop reduced face by face, or on an i.i.d. chain the scalar
+        # binomial loop, with the same per-face multinomial redraws.
         _, model, obs, count = case
         theta = random_feasible_theta(*model.emission,
                                       np.random.default_rng(len(obs)))
-        alpha = _forward_filter(model, as_symbol_indices(model, obs))
-        wac, counts = loop_count_sample_wac(model, alpha, obs, theta, count,
-                                            seed=17)
+        if is_iid(model):
+            wac, counts = loop_iid_sample_wac(model, obs, theta, count,
+                                              seed=17)
+        else:
+            alpha = _forward_filter(model, as_symbol_indices(model, obs))
+            wac, counts = loop_count_sample_wac(model, alpha, obs, theta,
+                                                count, seed=17)
         draws = sample_wac(model, obs, theta, count, seed=17)
         np.testing.assert_array_equal(draws.biased_counts, counts)
         np.testing.assert_array_equal(draws.wac, wac)
@@ -170,6 +215,23 @@ class TestSampleWac:
             finally:
                 tracemalloc.stop()
         assert peaks[4096] - peaks[1024] < (4096 - 1024) * len(obs)
+
+    def test_markov_counts_need_no_face_table(self):
+        # A (T, K) float64 one-hot table of the faces would cost 8K = 48
+        # bytes per period.  Grouping the columns by face needs one index
+        # (8 bytes), so with one sample, whose row block is a single path,
+        # the peak is the filter and threshold arrays, the path, the index
+        # and one path's scan: 82 bytes per period here, 122 with the table.
+        model = sticky_model()
+        obs = simulate(model, 200_000, seed=1)[1]
+        theta = copula_pmf(model, "comonotonic")
+        tracemalloc.start()
+        try:
+            sample_wac(model, obs, theta, 1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(obs) < 100
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_count_below_one_rejected(self, count):
@@ -224,6 +286,11 @@ class TestEtaSweep:
     def test_empty_grid_rejected(self, grid):
         with pytest.raises(ValueError, match="at least one level"):
             eta_sweep(PATH_1, grid)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+    def test_every_level_is_validated(self, bad):
+        with pytest.raises(ValueError, match="eta"):
+            eta_sweep(PATH_1, [0.2, bad, 0.5])
 
     def test_default_grid_is_the_percent_lattice(self):
         grid = default_eta_grid()

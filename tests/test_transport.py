@@ -234,6 +234,19 @@ class TestStoppingTolerance:
         assert sol.value == pytest.approx(2e-8, rel=1e-12, abs=0)
 
 
+class TestRatioTies:
+    def test_a_tiny_marginal_entry_does_not_tie_with_zero(self):
+        # Found by hypothesis: while ratios within an absolute 1e-10 tied,
+        # the ratio 1e-10 tied with 0, Bland's rule left on the wrong row,
+        # and the minimum came out 1.0 with 1e-10 on the zero-mass row.
+        cols = np.array([1e-10, 1.0]) / (1.0 + 1e-10)
+        sol = solve(TransportProblem(np.outer([1.0, 2.0], [0.0, 1.0]),
+                                     [1.0, 0.0], cols, sense="min"))
+        assert sol.status == "optimal"
+        assert sol.value == pytest.approx(0.9999999999, rel=1e-12, abs=0)
+        np.testing.assert_array_equal(sol.theta[1], [0.0, 0.0])
+
+
 def _canonical_problems():
     """Rank-one EWAC costs of both builtin paths at several fairness
     levels, and random costs, under the pm and cs masks."""

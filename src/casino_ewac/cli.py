@@ -22,10 +22,9 @@ import sys
 
 import numpy as np
 
-from casino_ewac.engine import (InfeasibleMaskError, _path_objective,
-                                copula_pmf, cs_mask, ewac_bounds,
-                                ewac_of_theta, inhomogeneous_bounds,
-                                naive_ewac, pm_mask)
+from casino_ewac.engine import (InfeasibleMaskError, _bounds_report,
+                                _copulas, _path_objective, copula_pmf,
+                                cs_mask, ewac_bounds, naive_ewac, pm_mask)
 from casino_ewac.hmm import HmmModel, ZeroLikelihoodError, canonical_model, smooth
 from casino_ewac.paths import PATH_1, PATH_2
 from casino_ewac.sweeps import (ETA_SWEEP_COLUMNS, HORIZON_SWEEP_COLUMNS,
@@ -88,9 +87,23 @@ def _csv(header, columns=None, rows=None):
     return "\n".join(lines) + "\n"
 
 
+def _number(value, key, cast=float):
+    """A flag string or JSON config value as ``cast`` (float or int); null,
+    booleans, containers and, for int, numbers with a fractional part raise
+    a ValueError that names ``key``."""
+    if type(value) in (str, int, float) and (
+            cast is float or type(value) is not float or value.is_integer()):
+        try:
+            return cast(value)
+        except (ValueError, OverflowError):
+            pass
+    kind = "an integer" if cast is int else "a number"
+    raise ValueError(f"{key} must be {kind}, got {value!r}")
+
+
 def _parse_path(spec):
     if isinstance(spec, (list, tuple)):
-        return [int(v) for v in spec]
+        return [_number(v, "path", int) for v in spec]
     if not isinstance(spec, str):
         raise ValueError(f"cannot read an observation path from {spec!r}")
     if spec == "builtin:1":
@@ -117,13 +130,12 @@ def _parse_path(spec):
         raise
 
 
-def _parse_grid(spec, cast=float):
-    if isinstance(spec, (list, tuple)):
-        return [cast(v) for v in spec]
-    try:
-        return [cast(tok) for tok in str(spec).split(",") if tok]
-    except ValueError as exc:
-        raise ValueError(f"bad grid {spec!r}: {exc}") from None
+def _parse_grid(spec, key, cast=float):
+    if isinstance(spec, str):
+        spec = [tok for tok in spec.split(",") if tok]
+    elif not isinstance(spec, (list, tuple)):
+        spec = [spec]
+    return [_number(v, key, cast) for v in spec]
 
 
 # Config keys each subcommand accepts (besides those shared by all).
@@ -159,11 +171,11 @@ def _load_config(path, command):
     return config
 
 
-def _option(args, config, key, default=None):
+def _option(args, config, key, default=None, cast=None):
     value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    return config.get(key, default)
+    if value is None:
+        value = config.get(key, default)
+    return value if cast is None else _number(value, key, cast)
 
 
 def _resolve_model(args, config):
@@ -174,7 +186,7 @@ def _resolve_model(args, config):
             "specify the model exactly one way: --eta (or config 'eta') for "
             "the canonical casino, or a config 'model' object")
     if eta is not None:
-        return canonical_model(float(eta))
+        return canonical_model(_number(eta, "eta"))
     for key in ("p", "Q", "E", "w"):
         if key not in spec:
             raise ValueError(f"config model is missing field {key!r}")
@@ -196,25 +208,14 @@ def _cmd_bounds(args, config):
     model = _resolve_model(args, config)
     obs = _parse_path(_option(args, config, "path", "builtin:1"))
     objective, _ = _path_objective(model, obs)
-    plain = ewac_bounds(objective)
-    loose = inhomogeneous_bounds(objective)
-    report = {
-        "lb": plain.lb, "ub": plain.ub,
-        "lb_cs": None, "ub_cs": None,
-        "lb_inhom": loose.lb, "ub_inhom": loose.ub,
-        "naive": naive_ewac(model, obs),
-        "theta_lb": plain.theta_lb, "theta_ub": plain.theta_ub,
-    }
+    mask = None
     try:
         mask = cs_mask(model.emission)
     except ValueError:
         log.info("fair die is not uniform; skipping the cs bounds")
-    else:
-        tied = ewac_bounds(objective, mask, tag="cs")
-        report["lb_cs"], report["ub_cs"] = tied.lb, tied.ub
-    for kind in ("independence", "comonotonic", "countermonotonic"):
-        report[f"ewac_{kind}"] = ewac_of_theta(objective,
-                                               copula_pmf(model, kind))
+    plain, report = _bounds_report(objective, _copulas(model), mask)
+    report.update(naive=naive_ewac(model, obs), theta_lb=plain.theta_lb,
+                  theta_ub=plain.theta_ub)
     _write_text(_option(args, config, "out"),
                 json.dumps(_json_ready(report), indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -223,7 +224,7 @@ def _cmd_bounds(args, config):
 def _cmd_sweep_eta(args, config):
     obs = _parse_path(_option(args, config, "path", "builtin:1"))
     grid = _option(args, config, "grid")
-    rows = eta_sweep(obs, None if grid is None else _parse_grid(grid))
+    rows = eta_sweep(obs, None if grid is None else _parse_grid(grid, "grid"))
     _write_text(_option(args, config, "out"),
                 _csv(ETA_SWEEP_COLUMNS, rows=rows))
     return EXIT_OK
@@ -235,14 +236,14 @@ def _cmd_sweep_horizon(args, config):
         raise ValueError("sweep-horizon needs --eta (or config 'eta')")
     t_grid = _option(args, config, "t_grid")
     if t_grid is not None:
-        t_grid = _parse_grid(t_grid, int)
+        t_grid = _parse_grid(t_grid, "t_grid", int)
     else:
         t_grid = default_horizon_grid(
-            int(_option(args, config, "t_min", 10)),
-            int(_option(args, config, "t_max", 100_000)),
-            int(_option(args, config, "t_points", 25)))
-    rows = horizon_sweep(float(eta), t_grid,
-                         int(_option(args, config, "seed", 0)))
+            _option(args, config, "t_min", 10, int),
+            _option(args, config, "t_max", 100_000, int),
+            _option(args, config, "t_points", 25, int))
+    rows = horizon_sweep(_number(eta, "eta"), t_grid,
+                         _option(args, config, "seed", 0, int))
     _write_text(_option(args, config, "out"),
                 _csv(HORIZON_SWEEP_COLUMNS, rows=rows))
     return EXIT_OK
@@ -271,8 +272,8 @@ def _cmd_wac_dist(args, config):
     else:
         theta = copula_pmf(model, kind)
     wac = sample_wac(model, obs, theta,
-                     int(_option(args, config, "samples", 10_000)),
-                     int(_option(args, config, "seed", 0)),
+                     _option(args, config, "samples", 10_000, int),
+                     _option(args, config, "seed", 0, int),
                      filtered=alpha).wac
     _write_text(_option(args, config, "out"),
                 _csv(("sample", "wac"), (range(1, wac.size + 1), wac.tolist())))
@@ -281,10 +282,9 @@ def _cmd_wac_dist(args, config):
 
 def _cmd_copulas(args, config):
     model = _resolve_model(args, config)
-    report = {kind: copula_pmf(model, kind)
-              for kind in ("independence", "comonotonic", "countermonotonic")}
     _write_text(_option(args, config, "out"),
-                json.dumps(_json_ready(report), indent=2, sort_keys=True) + "\n")
+                json.dumps(_json_ready(_copulas(model)), indent=2,
+                           sort_keys=True) + "\n")
     return EXIT_OK
 
 

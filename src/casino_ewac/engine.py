@@ -4,14 +4,15 @@ The unknown is the joint probability mass function theta(i, j) of one fair
 roll and one biased roll, constrained to the transportation polytope whose
 row sums are the fair die and whose column sums are the biased die.  Given
 smoothed state posteriors, the conditional expectation of the winnings a
-gambler would have seen had the casino stayed fair is affine in theta, so
-both extremes over the polytope are linear programs.  Their cost w_i * f_j
+gambler would have seen had the casino stayed fair is affine in theta; the
+EWAC, observed winnings minus it, sees the path only through its K
+per-face biased masses, and both its extremes are linear programs.  Their cost w_i * f_j
 is rank one with increasing payoffs w, so without a mask both optima are
 north-west-corner fills against the biased faces sorted by f (Hoffman 1963;
 Cambanis, Simons and Stout 1976); the simplex serves the masked sets.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,35 +51,34 @@ class InfeasibleMaskError(ValueError):
 class EwacObjective:
     """Cached affine form of the EWAC as a function of theta.
 
-    ewac(theta) = w_obs - fair_term - sum_ij coeff[i, j] * theta[i, j]
+    ewac(theta) = constant - sum_ij coeff[i, j] * theta[i, j]
 
-    where coeff[i, j] = rewards[i] * factor[j], and factor[j] is the total
-    smoothed biased-state mass on periods that observed face j + 1, divided
-    by the biased emission probability of that face.
+    The path enters only through its K per-face biased masses m_j, the
+    smoothed biased-state probability summed over the periods that
+    observed face j + 1: constant = sum_j m_j * rewards[j], coeff[i, j] =
+    rewards[i] * factor[j] and factor[j] = m_j / e_b[j].
 
     Attributes:
-        w_obs: total observed winnings.
-        fair_term: sum over periods of P(fair | obs) times the observed payoff.
+        constant: expected observed winnings of the biased periods.
         rewards: (K,) payoff per face, strictly increasing.
         factor: (K,) per-face factor, non-negative.
         row_marginals: fair emission row (required row sums of theta).
         col_marginals: biased emission row (required column sums of theta).
     """
 
-    w_obs: float
-    fair_term: float
+    constant: float
     rewards: np.ndarray
     factor: np.ndarray
     row_marginals: np.ndarray
     col_marginals: np.ndarray
 
     @property
-    def constant(self):
-        return self.w_obs - self.fair_term
-
-    @property
     def coeff(self):
         return np.outer(self.rewards, self.factor)
+
+    def ewac(self, theta):
+        """The EWAC at theta, unchecked; ``ewac_of_theta`` validates."""
+        return self.constant - float(np.sum(self.coeff * theta))
 
 
 @dataclass(frozen=True)
@@ -119,19 +119,15 @@ def ewac_objective(model, obs, delta):
         raise ValueError(
             f"delta must have shape ({o.size}, 2), got {delta.shape}")
     k = model.num_symbols
-    w = model.rewards
-    mass = np.column_stack([np.bincount(o, weights=d, minlength=k)
-                            for d in delta.T])
-    # Sums over periods, in path order, for the two totals.
-    return replace(_face_objective(model, np.bincount(o, minlength=k), mass),
-                   w_obs=float(w[o].sum()),
-                   fair_term=float((delta[:, FAIR] * w[o]).sum()))
+    return _face_objective(model, np.bincount(o, minlength=k),
+                           np.bincount(o, weights=delta[:, BIASED],
+                                       minlength=k))
 
 
 def _face_objective(model, counts, mass):
-    """The objective from face counts n and per-face posterior masses
-    (K, 2): w_obs = n.w, fair_term = sum_j mass[j, 0] w_j and factor_j =
-    mass[j, 1] / e_b[j].  Raises as ``ewac_objective`` does."""
+    """The objective from (K,) per-face biased masses, constant = mass.w
+    and factor = mass / e_b; face ``counts`` serve the check, which raises
+    as in ``ewac_objective``."""
     w = model.rewards
     e_biased = model.emission[BIASED]
     conflict = (counts > 0) & (e_biased == 0.0)
@@ -140,11 +136,9 @@ def _face_objective(model, counts, mass):
         raise ValueError(
             f"face {face} was observed but has zero biased emission "
             "probability; cannot condition the biased roll on it")
-    factor = np.divide(mass[:, BIASED], e_biased,
-                       out=np.zeros(w.size), where=e_biased > 0)
-    return EwacObjective(w_obs=float(counts @ w),
-                         fair_term=float(mass[:, FAIR] @ w),
-                         rewards=w, factor=factor,
+    factor = np.divide(mass, e_biased, out=np.zeros(w.size),
+                       where=e_biased > 0)
+    return EwacObjective(constant=float(mass @ w), rewards=w, factor=factor,
                          row_marginals=model.emission[FAIR].copy(),
                          col_marginals=e_biased.copy())
 
@@ -161,8 +155,8 @@ def _path_objective(model, obs):
         return ewac_objective(model, obs, delta), alpha
     table, first = iid
     counts = np.bincount(o, minlength=model.num_symbols)
-    mass = counts[:, None] * table
-    mass[o[0]] += first - table[o[0]]
+    mass = counts * table[:, BIASED]
+    mass[o[0]] += first[BIASED] - table[o[0], BIASED]
     return _face_objective(model, counts, mass), None
 
 
@@ -186,9 +180,8 @@ def validate_joint_pmf(theta, row_marginals, col_marginals, atol=_PMF_ATOL):
 
 def ewac_of_theta(objective, theta, atol=_PMF_ATOL):
     """Evaluate the EWAC at one joint PMF."""
-    theta = validate_joint_pmf(theta, objective.row_marginals,
-                               objective.col_marginals, atol)
-    return objective.constant - float(np.sum(objective.coeff * theta))
+    return objective.ewac(validate_joint_pmf(
+        theta, objective.row_marginals, objective.col_marginals, atol))
 
 
 def _nw_fill(rows, cols):
@@ -234,9 +227,7 @@ def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
         for theta, cols in ((hi, order), (lo, order[::-1])):
             theta[:, cols] = _nw_fill(objective.row_marginals,
                                       objective.col_marginals[cols])
-        coeff = objective.coeff
-        return EwacBounds(lb=objective.constant - float(np.sum(coeff * hi)),
-                          ub=objective.constant - float(np.sum(coeff * lo)),
+        return EwacBounds(lb=objective.ewac(hi), ub=objective.ewac(lo),
                           theta_lb=hi, theta_ub=lo, constraint_tag=tag)
     problem = dict(costs=objective.coeff, row_targets=objective.row_marginals,
                    col_targets=objective.col_marginals, zero_mask=zero_mask)
@@ -246,10 +237,8 @@ def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
         raise InfeasibleMaskError(
             f"constraint set {tag!r} ({len(zero_mask)} forced zeros) admits "
             "no joint PMF with the required marginals")
-    return EwacBounds(lb=objective.constant - hi.value,
-                      ub=objective.constant - lo.value,
-                      theta_lb=hi.theta, theta_ub=lo.theta,
-                      constraint_tag=tag,
+    return EwacBounds(objective.ewac(hi.theta), objective.ewac(lo.theta),
+                      hi.theta, lo.theta, constraint_tag=tag,
                       iterations=(hi.iterations, lo.iterations))
 
 
@@ -311,9 +300,7 @@ def inhomogeneous_bounds(objective):
     caps, totals = objective.row_marginals, objective.col_marginals
     best = np.hstack([_nw_fill(caps[::-1], [s])[::-1] for s in totals])
     worst = np.hstack([_nw_fill(caps, [s]) for s in totals])
-    lb = objective.constant - float(np.sum(objective.coeff * best))
-    ub = objective.constant - float(np.sum(objective.coeff * worst))
-    return EwacBounds(lb=lb, ub=ub, theta_lb=None, theta_ub=None,
+    return EwacBounds(objective.ewac(best), objective.ewac(worst), None, None,
                       constraint_tag="inhomogeneous")
 
 
@@ -340,6 +327,27 @@ def copula_pmf(model, kind):
         f"'countermonotonic', got {kind!r}")
 
 
+def _copulas(model):
+    """The three benchmark couplings by kind, each validated once."""
+    return {kind: validate_joint_pmf(copula_pmf(model, kind), *model.emission)
+            for kind in ("independence", "comonotonic", "countermonotonic")}
+
+
+def _bounds_report(objective, copulas, mask=None):
+    """(plain bounds, report): lb/ub, lb_cs/ub_cs (None without a cs
+    ``mask``), lb_inhom/ub_inhom and ewac_<kind> at each ``_copulas``."""
+    plain = ewac_bounds(objective)
+    tied = None if mask is None else ewac_bounds(objective, mask, tag="cs")
+    loose = inhomogeneous_bounds(objective)
+    report = {"lb": plain.lb, "ub": plain.ub,
+              "lb_cs": None if tied is None else tied.lb,
+              "ub_cs": None if tied is None else tied.ub,
+              "lb_inhom": loose.lb, "ub_inhom": loose.ub}
+    for kind, theta in copulas.items():
+        report[f"ewac_{kind}"] = objective.ewac(theta)
+    return plain, report
+
+
 def naive_ewac(model, obs):
     """Observed winnings minus the unconditional fair expectation.
 
@@ -348,7 +356,7 @@ def naive_ewac(model, obs):
     """
     o = as_symbol_indices(model, obs)
     w = model.rewards
-    return float(w[o].sum() - o.size * (w.sum() / model.num_symbols))
+    return float(w[o].sum() - o.size * (model.emission[FAIR] @ w))
 
 
 def stationary(model):
@@ -374,6 +382,5 @@ def asymptotic_ewac_rate(model):
     and fair expected payoffs.
     """
     pi = stationary(model)
-    w = model.rewards
-    biased_mean = float(model.emission[BIASED] @ w)
-    return pi[BIASED] * (biased_mean - w.sum() / model.num_symbols)
+    fair_mean, biased_mean = model.emission @ model.rewards
+    return pi[BIASED] * (biased_mean - fair_mean)

@@ -10,11 +10,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from casino_ewac.engine import (_face_objective, _path_objective,
-                                copula_pmf, cs_mask, ewac_bounds,
-                                ewac_of_theta, inhomogeneous_bounds,
+from casino_ewac.engine import (_bounds_report, _copulas, _face_objective,
+                                _path_objective, cs_mask, ewac_bounds,
                                 naive_ewac, validate_joint_pmf)
-from casino_ewac.hmm import (_backward_sample, _face_posteriors,
+from casino_ewac.hmm import (BIASED, _backward_sample, _face_posteriors,
                              _forward_filter, _iid_posteriors,
                              as_symbol_indices, canonical_model, simulate)
 
@@ -194,22 +193,15 @@ def eta_sweep(obs, eta_grid=None):
     counts = np.bincount(as_symbol_indices(model, obs),
                          minlength=model.num_symbols)
     priors = np.column_stack([eta_grid, 1.0 - eta_grid])
-    masses = counts[:, None] * _face_posteriors(priors, model.emission)
-    copulas = {kind: copula_pmf(model, kind)
-               for kind in ("independence", "comonotonic", "countermonotonic")}
+    masses = counts * _face_posteriors(priors, model.emission)[..., BIASED]
+    copulas = _copulas(model)
     mask = cs_mask(model.emission)
     naive = naive_ewac(model, obs)
     rows = []
     for eta, mass in zip(eta_grid.tolist(), masses):
-        objective = _face_objective(model, counts, mass)
-        plain = ewac_bounds(objective)
-        tied = ewac_bounds(objective, mask, tag="cs")
-        loose = inhomogeneous_bounds(objective)
-        rows.append(SweepRow(
-            eta=eta, lb=plain.lb, ub=plain.ub, lb_cs=tied.lb, ub_cs=tied.ub,
-            lb_inhom=loose.lb, ub_inhom=loose.ub, naive=naive,
-            **{f"ewac_{kind}": ewac_of_theta(objective, theta)
-               for kind, theta in copulas.items()}))
+        _, report = _bounds_report(_face_objective(model, counts, mass),
+                                   copulas, mask)
+        rows.append(SweepRow(eta=eta, naive=naive, **report))
     return rows
 
 

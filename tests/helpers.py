@@ -14,11 +14,14 @@ one multinomial, consuming the same random numbers in the same order as
 the library; for an i.i.d. chain they draw each face's binomial count and
 period 1's uniform one scalar at a time instead.  The loss moments of an
 i.i.d. chain come in closed form, and its exact distribution, for integer
-payoffs, by convolving the per-period ones.  ``iid_cases`` generates
-i.i.d. models for hypothesis.
+payoffs, by convolving the per-period ones.  ``exact_canonical_values``
+recomputes the canonical casino's bounds and coupling values in exact
+rationals.  ``iid_cases`` generates i.i.d. models for hypothesis.
 """
 
 import itertools
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -333,6 +336,65 @@ def north_west_corner(rows, cols):
         else:
             j += 1
     return theta
+
+
+def exact_fill(rows, cols):
+    """North-west-corner fill in exact rational arithmetic."""
+    rows, cols = list(rows), list(cols)
+    theta = np.zeros((len(rows), len(cols)), dtype=object)
+    i = j = 0
+    while i < len(rows) and j < len(cols):
+        take = min(rows[i], cols[j])
+        theta[i, j] = take
+        rows[i] -= take
+        cols[j] -= take
+        i, j = i + (rows[i] == 0), j + (cols[j] == 0)
+    return theta
+
+
+def exact_canonical_values(eta, obs):
+    """lb, ub and ewac_<kind> of the canonical casino on ``obs`` as exact
+    rationals of the model's floats: Bayes' rule per face, biased masses
+    n_j p_j, and fills of the fair die against the biased faces sorted by
+    factor (ascending for lb, descending for ub), in face order
+    (comonotonic) and reversed (countermonotonic)."""
+    from casino_ewac import canonical_model
+
+    model = canonical_model(eta)
+    q_fair, q_biased = map(Fraction, model.transition[0].tolist())
+    e_fair, e_biased = ([Fraction(x) for x in row]
+                        for row in model.emission.tolist())
+    w = [Fraction(x) for x in model.rewards.tolist()]
+    k = len(w)
+    counts = np.bincount(np.asarray(obs) - 1, minlength=k).tolist()
+    mass = [n * q_biased * b / (q_fair * f + q_biased * b)
+            for n, f, b in zip(counts, e_fair, e_biased)]
+    factor = [m / b for m, b in zip(mass, e_biased)]
+    constant = sum(m * x for m, x in zip(mass, w))
+
+    def ewac(theta):
+        return constant - sum(w[i] * factor[j] * theta[i, j]
+                              for i in range(k) for j in range(k))
+
+    def fill(order):
+        theta = np.zeros((k, k), dtype=object)
+        theta[:, order] = exact_fill(e_fair, [e_biased[j] for j in order])
+        return theta
+
+    order = sorted(range(k), key=factor.__getitem__)
+    return {"lb": ewac(fill(order)), "ub": ewac(fill(order[::-1])),
+            "ewac_independence": ewac(np.outer(e_fair, e_biased)),
+            "ewac_comonotonic": ewac(fill(list(range(k)))),
+            "ewac_countermonotonic": ewac(fill(list(range(k))[::-1]))}
+
+
+def round12(value):
+    """A rational rounded once to the 12 significant digits the CLI
+    prints, as the float the printed text reads back as."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        decimal = Decimal(value.numerator) / Decimal(value.denominator)
+        return float(f"{decimal:.12g}")
 
 
 def closed_form_extremes(model, obs, delta):

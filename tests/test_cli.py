@@ -13,10 +13,10 @@ import pytest
 
 import casino_ewac.cli
 from casino_ewac import engine, hmm, sweeps
-from casino_ewac import canonical_model, eta_sweep, smooth
+from casino_ewac import canonical_model, eta_sweep, simulate, smooth
 from casino_ewac.cli import (EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                              EXIT_USAGE, PATH_1, PATH_2, main)
-from helpers import sticky_model
+from helpers import exact_canonical_values, round12, sticky_model
 
 
 def run(*argv):
@@ -326,6 +326,32 @@ class TestGoldenOutputs:
                    "--out", str(out)) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    # Near eta = 1 the biased masses are tiny, and a constant formed as the
+    # observed winnings minus the fair term cancels to a few digits; the
+    # sum of the biased masses times the payoffs keeps all 12 printed.
+    @pytest.mark.parametrize("path,obs", [("builtin:1", PATH_1),
+                                          ("builtin:2", PATH_2)])
+    @pytest.mark.parametrize("eta", [0.99999, 1 - 1e-7, 1 - 1e-5 / 3])
+    def test_near_fair_bounds_are_the_exact_values(self, path, obs, eta,
+                                                   tmp_path):
+        out = tmp_path / "bounds.json"
+        assert run("bounds", "--eta", repr(eta), "--path", path,
+                   "--out", str(out)) == EXIT_OK
+        report = json.loads(out.read_text())
+        for key, value in exact_canonical_values(eta, obs).items():
+            assert report[key] == round12(value), key
+
+    def test_horizon_row_is_the_exact_value(self, tmp_path):
+        # lb of 16 periods is about 1e-3 of the terms it sums.
+        out = tmp_path / "horizon.csv"
+        assert run("sweep-horizon", "--eta", "0.9", "--t-max", "1000000",
+                   "--seed", "2", "--out", str(out)) == EXIT_OK
+        row = next(line.split(",") for line in out.read_text().splitlines()
+                   if line.startswith("16,"))
+        _, obs = simulate(canonical_model(0.9), 1_000_000, 2)
+        exact = exact_canonical_values(0.9, obs[:16])["lb"] / 16
+        assert float(row[1]) == round12(exact) == -0.000345032543689
+
     @pytest.mark.parametrize("eta", ["0.5", "0.99999", "0.2"])
     def test_smooth_csv_is_the_exact_count_formula(self, eta, tmp_path):
         # Bayes' rule per face in exact rationals of the model's floats,
@@ -386,6 +412,54 @@ class TestConfigHandling:
         lines = capsys.readouterr().out.splitlines()
         # eta 0 pins the biased state; the config eta of 1 would pin fair.
         assert lines[1] == "1,0,1"
+
+    # Config values reach the library converted strictly: the same value
+    # as a flag is a usage error, so it must not be truncated to an
+    # integer or end in a TypeError.
+    @pytest.mark.parametrize("command,config,key", [
+        ("wac-dist", {"eta": 0.5, "samples": 2.7, "seed": 1}, "samples"),
+        ("wac-dist", {"eta": 0.5, "samples": 5, "seed": 1.9}, "seed"),
+        ("wac-dist", {"eta": 0.5, "samples": None}, "samples"),
+        ("wac-dist", {"eta": 0.5, "samples": True}, "samples"),
+        ("sweep-horizon", {"eta": 0.5, "t_grid": [10, 100.7, True]},
+         "t_grid"),
+        ("sweep-horizon", {"eta": 0.5, "t_grid": [10, True]}, "t_grid"),
+        ("sweep-horizon", {"eta": [0.5]}, "eta"),
+        ("sweep-horizon", {"eta": 0.5, "t_max": {}}, "t_max"),
+        ("sweep-horizon", {"eta": 0.5, "t_points": "many"}, "t_points"),
+        ("smooth", {"eta": 0.5, "path": [1, 2.5, 6, True]}, "path"),
+        ("smooth", {"eta": 0.5, "path": [1, 6, True]}, "path"),
+        ("bounds", {"eta": False}, "eta"),
+        ("sweep-eta", {"path": [0.5, None]}, "path"),
+        ("sweep-eta", {"grid": [0.5, None]}, "grid"),
+        ("sweep-eta", {"grid": [[0.5]]}, "grid"),
+    ])
+    def test_bad_config_values_name_the_key(self, command, config, key,
+                                            tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert run(command, "--config", str(path),
+                   "--out", str(tmp_path / "out")) == EXIT_USAGE
+        assert f"error: {key} must be" in capsys.readouterr().err
+
+    def test_integral_config_floats_equal_flags(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"eta": 0.5, "t_min": 10.0, "t_max": 1e3,
+                                      "t_points": 5.0, "seed": 3.0}))
+        out_flags = tmp_path / "flags.csv"
+        out_config = tmp_path / "config.csv"
+        assert run("sweep-horizon", "--eta", "0.5", "--t-min", "10",
+                   "--t-max", "1000", "--t-points", "5", "--seed", "3",
+                   "--out", str(out_flags)) == EXIT_OK
+        assert run("sweep-horizon", "--config", str(config),
+                   "--out", str(out_config)) == EXIT_OK
+        assert out_flags.read_bytes() == out_config.read_bytes()
+        config.write_text(json.dumps({"eta": 0.5, "path": [1.0, 2, 6.0]}))
+        assert run("smooth", "--config", str(config),
+                   "--out", str(out_config)) == EXIT_OK
+        assert run("smooth", "--eta", "0.5", "--path", "1,2,6",
+                   "--out", str(out_flags)) == EXIT_OK
+        assert out_flags.read_bytes() == out_config.read_bytes()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.json"

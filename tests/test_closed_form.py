@@ -22,7 +22,8 @@ from casino_ewac import (BIASED, FAIR, FEASIBILITY_TOL, PATH_1, EwacObjective,
                          HmmModel, TransportProblem, canonical_model, cs_mask,
                          ewac_bounds, ewac_objective, inhomogeneous_bounds,
                          smooth, solve, validate_joint_pmf)
-from helpers import enumerate_transport_optimum, random_small_model
+from helpers import (enumerate_transport_optimum, exact_fill,
+                     random_small_model)
 
 REL_TOL = 1e-12
 # Fixed examples keep the suite deterministic from run to run.
@@ -78,8 +79,8 @@ def objectives(draw):
     factor = np.array(draw(st.lists(
         st.sampled_from([0.0, 1.0, 7.5]) | st.floats(0.0, 50.0),
         min_size=k, max_size=k)))
-    return EwacObjective(w_obs=draw(st.floats(0.0, 100.0)),
-                         fair_term=draw(st.floats(0.0, 100.0)),
+    return EwacObjective(constant=(draw(st.floats(0.0, 100.0))
+                                   - draw(st.floats(0.0, 100.0))),
                          rewards=rewards, factor=factor,
                          row_marginals=_probabilities(draw, k, zeros=True),
                          col_marginals=_probabilities(draw, k, zeros=True))
@@ -126,7 +127,7 @@ class TestAgainstTheSimplex:
 
     @PROPERTY
     @given(objectives())
-    @example(EwacObjective(w_obs=0.0, fair_term=0.0,
+    @example(EwacObjective(constant=0.0,
                            rewards=np.arange(1.0, 5.0),
                            factor=np.array([0.0, 0.0, 3.0, 1e-8]),
                            row_marginals=np.array([0.0, 0.0, 0.5, 0.5]),
@@ -159,20 +160,6 @@ class TestAgainstTheSimplex:
         _assert_feasible(pair, obj)
 
 
-def _exact_fill(rows, cols):
-    """North-west-corner fill in exact rational arithmetic."""
-    rows, cols = list(rows), list(cols)
-    theta = np.zeros((len(rows), len(cols)), dtype=object)
-    i = j = 0
-    while i < len(rows) and j < len(cols):
-        take = min(rows[i], cols[j])
-        theta[i, j] = take
-        rows[i] -= take
-        cols[j] -= take
-        i, j = i + (rows[i] == 0), j + (cols[j] == 0)
-    return theta
-
-
 class TestFillRounding:
     def test_rows_and_columns_ending_together_leave_exact_zeros(self):
         # Under some orders of the canonical biased faces (1,2 then 6,5:
@@ -185,12 +172,12 @@ class TestFillRounding:
             order = np.array(order)
             factor = np.empty(6)
             factor[order] = np.arange(6.0)
-            obj = EwacObjective(w_obs=0.0, fair_term=0.0,
+            obj = EwacObjective(constant=0.0,
                                 rewards=model.rewards, factor=factor,
                                 row_marginals=model.emission[FAIR],
                                 col_marginals=model.emission[BIASED])
             exact = np.zeros((6, 6))
-            exact[:, order] = _exact_fill(
+            exact[:, order] = exact_fill(
                 exact_rows, [Fraction(int(j) + 1, 21) for j in order])
             theta = ewac_bounds(obj).theta_lb
             np.testing.assert_array_equal(theta == 0.0, exact == 0.0,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casino_ewac import (BIASED, FAIR, HmmModel, InfeasibleMaskError, PATH_1,
                          PATH_2, asymptotic_ewac_rate, canonical_model,
@@ -23,23 +24,40 @@ def _objective(eta, obs):
 
 class TestObjective:
     def test_observed_totals(self):
-        _, obj = _objective(0.5, PATH_1)
-        assert obj.w_obs == 105.0
-        _, obj = _objective(0.5, PATH_2)
-        assert obj.w_obs == 125.0
+        # At eta = 0 every period is biased, so the constant is the
+        # observed winnings.
+        _, obj = _objective(0.0, PATH_1)
+        assert obj.constant == 105.0
+        _, obj = _objective(0.0, PATH_2)
+        assert obj.constant == 125.0
 
     def test_always_biased_coefficients(self):
         # At eta = 0 the biased mass per face is just its count.
         model, obj = _objective(0.0, PATH_2)
-        assert obj.fair_term == 0.0
         counts = np.bincount(np.asarray(PATH_2) - 1, minlength=6)
         expected = np.outer(model.rewards, counts / model.emission[BIASED])
         np.testing.assert_allclose(obj.coeff, expected, atol=1e-9)
 
     def test_always_fair_coefficients_vanish(self):
         _, obj = _objective(1.0, PATH_1)
-        assert obj.fair_term == obj.w_obs
+        assert obj.constant == 0.0
         np.testing.assert_array_equal(obj.coeff, np.zeros((6, 6)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(2, 7), st.integers(0, 2**32 - 1), st.integers(1, 300))
+    def test_constant_is_the_per_period_biased_winnings(self, k, seed, size):
+        # Markov chains, so the posterior varies from period to period:
+        # the per-face masses sum the same T terms as the per-period loop.
+        rng = np.random.default_rng(seed)
+        model = random_small_model(rng, k)
+        obs = rng.integers(1, k + 1, size=size)
+        delta = smooth(model, obs)
+        per_period = 0.0
+        for t, face in enumerate(obs):
+            per_period += delta[t, BIASED] * model.rewards[face - 1]
+        tol = 4 * size * np.finfo(float).eps * size * model.rewards.max()
+        assert ewac_objective(model, obs, delta).constant == pytest.approx(
+            per_period, rel=0, abs=tol)
 
     def test_shape_mismatch_rejected(self):
         model = canonical_model(0.5)
@@ -67,10 +85,8 @@ class TestFaceCountObjective:
         got, alpha = _path_objective(model, obs)
         assert alpha is None
         tol = 4 * len(obs) * np.finfo(float).eps * len(obs)
-        assert got.w_obs == pytest.approx(expected.w_obs, rel=0,
-                                          abs=tol * model.rewards.max())
-        assert got.fair_term == pytest.approx(expected.fair_term, rel=0,
-                                              abs=tol * model.rewards.max())
+        assert got.constant == pytest.approx(expected.constant, rel=0,
+                                             abs=tol * model.rewards.max())
         np.testing.assert_allclose(got.factor * model.emission[BIASED],
                                    expected.factor * model.emission[BIASED],
                                    rtol=0, atol=tol)
@@ -82,8 +98,7 @@ class TestFaceCountObjective:
         obs = np.random.default_rng(5).integers(1, 6, size=200)
         got, alpha = _path_objective(model, obs)
         expected = ewac_objective(model, obs, smooth(model, obs))
-        assert got.w_obs == expected.w_obs
-        assert got.fair_term == expected.fair_term
+        assert got.constant == expected.constant
         assert got.factor.tobytes() == expected.factor.tobytes()
         o = as_symbol_indices(model, obs)
         assert alpha.tobytes() == _forward_filter(model, o).tobytes()
@@ -106,6 +121,19 @@ class TestEwacOfTheta:
             obj = ewac_objective(model, obs, smooth(model, obs))
             assert ewac_of_theta(obj, theta) == pytest.approx(
                 brute_force_ewac(model, obs, theta), abs=1e-10)
+
+    def test_unchecked_form_equals_the_checked_one(self):
+        rng = np.random.default_rng(18)
+        for k in range(2, 8):
+            model = random_small_model(rng, k)
+            obs = rng.integers(1, k + 1, size=50)
+            obj = ewac_objective(model, obs, smooth(model, obs))
+            thetas = [copula_pmf(model, kind) for kind in
+                      ("independence", "comonotonic", "countermonotonic")]
+            thetas.append(random_feasible_theta(model.emission[FAIR],
+                                                model.emission[BIASED], rng))
+            for theta in thetas:
+                assert obj.ewac(theta) == ewac_of_theta(obj, theta)
 
     def test_bad_marginals_rejected(self):
         _, obj = _objective(0.5, PATH_1)
@@ -348,6 +376,15 @@ class TestScalarSummaries:
         model = canonical_model(0.123)  # eta does not matter
         assert naive_ewac(model, PATH_1) == 0.0
         assert naive_ewac(model, PATH_2) == 20.0
+
+    def test_identical_non_uniform_dice_attribute_nothing(self):
+        # Cheating with a copy of the fair die cannot move the payoffs,
+        # so both summaries charge the fair mean e_f . w, not the mean of w.
+        dice = [[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]]
+        model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], dice,
+                         [1.0, 2.0, 3.0])
+        assert asymptotic_ewac_rate(model) == 0.0
+        assert naive_ewac(model, [1, 1, 2, 3]) == 0.0
 
     def test_stationary_examples(self):
         np.testing.assert_allclose(

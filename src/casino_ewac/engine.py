@@ -6,10 +6,13 @@ row sums are the fair die and whose column sums are the biased die.  Given
 smoothed state posteriors, the conditional expectation of the winnings a
 gambler would have seen had the casino stayed fair is affine in theta; the
 EWAC, observed winnings minus it, sees the path only through its K
-per-face biased masses, and both its extremes are linear programs.  Their cost w_i * f_j
-is rank one with increasing payoffs w, so without a mask both optima are
-north-west-corner fills against the biased faces sorted by f (Hoffman 1963;
-Cambanis, Simons and Stout 1976); the simplex serves the masked sets.
+per-face biased masses, and both its extremes are linear programs.  Their
+cost w_i * f_j is rank one with increasing payoffs w, so without a mask
+both optima are north-west-corner fills against the biased faces sorted by
+f (Hoffman 1963; Cambanis, Simons and Stout 1976).  The pm mask, which for
+the canonical dice is also the cs mask, leaves the staircase j >= i, where
+both optima are greedy fills row by row in payoff order (Shamir and
+Dietrich 1990); the simplex serves every other mask.
 """
 
 from dataclasses import dataclass
@@ -18,7 +21,7 @@ import numpy as np
 
 from casino_ewac.hmm import (BIASED, FAIR, _forward_filter, _iid_posteriors,
                              _smooth_filtered, as_symbol_indices)
-from casino_ewac.transport import TransportProblem, solve
+from casino_ewac.transport import FEASIBILITY_TOL, TransportProblem, solve
 
 _UNIFORM_TOL = 1e-12
 _PMF_ATOL = 1e-8
@@ -52,6 +55,10 @@ class EwacObjective:
     """Cached affine form of the EWAC as a function of theta.
 
     ewac(theta) = constant - sum_ij coeff[i, j] * theta[i, j]
+                = sum_ij theta[i, j] * factor[j] * (rewards[j] - rewards[i])
+
+    where theta's columns sum to e_b.  ``ewac`` evaluates the second form,
+    which cancels no constant and, on the pm staircase, no term.
 
     The path enters only through its K per-face biased masses m_j, the
     smoothed biased-state probability summed over the periods that
@@ -78,7 +85,8 @@ class EwacObjective:
 
     def ewac(self, theta):
         """The EWAC at theta, unchecked; ``ewac_of_theta`` validates."""
-        return self.constant - float(np.sum(self.coeff * theta))
+        w = self.rewards
+        return float((theta * self.factor * (w - w[:, None])).sum())
 
 
 @dataclass(frozen=True)
@@ -87,10 +95,11 @@ class EwacBounds:
 
     ``theta_lb`` and ``theta_ub`` are None for the time-inhomogeneous
     relaxation, whose optimiser varies by period.  ``iterations`` counts
-    simplex pivots for the (lb, ub) solves of a masked set, each the whole
-    from-scratch path: the phase-one pivots, computed once per polytope
-    and reused, plus that solve's phase-two pivots.  The unmasked bounds
-    are two sorted north-west-corner fills and report (0, 0).
+    simplex pivots for the (lb, ub) solves of a mask other than pm, each
+    the whole from-scratch path: the phase-one pivots, computed once per
+    polytope and reused, plus that solve's phase-two pivots.  The
+    unmasked bounds (two sorted north-west-corner fills) and the pm
+    bounds (two staircase fills) run no simplex and report (0, 0).
     """
 
     lb: float
@@ -179,7 +188,8 @@ def validate_joint_pmf(theta, row_marginals, col_marginals, atol=_PMF_ATOL):
 
 
 def ewac_of_theta(objective, theta, atol=_PMF_ATOL):
-    """Evaluate the EWAC at one joint PMF."""
+    """Evaluate the EWAC at one joint PMF by ``EwacObjective.ewac``, whose
+    payoff-gap form agrees with constant - sum coeff * theta there."""
     return objective.ewac(validate_joint_pmf(
         theta, objective.row_marginals, objective.col_marginals, atol))
 
@@ -209,6 +219,47 @@ def _nw_fill(rows, cols):
     return theta
 
 
+def _staircase_fill(rows, cols, factor, sense):
+    """Optimal table on the pm staircase (theta[i, j] = 0 for j < i) for
+    sum_ij w_i f_j theta[i, j], w increasing; ``sense`` "max" or "min".
+
+    Row i, in payoff order, takes what is left of column i, which no later
+    row can serve, then fills the columns j > i in factor order (ascending
+    to maximise), its take above each m > i capped so that rows i+1..m can
+    still cover columns i+1..m (Hall's condition).  Optimality, for "max"
+    ("min" mirrors it): by Abel summation the form is w_max * sum_j f_j
+    cols_j - sum_i (w_{i+1} - w_i) G_i, G_i the f-mass of rows 0..i, so it
+    suffices to minimise every G_i at once.  The nested caps make each
+    row's choice a polymatroid, where the greedy minimises G_i (Edmonds
+    1970), and by submodularity dropping column i + 1 from the ground set
+    shrinks no other column's greedy share: the row steps minimise every
+    prefix together.  Remainders within rounding count as spent.
+    """
+    rows = np.asarray(rows, dtype=float)
+    cols = np.asarray(cols, dtype=float)
+    k = rows.size
+    order = np.argsort(factor, kind="stable")[::1 if sense == "max" else -1]
+    order = order.tolist()
+    tol = 2 * k * _EPS * max(rows.sum(), cols.sum())
+    stock = cols.tolist()
+    # room[m]: R(m) - S(m) less what the columns above m hold; row i's cap
+    # min(rest, room[m]) is rest - max(0, stock(i..m] - rows(i..m]).
+    room = (np.cumsum(rows) - np.cumsum(cols)).tolist()
+    theta = np.zeros((k, k))
+    for i, rest in enumerate(rows.tolist()):
+        take = theta[i, i] = min(rest, stock[i])
+        rest -= take
+        for j in [j for j in order if j > i]:
+            take = min(stock[j], rest, *room[i + 1:j])
+            if take > tol:
+                theta[i, j] = take
+                stock[j] -= take
+                rest -= take
+                for m in range(i + 1, j):
+                    room[m] -= take
+    return theta
+
+
 def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
     """Sharp EWAC bounds over the (optionally masked) polytope.
 
@@ -217,29 +268,37 @@ def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
     exactly.  Without a mask the maximiser is the north-west-corner fill
     against the biased faces sorted by factor ascending (stable), the
     minimiser the fill against them sorted descending, and no simplex runs.
+    Nor for ``pm_mask(K)``: two ``_staircase_fill`` calls, on a polytope
+    empty when the biased CDF passes the fair one by over FEASIBILITY_TOL.
 
     Raises:
         InfeasibleMaskError: if the mask empties the polytope.
     """
+    rows, cols, factor = (objective.row_marginals, objective.col_marginals,
+                          objective.factor)
+    feasible, iterations = True, (0, 0)
     if not zero_mask:
-        order = np.argsort(objective.factor, kind="stable")
+        order = np.argsort(factor, kind="stable")
         hi, lo = np.empty((2, order.size, order.size))
-        for theta, cols in ((hi, order), (lo, order[::-1])):
-            theta[:, cols] = _nw_fill(objective.row_marginals,
-                                      objective.col_marginals[cols])
-        return EwacBounds(lb=objective.ewac(hi), ub=objective.ewac(lo),
-                          theta_lb=hi, theta_ub=lo, constraint_tag=tag)
-    problem = dict(costs=objective.coeff, row_targets=objective.row_marginals,
-                   col_targets=objective.col_marginals, zero_mask=zero_mask)
-    lo = solve(TransportProblem(**problem, sense="min"))
-    hi = solve(TransportProblem(**problem, sense="max"))
-    if lo.status != "optimal" or hi.status != "optimal":
+        for theta, at in ((hi, order), (lo, order[::-1])):
+            theta[:, at] = _nw_fill(rows, cols[at])
+    elif frozenset(map(tuple, zero_mask)) == pm_mask(factor.size):
+        excess = np.cumsum(cols)[:-1] - np.cumsum(rows)[:-1]
+        feasible = excess.max(initial=0.0) <= FEASIBILITY_TOL
+        hi, lo = (_staircase_fill(rows, cols, factor, sense)
+                  for sense in ("max", "min"))
+    else:
+        lo, hi = (solve(TransportProblem(objective.coeff, rows, cols,
+                                         zero_mask, sense))
+                  for sense in ("min", "max"))
+        feasible = lo.status == hi.status == "optimal"
+        iterations, hi, lo = (hi.iterations, lo.iterations), hi.theta, lo.theta
+    if not feasible:
         raise InfeasibleMaskError(
             f"constraint set {tag!r} ({len(zero_mask)} forced zeros) admits "
             "no joint PMF with the required marginals")
-    return EwacBounds(objective.ewac(hi.theta), objective.ewac(lo.theta),
-                      hi.theta, lo.theta, constraint_tag=tag,
-                      iterations=(hi.iterations, lo.iterations))
+    return EwacBounds(objective.ewac(hi), objective.ewac(lo), hi, lo,
+                      constraint_tag=tag, iterations=iterations)
 
 
 def pm_mask(k):

@@ -3,7 +3,8 @@
 Nothing here calls the library's recursions or the simplex: smoothing and
 the cheating expectation are recomputed by exhaustive enumeration over
 hidden paths or by the vector form of the forward-backward recursion,
-small transport optima by enumerating basic solutions, and the unmasked
+small transport optima by enumerating basic solutions (for K <= 3 also in
+exact rationals, ``exact_transport_optimum``), and the unmasked
 EWAC extremes by the closed-form north-west-corner couplings.  The
 transport solver's pivot path is redone one tableau element and one row at
 a time, phase one included on every solve, with no cache.  The
@@ -125,6 +126,57 @@ def enumerate_transport_optimum(costs, row_targets, col_targets,
     if not values:
         return None
     return min(values), max(values)
+
+
+def _exact_solution(columns, b):
+    """The unique x with sum_c x_c * columns[c] = b, in Fractions, or None
+    when the columns are dependent or the system is inconsistent."""
+    rows = [[col[r] for col in columns] + [b[r]] for r in range(len(b))]
+    pivots = []
+    for c in range(len(columns)):
+        at = next((r for r in range(len(pivots), len(rows)) if rows[r][c]),
+                  None)
+        if at is None:
+            return None
+        rows[len(pivots)], rows[at] = rows[at], rows[len(pivots)]
+        top = rows[len(pivots)]
+        top[:] = [x / top[c] for x in top]
+        for r, row in enumerate(rows):
+            if r != len(pivots) and row[c]:
+                row[:] = [x - row[c] * y for x, y in zip(row, top)]
+        pivots.append(c)
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None
+    return [rows[n][-1] for n in range(len(pivots))]
+
+
+def exact_transport_optimum(costs, row_targets, col_targets,
+                            zero_mask=frozenset()):
+    """(min, max) of a transport LP with K <= 3 in exact rationals of the
+    float inputs, by basic-solution enumeration; None when infeasible.
+
+    Every vertex is the unique solution on a linearly independent set of
+    unmasked cells, so solving each such set exactly and keeping the
+    non-negative solutions visits every vertex with no tolerance at all.
+    """
+    k = len(row_targets)
+    assert k <= 3, "enumeration is exponential in K"
+    cells = [(i, j) for i in range(k) for j in range(k)
+             if (i, j) not in zero_mask]
+    c = [[Fraction(float(x)) for x in row] for row in np.asarray(costs)]
+    b = [Fraction(float(x)) for x in row_targets] + [
+        Fraction(float(x)) for x in col_targets]
+    # Row sums then column sums; balanced targets make one redundant, but
+    # exact elimination needs no rank argument.
+    unit = {(i, j): [Fraction(int(r == i)) for r in range(k)]
+            + [Fraction(int(r == j)) for r in range(k)] for i, j in cells}
+    values = []
+    for size in range(min(2 * k - 1, len(cells)) + 1):
+        for subset in itertools.combinations(cells, size):
+            x = _exact_solution([unit[cell] for cell in subset], b)
+            if x is not None and all(v >= 0 for v in x):
+                values.append(sum(c[i][j] * v for (i, j), v in zip(subset, x)))
+    return (min(values), max(values)) if values else None
 
 
 # The solver's tolerances: phase one's feasibility test, the pivot-column
@@ -419,6 +471,20 @@ def closed_form_extremes(model, obs, delta):
     return tuple(extremes)
 
 
+def dense_filter(model, obs):
+    """Filtered state probabilities, one normalised row per period, by
+    one numpy matrix product per period."""
+    o = np.asarray(obs, dtype=int) - 1
+    like = model.emission[:, o]
+    alpha = np.empty((o.size, 2))
+    a = model.initial * like[:, 0]
+    alpha[0] = a / a.sum()
+    for t in range(1, o.size):
+        a = (alpha[t - 1] @ model.transition) * like[:, t]
+        alpha[t] = a / a.sum()
+    return alpha
+
+
 def dense_smooth(model, obs):
     """Forward-backward smoothing with one numpy matrix product per period.
 
@@ -431,12 +497,7 @@ def dense_smooth(model, obs):
     like = model.emission[:, o]
     Q = model.transition
     T = o.size
-    alpha = np.empty((T, 2))
-    a = model.initial * like[:, 0]
-    alpha[0] = a / a.sum()
-    for t in range(1, T):
-        a = (alpha[t - 1] @ Q) * like[:, t]
-        alpha[t] = a / a.sum()
+    alpha = dense_filter(model, obs)
     delta = np.empty((T, 2))
     delta[T - 1] = alpha[T - 1]
     b = np.ones(2)

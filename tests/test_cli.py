@@ -13,10 +13,13 @@ import pytest
 
 import casino_ewac.cli
 from casino_ewac import engine, hmm, sweeps
-from casino_ewac import canonical_model, eta_sweep, simulate, smooth
+from casino_ewac import (TransportProblem, canonical_model, eta_sweep,
+                         ewac_bounds, ewac_objective, pm_mask, simulate,
+                         smooth, solve)
 from casino_ewac.cli import (EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                              EXIT_USAGE, PATH_1, PATH_2, main)
-from helpers import exact_canonical_values, round12, sticky_model
+from helpers import (dense_filter, dense_smooth, exact_canonical_values,
+                     loop_count_sample_wac, round12, sticky_model)
 
 
 def run(*argv):
@@ -325,6 +328,35 @@ class TestGoldenOutputs:
         assert run(*argv.split(), "--config", str(sticky_config(tmp_path)),
                    "--out", str(out)) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_markov_pm_lower_bound_draws_rederived(self):
+        # The digest above, from independent code: the pm maximiser is the
+        # simplex vertex (the staircase fill returns the same table, bit
+        # for bit), the draws at it come from the per-period loop oracle
+        # on the dense filter, and a writer of its own prints them.
+        model = sticky_model()
+        obj = ewac_objective(model, PATH_1, dense_smooth(model, PATH_1))
+        mask = pm_mask(6)
+        theta = solve(TransportProblem(obj.coeff, obj.row_marginals,
+                                       obj.col_marginals, mask, "max")).theta
+        assert theta.tobytes() == ewac_bounds(obj, mask).theta_lb.tobytes()
+        wac, _ = loop_count_sample_wac(model, dense_filter(model, PATH_1),
+                                       PATH_1, theta, 300, 5)
+        text = "sample,wac\n" + "".join(
+            "%d,%.12g\n" % (n, x) for n, x in enumerate(wac.tolist(), 1))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "155ec79c9f1a00af109d04373e0c746e5be80d9b2550c197f9530639d83e9fea")
+
+    def test_mid_level_lower_bound_is_the_exact_value(self, tmp_path):
+        # The EWAC summed as theta_ij f_j (w_j - w_i) keeps the 12th digit
+        # that constant - sum coeff * theta lost here (it printed ...111).
+        out = tmp_path / "bounds.json"
+        assert run("bounds", "--eta", "0.4", "--path", "builtin:1",
+                   "--out", str(out)) == EXIT_OK
+        report = json.loads(out.read_text())
+        exact = exact_canonical_values(0.4, PATH_1)
+        for key in ("lb", "ewac_countermonotonic"):
+            assert report[key] == round12(exact[key]) == 0.0450979941112
 
     # Near eta = 1 the biased masses are tiny, and a constant formed as the
     # observed winnings minus the fair term cancels to a few digits; the

@@ -1,11 +1,12 @@
-"""Closed-form unmasked bounds against the simplex and vertex enumeration.
+"""Closed-form bounds against the simplex and vertex enumeration.
 
-The unmasked bounds are two sorted north-west-corner fills.  The simplex in
-``casino_ewac.transport`` stays the independent oracle: on random models
-the values must agree with it, and with basic-solution enumeration at
-K = 3.  Tolerances scale with max|coeff|, the largest objective coefficient,
-since theta sums to one and every value is a convex combination of
-coefficients.
+The unmasked bounds are two sorted north-west-corner fills, and the pm
+bounds (the cs bounds of the canonical dice) two staircase fills.  The
+simplex in ``casino_ewac.transport`` stays the independent oracle: on
+random models the values must agree with it, and with basic-solution
+enumeration at K = 3, in floats and in exact rationals.  Tolerances scale
+with max|coeff|, the largest objective coefficient, since theta sums to
+one and every value is a convex combination of coefficients.
 """
 
 import itertools
@@ -18,12 +19,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import casino_ewac.engine
-from casino_ewac import (BIASED, FAIR, FEASIBILITY_TOL, PATH_1, EwacObjective,
-                         HmmModel, TransportProblem, canonical_model, cs_mask,
-                         ewac_bounds, ewac_objective, inhomogeneous_bounds,
-                         smooth, solve, validate_joint_pmf)
+from casino_ewac import (BIASED, FAIR, FEASIBILITY_TOL, PATH_1, PATH_2,
+                         EwacObjective, HmmModel, InfeasibleMaskError,
+                         TransportProblem, canonical_model, check_feasibility,
+                         cs_mask, ewac_bounds, ewac_objective,
+                         inhomogeneous_bounds, pm_mask, smooth, solve,
+                         validate_joint_pmf)
+from casino_ewac.engine import _path_objective
 from helpers import (enumerate_transport_optimum, exact_fill,
-                     random_small_model)
+                     exact_transport_optimum, random_small_model)
 
 REL_TOL = 1e-12
 # Fixed examples keep the suite deterministic from run to run.
@@ -37,19 +41,19 @@ def _scale(objective):
 def _form_extremes(pair, objective):
     """(min, max) of the coefficient form at the two optimisers.
 
-    The bounds are the constant minus these; comparing the form itself
-    keeps a large constant from absorbing tiny coefficients.
+    The bounds are the EWAC evaluated at these optimisers; comparing the
+    form itself keeps a large constant from absorbing tiny coefficients.
     """
     low = float(np.sum(objective.coeff * pair.theta_ub))
     high = float(np.sum(objective.coeff * pair.theta_lb))
-    assert pair.ub == objective.constant - low
-    assert pair.lb == objective.constant - high
+    assert pair.ub == objective.ewac(pair.theta_ub)
+    assert pair.lb == objective.ewac(pair.theta_lb)
     return low, high
 
 
-def _simplex_extremes(objective):
+def _simplex_extremes(objective, zero_mask=frozenset()):
     problem = dict(costs=objective.coeff, row_targets=objective.row_marginals,
-                   col_targets=objective.col_marginals)
+                   col_targets=objective.col_marginals, zero_mask=zero_mask)
     return (solve(TransportProblem(**problem, sense="min")).value,
             solve(TransportProblem(**problem, sense="max")).value)
 
@@ -226,15 +230,207 @@ class TestProperties:
 
 
 class TestNoSimplexWithoutAMask:
-    def test_unmasked_bounds_never_call_solve(self, monkeypatch):
+    @pytest.fixture
+    def refuse(self, monkeypatch):
         def refuse(problem):
             raise AssertionError("transport.solve called")
 
         monkeypatch.setattr(casino_ewac.engine, "solve", refuse)
+
+    def test_unmasked_bounds_never_call_solve(self, refuse):
         model = canonical_model(0.5)
         obj = ewac_objective(model, PATH_1, smooth(model, PATH_1))
         pair = ewac_bounds(obj)
         assert pair.iterations == (0, 0)
         assert pair.constraint_tag == "none"
-        with pytest.raises(AssertionError, match="transport.solve"):
-            ewac_bounds(obj, cs_mask(model.emission), tag="cs")
+
+    def test_staircase_bounds_never_call_solve(self, refuse):
+        # The canonical biased die strictly increases, so its cs mask is
+        # the pm staircase; the mask decides the route, not the tag.
+        model = canonical_model(0.5)
+        obj = ewac_objective(model, PATH_1, smooth(model, PATH_1))
+        for mask, tag in ((cs_mask(model.emission), "cs"),
+                          (pm_mask(6), "pm"), (set(pm_mask(6)), "other"),
+                          ([list(cell) for cell in pm_mask(6)], "lists")):
+            pair = ewac_bounds(obj, mask, tag=tag)
+            assert pair.iterations == (0, 0)
+            assert pair.constraint_tag == tag
+
+    def test_other_masks_call_solve(self, refuse):
+        # A tie in the biased die masks both ordered pairs (a block
+        # staircase), and one cell more or less than pm is no staircase.
+        tied = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
+                        [np.full(6, 1 / 6), np.array([2, 2, 3, 4, 5, 5]) / 21],
+                        np.arange(1, 7))
+        model = canonical_model(0.5)
+        obj = ewac_objective(model, PATH_1, smooth(model, PATH_1))
+        for objective, mask in (
+                (ewac_objective(tied, PATH_1, smooth(tied, PATH_1)),
+                 cs_mask(tied.emission)),
+                (obj, pm_mask(6) - {(5, 0)}),
+                (obj, pm_mask(6) | {(0, 5)})):
+            assert mask != pm_mask(6)
+            with pytest.raises(AssertionError, match="transport.solve"):
+                ewac_bounds(objective, mask, tag="cs")
+
+
+def _balanced(draw, k):
+    """(rows, cols) summing to one, cols dominating rows in the first
+    order, read off a random staircase table with 30-50% zero cells."""
+    zero_rate = draw(st.floats(0.3, 0.5))
+    table = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            if draw(st.floats(0.0, 1.0)) >= zero_rate:
+                table[i, j] = draw(st.sampled_from([1.0, 0.5]) |
+                                   st.floats(1e-3, 1.0))
+    if table.sum() == 0.0:
+        table[0, k - 1] = 1.0
+    table /= table.sum()
+    return table.sum(axis=1), table.sum(axis=0)
+
+
+@st.composite
+def staircase_objectives(draw):
+    """Rank-one objectives on feasible pm polytopes: K = 2..7, increasing
+    rewards, tied factors as often as not, zero marginal entries."""
+    k = draw(st.integers(2, 7))
+    rows, cols = _balanced(draw, k)
+    rewards = np.cumsum(draw(st.lists(st.floats(0.1, 3.0), min_size=k,
+                                      max_size=k)))
+    factor = np.array(draw(st.lists(
+        st.sampled_from([0.0, 1.0, 7.5]) | st.floats(0.0, 50.0),
+        min_size=k, max_size=k)))
+    return EwacObjective(constant=float(factor @ (cols * rewards)),
+                         rewards=rewards, factor=factor,
+                         row_marginals=rows, col_marginals=cols)
+
+
+def _dyadic(rng, k, units=2 ** 52):
+    """Entries summing to exactly one in floats and in rationals, each a
+    multiple of 2^-52; about 40% lie near 1e-10."""
+    while True:
+        n = rng.integers(1, units // k, size=k)
+        tiny = rng.random(k) < 0.4
+        n[tiny] = rng.integers(1, 10 ** 6, size=tiny.sum())
+        n[-1] = units - n[:-1].sum()
+        if n[-1] > 0:
+            return n / units
+
+
+class TestStaircaseGreedy:
+    @PROPERTY
+    @given(staircase_objectives())
+    def test_against_the_simplex(self, obj):
+        # Where factors tie the optimum may be another vertex of the same
+        # value, so values are compared, not tables.
+        mask = pm_mask(obj.factor.size)
+        pair = ewac_bounds(obj, mask, tag="pm")
+        np.testing.assert_allclose(_form_extremes(pair, obj),
+                                   _simplex_extremes(obj, mask), rtol=0,
+                                   atol=REL_TOL * _scale(obj))
+        _assert_feasible(pair, obj)
+        assert pair.iterations == (0, 0)
+        lower = np.tril_indices(obj.factor.size, -1)
+        for theta in (pair.theta_lb, pair.theta_ub):
+            assert np.all(theta[lower] == 0.0)
+            assert np.all(theta >= 0.0)
+
+    def test_vertex_enumeration_at_k3(self):
+        rng = np.random.default_rng(34)
+        mask = pm_mask(3)
+        for _ in range(40):
+            table = np.triu(rng.random((3, 3)) * (rng.random((3, 3)) > 0.4))
+            table[0, 2] += 0.1
+            table /= table.sum()
+            factor = rng.choice([0.0, 1.0, 7.5], size=3)
+            obj = EwacObjective(constant=0.0, rewards=np.cumsum(rng.random(3)),
+                                factor=factor, row_marginals=table.sum(axis=1),
+                                col_marginals=table.sum(axis=0))
+            oracle = enumerate_transport_optimum(
+                obj.coeff, obj.row_marginals, obj.col_marginals, mask)
+            np.testing.assert_allclose(
+                _form_extremes(ewac_bounds(obj, mask, tag="pm"), obj),
+                oracle, rtol=0, atol=1e-9 * _scale(obj))
+
+    def test_exact_optimum_with_entries_near_1e_10(self):
+        # Marginals that balance exactly in rationals, many entries near
+        # 1e-10: the greedy and the simplex both land within rounding of
+        # the exact optimum of the float inputs.
+        rng = np.random.default_rng(35)
+        checked = 0
+        while checked < 60:
+            k = int(rng.integers(2, 4))
+            rows, cols = _dyadic(rng, k), _dyadic(rng, k)
+            mask = pm_mask(k)
+            rewards = np.cumsum(rng.integers(1, 4, size=k)).astype(float)
+            factor = (rng.choice([0.0, 1.0, 7.5], size=k)
+                      if rng.random() < 0.5 else rng.random(k) * 50)
+            obj = EwacObjective(constant=0.0, rewards=rewards, factor=factor,
+                                row_marginals=rows, col_marginals=cols)
+            exact = exact_transport_optimum(obj.coeff, rows, cols, mask)
+            if exact is None:
+                continue
+            checked += 1
+            tol = Fraction(16 * np.finfo(float).eps * _scale(obj))
+            pair = ewac_bounds(obj, mask, tag="pm")
+            for value, oracle in zip(_form_extremes(pair, obj), exact):
+                assert abs(Fraction(value) - oracle) <= tol
+            for value, oracle in zip(_simplex_extremes(obj, mask), exact):
+                assert abs(Fraction(value) - oracle) <= tol
+
+    @PROPERTY
+    @given(st.integers(2, 7).flatmap(
+        lambda k: st.tuples(*[st.lists(st.floats(0.0, 1.0), min_size=k,
+                                       max_size=k)] * 2)))
+    def test_infeasible_exactly_where_check_feasibility_says(self, pair):
+        rows, cols = (np.array(x) for x in pair)
+        if rows.sum() == 0.0 or cols.sum() == 0.0:
+            return
+        rows, cols = rows / rows.sum(), cols / cols.sum()
+        k = rows.size
+        obj = EwacObjective(constant=0.0, rewards=np.arange(1.0, k + 1),
+                            factor=np.arange(k, 0.0, -1.0),
+                            row_marginals=rows, col_marginals=cols)
+        if check_feasibility(rows, cols, pm_mask(k)):
+            ewac_bounds(obj, pm_mask(k), tag="pm")
+        else:
+            with pytest.raises(InfeasibleMaskError,
+                               match=r"'pm' \(\d+ forced zeros\) admits no"):
+                ewac_bounds(obj, pm_mask(k), tag="pm")
+
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("excess,feasible", [
+        (0.9 * FEASIBILITY_TOL, True), (1.1 * FEASIBILITY_TOL, False)])
+    def test_cdf_excess_at_the_tolerance(self, at, excess, feasible):
+        # The biased CDF passes the fair one by ``excess`` at face at + 1.
+        rows = np.full(3, 1 / 3)
+        cols = rows.copy()
+        cols[at] += excess
+        cols[2] -= excess
+        assert check_feasibility(rows, cols, pm_mask(3)) is feasible
+        obj = EwacObjective(constant=0.0, rewards=np.arange(1.0, 4.0),
+                            factor=np.array([3.0, 1.0, 2.0]),
+                            row_marginals=rows, col_marginals=cols)
+        if not feasible:
+            with pytest.raises(InfeasibleMaskError):
+                ewac_bounds(obj, pm_mask(3), tag="pm")
+            return
+        pair = ewac_bounds(obj, pm_mask(3), tag="pm")
+        _assert_feasible(pair, obj, atol=FEASIBILITY_TOL)
+        for theta in (pair.theta_lb, pair.theta_ub):
+            assert np.all(theta[np.tril_indices(3, -1)] == 0.0)
+
+    def test_canonical_cs_bounds_against_the_simplex(self):
+        # Both builtin paths over the grid and the extreme levels.
+        levels = np.r_[np.arange(1, 100) / 100.0,
+                       0.0, 1.0, 0.99999, 1 - 1e-7, 1e-9]
+        for obs in (PATH_1, PATH_2):
+            for eta in levels:
+                model = canonical_model(eta)
+                obj = _path_objective(model, obs)[0]
+                mask = cs_mask(model.emission)
+                pair = ewac_bounds(obj, mask, tag="cs")
+                np.testing.assert_allclose(
+                    _form_extremes(pair, obj), _simplex_extremes(obj, mask),
+                    rtol=0, atol=REL_TOL * _scale(obj))

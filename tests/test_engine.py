@@ -135,6 +135,23 @@ class TestEwacOfTheta:
             for theta in thetas:
                 assert obj.ewac(theta) == ewac_of_theta(obj, theta)
 
+    def test_gap_form_equals_the_constant_form_on_the_polytope(self):
+        # sum theta_ij f_j (w_j - w_i) is constant - sum coeff * theta
+        # whenever theta's columns sum to e_b; they differ by rounding.
+        rng = np.random.default_rng(19)
+        for k in range(2, 8):
+            model = random_small_model(rng, k)
+            obs = rng.integers(1, k + 1, size=200)
+            obj = ewac_objective(model, obs, smooth(model, obs))
+            theta = random_feasible_theta(model.emission[FAIR],
+                                          model.emission[BIASED], rng)
+            scale = np.abs(obj.coeff).max() + abs(obj.constant)
+            assert obj.ewac(theta) == pytest.approx(
+                obj.constant - float(np.sum(obj.coeff * theta)),
+                rel=0, abs=1e-13 * scale)
+            assert obj.constant == pytest.approx(
+                obj.factor @ (model.emission[BIASED] * obj.rewards), rel=1e-14)
+
     def test_bad_marginals_rejected(self):
         _, obj = _objective(0.5, PATH_1)
         with pytest.raises(ValueError, match="marginals"):

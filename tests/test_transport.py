@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import casino_ewac.transport as transport
-from casino_ewac import (FEASIBILITY_TOL, PATH_1, PATH_2, TransportProblem,
-                         canonical_model, check_feasibility, cs_mask,
-                         eta_sweep, ewac_objective, pm_mask, smooth, solve)
+from casino_ewac import (FEASIBILITY_TOL, PATH_1, PATH_2, HmmModel,
+                         TransportProblem, canonical_model, check_feasibility,
+                         cs_mask, ewac_bounds, ewac_objective, pm_mask, smooth,
+                         solve)
+from casino_ewac.engine import _path_objective
 from helpers import enumerate_transport_optimum, loop_pivot, loop_solve
 
 
@@ -395,8 +397,10 @@ class TestPhaseOneCache:
 
     def test_phase_one_runs_once_per_polytope_in_an_eta_sweep(self,
                                                               monkeypatch):
-        # The canonical dice do not depend on eta, so every cs solve of the
-        # sweep shares one polytope.
+        # A biased die with tied faces masks both ordered pairs of each
+        # tie, a block staircase that stays on the simplex (the canonical
+        # cs staircase no longer reaches it).  Its dice do not depend on
+        # eta, so every cs solve across the levels shares one polytope.
         runs = []
         inner = transport._phase_one.__wrapped__
 
@@ -406,7 +410,14 @@ class TestPhaseOneCache:
 
         monkeypatch.setattr(transport, "_phase_one", functools.lru_cache(
             maxsize=transport._PHASE_ONE_CACHE_SIZE)(counted))
+        dice = [np.full(6, 1 / 6), np.array([2, 2, 3, 4, 5, 5]) / 21]
+        mask = cs_mask(dice)
+        assert mask != pm_mask(6)
         for path in (PATH_1, PATH_2):
-            rows = eta_sweep(path)
-            assert all(row.lb_cs is not None for row in rows)
+            for eta in np.arange(1, 100) / 100:
+                model = HmmModel([eta, 1 - eta], [[eta, 1 - eta]] * 2, dice,
+                                 np.arange(1, 7))
+                pair = ewac_bounds(_path_objective(model, path)[0], mask,
+                                   tag="cs")
+                assert pair.iterations[0] > 0
         assert len(runs) == 1

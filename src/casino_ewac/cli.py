@@ -23,8 +23,9 @@ import sys
 import numpy as np
 
 from casino_ewac.engine import (InfeasibleMaskError, _bounds_report,
-                                _copulas, _path_objective, copula_pmf,
-                                cs_mask, ewac_bounds, naive_ewac, pm_mask)
+                                _copulas, _greedy_stacks, _path_objective,
+                                copula_pmf, cs_mask, ewac_bounds, naive_ewac,
+                                pm_mask)
 from casino_ewac.hmm import HmmModel, ZeroLikelihoodError, canonical_model, smooth
 from casino_ewac.paths import PATH_1, PATH_2
 from casino_ewac.sweeps import (ETA_SWEEP_COLUMNS, HORIZON_SWEEP_COLUMNS,
@@ -213,7 +214,8 @@ def _cmd_bounds(args, config):
         mask = cs_mask(model.emission)
     except ValueError:
         log.info("fair die is not uniform; skipping the cs bounds")
-    plain, report = _bounds_report(objective, _copulas(model), mask)
+    plain, report = _bounds_report(objective, _copulas(model),
+                                   _greedy_stacks(*model.emission), mask)
     report.update(naive=naive_ewac(model, obs), theta_lb=plain.theta_lb,
                   theta_ub=plain.theta_ub)
     _write_text(_option(args, config, "out"),

@@ -96,10 +96,9 @@ class EwacBounds:
     ``theta_lb`` and ``theta_ub`` are None for the time-inhomogeneous
     relaxation, whose optimiser varies by period.  ``iterations`` counts
     simplex pivots for the (lb, ub) solves of a mask other than pm, each
-    the whole from-scratch path: the phase-one pivots, computed once per
-    polytope and reused, plus that solve's phase-two pivots.  The
-    unmasked bounds (two sorted north-west-corner fills) and the pm
-    bounds (two staircase fills) run no simplex and report (0, 0).
+    its phase-one plus its phase-two pivots.  The unmasked bounds (two
+    sorted north-west-corner fills) and the pm bounds (two staircase
+    fills) run no simplex and report (0, 0).
     """
 
     lb: float
@@ -356,11 +355,16 @@ def inhomogeneous_bounds(objective):
     form at the stacked per-face greedy columns.  Always at least as wide
     as the time-homogeneous bounds.
     """
-    caps, totals = objective.row_marginals, objective.col_marginals
-    best = np.hstack([_nw_fill(caps[::-1], [s])[::-1] for s in totals])
-    worst = np.hstack([_nw_fill(caps, [s]) for s in totals])
+    best, worst = _greedy_stacks(objective.row_marginals,
+                                 objective.col_marginals)
     return EwacBounds(objective.ewac(best), objective.ewac(worst), None, None,
                       constraint_tag="inhomogeneous")
+
+
+def _greedy_stacks(caps, totals):
+    """(best, worst): each face's "max" and "min" ``greedy_column``."""
+    return (np.hstack([_nw_fill(caps[::-1], [s])[::-1] for s in totals]),
+            np.hstack([_nw_fill(caps, [s]) for s in totals]))
 
 
 def copula_pmf(model, kind):
@@ -392,16 +396,17 @@ def _copulas(model):
             for kind in ("independence", "comonotonic", "countermonotonic")}
 
 
-def _bounds_report(objective, copulas, mask=None):
+def _bounds_report(objective, copulas, stacks, mask=None):
     """(plain bounds, report): lb/ub, lb_cs/ub_cs (None without a cs
-    ``mask``), lb_inhom/ub_inhom and ewac_<kind> at each ``_copulas``."""
+    ``mask``), lb_inhom/ub_inhom at the ``_greedy_stacks`` of the dice and
+    ewac_<kind> at each ``_copulas``; the tables are built once per model."""
     plain = ewac_bounds(objective)
     tied = None if mask is None else ewac_bounds(objective, mask, tag="cs")
-    loose = inhomogeneous_bounds(objective)
     report = {"lb": plain.lb, "ub": plain.ub,
               "lb_cs": None if tied is None else tied.lb,
               "ub_cs": None if tied is None else tied.ub,
-              "lb_inhom": loose.lb, "ub_inhom": loose.ub}
+              "lb_inhom": objective.ewac(stacks[0]),
+              "ub_inhom": objective.ewac(stacks[1])}
     for kind, theta in copulas.items():
         report[f"ewac_{kind}"] = objective.ewac(theta)
     return plain, report

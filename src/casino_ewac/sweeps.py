@@ -11,8 +11,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from casino_ewac.engine import (_bounds_report, _copulas, _face_objective,
-                                _path_objective, cs_mask, ewac_bounds,
-                                naive_ewac, validate_joint_pmf)
+                                _greedy_stacks, _path_objective, cs_mask,
+                                ewac_bounds, naive_ewac, validate_joint_pmf)
 from casino_ewac.hmm import (BIASED, _backward_sample, _face_posteriors,
                              _forward_filter, _iid_posteriors,
                              as_symbol_indices, canonical_model, simulate)
@@ -162,6 +162,8 @@ def default_horizon_grid(t_min=10, t_max=100_000, points=25):
     """Geometrically spaced horizons, deduplicated after rounding."""
     if not 1 <= t_min <= t_max:
         raise ValueError("need 1 <= t_min <= t_max")
+    if points < 1:
+        raise ValueError(f"need points >= 1, got {points}")
     grid = np.geomspace(t_min, t_max, points)
     return np.unique(np.rint(grid).astype(np.int64))
 
@@ -194,13 +196,13 @@ def eta_sweep(obs, eta_grid=None):
                          minlength=model.num_symbols)
     priors = np.column_stack([eta_grid, 1.0 - eta_grid])
     masses = counts * _face_posteriors(priors, model.emission)[..., BIASED]
-    copulas = _copulas(model)
+    copulas, stacks = _copulas(model), _greedy_stacks(*model.emission)
     mask = cs_mask(model.emission)
     naive = naive_ewac(model, obs)
     rows = []
     for eta, mass in zip(eta_grid.tolist(), masses):
         _, report = _bounds_report(_face_objective(model, counts, mass),
-                                   copulas, mask)
+                                   copulas, stacks, mask)
         rows.append(SweepRow(eta=eta, naive=naive, **report))
     return rows
 

@@ -7,19 +7,14 @@ picks both the entering and the leaving variable, which rules out cycling on
 the degenerate bases these polytopes produce, and every returned optimum is
 a vertex.
 
-Phase one depends on the polytope alone (K, the forced zeros and the two
-target vectors), not on the costs.  Its outcome, a feasible basis with its
-tableau, artificial variables cleared and redundant rows dropped, is
-computed once per polytope and kept read-only in a small least-recently-used
-cache; each solve copies that tableau and runs phase two only.  The pivot
-count a solve reports still covers the whole from-scratch path, phase one
-included, so no result depends on what was solved before.  Phase two stops
-once no reduced cost is below 64 * eps * max|c|, the scale of rounding in
-the costs, so costs spanning many orders of magnitude still reach the
-optimum.
+Every solve runs phase one, which depends on the polytope alone (K, the
+forced zeros and the two target vectors), and then phase two from the
+feasible basis it leaves; nothing is kept between calls, so no result
+depends on what was solved before.  Phase two stops once no reduced cost
+is below 64 * eps * max|c|, the scale of rounding in the costs, so costs
+spanning many orders of magnitude still reach the optimum.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -35,8 +30,6 @@ _OPTIMALITY_TOL = 64 * float(np.finfo(float).eps)
 # Ratios tie within this times the starting max|rhs|, the rounding of the
 # right-hand side: a wider tie lets a ratio near 1e-10 tie with 0.
 _TIE_TOL = 64 * float(np.finfo(float).eps)
-# Polytopes whose phase one is kept; a K = 6 entry is an 11 x 22 tableau.
-_PHASE_ONE_CACHE_SIZE = 32
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -118,25 +111,6 @@ class LpSolution:
     iterations: int
 
 
-@dataclass(frozen=True)
-class _PhaseOne:
-    """Phase-one outcome for one polytope, shared read-only by every solve.
-
-    Column idx of the equality form is cell (rows[idx], cols[idx]).  When
-    feasible, ``tab`` holds the constraint rows of the tableau over the
-    cell columns and the right-hand side, and ``basis`` the basic column
-    of each row; both are None otherwise.  ``iterations`` counts the
-    phase-one Bland pivots.
-    """
-
-    feasible: bool
-    iterations: int
-    rows: np.ndarray
-    cols: np.ndarray
-    tab: np.ndarray | None = None
-    basis: np.ndarray | None = None
-
-
 def _equality_form(k, zero_mask):
     """Constraint matrix over unmasked cells, one redundant row dropped.
 
@@ -197,22 +171,24 @@ def _bland_iterate(tab, basis, eligible, tol):
         iterations += 1
 
 
-@functools.lru_cache(maxsize=_PHASE_ONE_CACHE_SIZE)
-def _phase_one(k, zero_mask, row_bytes, col_bytes):
-    """Phase one on the polytope of these forced zeros and float64 targets.
+def _phase_one(k, zero_mask, row_targets, col_targets):
+    """Phase one on the polytope of these forced zeros and targets.
 
     Artificial variables seed it; whatever remains basic afterwards is
     either pivoted onto a real column or its (redundant) row is deleted.
+    Returns (rows, cols, tab, basis, iterations).  Column idx of the
+    equality form is cell (rows[idx], cols[idx]).  ``tab`` holds the kept
+    constraint rows over the cell columns and the right-hand side, above a
+    cost row left to phase two, and ``basis`` the basic column of each
+    kept row; both are None when the polytope is empty.  ``iterations``
+    counts the Bland pivots.
     """
     rows, cols, A = _equality_form(k, zero_mask)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
     m, n = A.shape
     tab = np.zeros((m + 1, n + m + 1))
     tab[:m, :n] = A
     tab[:m, n:n + m] = np.eye(m)
-    tab[:m, -1] = np.concatenate([np.frombuffer(row_bytes),
-                                  np.frombuffer(col_bytes)[:-1]])
+    tab[:m, -1] = np.concatenate([row_targets, col_targets[:-1]])
     basis = np.arange(n, n + m)
     # Phase-one reduced costs: artificials cost 1 and start basic.
     tab[m, :] = -tab[:m, :].sum(axis=0)
@@ -221,7 +197,7 @@ def _phase_one(k, zero_mask, row_bytes, col_bytes):
     # Phase-one costs are 0 or 1, so an absolute tolerance fits.
     iterations = _bland_iterate(tab, basis, n + m, FEASIBILITY_TOL)
     if -tab[m, -1] > FEASIBILITY_TOL:
-        return _PhaseOne(False, iterations, rows, cols)
+        return rows, cols, None, None, iterations
 
     # Clear leftover artificials from the basis.
     keep = []
@@ -233,16 +209,8 @@ def _phase_one(k, zero_mask, row_bytes, col_bytes):
                 continue  # redundant constraint row, dropped below
             _pivot(tab, basis, r, free.argmax())
         keep.append(r)
-    tab = tab[np.ix_(keep, np.r_[:n, n + m])]
-    basis = basis[keep]
-    tab.setflags(write=False)
-    basis.setflags(write=False)
-    return _PhaseOne(True, iterations, rows, cols, tab, basis)
-
-
-def _phase_one_of(k, zero_mask, row_targets, col_targets):
-    return _phase_one(k, zero_mask, row_targets.tobytes(),
-                      col_targets.tobytes())
+    return (rows, cols, tab[np.ix_(keep + [m], np.r_[:n, n + m])],
+            basis[keep], iterations)
 
 
 def solve(problem):
@@ -252,35 +220,32 @@ def solve(problem):
     max(c) == -min(-c) holds exactly.
     """
     k = problem.costs.shape[0]
-    first = _phase_one_of(k, problem.zero_mask, problem.row_targets,
-                          problem.col_targets)
-    if not first.feasible:
+    rows, cols, tab, basis, iterations = _phase_one(
+        k, problem.zero_mask, problem.row_targets, problem.col_targets)
+    if tab is None:
         return LpSolution(status="infeasible", value=np.nan, theta=None,
-                          iterations=first.iterations)
+                          iterations=iterations)
 
-    # Phase two only, from a copy of the cached feasible basis.
-    c = problem.costs[first.rows, first.cols]
+    # Phase two from phase one's basis, its cost row reduced afresh.
+    c = problem.costs[rows, cols]
     if problem.sense == "max":
         c = -c
-    m, n = first.tab.shape[0], c.size
-    tab = np.zeros((m + 1, n + 1))
-    tab[:m] = first.tab
-    tab[m, :n] = c
-    for r, j in enumerate(first.basis):
-        tab[m] -= tab[m, j] * tab[r]
-    basis = first.basis.copy()
-    iterations = first.iterations + _bland_iterate(
+    n = c.size
+    tab[-1] = np.append(c, 0.0)
+    for r, j in enumerate(basis):
+        tab[-1] -= tab[-1, j] * tab[r]
+    iterations += _bland_iterate(
         tab, basis, n, _OPTIMALITY_TOL * np.abs(c).max(initial=0.0))
 
     x = np.zeros(n)
-    x[basis] = tab[:m, -1]
+    x[basis] = tab[:-1, -1]
     if x.size and x.min() < -FEASIBILITY_TOL:
         raise ArithmeticError(
             f"simplex produced a negative cell ({x.min():.3e})")
     x = np.maximum(x, 0.0)
 
     theta = np.zeros((k, k))
-    theta[first.rows, first.cols] = x
+    theta[rows, cols] = x
     row_err = np.abs(theta.sum(axis=1) - problem.row_targets).max()
     col_err = np.abs(theta.sum(axis=0) - problem.col_targets).max()
     if max(row_err, col_err) > FEASIBILITY_TOL:
@@ -293,10 +258,8 @@ def solve(problem):
 
 
 def check_feasibility(row_targets, col_targets, zero_mask=frozenset()):
-    """True when some matrix meets the targets with the masked cells zero.
-
-    Reads the status of the same cached phase one that ``solve`` runs.
-    """
+    """True when some matrix meets the targets with the masked cells zero:
+    whether the phase one that ``solve`` runs finds a feasible basis."""
     k = len(row_targets)
     r, s = _validated_targets(row_targets, col_targets, k)
-    return _phase_one_of(k, _validated_mask(zero_mask, k), r, s).feasible
+    return _phase_one(k, _validated_mask(zero_mask, k), r, s)[2] is not None

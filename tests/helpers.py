@@ -7,7 +7,7 @@ small transport optima by enumerating basic solutions (for K <= 3 also in
 exact rationals, ``exact_transport_optimum``), and the unmasked
 EWAC extremes by the closed-form north-west-corner couplings.  The
 transport solver's pivot path is redone one tableau element and one row at
-a time, phase one included on every solve, with no cache.  The
+a time, both phases of every solve.  The
 sampling oracles redo the posterior draws one period at a time (hidden
 paths) from the filtered probabilities they are given, count the biased
 periods of each face by a plain loop and redraw each face's fair faces by

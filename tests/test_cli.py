@@ -594,6 +594,12 @@ class TestExitCodes:
                    "--samples", samples) == EXIT_USAGE
         assert "count must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_horizon_points_below_one(self, points, capsys):
+        assert run("sweep-horizon", "--eta", "0.5",
+                   "--t-points", points) == EXIT_USAGE
+        assert f"need points >= 1, got {points}" in capsys.readouterr().err
+
     def test_out_of_memory_names_the_size(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.45 GiB")

@@ -315,6 +315,11 @@ class TestHorizonSweep:
         assert grid[-1] == 100_000
         assert np.all(np.diff(grid) > 0)
 
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_grid_needs_a_point(self, points):
+        with pytest.raises(ValueError, match=f"need points >= 1, got {points}"):
+            default_horizon_grid(10, 100, points)
+
     def test_rows_are_per_period(self):
         rows = horizon_sweep(0.5, [50, 200], seed=4)
         assert [row.horizon for row in rows] == [50, 200]

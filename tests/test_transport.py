@@ -1,16 +1,12 @@
 """Transportation LP solver against enumeration oracles and exact identities."""
 
-import functools
-
 import numpy as np
 import pytest
 
 import casino_ewac.transport as transport
-from casino_ewac import (FEASIBILITY_TOL, PATH_1, PATH_2, HmmModel,
-                         TransportProblem, canonical_model, check_feasibility,
-                         cs_mask, ewac_bounds, ewac_objective, pm_mask, smooth,
-                         solve)
-from casino_ewac.engine import _path_objective
+from casino_ewac import (FEASIBILITY_TOL, PATH_1, PATH_2, TransportProblem,
+                         canonical_model, check_feasibility, cs_mask,
+                         ewac_objective, pm_mask, smooth, solve)
 from helpers import enumerate_transport_optimum, loop_pivot, loop_solve
 
 
@@ -281,10 +277,13 @@ def _random_masked_problem(rng, k, zero_rate=0.0):
 
 def _assert_identical(problem):
     """``solve`` agrees with the per-element simplex rerun from scratch:
-    the same bytes, the same pivot counts.  Returns the status."""
+    the same bytes, the same pivot counts, and ``check_feasibility`` with
+    its status.  Returns the status."""
     status, value, theta, iterations = loop_solve(problem)
     sol = solve(problem)
     assert sol.status == status
+    assert check_feasibility(problem.row_targets, problem.col_targets,
+                             problem.zero_mask) == (status == "optimal")
     assert sol.iterations == iterations
     if status == "optimal":
         assert sol.value == value
@@ -295,8 +294,8 @@ def _assert_identical(problem):
 
 
 class TestAgainstTheLoopOracle:
-    """The vectorised pivots and the cached phase one against the
-    per-element loops."""
+    """The vectorised pivots and the two phases against the per-element
+    loops."""
 
     def test_pivot_keeps_the_row_loop_bits(self):
         # Signed zeros included: rows with a zero in the pivot column are
@@ -352,16 +351,9 @@ class TestAgainstTheLoopOracle:
                                  zero_mask=mask))
 
 
-class TestPhaseOneCache:
-    def test_cold_and_warm_solves_agree(self):
-        problem = _canonical_problems()[0]
-        transport._phase_one.cache_clear()
-        cold = solve(problem)
-        warm = solve(problem)
-        assert transport._phase_one.cache_info().hits == 1
-        assert (warm.status, warm.value, warm.iterations) == (
-            cold.status, cold.value, cold.iterations)
-        assert warm.theta.tobytes() == cold.theta.tobytes()
+class TestNoStateBetweenCalls:
+    """Each solve starts from scratch: what was solved before, or done to
+    a returned table, changes no later result."""
 
     def test_interleaved_polytopes_change_no_result(self):
         rng = np.random.default_rng(58)
@@ -379,45 +371,3 @@ class TestPhaseOneCache:
         reference = first.theta.copy()
         first.theta[:] = 7.0
         assert solve(problem).theta.tobytes() == reference.tobytes()
-
-    def test_cache_stays_within_its_bound(self):
-        bound = transport._PHASE_ONE_CACHE_SIZE
-        rng = np.random.default_rng(59)
-        transport._phase_one.cache_clear()
-        problems = []
-        for _ in range(bound + 8):
-            costs, r, s, _ = _random_rational_instance(rng, k=4)
-            problems.append(
-                TransportProblem(costs, r, s, zero_mask=pm_mask(4)))
-            solve(problems[-1])
-        info = transport._phase_one.cache_info()
-        assert info.currsize <= bound == info.maxsize
-        # An evicted polytope is recomputed with the same result.
-        _assert_identical(problems[0])
-
-    def test_phase_one_runs_once_per_polytope_in_an_eta_sweep(self,
-                                                              monkeypatch):
-        # A biased die with tied faces masks both ordered pairs of each
-        # tie, a block staircase that stays on the simplex (the canonical
-        # cs staircase no longer reaches it).  Its dice do not depend on
-        # eta, so every cs solve across the levels shares one polytope.
-        runs = []
-        inner = transport._phase_one.__wrapped__
-
-        def counted(*key):
-            runs.append(key)
-            return inner(*key)
-
-        monkeypatch.setattr(transport, "_phase_one", functools.lru_cache(
-            maxsize=transport._PHASE_ONE_CACHE_SIZE)(counted))
-        dice = [np.full(6, 1 / 6), np.array([2, 2, 3, 4, 5, 5]) / 21]
-        mask = cs_mask(dice)
-        assert mask != pm_mask(6)
-        for path in (PATH_1, PATH_2):
-            for eta in np.arange(1, 100) / 100:
-                model = HmmModel([eta, 1 - eta], [[eta, 1 - eta]] * 2, dice,
-                                 np.arange(1, 7))
-                pair = ewac_bounds(_path_objective(model, path)[0], mask,
-                                   tag="cs")
-                assert pair.iterations[0] > 0
-        assert len(runs) == 1

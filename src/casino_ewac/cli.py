@@ -5,9 +5,11 @@ state probabilities, ``bounds`` a JSON report of every bound and benchmark
 for a single model, ``sweep-eta`` and ``sweep-horizon`` CSV grids,
 ``wac-dist`` Monte-Carlo draws of the cheating loss, and ``copulas`` the
 three benchmark couplings.  Options may come from a JSON config file via
-``--config``; explicit flags win over config values.  Numbers are written
-with 12 significant digits and reruns with identical inputs produce
-byte-identical files.
+``--config``; explicit flags win over config values.  A path file
+(``@file``) of plain digits is read by numpy, other text token by token;
+the ``smooth`` CSV is written in blocks from its distinct rows.  Numbers
+are written with 12 significant digits and reruns with identical inputs
+produce byte-identical files.
 
 Exit codes: 0 success, 2 bad flags or config or a run too large for the
 available memory, 3 infeasible constraint set, 4 numerical failure (for
@@ -26,7 +28,8 @@ from casino_ewac.engine import (InfeasibleMaskError, _bounds_report,
                                 _copulas, _greedy_stacks, _path_objective,
                                 copula_pmf, cs_mask, ewac_bounds, naive_ewac,
                                 pm_mask)
-from casino_ewac.hmm import HmmModel, ZeroLikelihoodError, canonical_model, smooth
+from casino_ewac.hmm import (HmmModel, ZeroLikelihoodError, _smoothed_rows,
+                             canonical_model)
 from casino_ewac.paths import PATH_1, PATH_2
 from casino_ewac.sweeps import (ETA_SWEEP_COLUMNS, HORIZON_SWEEP_COLUMNS,
                                 default_horizon_grid, eta_sweep, horizon_sweep,
@@ -61,12 +64,13 @@ def _json_ready(obj):
     return obj
 
 
-def _write_text(out, text):
+def _write_text(out, chunks):
+    """Write the strings ``chunks`` to the file ``out``, None for stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _csv(header, columns=None, rows=None):
@@ -86,6 +90,30 @@ def _csv(header, columns=None, rows=None):
                             for col in columns)
         lines += [template % row for row in zip(*columns)]
     return "\n".join(lines) + "\n"
+
+
+_CSV_BLOCK = 1 << 16
+
+
+def _numbered_csv(header, rows, index):
+    """CSV text of the table rows[index], numbered from 1, in blocks of
+    2^16 lines, numbers with 12 significant digits.  A block formats the
+    rows between its least and greatest index once each, as ",x,...\n"
+    suffixes (the K + 1 rows of an i.i.d. smoothed table, or a Markov
+    table's rows of the block), and joins those it picks with the line
+    numbers; the text equals ``_csv``'s."""
+    template = ",%.12g" * rows.shape[1] + "\n"
+    yield ",".join(header) + "\n"
+    for start in range(0, index.size, _CSV_BLOCK):
+        at = index[start:start + _CSV_BLOCK]
+        low = int(at.min())
+        span = rows[low:int(at.max()) + 1].T.tolist()
+        suffixes = np.array(list(map(template.__mod__, zip(*span))),
+                            dtype=object)
+        parts = [None] * (2 * at.size)
+        parts[::2] = map(str, range(start + 1, start + at.size + 1))
+        parts[1::2] = suffixes[at - low].tolist()
+        yield "".join(parts)
 
 
 def _number(value, key, cast=float):
@@ -118,7 +146,15 @@ def _parse_path(spec):
         source = f"observation path file {spec[1:]!r}"
         with open(spec[1:]) as fh:
             spec = fh.read().replace("\n", ",")
-    tokens = [tok for tok in spec.replace(" ", "").split(",") if tok]
+    spec = spec.replace(" ", "")
+    if (spec.isascii() and spec.strip(",")
+            and not spec.encode().translate(None, b"0123456789,")):
+        # Digits and commas only: numpy reads the runs of digits, and a
+        # token past int64, which it saturates, goes to the tokenizer.
+        faces = np.fromstring(spec.replace(",", " "), np.int64, sep=" ")
+        if faces.max() < np.iinfo(np.int64).max:
+            return faces
+    tokens = [tok for tok in spec.split(",") if tok]
     try:
         return np.array(tokens, dtype=np.int64)
     except (ValueError, OverflowError):
@@ -197,11 +233,10 @@ def _resolve_model(args, config):
 def _cmd_smooth(args, config):
     model = _resolve_model(args, config)
     obs = _parse_path(_option(args, config, "path", "builtin:1"))
-    delta = smooth(model, obs)
+    rows, index = _smoothed_rows(model, obs)
     _write_text(_option(args, config, "out"),
-                _csv(("t", "delta_fair", "delta_biased"),
-                     (range(1, len(delta) + 1), delta[:, 0].tolist(),
-                      delta[:, 1].tolist())))
+                _numbered_csv(("t", "delta_fair", "delta_biased"), rows,
+                              index))
     return EXIT_OK
 
 
@@ -219,7 +254,8 @@ def _cmd_bounds(args, config):
     report.update(naive=naive_ewac(model, obs), theta_lb=plain.theta_lb,
                   theta_ub=plain.theta_ub)
     _write_text(_option(args, config, "out"),
-                json.dumps(_json_ready(report), indent=2, sort_keys=True) + "\n")
+                [json.dumps(_json_ready(report), indent=2,
+                            sort_keys=True) + "\n"])
     return EXIT_OK
 
 
@@ -228,7 +264,7 @@ def _cmd_sweep_eta(args, config):
     grid = _option(args, config, "grid")
     rows = eta_sweep(obs, None if grid is None else _parse_grid(grid, "grid"))
     _write_text(_option(args, config, "out"),
-                _csv(ETA_SWEEP_COLUMNS, rows=rows))
+                [_csv(ETA_SWEEP_COLUMNS, rows=rows)])
     return EXIT_OK
 
 
@@ -247,7 +283,7 @@ def _cmd_sweep_horizon(args, config):
     rows = horizon_sweep(_number(eta, "eta"), t_grid,
                          _option(args, config, "seed", 0, int))
     _write_text(_option(args, config, "out"),
-                _csv(HORIZON_SWEEP_COLUMNS, rows=rows))
+                [_csv(HORIZON_SWEEP_COLUMNS, rows=rows)])
     return EXIT_OK
 
 
@@ -278,15 +314,16 @@ def _cmd_wac_dist(args, config):
                      _option(args, config, "seed", 0, int),
                      filtered=alpha).wac
     _write_text(_option(args, config, "out"),
-                _csv(("sample", "wac"), (range(1, wac.size + 1), wac.tolist())))
+                [_csv(("sample", "wac"),
+                      (range(1, wac.size + 1), wac.tolist()))])
     return EXIT_OK
 
 
 def _cmd_copulas(args, config):
     model = _resolve_model(args, config)
     _write_text(_option(args, config, "out"),
-                json.dumps(_json_ready(_copulas(model)), indent=2,
-                           sort_keys=True) + "\n")
+                [json.dumps(_json_ready(_copulas(model)), indent=2,
+                            sort_keys=True) + "\n"])
     return EXIT_OK
 
 

@@ -71,6 +71,7 @@ class EwacObjective:
         factor: (K,) per-face factor, non-negative.
         row_marginals: fair emission row (required row sums of theta).
         col_marginals: biased emission row (required column sums of theta).
+        independence: the EWAC at the independence coupling, or None.
     """
 
     constant: float
@@ -78,6 +79,7 @@ class EwacObjective:
     factor: np.ndarray
     row_marginals: np.ndarray
     col_marginals: np.ndarray
+    independence: float | None = None
 
     @property
     def coeff(self):
@@ -127,15 +129,30 @@ def ewac_objective(model, obs, delta):
         raise ValueError(
             f"delta must have shape ({o.size}, 2), got {delta.shape}")
     k = model.num_symbols
-    return _face_objective(model, np.bincount(o, minlength=k),
-                           np.bincount(o, weights=delta[:, BIASED],
-                                       minlength=k))
+    counts = np.bincount(o, minlength=k)
+    masses = np.column_stack([np.bincount(o, weights=delta[:, s], minlength=k)
+                              for s in (FAIR, BIASED)])
+    return _face_objective(model, counts, masses[:, BIASED],
+                           _independence(model, counts, masses))
 
 
-def _face_objective(model, counts, mass):
+def _independence(model, counts, masses):
+    """The EWAC at the independence coupling, sum_j m_j (w_j - e_f.w), of
+    (..., K, 2) per-face (fair, biased) masses (fm, m), with n_j - fm_j for
+    m_j where fm_j < m_j and the n_j terms (face ``counts``) summed apart:
+    near eta 0 they cancel exactly for integer payoffs."""
+    w = model.rewards
+    gap = w - model.emission[FAIR] @ w
+    fair, mass = masses[..., FAIR], masses[..., BIASED]
+    near = fair < mass
+    return ((np.where(near, counts, 0) * gap).sum(axis=-1)
+            + (np.where(near, -fair, mass) * gap).sum(axis=-1))
+
+
+def _face_objective(model, counts, mass, independence):
     """The objective from (K,) per-face biased masses, constant = mass.w
-    and factor = mass / e_b; face ``counts`` serve the check, which raises
-    as in ``ewac_objective``."""
+    and factor = mass / e_b, and its ``_independence`` value; face
+    ``counts`` serve the check, which raises as in ``ewac_objective``."""
     w = model.rewards
     e_biased = model.emission[BIASED]
     conflict = (counts > 0) & (e_biased == 0.0)
@@ -148,7 +165,8 @@ def _face_objective(model, counts, mass):
                        where=e_biased > 0)
     return EwacObjective(constant=float(mass @ w), rewards=w, factor=factor,
                          row_marginals=model.emission[FAIR].copy(),
-                         col_marginals=e_biased.copy())
+                         col_marginals=e_biased.copy(),
+                         independence=float(independence))
 
 
 def _path_objective(model, obs):
@@ -163,9 +181,10 @@ def _path_objective(model, obs):
         return ewac_objective(model, obs, delta), alpha
     table, first = iid
     counts = np.bincount(o, minlength=model.num_symbols)
-    mass = counts * table[:, BIASED]
-    mass[o[0]] += first[BIASED] - table[o[0], BIASED]
-    return _face_objective(model, counts, mass), None
+    masses = counts[:, None] * table
+    masses[o[0]] += first - table[o[0]]
+    return _face_objective(model, counts, masses[:, BIASED],
+                           _independence(model, counts, masses)), None
 
 
 def validate_joint_pmf(theta, row_marginals, col_marginals, atol=_PMF_ATOL):
@@ -399,7 +418,8 @@ def _copulas(model):
 def _bounds_report(objective, copulas, stacks, mask=None):
     """(plain bounds, report): lb/ub, lb_cs/ub_cs (None without a cs
     ``mask``), lb_inhom/ub_inhom at the ``_greedy_stacks`` of the dice and
-    ewac_<kind> at each ``_copulas``; the tables are built once per model."""
+    ewac_<kind> at each ``_copulas``, but the independence value from the
+    objective's sum; the tables are built once per model."""
     plain = ewac_bounds(objective)
     tied = None if mask is None else ewac_bounds(objective, mask, tag="cs")
     report = {"lb": plain.lb, "ub": plain.ub,
@@ -409,6 +429,7 @@ def _bounds_report(objective, copulas, stacks, mask=None):
               "ub_inhom": objective.ewac(stacks[1])}
     for kind, theta in copulas.items():
         report[f"ewac_{kind}"] = objective.ewac(theta)
+    report["ewac_independence"] = objective.independence
     return plain, report
 
 
@@ -416,11 +437,13 @@ def naive_ewac(model, obs):
     """Observed winnings minus the unconditional fair expectation.
 
     Ignores the posterior entirely: every period is charged the mean fair
-    payoff, so a lucky honest streak shows up as spurious cheating.
+    payoff, so a lucky honest streak shows up as spurious cheating.  The
+    observed winnings are the face counts times the payoffs.
     """
     o = as_symbol_indices(model, obs)
     w = model.rewards
-    return float(w[o].sum() - o.size * (model.emission[FAIR] @ w))
+    observed = np.bincount(o, minlength=w.size) @ w
+    return float(observed - o.size * (model.emission[FAIR] @ w))
 
 
 def stationary(model):

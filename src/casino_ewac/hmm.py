@@ -4,22 +4,24 @@ State 0 is the fair die, state 1 the biased one.  Die faces are 1..K in the
 public API; arrays indexed by face use 0-based positions internally.  With
 equal transition rows (the canonical casino) the hidden states are
 independent and each period's posterior is Bayes' rule on its own face, so
-smoothing is one gather from a per-face table.  Other chains are smoothed
-by per-step renormalised forward and backward passes, fine for horizons up
-to about a million periods in double precision.  They run on Python
-floats, one scalar per state, through float64 memoryviews: with two states,
-numpy's fixed cost per call (about a microsecond) outweighs the arithmetic.
+the smoothed table is K + 1 distinct rows (one per face, and period 1's)
+gathered by an index per period.  Other chains are smoothed by per-step
+renormalised forward and backward passes, fine for horizons up to about a
+million periods in double precision.  They run on Python floats, one
+scalar per state, through float64 memoryviews: with two states, numpy's
+fixed cost per call (about a microsecond) outweighs the arithmetic.
 
-Posterior path sampling has no loop over periods.  Each backward step
-maps the successor's state to the current one by "keep", "flip" or a
-constant, so with two states composing the steps is a segmented XOR scan
-(the two-state case of the prefix-scan view of Särkkä and
-García-Fernández, "Temporal parallelization of Bayesian smoothers", IEEE
-TAC 2021).  Numpy runs it as a few accumulations over whole row blocks of
-samples and draws the same uniforms as the per-period recursion, so the
-paths are identical to it.  The sampler yields one row block at a time,
-so a caller that reduces each block (the loss sampler keeps per-face
-biased counts) never holds all S x T states at once.
+Simulation and posterior path sampling have no loop over periods.  Each
+backward step of the sampler maps the successor's state to the current
+one by "keep", "flip" or a constant, so with two states composing the
+steps is a segmented XOR scan (the two-state case of the prefix-scan view
+of Särkkä and García-Fernández, "Temporal parallelization of Bayesian
+smoothers", IEEE TAC 2021); ``simulate`` runs the same scan forwards.
+Numpy runs it as a few accumulations over whole row blocks of samples and
+draws the same uniforms as the per-period recursion, so the paths are
+identical to it.  The sampler yields one row block at a time, so a caller
+that reduces each block (the loss sampler keeps per-face biased counts)
+never holds all S x T states at once.
 """
 
 import numpy as np
@@ -136,7 +138,7 @@ def as_symbol_indices(model, obs):
         t = int(bad[0])
         raise ValueError(
             f"observation at position {t + 1} is {o[t]}, expected a face in 1..{k}")
-    return o.astype(np.int64) - 1
+    return o.astype(np.int64, copy=False) - 1
 
 
 def _forward_filter(model, o):
@@ -204,6 +206,19 @@ def _smooth_filtered(model, o, delta):
     return delta
 
 
+def _smoothed_rows(model, obs):
+    """(rows, index) with rows[index] the smoothed (T, 2) table of ``obs``:
+    the K per-face posteriors and period 1's (index K) with equal
+    transition rows, else the T forward-backward rows."""
+    o = as_symbol_indices(model, obs)
+    iid = _iid_posteriors(model, o)
+    if iid is None:
+        return (_smooth_filtered(model, o, _forward_filter(model, o)),
+                np.arange(o.size))
+    o[0] = iid[0].shape[0]  # o is this call's own array
+    return np.vstack(iid), o
+
+
 def smooth(model, obs):
     """Posterior state probabilities given the whole observation path.
 
@@ -217,13 +232,8 @@ def smooth(model, obs):
     Raises:
         ZeroLikelihoodError: if the path is impossible under the model.
     """
-    o = as_symbol_indices(model, obs)
-    iid = _iid_posteriors(model, o)
-    if iid is None:
-        return _smooth_filtered(model, o, _forward_filter(model, o))
-    delta = iid[0][o]
-    delta[0] = iid[1]
-    return delta
+    rows, index = _smoothed_rows(model, obs)
+    return rows[index]
 
 
 # Sample-periods per row block of path sampling, so the temporaries stay
@@ -292,7 +302,9 @@ def sample_hidden_paths(model, obs, count, seed):
 
 
 def simulate(model, horizon, seed):
-    """Roll the model forward for ``horizon`` periods.
+    """Roll the model forward for ``horizon`` periods, with no loop over
+    periods: the states are the forward twin of ``_backward_sample``'s
+    scan over the uniforms of the per-period recursion, which they equal.
 
     Returns:
         (states, obs): length-``horizon`` arrays of hidden states (FAIR or
@@ -306,14 +318,15 @@ def simulate(model, horizon, seed):
     u = rng.random((horizon, 2))
     u_state, u_obs = u[:, 0], u[:, 1]
 
-    # Two states, so each transition reduces to one threshold test.
-    stay_fair = model.transition[:, FAIR].tolist()
-    states = np.empty(horizon, dtype=np.int64)
-    out = states.data
-    threshold = model.initial[FAIR].item()
-    for t, x in enumerate(u_state.tolist()):
-        out[t] = prev = int(x >= threshold)
-        threshold = stay_fair[prev]
+    # s_t = g_t XOR (d_t AND s_{t-1}) = C(t) XOR C(a(t) - 1), with C the
+    # prefix XOR of g and a(t) the last t' <= t with t' = 0 or d false.
+    g = u_state >= model.transition[FAIR, FAIR]
+    d = (u_state >= model.transition[BIASED, FAIR]) != g
+    g[0] = u_state[0] >= model.initial[FAIR]
+    prefix = np.zeros(horizon + 1, dtype=bool)  # prefix[t + 1] = C(t)
+    np.bitwise_xor.accumulate(g, out=prefix[1:])
+    start = np.maximum.accumulate(np.where(d, 0, np.arange(horizon)))
+    states = (prefix[1:] ^ prefix[start]).astype(np.int64)
 
     cdf = np.cumsum(model.emission, axis=1)
     cdf[:, -1] = 1.0

@@ -11,8 +11,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from casino_ewac.engine import (_bounds_report, _copulas, _face_objective,
-                                _greedy_stacks, _path_objective, cs_mask,
-                                ewac_bounds, naive_ewac, validate_joint_pmf)
+                                _greedy_stacks, _independence,
+                                _path_objective, cs_mask, ewac_bounds,
+                                naive_ewac, validate_joint_pmf)
 from casino_ewac.hmm import (BIASED, _backward_sample, _face_posteriors,
                              _forward_filter, _iid_posteriors,
                              as_symbol_indices, canonical_model, simulate)
@@ -195,13 +196,16 @@ def eta_sweep(obs, eta_grid=None):
     counts = np.bincount(as_symbol_indices(model, obs),
                          minlength=model.num_symbols)
     priors = np.column_stack([eta_grid, 1.0 - eta_grid])
-    masses = counts * _face_posteriors(priors, model.emission)[..., BIASED]
+    posteriors = _face_posteriors(priors, model.emission)
+    masses = counts * posteriors[..., BIASED]
+    independence = _independence(model, counts, counts[:, None] * posteriors)
     copulas, stacks = _copulas(model), _greedy_stacks(*model.emission)
     mask = cs_mask(model.emission)
     naive = naive_ewac(model, obs)
     rows = []
-    for eta, mass in zip(eta_grid.tolist(), masses):
-        _, report = _bounds_report(_face_objective(model, counts, mass),
+    for eta, mass, value in zip(eta_grid.tolist(), masses,
+                                independence.tolist()):
+        _, report = _bounds_report(_face_objective(model, counts, mass, value),
                                    copulas, stacks, mask)
         rows.append(SweepRow(eta=eta, naive=naive, **report))
     return rows

@@ -18,6 +18,9 @@ i.i.d. chain come in closed form, and its exact distribution, for integer
 payoffs, by convolving the per-period ones.  ``exact_canonical_values``
 recomputes the canonical casino's bounds and coupling values in exact
 rationals.  ``iid_cases`` generates i.i.d. models for hypothesis.
+``loop_simulate``, ``loop_parse_path`` and ``template_csv`` keep the
+per-period simulation, the per-token path parser and the one-template CSV
+writer that the CLI and ``simulate`` replaced, as references.
 """
 
 import itertools
@@ -409,7 +412,12 @@ def exact_canonical_values(eta, obs):
     rationals of the model's floats: Bayes' rule per face, biased masses
     n_j p_j, and fills of the fair die against the biased faces sorted by
     factor (ascending for lb, descending for ub), in face order
-    (comonotonic) and reversed (countermonotonic)."""
+    (comonotonic) and reversed (countermonotonic).  Each theta is valued
+    as sum_ij theta_ij f_j (w_j - w_i), the form ``EwacObjective.ewac``
+    sums.  It equals constant - sum_ij coeff_ij theta_ij where theta's
+    columns sum to e_b; the float fair die sums to 1 - 2^-54, so the
+    independence coupling misses that by 2^-54 * constant (5.8e-15 on
+    builtin:1 at eta 0, where this form gives 0)."""
     from casino_ewac import canonical_model
 
     model = canonical_model(eta)
@@ -422,11 +430,10 @@ def exact_canonical_values(eta, obs):
     mass = [n * q_biased * b / (q_fair * f + q_biased * b)
             for n, f, b in zip(counts, e_fair, e_biased)]
     factor = [m / b for m, b in zip(mass, e_biased)]
-    constant = sum(m * x for m, x in zip(mass, w))
 
     def ewac(theta):
-        return constant - sum(w[i] * factor[j] * theta[i, j]
-                              for i in range(k) for j in range(k))
+        return sum(theta[i, j] * factor[j] * (w[j] - w[i])
+                   for i in range(k) for j in range(k))
 
     def fill(order):
         theta = np.zeros((k, k), dtype=object)
@@ -542,6 +549,61 @@ def loop_backward_sample(model, alpha, count, rng):
     for t in range(T - 2, -1, -1):
         states[:, t] = u[:, t] >= thresholds[t][states[:, t + 1]]
     return states
+
+
+def loop_simulate(model, horizon, seed):
+    """``hmm.simulate`` one period at a time: period t is biased when its
+    state uniform reaches the previous state's stay-fair probability
+    (``initial[0]`` for period 1), then each state's faces are read off
+    the emission CDF."""
+    rng = np.random.default_rng(seed)
+    u = rng.random((horizon, 2))
+    stay_fair = model.transition[:, 0].tolist()
+    states = np.empty(horizon, dtype=np.int64)
+    threshold = model.initial[0].item()
+    for t, x in enumerate(u[:, 0].tolist()):
+        states[t] = prev = int(x >= threshold)
+        threshold = stay_fair[prev]
+    cdf = np.cumsum(model.emission, axis=1)
+    cdf[:, -1] = 1.0
+    obs = np.empty(horizon, dtype=np.int64)
+    for h in (0, 1):
+        mask = states == h
+        obs[mask] = np.searchsorted(cdf[h], u[mask, 1], side="right") + 1
+    return states, obs
+
+
+def loop_parse_path(spec):
+    """The observation path of a string ``spec`` (faces, or ``@file``) by
+    one Python string per token: newlines of a file and commas separate,
+    spaces are dropped and empty tokens skipped; a token that is not a
+    64-bit integer raises a ValueError naming its position."""
+    source = "observation path"
+    if spec.startswith("@"):
+        source = f"observation path file {spec[1:]!r}"
+        with open(spec[1:]) as fh:
+            spec = fh.read().replace("\n", ",")
+    tokens = [tok for tok in spec.replace(" ", "").split(",") if tok]
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        for position, tok in enumerate(tokens, 1):
+            try:
+                np.int64(tok)
+            except (ValueError, OverflowError):
+                raise ValueError(f"bad {source}: token {position} is "
+                                 f"{tok[:20]!r}, not a 64-bit integer") from None
+        raise
+
+
+def template_csv(header, columns):
+    """CSV text with one ``%`` template per line, each column typed by its
+    first value: integers in full, floats with 12 significant digits."""
+    lines = [",".join(header)]
+    template = ",".join("%d" if type(col[0]) is int else "%.12g"
+                        for col in columns)
+    lines += [template % row for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
 
 
 def _redraw(rng, counts, theta, rewards):

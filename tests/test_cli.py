@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import casino_ewac.cli
 from casino_ewac import engine, hmm, sweeps
@@ -17,9 +20,10 @@ from casino_ewac import (TransportProblem, canonical_model, eta_sweep,
                          ewac_bounds, ewac_objective, pm_mask, simulate,
                          smooth, solve)
 from casino_ewac.cli import (EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
-                             EXIT_USAGE, PATH_1, PATH_2, main)
+                             EXIT_USAGE, PATH_1, PATH_2, _parse_path, main)
 from helpers import (dense_filter, dense_smooth, exact_canonical_values,
-                     loop_count_sample_wac, round12, sticky_model)
+                     loop_count_sample_wac, loop_parse_path, round12,
+                     sticky_model, template_csv)
 
 
 def run(*argv):
@@ -180,7 +184,7 @@ class TestWacDistCommand:
         def no_smoothing(*args):
             raise AssertionError("a copula theta never reads the smoothing")
 
-        monkeypatch.setattr(casino_ewac.cli, "smooth", no_smoothing)
+        monkeypatch.setattr(casino_ewac.cli, "_smoothed_rows", no_smoothing)
         out = tmp_path / "wac.csv"
         for kind in ("independence", "comonotonic", "countermonotonic"):
             assert run("wac-dist", "--eta", "0.5", "--path", "builtin:1",
@@ -361,9 +365,13 @@ class TestGoldenOutputs:
     # Near eta = 1 the biased masses are tiny, and a constant formed as the
     # observed winnings minus the fair term cancels to a few digits; the
     # sum of the biased masses times the payoffs keeps all 12 printed.
+    # Near eta = 0 the independence value is a difference of terms near 30
+    # (builtin:1 printed 2.2e-16 for 0 and 4.50625016191e-08 at 1e-9);
+    # the face counts, summed apart from the fair masses, keep its digits.
     @pytest.mark.parametrize("path,obs", [("builtin:1", PATH_1),
                                           ("builtin:2", PATH_2)])
-    @pytest.mark.parametrize("eta", [0.99999, 1 - 1e-7, 1 - 1e-5 / 3])
+    @pytest.mark.parametrize("eta", [0.99999, 1 - 1e-7, 1 - 1e-5 / 3,
+                                     0.0, 1e-9])
     def test_near_fair_bounds_are_the_exact_values(self, path, obs, eta,
                                                    tmp_path):
         out = tmp_path / "bounds.json"
@@ -644,3 +652,103 @@ class TestDeterminism:
         import casino_ewac
         assert casino_ewac.PATH_1 is PATH_1
         assert casino_ewac.PATH_2 is PATH_2
+
+
+def write_path(path, faces, end="\n"):
+    path.write_text("\n".join(map(str, faces)) + end)
+    return f"@{path}"
+
+
+# Tokens from digits, spaces, signs and a bad letter (empty ones
+# included), and 19-20 digit numbers, which pass int64 from
+# 9223372036854775808 on.
+_TOKEN = (st.text("0123456789 +-x", max_size=4)
+          | st.integers(10**18, 10**20 - 1).map(str))
+_PATH_TEXT = (st.text("0123456789,\n +-x", max_size=40)
+              | st.lists(st.tuples(_TOKEN, st.sampled_from(
+                  [",", "\n", ",,", "\n\n", " , ", ",\n"])),
+                  max_size=12).map(lambda pairs: "".join(map("".join,
+                                                             pairs))))
+
+
+class TestPathParsing:
+    @given(_PATH_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_token_loop(self, tmp_path_factory, text):
+        # Inline, newlines are part of a token; in a file they separate.
+        path = tmp_path_factory.getbasetemp() / "path.txt"
+        path.write_text(text)
+        for spec in (text, f"@{path}"):
+            try:
+                want = loop_parse_path(spec)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    _parse_path(spec)
+                assert str(got.value) == str(exc)
+            else:
+                got = _parse_path(spec)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+
+    def test_file_without_final_newline(self, tmp_path):
+        spec = write_path(tmp_path / "path.txt", [1, 2, 6], end="")
+        np.testing.assert_array_equal(_parse_path(spec), [1, 2, 6])
+
+    def test_bad_token_in_the_last_line(self, tmp_path, capsys):
+        spec = write_path(tmp_path / "path.txt", [1, 2, "3x"], end="")
+        assert run("bounds", "--eta", "0.5", "--path", spec) == EXIT_USAGE
+        assert "token 3 is '3x', not a 64-bit integer" in capsys.readouterr().err
+
+    def test_spaces_join_digits(self, tmp_path):
+        np.testing.assert_array_equal(_parse_path("1 2,3"), [12, 3])
+        spec = write_path(tmp_path / "path.txt", ["1 2", 3])
+        np.testing.assert_array_equal(_parse_path(spec), [12, 3])
+
+    @pytest.mark.parametrize("token", ["9223372036854775808",
+                                       "99999999999999999999"])
+    def test_int64_overflow_exits_two(self, token, tmp_path, capsys):
+        spec = write_path(tmp_path / "path.txt", [1] * 70_000 + [token])
+        assert run("smooth", "--eta", "0.5", "--path", spec) == EXIT_USAGE
+        assert f"token 70001 is '{token}'" in capsys.readouterr().err
+
+    def test_int64_max_is_a_face_not_an_overflow(self):
+        top = np.iinfo(np.int64).max
+        np.testing.assert_array_equal(_parse_path(f"1,{top}"), [1, top])
+
+
+class TestNumberedCsv:
+    # The smooth CSV equals one "%d,%.12g,%.12g" template per line, across
+    # blocks of 2^16 lines, on the i.i.d. route (K + 1 distinct rows), on
+    # a Markov chain (T distinct rows) and at T = 1.
+    @pytest.mark.parametrize("markov,periods", [(False, 150_000),
+                                                (True, 70_000),
+                                                (False, 1), (True, 1)])
+    def test_smooth_equals_the_template(self, markov, periods, tmp_path):
+        model = sticky_model() if markov else canonical_model(0.5)
+        obs = simulate(model, periods, seed=4)[1]
+        spec = write_path(tmp_path / "path.txt", obs.tolist())
+        argv = (["--config", str(sticky_config(tmp_path, spec))] if markov
+                else ["--eta", "0.5", "--path", spec])
+        out = tmp_path / "delta.csv"
+        assert run("smooth", *argv, "--out", str(out)) == EXIT_OK
+        delta = smooth(model, obs)
+        assert out.read_text() == template_csv(
+            ("t", "delta_fair", "delta_biased"),
+            (range(1, periods + 1), delta[:, 0].tolist(),
+             delta[:, 1].tolist()))
+
+    def test_smooth_peak_memory_per_period(self, tmp_path):
+        # The text, the faces and the index cost a few tens of bytes per
+        # period, and a block of lines is fixed; a list of all T lines
+        # costs over 250.
+        periods = 200_000
+        obs = simulate(canonical_model(0.5), periods, seed=1)[1]
+        spec = write_path(tmp_path / "path.txt", obs.tolist())
+        tracemalloc.start()
+        try:
+            assert run("smooth", "--eta", "0.5", "--path", spec,
+                       "--out", str(tmp_path / "delta.csv")) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / periods < 100

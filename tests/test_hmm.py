@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from casino_ewac import (BIASED, FAIR, PATH_1, HmmModel, ZeroLikelihoodError,
                          canonical_model, sample_hidden_paths, simulate,
@@ -10,7 +11,7 @@ from casino_ewac import (BIASED, FAIR, PATH_1, HmmModel, ZeroLikelihoodError,
 from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _forward_filter,
                              _smooth_filtered, as_symbol_indices)
 from helpers import (brute_force_smooth, dense_smooth, digit_rows, iid_cases,
-                     loop_backward_sample, random_small_model,
+                     loop_backward_sample, loop_simulate, random_small_model,
                      sampling_cases, sticky_model)
 
 
@@ -262,6 +263,30 @@ class TestSimulate:
             p = mix[face]
             se = np.sqrt(p * (1 - p) / 50_000)
             assert abs((obs == face + 1).mean() - p) <= 3 * se
+
+    # Stay-fair probabilities: equal rows give an i.i.d. chain; 0 and 1
+    # make sticky and absorbing ones, and eta 0 and 1 the canonical ends.
+    @given(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           st.booleans(), st.integers(1, 400), st.integers(0, 2**32))
+    @example(0.0, 0.0, 0.0, True, 1, 0)
+    @example(1.0, 1.0, 1.0, True, 1, 3)
+    @example(0.5, 1.0, 0.0, False, 300, 7)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_per_period_loop(self, first, q_fair, q_biased,
+                                        iid, horizon, seed):
+        if iid:
+            q_biased = q_fair
+        model = HmmModel([first, 1.0 - first],
+                         [[q_fair, 1.0 - q_fair], [q_biased, 1.0 - q_biased]],
+                         [np.full(6, 1 / 6), np.arange(1, 7) / 21],
+                         np.arange(1, 7))
+        states, obs = simulate(model, horizon, seed)
+        want_states, want_obs = loop_simulate(model, horizon, seed)
+        assert states.dtype == obs.dtype == np.int64
+        np.testing.assert_array_equal(states, want_states)
+        np.testing.assert_array_equal(obs, want_obs)
 
     def test_degenerate_emissions(self):
         model = HmmModel([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]],

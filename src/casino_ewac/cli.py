@@ -25,15 +25,14 @@ import sys
 import numpy as np
 
 from casino_ewac.engine import (InfeasibleMaskError, _bounds_report,
-                                _copulas, _greedy_stacks, _path_objective,
-                                copula_pmf, cs_mask, ewac_bounds, naive_ewac,
-                                pm_mask)
+                                _copulas, _naive, _path_objective, copula_pmf,
+                                cs_mask, ewac_bounds, pm_mask)
 from casino_ewac.hmm import (HmmModel, ZeroLikelihoodError, _smoothed_rows,
-                             canonical_model)
+                             as_symbol_indices, canonical_model)
 from casino_ewac.paths import PATH_1, PATH_2
 from casino_ewac.sweeps import (ETA_SWEEP_COLUMNS, HORIZON_SWEEP_COLUMNS,
-                                default_horizon_grid, eta_sweep, horizon_sweep,
-                                sample_wac)
+                                _sample_wac, default_horizon_grid, eta_sweep,
+                                horizon_sweep)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -242,16 +241,17 @@ def _cmd_smooth(args, config):
 
 def _cmd_bounds(args, config):
     model = _resolve_model(args, config)
-    obs = _parse_path(_option(args, config, "path", "builtin:1"))
-    objective, _ = _path_objective(model, obs)
+    o = as_symbol_indices(model, _parse_path(
+        _option(args, config, "path", "builtin:1")))
+    objective, _ = _path_objective(model, o)
     mask = None
     try:
         mask = cs_mask(model.emission)
     except ValueError:
         log.info("fair die is not uniform; skipping the cs bounds")
-    plain, report = _bounds_report(objective, _copulas(model),
-                                   _greedy_stacks(*model.emission), mask)
-    report.update(naive=naive_ewac(model, obs), theta_lb=plain.theta_lb,
+    plain, report = _bounds_report(objective, model, mask)
+    counts = np.bincount(o, minlength=model.num_symbols)
+    report.update(naive=_naive(model, counts), theta_lb=plain.theta_lb,
                   theta_ub=plain.theta_ub)
     _write_text(_option(args, config, "out"),
                 [json.dumps(_json_ready(report), indent=2,
@@ -297,9 +297,10 @@ def _cmd_wac_dist(args, config):
     if constraints not in _CONSTRAINT_SETS:
         raise ValueError(
             f"constraints must be one of {_CONSTRAINT_SETS}, got {constraints!r}")
+    o = as_symbol_indices(model, obs)  # the one conversion of the path
     alpha = None  # a Markov chain's forward filter, once computed
     if kind in ("lb", "ub"):
-        objective, alpha = _path_objective(model, obs)
+        objective, alpha = _path_objective(model, o)
         mask = frozenset()
         if constraints == "pm":
             mask = pm_mask(model.num_symbols)
@@ -309,10 +310,9 @@ def _cmd_wac_dist(args, config):
         theta = pair.theta_lb if kind == "lb" else pair.theta_ub
     else:
         theta = copula_pmf(model, kind)
-    wac = sample_wac(model, obs, theta,
-                     _option(args, config, "samples", 10_000, int),
-                     _option(args, config, "seed", 0, int),
-                     filtered=alpha).wac
+    wac = _sample_wac(model, o, theta,
+                      _option(args, config, "samples", 10_000, int),
+                      _option(args, config, "seed", 0, int), alpha).wac
     _write_text(_option(args, config, "out"),
                 [_csv(("sample", "wac"),
                       (range(1, wac.size + 1), wac.tolist()))])

@@ -1,18 +1,18 @@
 """Expected winnings attributable to cheating (EWAC) and its sharp bounds.
 
 The unknown is the joint probability mass function theta(i, j) of one fair
-roll and one biased roll, constrained to the transportation polytope whose
-row sums are the fair die and whose column sums are the biased die.  Given
-smoothed state posteriors, the conditional expectation of the winnings a
-gambler would have seen had the casino stayed fair is affine in theta; the
-EWAC, observed winnings minus it, sees the path only through its K
-per-face biased masses, and both its extremes are linear programs.  Their
-cost w_i * f_j is rank one with increasing payoffs w, so without a mask
-both optima are north-west-corner fills against the biased faces sorted by
-f (Hoffman 1963; Cambanis, Simons and Stout 1976).  The pm mask, which for
-the canonical dice is also the cs mask, leaves the staircase j >= i, where
-both optima are greedy fills row by row in payoff order (Shamir and
-Dietrich 1990); the simplex serves every other mask.
+and one biased roll, on the transportation polytope whose row sums are the
+fair die and column sums the biased die.  Given smoothed state posteriors,
+the EWAC (observed winnings less their expectation had the casino stayed
+fair) is affine in theta and sees the path only through its K per-face
+biased masses, so both its extremes are linear programs.  Their cost
+w_i * f_j is rank one with increasing payoffs w: without a mask both optima
+are north-west-corner fills against the biased faces sorted by f (Hoffman
+1963; Cambanis, Simons and Stout 1976), and on the staircase j >= i of the
+pm mask (for the canonical dice also the cs mask) greedy fills row by row
+in payoff order (Shamir and Dietrich 1990).  Either way an optimum sees the
+path only through the stable order of f, so a sweep builds its tables once
+per order.  The simplex serves every other mask.
 """
 
 from dataclasses import dataclass
@@ -54,41 +54,41 @@ class InfeasibleMaskError(ValueError):
 class EwacObjective:
     """Cached affine form of the EWAC as a function of theta.
 
-    ewac(theta) = constant - sum_ij coeff[i, j] * theta[i, j]
-                = sum_ij theta[i, j] * factor[j] * (rewards[j] - rewards[i])
+    ewac(theta) = sum_ij theta[i, j] * factor[j] * (rewards[j] - rewards[i])
 
-    where theta's columns sum to e_b.  ``ewac`` evaluates the second form,
-    which cancels no constant and, on the pm staircase, no term.
-
-    The path enters only through its K per-face biased masses m_j, the
-    smoothed biased-state probability summed over the periods that
-    observed face j + 1: constant = sum_j m_j * rewards[j], coeff[i, j] =
-    rewards[i] * factor[j] and factor[j] = m_j / e_b[j].
+    with factor[j] = m_j / e_b[j], m_j the biased mass of face j + 1 (its
+    periods' smoothed biased probabilities summed).  Where theta's columns
+    sum to e_b it is sum_j m_j rewards[j] - sum_ij coeff[i, j] theta[i, j]
+    with coeff[i, j] = rewards[i] * factor[j], but cancels no term.
 
     Attributes:
-        constant: expected observed winnings of the biased periods.
         rewards: (K,) payoff per face, strictly increasing.
-        factor: (K,) per-face factor, non-negative.
+        factor: (K,) per-face factor, non-negative; (E, K) for a stack of
+            E objectives on the same dice.
         row_marginals: fair emission row (required row sums of theta).
         col_marginals: biased emission row (required column sums of theta).
-        independence: the EWAC at the independence coupling, or None.
+        independence: the EWAC at the independence coupling ((E,) for a
+            stack), or None.
     """
 
-    constant: float
     rewards: np.ndarray
     factor: np.ndarray
     row_marginals: np.ndarray
     col_marginals: np.ndarray
-    independence: float | None = None
+    independence: float | np.ndarray | None = None
 
     @property
     def coeff(self):
         return np.outer(self.rewards, self.factor)
 
     def ewac(self, theta):
-        """The EWAC at theta, unchecked; ``ewac_of_theta`` validates."""
+        """The EWAC at theta, unchecked (``ewac_of_theta`` validates): a
+        float, or for tables (..., [E,] K, K) the values, each the same
+        K^2-term sum."""
         w = self.rewards
-        return float((theta * self.factor * (w - w[:, None])).sum())
+        terms = theta * self.factor[..., None, :] * (w - w[:, None])
+        values = terms.sum(axis=(-2, -1))
+        return float(values) if values.ndim == 0 else values
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,8 @@ class EwacBounds:
 
     ``theta_lb`` and ``theta_ub`` are None for the time-inhomogeneous
     relaxation, whose optimiser varies by period.  ``iterations`` counts
-    simplex pivots for the (lb, ub) solves of a mask other than pm, each
-    its phase-one plus its phase-two pivots.  The unmasked bounds (two
-    sorted north-west-corner fills) and the pm bounds (two staircase
-    fills) run no simplex and report (0, 0).
+    the simplex pivots, phase one plus phase two, of the (lb, ub) solves
+    of a mask other than pm; the fills of the other bounds report (0, 0).
     """
 
     lb: float
@@ -128,63 +126,61 @@ def ewac_objective(model, obs, delta):
     if delta.shape != (o.size, 2):
         raise ValueError(
             f"delta must have shape ({o.size}, 2), got {delta.shape}")
+    return _smoothed_objective(model, o, delta)
+
+
+def _smoothed_objective(model, o, delta):
+    """The objective of the 0-based faces ``o`` and their smoothed rows."""
     k = model.num_symbols
-    counts = np.bincount(o, minlength=k)
     masses = np.column_stack([np.bincount(o, weights=delta[:, s], minlength=k)
                               for s in (FAIR, BIASED)])
-    return _face_objective(model, counts, masses[:, BIASED],
-                           _independence(model, counts, masses))
+    return _face_objective(model, np.bincount(o, minlength=k), masses)
 
 
-def _independence(model, counts, masses):
-    """The EWAC at the independence coupling, sum_j m_j (w_j - e_f.w), of
-    (..., K, 2) per-face (fair, biased) masses (fm, m), with n_j - fm_j for
-    m_j where fm_j < m_j and the n_j terms (face ``counts``) summed apart:
-    near eta 0 they cancel exactly for integer payoffs."""
-    w = model.rewards
-    gap = w - model.emission[FAIR] @ w
-    fair, mass = masses[..., FAIR], masses[..., BIASED]
-    near = fair < mass
-    return ((np.where(near, counts, 0) * gap).sum(axis=-1)
-            + (np.where(near, -fair, mass) * gap).sum(axis=-1))
-
-
-def _face_objective(model, counts, mass, independence):
-    """The objective from (K,) per-face biased masses, constant = mass.w
-    and factor = mass / e_b, and its ``_independence`` value; face
-    ``counts`` serve the check, which raises as in ``ewac_objective``."""
-    w = model.rewards
-    e_biased = model.emission[BIASED]
+def _face_objective(model, counts, masses):
+    """The objective (a stack for leading axes) of (..., K) face counts
+    n and their (..., K, 2) per-face (fair, biased) masses (fm, m); n
+    serves the check, which raises as in ``ewac_objective``.  The
+    independence value sum_j m_j (w_j - e_f.w) takes n_j - fm_j for m_j
+    where fm_j < m_j, the n_j terms summed apart: near eta 0 they cancel
+    exactly for integer payoffs."""
+    w, (e_fair, e_biased) = model.rewards, model.emission
     conflict = (counts > 0) & (e_biased == 0.0)
     if conflict.any():
-        face = int(np.nonzero(conflict)[0][0]) + 1
+        face = int(np.nonzero(conflict)[-1][0]) + 1
         raise ValueError(
             f"face {face} was observed but has zero biased emission "
             "probability; cannot condition the biased roll on it")
-    factor = np.divide(mass, e_biased, out=np.zeros(w.size),
+    fair, mass = masses[..., FAIR], masses[..., BIASED]
+    gap, near = w - e_fair @ w, fair < mass
+    independence = ((np.where(near, counts, 0) * gap).sum(axis=-1)
+                    + (np.where(near, -fair, mass) * gap).sum(axis=-1))
+    factor = np.divide(mass, e_biased, out=np.zeros_like(mass),
                        where=e_biased > 0)
-    return EwacObjective(constant=float(mass @ w), rewards=w, factor=factor,
-                         row_marginals=model.emission[FAIR].copy(),
+    return EwacObjective(rewards=w, factor=factor, row_marginals=e_fair.copy(),
                          col_marginals=e_biased.copy(),
-                         independence=float(independence))
+                         independence=independence)
 
 
-def _path_objective(model, obs):
-    """(objective, alpha): from face counts for an i.i.d. chain, alpha
-    None; else from smoothing a copy of the forward filter alpha, which
-    ``sample_wac`` can reuse."""
-    o = as_symbol_indices(model, obs)
+def _iid_objective(model, counts, first_face, posteriors, first):
+    """``_face_objective`` of an i.i.d. chain's (..., K) face counts, by
+    per-face ``posteriors`` (K, 2) but ``first`` for period 1's face."""
+    masses = counts[..., None] * posteriors
+    masses[..., first_face, :] += first - posteriors[first_face]
+    return _face_objective(model, counts, masses)
+
+
+def _path_objective(model, o):
+    """(objective, alpha) of the 0-based faces ``o``: from face counts for
+    an i.i.d. chain, alpha None; else from smoothing a copy of the forward
+    filter alpha, which ``sample_wac`` can reuse."""
     iid = _iid_posteriors(model, o)
     if iid is None:
         alpha = _forward_filter(model, o)
         delta = _smooth_filtered(model, o, alpha.copy())
-        return ewac_objective(model, obs, delta), alpha
-    table, first = iid
+        return _smoothed_objective(model, o, delta), alpha
     counts = np.bincount(o, minlength=model.num_symbols)
-    masses = counts[:, None] * table
-    masses[o[0]] += first - table[o[0]]
-    return _face_objective(model, counts, masses[:, BIASED],
-                           _independence(model, counts, masses)), None
+    return _iid_objective(model, counts, o[0], *iid), None
 
 
 def validate_joint_pmf(theta, row_marginals, col_marginals, atol=_PMF_ATOL):
@@ -206,8 +202,7 @@ def validate_joint_pmf(theta, row_marginals, col_marginals, atol=_PMF_ATOL):
 
 
 def ewac_of_theta(objective, theta, atol=_PMF_ATOL):
-    """Evaluate the EWAC at one joint PMF by ``EwacObjective.ewac``, whose
-    payoff-gap form agrees with constant - sum coeff * theta there."""
+    """Evaluate the EWAC at one joint PMF by ``EwacObjective.ewac``."""
     return objective.ewac(validate_joint_pmf(
         theta, objective.row_marginals, objective.col_marginals, atol))
 
@@ -237,26 +232,24 @@ def _nw_fill(rows, cols):
     return theta
 
 
-def _staircase_fill(rows, cols, factor, sense):
+def _staircase_fill(rows, cols, order):
     """Optimal table on the pm staircase (theta[i, j] = 0 for j < i) for
-    sum_ij w_i f_j theta[i, j], w increasing; ``sense`` "max" or "min".
+    sum_ij w_i f_j theta[i, j], w increasing: the maximum for the stable
+    ascending factor ``order``, the minimum for it reversed.
 
     Row i, in payoff order, takes what is left of column i, which no later
-    row can serve, then fills the columns j > i in factor order (ascending
-    to maximise), its take above each m > i capped so that rows i+1..m can
-    still cover columns i+1..m (Hall's condition).  Optimality, for "max"
-    ("min" mirrors it): by Abel summation the form is w_max * sum_j f_j
-    cols_j - sum_i (w_{i+1} - w_i) G_i, G_i the f-mass of rows 0..i, so it
-    suffices to minimise every G_i at once.  The nested caps make each
+    row can serve, then fills the columns j > i in ``order``, its take
+    above each m > i capped so that rows i+1..m can still cover columns
+    i+1..m (Hall's condition).  Optimality, for "max" ("min" mirrors it):
+    by Abel summation the form is w_max * sum_j f_j cols_j - sum_i
+    (w_{i+1} - w_i) G_i, G_i the f-mass of rows 0..i, so it suffices to
+    minimise every G_i at once.  The nested caps make each
     row's choice a polymatroid, where the greedy minimises G_i (Edmonds
     1970), and by submodularity dropping column i + 1 from the ground set
     shrinks no other column's greedy share: the row steps minimise every
     prefix together.  Remainders within rounding count as spent.
     """
-    rows = np.asarray(rows, dtype=float)
-    cols = np.asarray(cols, dtype=float)
     k = rows.size
-    order = np.argsort(factor, kind="stable")[::1 if sense == "max" else -1]
     order = order.tolist()
     tol = 2 * k * _EPS * max(rows.sum(), cols.sum())
     stock = cols.tolist()
@@ -278,16 +271,27 @@ def _staircase_fill(rows, cols, factor, sense):
     return theta
 
 
+def _optimal_tables(rows, cols, order, staircase=False):
+    """(max, min) tables of sum_ij w_i f_j theta[i, j], w increasing, for
+    the stable ascending factor ``order``: the north-west-corner fills
+    against the biased faces in that order and reversed, then, with
+    ``staircase``, the two pm ``_staircase_fill``s."""
+    hi, lo = np.empty((2, order.size, order.size))
+    for theta, at in ((hi, order), (lo, order[::-1])):
+        theta[:, at] = _nw_fill(rows, cols[at])
+    return (hi, lo) + (tuple(_staircase_fill(rows, cols, at) for at in
+                             (order, order[::-1])) if staircase else ())
+
+
 def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
     """Sharp EWAC bounds over the (optionally masked) polytope.
 
     The upper bound minimises the coefficient form, the lower bound
     maximises it; both optimisers are vertices and satisfy the mask
-    exactly.  Without a mask the maximiser is the north-west-corner fill
-    against the biased faces sorted by factor ascending (stable), the
-    minimiser the fill against them sorted descending, and no simplex runs.
-    Nor for ``pm_mask(K)``: two ``_staircase_fill`` calls, on a polytope
-    empty when the biased CDF passes the fair one by over FEASIBILITY_TOL.
+    exactly.  With no mask or ``pm_mask(K)`` they are the fills of
+    ``_optimal_tables`` for the stable factor order, and no simplex runs;
+    the pm polytope is empty when the biased CDF passes the fair one by
+    over FEASIBILITY_TOL.
 
     Raises:
         InfeasibleMaskError: if the mask empties the polytope.
@@ -295,22 +299,19 @@ def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
     rows, cols, factor = (objective.row_marginals, objective.col_marginals,
                           objective.factor)
     feasible, iterations = True, (0, 0)
-    if not zero_mask:
-        order = np.argsort(factor, kind="stable")
-        hi, lo = np.empty((2, order.size, order.size))
-        for theta, at in ((hi, order), (lo, order[::-1])):
-            theta[:, at] = _nw_fill(rows, cols[at])
-    elif frozenset(map(tuple, zero_mask)) == pm_mask(factor.size):
-        excess = np.cumsum(cols)[:-1] - np.cumsum(rows)[:-1]
-        feasible = excess.max(initial=0.0) <= FEASIBILITY_TOL
-        hi, lo = (_staircase_fill(rows, cols, factor, sense)
-                  for sense in ("max", "min"))
-    else:
+    staircase = bool(zero_mask)
+    if staircase and frozenset(map(tuple, zero_mask)) != pm_mask(factor.size):
         lo, hi = (solve(TransportProblem(objective.coeff, rows, cols,
                                          zero_mask, sense))
                   for sense in ("min", "max"))
         feasible = lo.status == hi.status == "optimal"
         iterations, hi, lo = (hi.iterations, lo.iterations), hi.theta, lo.theta
+    else:
+        if staircase:
+            excess = np.cumsum(cols)[:-1] - np.cumsum(rows)[:-1]
+            feasible = excess.max(initial=0.0) <= FEASIBILITY_TOL
+        hi, lo = _optimal_tables(rows, cols, np.argsort(factor, kind="stable"),
+                                 staircase)[-2:]
     if not feasible:
         raise InfeasibleMaskError(
             f"constraint set {tag!r} ({len(zero_mask)} forced zeros) admits "
@@ -348,10 +349,9 @@ def greedy_column(model, face, sense):
     """Optimal single-period column for one observed face.
 
     With row capacities from the fair die and a column total equal to the
-    biased probability of ``face``, the expected counterfactual payoff
-    sum_i w_i theta[i, face] is maximised by filling rows from the highest
-    payoff down and minimised by filling from the lowest payoff up (the
-    payoffs are strictly increasing in i).  ``sense`` is "max" or "min".
+    biased probability of ``face``, sum_i w_i theta[i, face] is maximised
+    by filling rows from the highest payoff down and minimised from the
+    lowest up (w increases).  ``sense`` is "max" or "min".
     """
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
@@ -359,20 +359,15 @@ def greedy_column(model, face, sense):
     k = model.num_symbols
     if not 0 <= j < k:
         raise ValueError(f"face must lie in 1..{k}, got {face}")
-    caps, total = model.emission[FAIR], [model.emission[BIASED, j]]
-    if sense == "max":
-        return _nw_fill(caps[::-1], total)[::-1, 0]
-    return _nw_fill(caps, total)[:, 0]
+    return _greedy_stacks(*model.emission)[sense == "min"][:, j]
 
 
 def inhomogeneous_bounds(objective):
     """EWAC bounds when each period may use its own joint PMF.
 
-    Dropping the requirement that every period share one theta decouples
-    the optimisation: periods observing the same face share a greedy
-    column, so the extreme values come from evaluating the coefficient
-    form at the stacked per-face greedy columns.  Always at least as wide
-    as the time-homogeneous bounds.
+    Periods observing the same face then share a greedy column, so the
+    extremes are the form at the stacked per-face greedy columns; always
+    at least as wide as the time-homogeneous bounds.
     """
     best, worst = _greedy_stacks(objective.row_marginals,
                                  objective.col_marginals)
@@ -381,7 +376,8 @@ def inhomogeneous_bounds(objective):
 
 
 def _greedy_stacks(caps, totals):
-    """(best, worst): each face's "max" and "min" ``greedy_column``."""
+    """(best, worst): the "max" and "min" ``greedy_column`` of each column
+    total, ``caps`` filled from the last row up and from the first down."""
     return (np.hstack([_nw_fill(caps[::-1], [s])[::-1] for s in totals]),
             np.hstack([_nw_fill(caps, [s]) for s in totals]))
 
@@ -392,18 +388,15 @@ def copula_pmf(model, kind):
     ``kind`` selects the dependence structure: "independence" multiplies
     the marginals, "comonotonic" couples them through a common uniform
     (highest positive dependence), "countermonotonic" through opposed
-    uniforms (lowest).  The last two are the classical Frechet bounds: the
-    north-west-corner fill in face order, and the fill with the biased
-    faces reversed.
+    uniforms (lowest).  The last two are the classical Frechet bounds, the
+    ``_optimal_tables`` of the face order.
     """
-    e_fair = model.emission[FAIR]
-    e_biased = model.emission[BIASED]
+    e_fair, e_biased = model.emission
     if kind == "independence":
         return np.outer(e_fair, e_biased)
-    if kind == "comonotonic":
-        return _nw_fill(e_fair, e_biased)
-    if kind == "countermonotonic":
-        return _nw_fill(e_fair, e_biased[::-1])[:, ::-1]
+    if kind in ("comonotonic", "countermonotonic"):
+        return _optimal_tables(e_fair, e_biased, np.arange(e_fair.size))[
+            kind == "countermonotonic"]
     raise ValueError(
         "kind must be 'independence', 'comonotonic' or "
         f"'countermonotonic', got {kind!r}")
@@ -415,19 +408,19 @@ def _copulas(model):
             for kind in ("independence", "comonotonic", "countermonotonic")}
 
 
-def _bounds_report(objective, copulas, stacks, mask=None):
+def _bounds_report(objective, model, mask=None):
     """(plain bounds, report): lb/ub, lb_cs/ub_cs (None without a cs
-    ``mask``), lb_inhom/ub_inhom at the ``_greedy_stacks`` of the dice and
-    ewac_<kind> at each ``_copulas``, but the independence value from the
-    objective's sum; the tables are built once per model."""
+    ``mask``), lb_inhom/ub_inhom at the ``_greedy_stacks`` and ewac_<kind>
+    at the ``_copulas``, the independence value from the objective's sum."""
     plain = ewac_bounds(objective)
     tied = None if mask is None else ewac_bounds(objective, mask, tag="cs")
+    best, worst = _greedy_stacks(*model.emission)
     report = {"lb": plain.lb, "ub": plain.ub,
               "lb_cs": None if tied is None else tied.lb,
               "ub_cs": None if tied is None else tied.ub,
-              "lb_inhom": objective.ewac(stacks[0]),
-              "ub_inhom": objective.ewac(stacks[1])}
-    for kind, theta in copulas.items():
+              "lb_inhom": objective.ewac(best),
+              "ub_inhom": objective.ewac(worst)}
+    for kind, theta in _copulas(model).items():
         report[f"ewac_{kind}"] = objective.ewac(theta)
     report["ewac_independence"] = objective.independence
     return plain, report
@@ -437,13 +430,17 @@ def naive_ewac(model, obs):
     """Observed winnings minus the unconditional fair expectation.
 
     Ignores the posterior entirely: every period is charged the mean fair
-    payoff, so a lucky honest streak shows up as spurious cheating.  The
-    observed winnings are the face counts times the payoffs.
+    payoff, so a lucky honest streak shows up as spurious cheating.
     """
-    o = as_symbol_indices(model, obs)
+    return _naive(model, np.bincount(as_symbol_indices(model, obs),
+                                     minlength=model.num_symbols))
+
+
+def _naive(model, counts):
+    """``naive_ewac`` of the (K,) face counts of a path: their payoffs
+    less the fair mean payoff per period."""
     w = model.rewards
-    observed = np.bincount(o, minlength=w.size) @ w
-    return float(observed - o.size * (model.emission[FAIR] @ w))
+    return float(counts @ w - counts.sum() * (model.emission[FAIR] @ w))
 
 
 def stationary(model):

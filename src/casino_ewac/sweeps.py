@@ -10,11 +10,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from casino_ewac.engine import (_bounds_report, _copulas, _face_objective,
-                                _greedy_stacks, _independence,
-                                _path_objective, cs_mask, ewac_bounds,
-                                naive_ewac, validate_joint_pmf)
-from casino_ewac.hmm import (BIASED, _backward_sample, _face_posteriors,
+from casino_ewac.engine import (_face_objective, _greedy_stacks,
+                                _iid_objective, _naive, _optimal_tables,
+                                validate_joint_pmf)
+from casino_ewac.hmm import (_backward_sample, _face_posteriors,
                              _forward_filter, _iid_posteriors,
                              as_symbol_indices, canonical_model, simulate)
 
@@ -31,6 +30,9 @@ __all__ = [
 ]
 
 _BOUND_SLACK = 1e-9
+# Levels eta_sweep evaluates at a time: their stacked tables and products
+# take about 3.5 KB per level, so memory does not grow with the grid.
+_LEVEL_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -89,27 +91,25 @@ def sample_wac(model, obs, theta, count, seed, *, filtered=None):
     """Draw the cheating-loss distribution induced by one joint PMF.
 
     Each draw samples the hidden states from the exact posterior.  A fair
-    period's counterfactual roll is the observed one, and a biased period
-    showing face j redraws its fair face X from the theta column of j, so
-    it adds w_j - w_X to the loss.  The loss therefore depends on the
-    states only through the number b_j of biased periods on each face j:
+    period's counterfactual roll is the observed one; a biased period
+    showing face j redraws its fair face X from theta's column j and adds
+    w_j - w_X.  So the loss sees the states only through the number b_j
+    of biased periods on each face j:
 
         WAC = sum_j sum_i M_ij (w_j - w_i),
         M_.j ~ Multinomial(b_j, theta_.j / c_j),
 
-    with c_j the column sum, which has the same law as redrawing period by
-    period.  With equal transition rows the states are independent: the
-    draws are b_j ~ Binomial(n_j, p_j) for the n_j periods after the first
-    that show face j, p_j their posterior biased probability, as one
-    (S, K) row-major array, then S uniforms for period 1 (biased when one
-    reaches its fair posterior).  Otherwise paths are drawn backwards from
-    the forward filter (``filtered``, if the caller has it) in row blocks
-    of about 2^20 sample-periods, each summed to (S_b, K) counts and
-    dropped.  One multinomial per face with a non-empty column follows.
-    Theta cells that the marginal check lets through slightly below zero
-    count as zero.  No memory grows with S * T: besides the path, an
-    i.i.d. chain needs O(S K), a Markov chain the filter's arrays and one
-    row block's temporaries.
+    c_j the column sum, the same law as redrawing period by period.  With
+    equal transition rows the states are independent: b_j ~ Binomial(n_j,
+    p_j) over the n_j periods after the first that show face j, p_j their
+    posterior biased probability, as one (S, K) row-major array, then S
+    uniforms for period 1 (biased when one reaches its fair posterior).
+    Otherwise paths are drawn backwards from the forward filter
+    (``filtered``, if the caller has it) in row blocks of about 2^20
+    sample-periods, each summed to counts and dropped, so no memory grows
+    with S * T.  One multinomial per face with a non-empty column follows;
+    theta cells the marginal check lets through slightly below zero count
+    as zero.
 
     Raises:
         ValueError: if ``count`` is below 1 or theta is not a joint PMF
@@ -118,9 +118,14 @@ def sample_wac(model, obs, theta, count, seed, *, filtered=None):
         ArithmeticError: if a sampled path is biased on a face whose theta
             column is all zero.
     """
+    return _sample_wac(model, as_symbol_indices(model, obs), theta, count,
+                       seed, filtered)
+
+
+def _sample_wac(model, o, theta, count, seed, filtered=None):
+    """``sample_wac`` of the 0-based faces ``o``."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    o = as_symbol_indices(model, obs)
     theta = np.maximum(
         validate_joint_pmf(theta, model.emission[0], model.emission[1]), 0.0)
     rng = np.random.default_rng(seed)
@@ -169,12 +174,26 @@ def default_horizon_grid(t_min=10, t_max=100_000, points=25):
     return np.unique(np.rint(grid).astype(np.int64))
 
 
+def _tables_by_order(model, factor, built, staircase=False):
+    """(n, E, K, K): the ``_optimal_tables`` of each row of the (E, K)
+    ``factor`` from the dict ``built`` by stable order (all they depend
+    on), to which the tables of each order it lacks are added."""
+    orders = [tuple(order) for order in
+              np.argsort(factor, axis=1, kind="stable").tolist()]
+    for order in set(orders).difference(built):
+        built[order] = _optimal_tables(*model.emission, np.array(order),
+                                       staircase)
+    return np.stack([built[order] for order in orders], axis=1)
+
+
 def eta_sweep(obs, eta_grid=None):
     """Bounds and benchmarks across fairness levels of the canonical model.
 
-    Every row holds the plain, cs-constrained and per-period relaxed
-    bounds, the three benchmark couplings and the naive estimate, from the
-    path's face counts and one (E, K) array of per-face posteriors.
+    Every row holds the plain, cs-constrained (for these dice, pm) and
+    per-period relaxed bounds, the three couplings and the naive estimate.
+    The levels form stacks of objectives, whose optimal tables are built
+    once per factor order and evaluated, beside the path-independent
+    tables, in one stacked ``ewac`` per block of 2^12 levels.
 
     Args:
         obs: observation path, faces 1..6.
@@ -195,29 +214,38 @@ def eta_sweep(obs, eta_grid=None):
     canonical_model(eta_grid.max())
     counts = np.bincount(as_symbol_indices(model, obs),
                          minlength=model.num_symbols)
-    priors = np.column_stack([eta_grid, 1.0 - eta_grid])
-    posteriors = _face_posteriors(priors, model.emission)
-    masses = counts * posteriors[..., BIASED]
-    independence = _independence(model, counts, counts[:, None] * posteriors)
-    copulas, stacks = _copulas(model), _greedy_stacks(*model.emission)
-    mask = cs_mask(model.emission)
-    naive = naive_ewac(model, obs)
-    rows = []
-    for eta, mass, value in zip(eta_grid.tolist(), masses,
-                                independence.tolist()):
-        _, report = _bounds_report(_face_objective(model, counts, mass, value),
-                                   copulas, stacks, mask)
-        rows.append(SweepRow(eta=eta, naive=naive, **report))
+    # Path-independent: the greedy stacks and the Frechet couplings.
+    fixed = np.stack([*_greedy_stacks(*model.emission), *_optimal_tables(
+        *model.emission, np.arange(model.num_symbols))])
+    names = ("lb", "ub", "lb_cs", "ub_cs", "lb_inhom", "ub_inhom",
+             "ewac_comonotonic", "ewac_countermonotonic")
+    naive = _naive(model, counts)
+    built, rows = {}, []
+    for start in range(0, eta_grid.size, _LEVEL_BLOCK):
+        etas = eta_grid[start:start + _LEVEL_BLOCK]
+        priors = np.column_stack([etas, 1.0 - etas])
+        stack = _face_objective(model, counts, counts[:, None]
+                                * _face_posteriors(priors, model.emission))
+        values = np.vstack([
+            stack.ewac(_tables_by_order(model, stack.factor, built, True)),
+            stack.ewac(fixed[:, None])])
+        rows += [SweepRow(eta=eta, naive=naive, ewac_independence=independence,
+                          **dict(zip(names, row)))
+                 for eta, independence, row in zip(
+                     etas.tolist(), stack.independence.tolist(),
+                     values.T.tolist())]
     return rows
 
 
 def horizon_sweep(eta, t_grid=None, seed=0):
     """Per-period bounds along truncations of one simulated path.
 
-    Simulates the canonical model at the largest horizon once, then for
-    each grid value T analyses the face counts of the first T observations
-    and reports lb/T, ub/T and naive/T.  The asymptotic per-period rate
-    these approach is ``asymptotic_ewac_rate(canonical_model(eta))``.
+    Simulates the canonical model at the largest horizon once and reports
+    lb/T, ub/T and naive/T for each grid value T from the face counts of
+    the first T periods, each the previous horizon's plus one segment's;
+    the bounds are evaluated as in ``eta_sweep``.  The asymptotic
+    per-period rate these approach is
+    ``asymptotic_ewac_rate(canonical_model(eta))``.
     """
     if t_grid is None:
         t_grid = default_horizon_grid()
@@ -225,13 +253,12 @@ def horizon_sweep(eta, t_grid=None, seed=0):
     if t_grid.size == 0 or t_grid[0] < 1:
         raise ValueError("horizon grid must contain positive integers")
     model = canonical_model(eta)
-    _, obs = simulate(model, int(t_grid[-1]), seed)
-    rows = []
-    for horizon in t_grid.tolist():
-        prefix = obs[:horizon]
-        plain = ewac_bounds(_path_objective(model, prefix)[0])
-        rows.append(SweepRow(horizon=horizon,
-                             lb=plain.lb / horizon,
-                             ub=plain.ub / horizon,
-                             naive=naive_ewac(model, prefix) / horizon))
-    return rows
+    o = as_symbol_indices(model, simulate(model, int(t_grid[-1]), seed)[1])
+    counts = np.cumsum([np.bincount(part, minlength=model.num_symbols)
+                        for part in np.split(o, t_grid[:-1])], axis=0)
+    stack = _iid_objective(model, counts, o[0], *_iid_posteriors(model, o))
+    lb, ub = stack.ewac(_tables_by_order(model, stack.factor, {})) / t_grid
+    return [SweepRow(horizon=horizon, lb=low, ub=high,
+                     naive=_naive(model, n) / horizon)
+            for horizon, low, high, n in zip(t_grid.tolist(), lb.tolist(),
+                                              ub.tolist(), counts)]

@@ -456,6 +456,13 @@ def round12(value):
         return float(f"{decimal:.12g}")
 
 
+def biased_winnings(objective):
+    """sum_j m_j w_j, the observed winnings of the biased periods, from the
+    objective's per-face biased masses m_j = factor_j * e_b[j]."""
+    return float(objective.factor * objective.col_marginals
+                 @ objective.rewards)
+
+
 def closed_form_extremes(model, obs, delta):
     """(min, max) of the EWAC coefficient form over the unmasked polytope.
 

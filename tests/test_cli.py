@@ -612,7 +612,7 @@ class TestExitCodes:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.45 GiB")
 
-        monkeypatch.setattr(casino_ewac.cli, "sample_wac", exhausted)
+        monkeypatch.setattr(casino_ewac.cli, "_sample_wac", exhausted)
         assert run("wac-dist", "--eta", "0.5", "--path", "builtin:1",
                    "--samples", "10000") == EXIT_USAGE
         err = capsys.readouterr().err

@@ -26,7 +26,8 @@ from casino_ewac import (BIASED, FAIR, FEASIBILITY_TOL, PATH_1, PATH_2,
                          inhomogeneous_bounds, pm_mask, smooth, solve,
                          validate_joint_pmf)
 from casino_ewac.engine import _path_objective
-from helpers import (enumerate_transport_optimum, exact_fill,
+from casino_ewac.hmm import as_symbol_indices
+from helpers import (biased_winnings, enumerate_transport_optimum, exact_fill,
                      exact_transport_optimum, random_small_model)
 
 REL_TOL = 1e-12
@@ -83,9 +84,7 @@ def objectives(draw):
     factor = np.array(draw(st.lists(
         st.sampled_from([0.0, 1.0, 7.5]) | st.floats(0.0, 50.0),
         min_size=k, max_size=k)))
-    return EwacObjective(constant=(draw(st.floats(0.0, 100.0))
-                                   - draw(st.floats(0.0, 100.0))),
-                         rewards=rewards, factor=factor,
+    return EwacObjective(rewards=rewards, factor=factor,
                          row_marginals=_probabilities(draw, k, zeros=True),
                          col_marginals=_probabilities(draw, k, zeros=True))
 
@@ -131,8 +130,7 @@ class TestAgainstTheSimplex:
 
     @PROPERTY
     @given(objectives())
-    @example(EwacObjective(constant=0.0,
-                           rewards=np.arange(1.0, 5.0),
+    @example(EwacObjective(rewards=np.arange(1.0, 5.0),
                            factor=np.array([0.0, 0.0, 3.0, 1e-8]),
                            row_marginals=np.array([0.0, 0.0, 0.5, 0.5]),
                            col_marginals=np.array([0.0, 0.5, 0.0, 0.5])))
@@ -176,8 +174,7 @@ class TestFillRounding:
             order = np.array(order)
             factor = np.empty(6)
             factor[order] = np.arange(6.0)
-            obj = EwacObjective(constant=0.0,
-                                rewards=model.rewards, factor=factor,
+            obj = EwacObjective(rewards=model.rewards, factor=factor,
                                 row_marginals=model.emission[FAIR],
                                 col_marginals=model.emission[BIASED])
             exact = np.zeros((6, 6))
@@ -224,7 +221,7 @@ class TestProperties:
         loose = inhomogeneous_bounds(obj)
         # The cs bounds carry the simplex's tolerances, and every bound
         # the rounding of the constant it is offset by.
-        tol = FEASIBILITY_TOL * _scale(obj) + 1e-15 * abs(obj.constant)
+        tol = FEASIBILITY_TOL * _scale(obj) + 1e-15 * abs(biased_winnings(obj))
         chain = (loose.lb, plain.lb, tied.lb, tied.ub, plain.ub, loose.ub)
         assert all(a <= b + tol for a, b in zip(chain, chain[1:])), chain
 
@@ -301,8 +298,7 @@ def staircase_objectives(draw):
     factor = np.array(draw(st.lists(
         st.sampled_from([0.0, 1.0, 7.5]) | st.floats(0.0, 50.0),
         min_size=k, max_size=k)))
-    return EwacObjective(constant=float(factor @ (cols * rewards)),
-                         rewards=rewards, factor=factor,
+    return EwacObjective(rewards=rewards, factor=factor,
                          row_marginals=rows, col_marginals=cols)
 
 
@@ -344,7 +340,7 @@ class TestStaircaseGreedy:
             table[0, 2] += 0.1
             table /= table.sum()
             factor = rng.choice([0.0, 1.0, 7.5], size=3)
-            obj = EwacObjective(constant=0.0, rewards=np.cumsum(rng.random(3)),
+            obj = EwacObjective(rewards=np.cumsum(rng.random(3)),
                                 factor=factor, row_marginals=table.sum(axis=1),
                                 col_marginals=table.sum(axis=0))
             oracle = enumerate_transport_optimum(
@@ -366,7 +362,7 @@ class TestStaircaseGreedy:
             rewards = np.cumsum(rng.integers(1, 4, size=k)).astype(float)
             factor = (rng.choice([0.0, 1.0, 7.5], size=k)
                       if rng.random() < 0.5 else rng.random(k) * 50)
-            obj = EwacObjective(constant=0.0, rewards=rewards, factor=factor,
+            obj = EwacObjective(rewards=rewards, factor=factor,
                                 row_marginals=rows, col_marginals=cols)
             exact = exact_transport_optimum(obj.coeff, rows, cols, mask)
             if exact is None:
@@ -389,7 +385,7 @@ class TestStaircaseGreedy:
             return
         rows, cols = rows / rows.sum(), cols / cols.sum()
         k = rows.size
-        obj = EwacObjective(constant=0.0, rewards=np.arange(1.0, k + 1),
+        obj = EwacObjective(rewards=np.arange(1.0, k + 1),
                             factor=np.arange(k, 0.0, -1.0),
                             row_marginals=rows, col_marginals=cols)
         if check_feasibility(rows, cols, pm_mask(k)):
@@ -409,7 +405,7 @@ class TestStaircaseGreedy:
         cols[at] += excess
         cols[2] -= excess
         assert check_feasibility(rows, cols, pm_mask(3)) is feasible
-        obj = EwacObjective(constant=0.0, rewards=np.arange(1.0, 4.0),
+        obj = EwacObjective(rewards=np.arange(1.0, 4.0),
                             factor=np.array([3.0, 1.0, 2.0]),
                             row_marginals=rows, col_marginals=cols)
         if not feasible:
@@ -428,7 +424,7 @@ class TestStaircaseGreedy:
         for obs in (PATH_1, PATH_2):
             for eta in levels:
                 model = canonical_model(eta)
-                obj = _path_objective(model, obs)[0]
+                obj = _path_objective(model, as_symbol_indices(model, obs))[0]
                 mask = cs_mask(model.emission)
                 pair = ewac_bounds(obj, mask, tag="cs")
                 np.testing.assert_allclose(

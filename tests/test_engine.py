@@ -1,5 +1,7 @@
 """Objective assembly, LP bounds, constraint masks, copulas, asymptotics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,8 @@ from casino_ewac import (BIASED, FAIR, HmmModel, InfeasibleMaskError, PATH_1,
                          stationary, validate_joint_pmf, TransportProblem)
 from casino_ewac.engine import _path_objective
 from casino_ewac.hmm import _forward_filter, _smooth_filtered, as_symbol_indices
-from helpers import (brute_force_ewac, closed_form_extremes, iid_cases,
-                     random_feasible_theta, random_small_model)
+from helpers import (biased_winnings, brute_force_ewac, closed_form_extremes,
+                     iid_cases, random_feasible_theta, random_small_model)
 
 
 def _objective(eta, obs):
@@ -24,12 +26,12 @@ def _objective(eta, obs):
 
 class TestObjective:
     def test_observed_totals(self):
-        # At eta = 0 every period is biased, so the constant is the
-        # observed winnings.
+        # At eta = 0 every period is biased, so the biased periods'
+        # winnings are the observed winnings.
         _, obj = _objective(0.0, PATH_1)
-        assert obj.constant == 105.0
+        assert biased_winnings(obj) == 105.0
         _, obj = _objective(0.0, PATH_2)
-        assert obj.constant == 125.0
+        assert biased_winnings(obj) == 125.0
 
     def test_always_biased_coefficients(self):
         # At eta = 0 the biased mass per face is just its count.
@@ -40,7 +42,7 @@ class TestObjective:
 
     def test_always_fair_coefficients_vanish(self):
         _, obj = _objective(1.0, PATH_1)
-        assert obj.constant == 0.0
+        assert biased_winnings(obj) == 0.0
         np.testing.assert_array_equal(obj.coeff, np.zeros((6, 6)))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -56,8 +58,8 @@ class TestObjective:
         for t, face in enumerate(obs):
             per_period += delta[t, BIASED] * model.rewards[face - 1]
         tol = 4 * size * np.finfo(float).eps * size * model.rewards.max()
-        assert ewac_objective(model, obs, delta).constant == pytest.approx(
-            per_period, rel=0, abs=tol)
+        assert biased_winnings(ewac_objective(model, obs, delta)) == \
+            pytest.approx(per_period, rel=0, abs=tol)
 
     def test_shape_mismatch_rejected(self):
         model = canonical_model(0.5)
@@ -82,11 +84,11 @@ class TestFaceCountObjective:
         o = as_symbol_indices(model, obs)
         delta = _smooth_filtered(model, o, _forward_filter(model, o))
         expected = ewac_objective(model, obs, delta)
-        got, alpha = _path_objective(model, obs)
+        got, alpha = _path_objective(model, o)
         assert alpha is None
         tol = 4 * len(obs) * np.finfo(float).eps * len(obs)
-        assert got.constant == pytest.approx(expected.constant, rel=0,
-                                             abs=tol * model.rewards.max())
+        assert biased_winnings(got) == pytest.approx(
+            biased_winnings(expected), rel=0, abs=tol * model.rewards.max())
         np.testing.assert_allclose(got.factor * model.emission[BIASED],
                                    expected.factor * model.emission[BIASED],
                                    rtol=0, atol=tol)
@@ -96,11 +98,11 @@ class TestFaceCountObjective:
         # filter it returns for the sampler is left unsmoothed.
         model = random_small_model(np.random.default_rng(4), 5)
         obs = np.random.default_rng(5).integers(1, 6, size=200)
-        got, alpha = _path_objective(model, obs)
-        expected = ewac_objective(model, obs, smooth(model, obs))
-        assert got.constant == expected.constant
-        assert got.factor.tobytes() == expected.factor.tobytes()
         o = as_symbol_indices(model, obs)
+        got, alpha = _path_objective(model, o)
+        expected = ewac_objective(model, obs, smooth(model, obs))
+        assert biased_winnings(got) == biased_winnings(expected)
+        assert got.factor.tobytes() == expected.factor.tobytes()
         assert alpha.tobytes() == _forward_filter(model, o).tobytes()
 
 
@@ -122,6 +124,30 @@ class TestEwacOfTheta:
             assert ewac_of_theta(obj, theta) == pytest.approx(
                 brute_force_ewac(model, obs, theta), abs=1e-10)
 
+    def test_stacked_values_equal_each_table(self):
+        # One evaluator: E objectives on the same dice (factor (E, K))
+        # against an (n, E, K, K) stack give each single-table value bit
+        # for bit, and n tables shared by every level broadcast.
+        rng = np.random.default_rng(20)
+        for k in range(2, 8):
+            model = random_small_model(rng, k)
+            obs = rng.integers(1, k + 1, size=60)
+            obj = ewac_objective(model, obs, smooth(model, obs))
+            factors = rng.random((5, k)) * rng.choice([1e-9, 1.0, 1e6], (5, 1))
+            stack = replace(obj, factor=factors)
+            tables = np.array([[random_feasible_theta(
+                model.emission[FAIR], model.emission[BIASED], rng)
+                for _ in range(5)] for _ in range(3)])
+            values = stack.ewac(tables)
+            shared = stack.ewac(tables[:, :1])
+            assert values.shape == shared.shape == (3, 5)
+            for i in range(3):
+                for e in range(5):
+                    one = replace(obj, factor=factors[e])
+                    assert values[i, e] == one.ewac(tables[i, e])
+                    assert shared[i, e] == one.ewac(tables[i, 0])
+            assert type(obj.ewac(tables[0, 0])) is float
+
     def test_unchecked_form_equals_the_checked_one(self):
         rng = np.random.default_rng(18)
         for k in range(2, 8):
@@ -142,14 +168,17 @@ class TestEwacOfTheta:
         for k in range(2, 8):
             model = random_small_model(rng, k)
             obs = rng.integers(1, k + 1, size=200)
-            obj = ewac_objective(model, obs, smooth(model, obs))
+            delta = smooth(model, obs)
+            obj = ewac_objective(model, obs, delta)
+            constant = float(np.bincount(obs - 1, weights=delta[:, BIASED],
+                                         minlength=k) @ model.rewards)
             theta = random_feasible_theta(model.emission[FAIR],
                                           model.emission[BIASED], rng)
-            scale = np.abs(obj.coeff).max() + abs(obj.constant)
+            scale = np.abs(obj.coeff).max() + abs(constant)
             assert obj.ewac(theta) == pytest.approx(
-                obj.constant - float(np.sum(obj.coeff * theta)),
+                constant - float(np.sum(obj.coeff * theta)),
                 rel=0, abs=1e-13 * scale)
-            assert obj.constant == pytest.approx(
+            assert constant == pytest.approx(
                 obj.factor @ (model.emission[BIASED] * obj.rewards), rel=1e-14)
 
     def test_bad_marginals_rejected(self):
@@ -235,8 +264,9 @@ class TestBounds:
         pair = ewac_bounds(obj)
         lo, hi = closed_form_extremes(model, PATH_1, smooth(model, PATH_1))
         scale = np.abs(obj.coeff).max()
-        assert pair.lb == pytest.approx(obj.constant - hi, abs=1e-12 * scale)
-        assert pair.ub == pytest.approx(obj.constant - lo, abs=1e-12 * scale)
+        constant = biased_winnings(obj)
+        assert pair.lb == pytest.approx(constant - hi, abs=1e-12 * scale)
+        assert pair.ub == pytest.approx(constant - lo, abs=1e-12 * scale)
         assert pair.ub - pair.lb == pytest.approx(hi - lo, rel=1e-6)
         assert pair.ub - pair.lb == pytest.approx(width, rel=1e-3)
 

@@ -4,17 +4,41 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from casino_ewac import (PATH_1, HmmModel, SweepRow, canonical_model,
-                         copula_pmf, default_eta_grid, default_horizon_grid,
-                         eta_sweep, ewac_bounds, ewac_objective,
-                         ewac_of_theta, horizon_sweep, naive_ewac,
-                         sample_hidden_paths, sample_wac, simulate, smooth)
-from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _forward_filter,
-                             as_symbol_indices)
+import casino_ewac
+from casino_ewac import (PATH_1, PATH_2, HmmModel, SweepRow, canonical_model,
+                         copula_pmf, cs_mask, default_eta_grid,
+                         default_horizon_grid, eta_sweep, ewac_bounds,
+                         ewac_objective, ewac_of_theta, horizon_sweep,
+                         naive_ewac, sample_hidden_paths, sample_wac,
+                         simulate, smooth)
+from casino_ewac import engine
+from casino_ewac.engine import _bounds_report, _face_objective, _path_objective
+from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _face_posteriors,
+                             _forward_filter, as_symbol_indices)
 from helpers import (digit_rows, iid_wac_moments, iid_wac_pmf, is_iid,
                      loop_count_sample_wac, loop_iid_sample_wac,
                      random_feasible_theta, sampling_cases, sticky_model)
+
+
+def bits(row):
+    """A sweep row's fields, each float as its exact bit pattern."""
+    return {name: value.hex() if isinstance(value, float) else value
+            for name, value in row.items()}
+
+
+def per_level_row(obs, eta):
+    """One eta_sweep row the slow way: the level's own objective from its
+    face counts, ``_bounds_report`` (two ``ewac_bounds`` calls and one
+    evaluation per table) and ``naive_ewac``."""
+    model = canonical_model(eta)
+    counts = np.bincount(np.asarray(obs) - 1, minlength=6)
+    posteriors = _face_posteriors(np.array([eta, 1.0 - eta]), model.emission)
+    objective = _face_objective(model, counts, counts[:, None] * posteriors)
+    _, report = _bounds_report(objective, model, cs_mask(model.emission))
+    return dict(report, eta=eta, horizon=None, naive=naive_ewac(model, obs))
 
 
 def face_counts(hidden, obs, k=6):
@@ -298,13 +322,68 @@ class TestEtaSweep:
         assert grid[0] == pytest.approx(0.01)
         assert grid[-1] == pytest.approx(0.99)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=40)
+           .flatmap(lambda faces: st.lists(st.sampled_from(faces),
+                                           min_size=1, max_size=40)),
+           st.lists(st.sampled_from([0.0, 1.0, 0.5, 0.25]) | st.floats(0, 1),
+                    min_size=1, max_size=8))
+    def test_rows_equal_the_per_level_reports(self, obs, grid):
+        # Paths drawn from a random subset of faces leave faces unseen,
+        # whose zero factors tie; the grid repeats levels as often as not.
+        rows = eta_sweep(obs, grid)
+        assert [bits(row.as_dict()) for row in rows] == [
+            bits(per_level_row(obs, eta)) for eta in grid]
+
+    @pytest.mark.parametrize("obs", [PATH_1, PATH_2])
+    @pytest.mark.parametrize("grid", [None, [0.0, 0.5, 1.0], [0.37]])
+    def test_builtin_rows_equal_the_per_level_reports(self, obs, grid):
+        rows = eta_sweep(obs, grid)
+        levels = default_eta_grid().tolist() if grid is None else grid
+        assert [bits(row.as_dict()) for row in rows] == [
+            bits(per_level_row(obs, eta)) for eta in levels]
+
+    @pytest.mark.parametrize("obs,orders", [(PATH_1, 1), (PATH_2, 7)])
+    def test_fills_once_per_factor_order(self, obs, orders, monkeypatch):
+        # Two staircase fills for each distinct stable factor order of the
+        # default grid, and no call to ewac_bounds at all.
+        calls = []
+        fill = engine._staircase_fill
+
+        def counting(*args):
+            calls.append(args)
+            return fill(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eta_sweep called ewac_bounds")
+
+        monkeypatch.setattr(engine, "_staircase_fill", counting)
+        for module in (casino_ewac, engine, casino_ewac.sweeps):
+            if hasattr(module, "ewac_bounds"):
+                monkeypatch.setattr(module, "ewac_bounds", refuse)
+        eta_sweep(obs)
+        assert len(calls) == 2 * orders
+
+    @pytest.mark.parametrize("obs", [PATH_1, PATH_2])
+    def test_blocks_of_levels_change_no_row(self, obs, monkeypatch):
+        # Blocks of 7 levels share one dict of tables: the same rows, bit
+        # for bit, and still two staircase fills per order.
+        whole = [bits(row.as_dict()) for row in eta_sweep(obs)]
+        calls = []
+        fill = engine._staircase_fill
+        monkeypatch.setattr(casino_ewac.sweeps, "_LEVEL_BLOCK", 7)
+        monkeypatch.setattr(engine, "_staircase_fill",
+                            lambda *args: calls.append(args) or fill(*args))
+        assert [bits(row.as_dict()) for row in eta_sweep(obs)] == whole
+        assert len(calls) == (2 if obs is PATH_1 else 14)
+
     def test_matches_single_point_computation(self):
         rows = eta_sweep(PATH_1, [0.2])
         model = canonical_model(0.2)
         objective = ewac_objective(model, PATH_1, smooth(model, PATH_1))
         pair = ewac_bounds(objective)
-        assert rows[0].lb == pytest.approx(pair.lb, abs=1e-12)
-        assert rows[0].ub == pytest.approx(pair.ub, abs=1e-12)
+        assert rows[0].lb == pair.lb
+        assert rows[0].ub == pair.ub
         assert rows[0].naive == naive_ewac(model, PATH_1)
 
 
@@ -327,6 +406,28 @@ class TestHorizonSweep:
             assert row.eta is None
             assert row.lb <= row.ub
             assert abs(row.ub) <= 6.0  # per-period values are payoff-sized
+
+    @pytest.mark.parametrize("eta,grid,seed", [
+        (0.5, [1, 2, 3, 10, 57, 1000, 4000], 3), (0.9, [4000, 16, 1], 2),
+        (0.0, [5, 300], 1), (1.0, [5, 300], 1), (0.2, [1], 8)])
+    def test_rows_equal_the_per_prefix_bounds(self, eta, grid, seed):
+        # Bit for bit the objective, bounds and naive value of each prefix
+        # converted and counted on its own.
+        model = canonical_model(eta)
+        _, obs = simulate(model, max(grid), seed)
+        expected = []
+        for horizon in sorted(grid):
+            prefix = obs[:horizon]
+            objective, _ = _path_objective(model,
+                                           as_symbol_indices(model, prefix))
+            pair = ewac_bounds(objective)
+            expected.append(dict(
+                SweepRow().as_dict(), horizon=horizon, lb=pair.lb / horizon,
+                ub=pair.ub / horizon,
+                naive=naive_ewac(model, prefix) / horizon))
+        rows = horizon_sweep(eta, grid, seed)
+        assert [bits(row.as_dict()) for row in rows] == list(map(bits,
+                                                                 expected))
 
     def test_truncations_share_the_simulated_path(self):
         # The longer row's prefix analysis must equal the shorter row.

@@ -5,11 +5,12 @@ state probabilities, ``bounds`` a JSON report of every bound and benchmark
 for a single model, ``sweep-eta`` and ``sweep-horizon`` CSV grids,
 ``wac-dist`` Monte-Carlo draws of the cheating loss, and ``copulas`` the
 three benchmark couplings.  Options may come from a JSON config file via
-``--config``; explicit flags win over config values.  A path file
-(``@file``) of plain digits is read by numpy, other text token by token;
-the ``smooth`` CSV is written in blocks from its distinct rows.  Numbers
-are written with 12 significant digits and reruns with identical inputs
-produce byte-identical files.
+``--config``; explicit flags win over config values.  A path of digits
+(inline, or an ``@file`` read in blocks of 1 MB) becomes one int64 array
+by numpy, other text is read token by token; CSV text is formatted in
+blocks, the ``smooth`` CSV from its distinct rows.  Numbers are written
+with 12 significant digits and reruns with identical inputs produce
+byte-identical files.
 
 Exit codes: 0 success, 2 bad flags or config or a run too large for the
 available memory, 3 infeasible constraint set, 4 numerical failure (for
@@ -17,9 +18,12 @@ example an impossible observation path).
 """
 
 import argparse
+import functools
+import io
 import json
 import logging
 import os
+import stat
 import sys
 
 import numpy as np
@@ -28,7 +32,7 @@ from casino_ewac.engine import (InfeasibleMaskError, _bounds_report,
                                 _copulas, _naive, _path_objective, copula_pmf,
                                 cs_mask, ewac_bounds, pm_mask)
 from casino_ewac.hmm import (HmmModel, ZeroLikelihoodError, _smoothed_rows,
-                             as_symbol_indices, canonical_model)
+                             _symbol_indices, canonical_model)
 from casino_ewac.paths import PATH_1, PATH_2
 from casino_ewac.sweeps import (ETA_SWEEP_COLUMNS, HORIZON_SWEEP_COLUMNS,
                                 _sample_wac, default_horizon_grid, eta_sweep,
@@ -72,26 +76,37 @@ def _write_text(out, chunks):
             fh.writelines(chunks)
 
 
+_CSV_BLOCK = 1 << 16  # lines
+_PARSE_BLOCK = 1 << 20  # bytes
+
+
+def _lines(template, columns):
+    """``template`` per position of the ``columns``, by a single ``%``."""
+    values = [None] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        values[i::len(columns)] = column
+    return template * len(columns[0]) % tuple(values)
+
+
 def _csv(header, columns=None, rows=None):
     """CSV text: the header, then one line per position of the columns.
 
     Each column is a sequence of Python numbers, as ``tolist()`` gives, and
     is typed by its first value: integers print in full and floats with 12
     significant digits.  ``rows`` of sweep records stand in for the
-    columns: column ``name`` holds each row's attribute ``name``.  One
-    ``%`` template formats each line.
+    columns: column ``name`` holds each row's attribute ``name``.  The
+    lines are formatted in blocks of 2^16.
     """
     if rows is not None:
         columns = [[getattr(row, name) for row in rows] for name in header]
-    lines = [",".join(header)]
+    text = [",".join(header) + "\n"]
     if len(columns[0]):
         template = ",".join("%d" if type(col[0]) is int else "%.12g"
-                            for col in columns)
-        lines += [template % row for row in zip(*columns)]
-    return "\n".join(lines) + "\n"
-
-
-_CSV_BLOCK = 1 << 16
+                            for col in columns) + "\n"
+        text += [_lines(template, [col[start:start + _CSV_BLOCK]
+                                   for col in columns])
+                 for start in range(0, len(columns[0]), _CSV_BLOCK)]
+    return "".join(text)
 
 
 def _numbered_csv(header, rows, index):
@@ -109,10 +124,8 @@ def _numbered_csv(header, rows, index):
         span = rows[low:int(at.max()) + 1].T.tolist()
         suffixes = np.array(list(map(template.__mod__, zip(*span))),
                             dtype=object)
-        parts = [None] * (2 * at.size)
-        parts[::2] = map(str, range(start + 1, start + at.size + 1))
-        parts[1::2] = suffixes[at - low].tolist()
-        yield "".join(parts)
+        yield _lines("%d%s", (range(start + 1, start + at.size + 1),
+                              suffixes[at - low].tolist()))
 
 
 def _number(value, key, cast=float):
@@ -140,20 +153,21 @@ def _parse_path(spec):
         return list(PATH_2)
     if spec.startswith("builtin:"):
         raise ValueError(f"unknown builtin path {spec!r}; use builtin:1 or builtin:2")
-    source = "observation path"
+    source, faces = "observation path", None
     if spec.startswith("@"):
         source = f"observation path file {spec[1:]!r}"
-        with open(spec[1:]) as fh:
-            spec = fh.read().replace("\n", ",")
-    spec = spec.replace(" ", "")
-    if (spec.isascii() and spec.strip(",")
-            and not spec.encode().translate(None, b"0123456789,")):
-        # Digits and commas only: numpy reads the runs of digits, and a
-        # token past int64, which it saturates, goes to the tokenizer.
-        faces = np.fromstring(spec.replace(",", " "), np.int64, sep=" ")
-        if faces.max() < np.iinfo(np.int64).max:
-            return faces
-    tokens = [tok for tok in spec.split(",") if tok]
+        with open(spec[1:], "rb") as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh = io.BytesIO(fh.read())  # a pipe can be read only once
+            faces = _digit_runs(fh)
+            if faces is None:
+                fh.seek(0)
+                spec = io.TextIOWrapper(fh).read().replace("\n", ",")
+    elif spec.isascii() and spec.isprintable():  # inline, no line ends
+        faces = _digit_runs(io.BytesIO(spec.encode()))
+    if faces is not None:
+        return faces
+    tokens = [tok for tok in spec.replace(" ", "").split(",") if tok]
     try:
         return np.array(tokens, dtype=np.int64)
     except (ValueError, OverflowError):
@@ -164,6 +178,43 @@ def _parse_path(spec):
                 raise ValueError(f"bad {source}: token {position} is "
                                  f"{tok[:20]!r}, not a 64-bit integer") from None
         raise
+
+
+def _digit_runs(fh):
+    """The numbers in the seekable binary file ``fh`` as one int64 array,
+    parsed by numpy in blocks of about 1 MB cut at a separator; None, for
+    the tokenizer, on a byte other than a digit, a space (dropped) or a
+    separator, on a number past int64, or on 19 bytes or more after a
+    block's last separator."""
+    faces = np.empty((fh.seek(0, os.SEEK_END) + 1) // 2, np.int64)
+    fh.seek(0)
+    n, carry = 0, b","  # each block starts and ends with a separator
+    while True:
+        chunk = fh.read(_PARSE_BLOCK)
+        block = (carry + (chunk or b",")).replace(b" ", b"")
+        cut = max(map(block.rfind, b",\n\r"))
+        block, carry = block[:cut + 1], block[cut:]
+        if len(carry) > 19:  # so a file without separators stays linear
+            return None
+        raw = np.frombuffer(block, np.uint8)
+        text = raw - 48  # digits to 0-9
+        digit = text < 10
+        ndigit = np.count_nonzero(digit)  # the rest must be separators
+        seps = sum(np.count_nonzero(raw == c) for c in b",\n\r")
+        if ndigit + seps < raw.size:
+            return None
+        if not ndigit or 2 * ndigit + 1 == raw.size and digit[1::2].all():
+            runs = text[1::2][:ndigit]  # no token, or one digit each
+        else:  # numpy saturates past int64: the tokenizer names the token
+            runs = np.fromstring(block.replace(b",", b" "), np.int64, sep=" ")
+            if runs.max() == np.iinfo(np.int64).max:
+                return None
+        if n + runs.size > faces.size:  # the file grew
+            return None
+        faces[n:n + runs.size] = runs
+        n += runs.size
+        if not chunk:
+            return faces[:n]
 
 
 def _parse_grid(spec, key, cast=float):
@@ -231,8 +282,9 @@ def _resolve_model(args, config):
 
 def _cmd_smooth(args, config):
     model = _resolve_model(args, config)
-    obs = _parse_path(_option(args, config, "path", "builtin:1"))
-    rows, index = _smoothed_rows(model, obs)
+    o = _symbol_indices(model, _parse_path(
+        _option(args, config, "path", "builtin:1")), in_place=True)
+    rows, index = _smoothed_rows(model, o)
     _write_text(_option(args, config, "out"),
                 _numbered_csv(("t", "delta_fair", "delta_biased"), rows,
                               index))
@@ -241,8 +293,8 @@ def _cmd_smooth(args, config):
 
 def _cmd_bounds(args, config):
     model = _resolve_model(args, config)
-    o = as_symbol_indices(model, _parse_path(
-        _option(args, config, "path", "builtin:1")))
+    o = _symbol_indices(model, _parse_path(
+        _option(args, config, "path", "builtin:1")), in_place=True)
     objective, _ = _path_objective(model, o)
     mask = None
     try:
@@ -297,7 +349,7 @@ def _cmd_wac_dist(args, config):
     if constraints not in _CONSTRAINT_SETS:
         raise ValueError(
             f"constraints must be one of {_CONSTRAINT_SETS}, got {constraints!r}")
-    o = as_symbol_indices(model, obs)  # the one conversion of the path
+    o = _symbol_indices(model, obs, in_place=True)
     alpha = None  # a Markov chain's forward filter, once computed
     if kind in ("lb", "ub"):
         objective, alpha = _path_objective(model, o)
@@ -337,6 +389,7 @@ _DISPATCH = {
 }
 
 
+@functools.cache  # one parser per process: parse_args keeps no state
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="casino-ewac",

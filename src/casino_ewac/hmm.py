@@ -124,6 +124,11 @@ def canonical_model(eta):
 
 def as_symbol_indices(model, obs):
     """Validate a face sequence and convert it to 0-based indices."""
+    return _symbol_indices(model, obs, in_place=False)
+
+
+def _symbol_indices(model, obs, in_place):
+    """as_symbol_indices, in place on an int64 ``obs`` if ``in_place``."""
     o = np.asarray(obs)
     if o.ndim != 1 or o.size == 0:
         raise ValueError("observation path must be a non-empty 1-d sequence")
@@ -138,7 +143,8 @@ def as_symbol_indices(model, obs):
         t = int(bad[0])
         raise ValueError(
             f"observation at position {t + 1} is {o[t]}, expected a face in 1..{k}")
-    return o.astype(np.int64, copy=False) - 1
+    o = o.astype(np.int64, copy=False)
+    return np.subtract(o, 1, out=o if in_place else None)
 
 
 def _forward_filter(model, o):
@@ -206,16 +212,16 @@ def _smooth_filtered(model, o, delta):
     return delta
 
 
-def _smoothed_rows(model, obs):
-    """(rows, index) with rows[index] the smoothed (T, 2) table of ``obs``:
-    the K per-face posteriors and period 1's (index K) with equal
-    transition rows, else the T forward-backward rows."""
-    o = as_symbol_indices(model, obs)
+def _smoothed_rows(model, o):
+    """(rows, index) with rows[index] the smoothed (T, 2) table of the
+    0-based faces ``o``, which it may overwrite: the K per-face posteriors
+    and period 1's (index K) with equal transition rows, else the T
+    forward-backward rows."""
     iid = _iid_posteriors(model, o)
     if iid is None:
         return (_smooth_filtered(model, o, _forward_filter(model, o)),
                 np.arange(o.size))
-    o[0] = iid[0].shape[0]  # o is this call's own array
+    o[0] = iid[0].shape[0]
     return np.vstack(iid), o
 
 
@@ -232,7 +238,7 @@ def smooth(model, obs):
     Raises:
         ZeroLikelihoodError: if the path is impossible under the model.
     """
-    rows, index = _smoothed_rows(model, obs)
+    rows, index = _smoothed_rows(model, as_symbol_indices(model, obs))
     return rows[index]
 
 

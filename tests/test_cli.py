@@ -1,10 +1,13 @@
 """Command-line behaviour: outputs, config handling, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -179,6 +182,21 @@ class TestWacDistCommand:
                    "--theta", "ub", "--constraints", "cs", "--samples", "50",
                    "--seed", "2", "--out", str(out)) == EXIT_OK
         assert len(out.read_text().splitlines()) == 51
+
+    @pytest.mark.parametrize("samples", [70_000, 1])
+    def test_csv_equals_the_template(self, samples, tmp_path):
+        # One % template per block of 2^16 lines writes the text of one
+        # template per line, across a block boundary and for one line.
+        out = tmp_path / "wac.csv"
+        assert run("wac-dist", "--eta", "0.3", "--path", "builtin:2",
+                   "--samples", str(samples), "--seed", "4",
+                   "--out", str(out)) == EXIT_OK
+        model = canonical_model(0.3)
+        wac = sweeps.sample_wac(model, PATH_2,
+                                engine.copula_pmf(model, "comonotonic"),
+                                samples, 4).wac
+        assert out.read_text() == template_csv(
+            ("sample", "wac"), (range(1, samples + 1), wac.tolist()))
 
     def test_copula_theta_does_not_smooth(self, tmp_path, monkeypatch):
         def no_smoothing(*args):
@@ -633,6 +651,32 @@ class TestDeterminism:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_calls_in_one_process_equal_fresh_runs(self, tmp_path, capsys):
+        # One argument parser serves every main() call of a process: no
+        # option or default of a call may reach the next, and help and bad
+        # flags keep their exit codes in between.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"eta": 0.3, "samples": 40, "seed": 9}))
+        calls = [("wac-dist", "--eta", "0.5", "--samples", "30",
+                  "--seed", "5"),
+                 ("wac-dist", "--eta", "0.5", "--samples", "30"),
+                 ("wac-dist", "--config", str(config)),
+                 ("wac-dist", "--config", str(config), "--seed", "2"),
+                 ("sweep-eta", "--path", "builtin:2", "--grid", "0.2,0.4"),
+                 ("wac-dist", "--eta", "0.5", "--path", "builtin:2")]
+        for i, argv in enumerate(calls):
+            assert run(*argv, "--out", str(tmp_path / f"seq{i}")) == EXIT_OK
+            assert run("--help") == EXIT_OK
+            assert run("wac-dist", "--samples", "x") == EXIT_USAGE
+            assert run("bounds", "--no-such-flag") == EXIT_USAGE
+        capsys.readouterr()
+        for i, argv in enumerate(calls):
+            fresh = tmp_path / f"fresh{i}"
+            proc = run_module("-m", "casino_ewac.cli", *argv,
+                              "--out", str(fresh))
+            assert proc.returncode == EXIT_OK, proc.stderr
+            assert (tmp_path / f"seq{i}").read_bytes() == fresh.read_bytes()
+
     def test_console_script_wiring(self, tmp_path):
         out = tmp_path / "delta.csv"
         proc = run_module("-m", "casino_ewac.cli", "smooth", "--eta", "0.5",
@@ -671,6 +715,24 @@ _PATH_TEXT = (st.text("0123456789,\n +-x", max_size=40)
                                                              pairs))))
 
 
+def assert_parses_as_the_loop(spec):
+    """_parse_path gives the token loop's faces, or its error message."""
+    try:
+        want = loop_parse_path(spec)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _parse_path(spec)
+        assert str(got.value) == str(exc)
+    else:
+        got = _parse_path(spec)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
+# A line of 2^19 ones fills the first parse block of 2^20 bytes.
+_FULL_BLOCK = "1\n" * (1 << 19)
+
+
 class TestPathParsing:
     @given(_PATH_TEXT)
     @settings(max_examples=300, deadline=None)
@@ -679,16 +741,82 @@ class TestPathParsing:
         path = tmp_path_factory.getbasetemp() / "path.txt"
         path.write_text(text)
         for spec in (text, f"@{path}"):
+            assert_parses_as_the_loop(spec)
+
+    @given(_PATH_TEXT | st.text("0123456789,\r\n ", max_size=60),
+           st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_small_blocks_equal_the_token_loop(self, tmp_path_factory, text,
+                                               block):
+        # Blocks of a few bytes cut inside and next to every token.
+        path = tmp_path_factory.getbasetemp() / "blocks.txt"
+        path.write_text(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(casino_ewac.cli, "_PARSE_BLOCK", block)
+            assert_parses_as_the_loop(f"@{path}")
+
+    @pytest.mark.parametrize("text", [
+        _FULL_BLOCK[:-4] + "123456\n" + "2\n" * 9,  # a token over the cut
+        _FULL_BLOCK[:-1] + ",77,\n3",  # a comma ends the first block
+        _FULL_BLOCK + "3x",  # a bad token in the last block
+        _FULL_BLOCK + "123456789012345678\n4\n",  # 18 digits
+        _FULL_BLOCK + "1234567890123456789\n4\n",  # 19 digits
+        _FULL_BLOCK + "9223372036854775807\n",  # int64 max
+        _FULL_BLOCK + "9223372036854775808\n",  # past it
+        "22" + "1\r\n" * 400_000,  # CRLF, split by the first cut
+        _FULL_BLOCK + "6",  # no final newline
+    ], ids=["cut", "comma", "bad", "18", "19", "max", "over", "crlf", "end"])
+    def test_files_past_one_block_equal_the_token_loop(self, text, tmp_path):
+        path = tmp_path / "path.txt"
+        path.write_bytes(text.encode())
+        assert_parses_as_the_loop(f"@{path}")
+
+    @pytest.mark.parametrize("text", [
+        "1\n2\n3\n",  # under one block
+        _FULL_BLOCK + "4\n5",  # over it
+        _FULL_BLOCK + "123456\n7\n",  # a multi-digit token past the block
+        _FULL_BLOCK + "3x",  # a bad token: the tokenizer reads it all
+    ], ids=["small", "large", "multi", "bad"])
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_equals_the_token_loop(self, text, tmp_path):
+        # A pipe has no size and can be read only once; it is read whole.
+        path = tmp_path / "path.txt"
+        path.write_text(text)
+        read, write = os.pipe()
+
+        def feed():  # stops if the reader closes the pipe unread
+            with open(write, "wb", 0) as fh, contextlib.suppress(OSError):
+                fh.write(text.encode())
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
             try:
-                want = loop_parse_path(spec)
+                want = loop_parse_path(f"@{path}")
             except ValueError as exc:
                 with pytest.raises(ValueError) as got:
-                    _parse_path(spec)
-                assert str(got.value) == str(exc)
+                    _parse_path(f"@/dev/fd/{read}")
+                assert str(got.value) == str(exc).replace(
+                    repr(str(path)), repr(f"/dev/fd/{read}"))
             else:
-                got = _parse_path(spec)
-                assert got.dtype == np.int64
-                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(
+                    _parse_path(f"@/dev/fd/{read}"), want)
+        finally:
+            os.close(read)
+            writer.join()
+
+    def test_text_without_separators_stops_early(self, monkeypatch):
+        # A block whose tail after its last separator is 19 bytes or more
+        # goes to the tokenizer at once, so text without a separator is not
+        # carried over from block to block.
+        monkeypatch.setattr(casino_ewac.cli, "_PARSE_BLOCK", 8)
+        fh = io.BytesIO(b"1 2\t" * 25_000)
+        assert casino_ewac.cli._digit_runs(fh) is None
+        assert fh.tell() <= 4 * 8
+        fh = io.BytesIO(b"1 2 " * 25_000)
+        assert casino_ewac.cli._digit_runs(fh) is None
+        assert fh.tell() <= 6 * 8
+        assert_parses_as_the_loop("1 2 " * 25_000)
 
     def test_file_without_final_newline(self, tmp_path):
         spec = write_path(tmp_path / "path.txt", [1, 2, 6], end="")
@@ -714,6 +842,29 @@ class TestPathParsing:
     def test_int64_max_is_a_face_not_an_overflow(self):
         top = np.iinfo(np.int64).max
         np.testing.assert_array_equal(_parse_path(f"1,{top}"), [1, top])
+
+    @pytest.mark.parametrize("argv,limit", [(("bounds",), 13),
+                                            (("wac-dist", "--theta", "ub"),
+                                             20)])
+    def test_path_peak_memory_per_period(self, argv, limit, tmp_path,
+                                         monkeypatch):
+        # Blocks of 16 kB parse the 400 kB file in pieces. The faces, read
+        # once and made 0-based in place, take 8 bytes per period: `bounds`
+        # peaks at 11 and `wac-dist` at 16. A second int64 copy of the
+        # faces takes both to 16 and 24, and parse temporaries of the whole
+        # text take `bounds` to 16.
+        periods = 200_000
+        obs = simulate(canonical_model(0.5), periods, seed=1)[1]
+        spec = write_path(tmp_path / "path.txt", obs.tolist())
+        monkeypatch.setattr(casino_ewac.cli, "_PARSE_BLOCK", 1 << 14)
+        tracemalloc.start()
+        try:
+            assert run(*argv, "--eta", "0.5", "--path", spec,
+                       "--out", str(tmp_path / "out.txt")) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / periods < limit
 
 
 class TestNumberedCsv:

@@ -159,6 +159,17 @@ class TestSmooth:
         assert np.all(np.isfinite(delta))
         np.testing.assert_allclose(delta.sum(axis=1), 1.0, atol=1e-10)
 
+    def test_symbol_indices_leave_the_faces_alone(self):
+        # The command line converts the path it parsed in place; the
+        # public conversion and smooth copy the caller's faces.
+        model = canonical_model(0.5)
+        obs = np.array([1, 6, 3, 2], dtype=np.int64)
+        o = as_symbol_indices(model, obs)
+        smooth(model, obs)
+        np.testing.assert_array_equal(obs, [1, 6, 3, 2])
+        np.testing.assert_array_equal(o, [0, 5, 2, 1])
+        assert not np.shares_memory(o, obs)
+
 
 class TestSampleHiddenPaths:
     def test_deterministic_given_seed(self):

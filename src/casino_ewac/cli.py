@@ -8,7 +8,10 @@ three benchmark couplings.  Options may come from a JSON config file via
 ``--config``; explicit flags win over config values.  A path of digits
 (inline, or an ``@file`` read in blocks of 1 MB) becomes one int64 array
 by numpy, other text is read token by token; CSV text is formatted in
-blocks, the ``smooth`` CSV from its distinct rows.  Numbers are written
+blocks.  The ``smooth`` CSV is built as bytes by numpy: each block
+formats its distinct rows once and gathers them after line numbers
+written digit by digit, so no Python object is made per line.  Output is
+written in binary mode, to stdout as to a file.  Numbers are written
 with 12 significant digits and reruns with identical inputs produce
 byte-identical files.
 
@@ -68,11 +71,19 @@ def _json_ready(obj):
 
 
 def _write_text(out, chunks):
-    """Write the strings ``chunks`` to the file ``out``, None for stdout."""
+    """Write ``chunks``, strings or bytes-like ASCII, to the file ``out``
+    in binary mode; None for stdout, through its binary buffer if it has
+    one (an ``io.StringIO`` in its place gets the text)."""
+    if out is None and not hasattr(sys.stdout, "buffer"):
+        sys.stdout.writelines(c if isinstance(c, str) else bytes(c).decode()
+                              for c in chunks)
+        return
+    chunks = (c.encode() if isinstance(c, str) else c for c in chunks)
     if out is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # text written so far goes first
+        sys.stdout.buffer.writelines(chunks)
     else:
-        with open(out, "w", newline="\n") as fh:
+        with open(out, "wb") as fh:
             fh.writelines(chunks)
 
 
@@ -110,22 +121,44 @@ def _csv(header, columns=None, rows=None):
 
 
 def _numbered_csv(header, rows, index):
-    """CSV text of the table rows[index], numbered from 1, in blocks of
-    2^16 lines, numbers with 12 significant digits.  A block formats the
-    rows between its least and greatest index once each, as ",x,...\n"
-    suffixes (the K + 1 rows of an i.i.d. smoothed table, or a Markov
-    table's rows of the block), and joins those it picks with the line
-    numbers; the text equals ``_csv``'s."""
+    """The CSV of the table rows[index], numbered from 1, numbers with 12
+    significant digits, as the header's text and then one bytes-like chunk
+    per block of lines; the bytes equal ``_csv``'s text.
+
+    Blocks hold at most 2^16 lines and are also cut at each power of ten,
+    so the line numbers of a block have one digit count d.  A block formats
+    the rows between its least and greatest index once each, by one ``%``,
+    as ",x,...\n" suffixes (the K + 1 rows of an i.i.d. smoothed table, or
+    a Markov table's rows of the block), split into a (R, W) byte table
+    padded with zero bytes.  Its lines are the rows of an (n, d + W) byte
+    matrix: the digits of the line numbers by division by ten, then the
+    suffixes gathered by index, with the pad bytes dropped if there are any.
+    """
     template = ",%.12g" * rows.shape[1] + "\n"
     yield ",".join(header) + "\n"
-    for start in range(0, index.size, _CSV_BLOCK):
-        at = index[start:start + _CSV_BLOCK]
+    cuts = {*range(0, index.size, _CSV_BLOCK),
+            *(10**d - 1 for d in range(1, len(str(index.size))))}
+    edges = sorted(cuts) + [index.size]
+    for start, stop in zip(edges, edges[1:]):
+        at = index[start:stop]
         low = int(at.min())
-        span = rows[low:int(at.max()) + 1].T.tolist()
-        suffixes = np.array(list(map(template.__mod__, zip(*span))),
-                            dtype=object)
-        yield _lines("%d%s", (range(start + 1, start + at.size + 1),
-                              suffixes[at - low].tolist()))
+        span = rows[low:int(at.max()) + 1]
+        text = np.frombuffer((template * len(span) % tuple(
+            span.ravel().tolist())).encode(), np.uint8)
+        widths = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)
+        table = np.zeros((span.shape[0], widths.max()), np.uint8)
+        table[np.arange(table.shape[1]) < widths[:, None]] = text
+        digits = len(str(stop))
+        lines = np.empty((at.size, digits + table.shape[1]), np.uint8)
+        number = np.arange(start + 1, stop + 1, dtype=np.min_scalar_type(stop))
+        for column in range(digits - 1, -1, -1):
+            tens = number // 10
+            lines[:, column] = number - 10 * tens + ord("0")
+            number = tens
+        suffix = f"V{table.shape[1]}"  # a row as one item: a faster gather
+        lines[:, digits:].view(suffix)[:, 0] = table.view(suffix)[at - low, 0]
+        lines = lines.ravel()
+        yield lines[lines != 0] if widths.min() < widths.max() else lines
 
 
 def _number(value, key, cast=float):

@@ -307,10 +307,47 @@ def sample_hidden_paths(model, obs, count, seed):
                      dtype=np.int64)
 
 
+# Periods per block of simulation, so its temporaries stay at a few MB
+# whatever the horizon.
+_SIMULATE_BLOCK = 1 << 16
+
+
+def _simulated_blocks(model, horizon, seed):
+    """Yield ``simulate``'s (boolean states, 0-based faces) in blocks of
+    2^16 periods; each block's scan starts from the last state before it."""
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(model.emission, axis=1)
+    cdf[:, -1] = 1.0
+    last = None
+    for start in range(0, horizon, _SIMULATE_BLOCK):
+        # One (state, observation) uniform pair per period, so a longer run
+        # extends a shorter one with the same seed period by period.
+        u = rng.random((min(_SIMULATE_BLOCK, horizon - start), 2))
+        u_state, u_obs = u[:, 0], u[:, 1]
+        # s_t = g_t XOR (d_t AND s_{t-1}) = C(t) XOR C(a(t) - 1), with C the
+        # prefix XOR of g and a(t) the last t' <= t with t' = 0 or d false;
+        # g_0 takes in the state before the block.
+        g = u_state >= model.transition[FAIR, FAIR]
+        d = (u_state >= model.transition[BIASED, FAIR]) != g
+        g[0] = (u_state[0] >= model.initial[FAIR] if last is None
+                else g[0] ^ (d[0] & last))
+        prefix = np.zeros(u.shape[0] + 1, dtype=bool)  # prefix[t + 1] = C(t)
+        np.bitwise_xor.accumulate(g, out=prefix[1:])
+        run = np.maximum.accumulate(np.where(d, 0, np.arange(u.shape[0])))
+        states = prefix[1:] ^ prefix[run]
+        faces = np.empty(states.size, dtype=np.int64)
+        for h in (FAIR, BIASED):
+            mask = states == h
+            faces[mask] = np.searchsorted(cdf[h], u_obs[mask], side="right")
+        last = states[-1]
+        yield states, faces
+
+
 def simulate(model, horizon, seed):
     """Roll the model forward for ``horizon`` periods, with no loop over
     periods: the states are the forward twin of ``_backward_sample``'s
-    scan over the uniforms of the per-period recursion, which they equal.
+    scan over the uniforms of the per-period recursion, which they equal,
+    run in blocks of 2^16 periods.
 
     Returns:
         (states, obs): length-``horizon`` arrays of hidden states (FAIR or
@@ -318,26 +355,11 @@ def simulate(model, horizon, seed):
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    rng = np.random.default_rng(seed)
-    # One (state, observation) uniform pair per period, so a longer run
-    # extends a shorter one with the same seed period by period.
-    u = rng.random((horizon, 2))
-    u_state, u_obs = u[:, 0], u[:, 1]
-
-    # s_t = g_t XOR (d_t AND s_{t-1}) = C(t) XOR C(a(t) - 1), with C the
-    # prefix XOR of g and a(t) the last t' <= t with t' = 0 or d false.
-    g = u_state >= model.transition[FAIR, FAIR]
-    d = (u_state >= model.transition[BIASED, FAIR]) != g
-    g[0] = u_state[0] >= model.initial[FAIR]
-    prefix = np.zeros(horizon + 1, dtype=bool)  # prefix[t + 1] = C(t)
-    np.bitwise_xor.accumulate(g, out=prefix[1:])
-    start = np.maximum.accumulate(np.where(d, 0, np.arange(horizon)))
-    states = (prefix[1:] ^ prefix[start]).astype(np.int64)
-
-    cdf = np.cumsum(model.emission, axis=1)
-    cdf[:, -1] = 1.0
+    states = np.empty(horizon, dtype=np.int64)
     obs = np.empty(horizon, dtype=np.int64)
-    for h in (FAIR, BIASED):
-        mask = states == h
-        obs[mask] = np.searchsorted(cdf[h], u_obs[mask], side="right") + 1
+    done = 0
+    for block, faces in _simulated_blocks(model, horizon, seed):
+        states[done:done + faces.size] = block
+        np.add(faces, 1, out=obs[done:done + faces.size])
+        done += faces.size
     return states, obs

@@ -15,7 +15,8 @@ from casino_ewac.engine import (_face_objective, _greedy_stacks,
                                 validate_joint_pmf)
 from casino_ewac.hmm import (_backward_sample, _face_posteriors,
                              _forward_filter, _iid_posteriors,
-                             as_symbol_indices, canonical_model, simulate)
+                             _simulated_blocks, as_symbol_indices,
+                             canonical_model)
 
 __all__ = [
     "WacSamples",
@@ -242,8 +243,9 @@ def horizon_sweep(eta, t_grid=None, seed=0):
 
     Simulates the canonical model at the largest horizon once and reports
     lb/T, ub/T and naive/T for each grid value T from the face counts of
-    the first T periods, each the previous horizon's plus one segment's;
-    the bounds are evaluated as in ``eta_sweep``.  The asymptotic
+    the first T periods.  The counts are summed block by block as the path
+    is simulated and no block is kept, so memory does not grow with the
+    horizon; the bounds are evaluated as in ``eta_sweep``.  The asymptotic
     per-period rate these approach is
     ``asymptotic_ewac_rate(canonical_model(eta))``.
     """
@@ -253,10 +255,19 @@ def horizon_sweep(eta, t_grid=None, seed=0):
     if t_grid.size == 0 or t_grid[0] < 1:
         raise ValueError("horizon grid must contain positive integers")
     model = canonical_model(eta)
-    o = as_symbol_indices(model, simulate(model, int(t_grid[-1]), seed)[1])
-    counts = np.cumsum([np.bincount(part, minlength=model.num_symbols)
-                        for part in np.split(o, t_grid[:-1])], axis=0)
-    stack = _iid_objective(model, counts, o[0], *_iid_posteriors(model, o))
+    total, counts, done = np.zeros(model.num_symbols, dtype=np.int64), [], 0
+    for _, faces in _simulated_blocks(model, int(t_grid[-1]), seed):
+        if not done:
+            first = faces[:1].copy()
+        cuts = t_grid[(t_grid > done) & (t_grid <= done + faces.size)] - done
+        for i, part in enumerate(np.split(faces, cuts)):
+            if i:  # the part before reached a horizon
+                counts.append(total.copy())
+            total += np.bincount(part, minlength=total.size)
+        done += faces.size
+    counts = np.array(counts)
+    stack = _iid_objective(model, counts, first[0],
+                           *_iid_posteriors(model, first))
     lb, ub = stack.ewac(_tables_by_order(model, stack.factor, {})) / t_grid
     return [SweepRow(horizon=horizon, lb=low, ub=high,
                      naive=_naive(model, n) / horizon)

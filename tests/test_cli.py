@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 import casino_ewac.cli
 from casino_ewac import engine, hmm, sweeps
-from casino_ewac import (TransportProblem, canonical_model, eta_sweep,
-                         ewac_bounds, ewac_objective, pm_mask, simulate,
-                         smooth, solve)
+from casino_ewac import (HmmModel, TransportProblem, canonical_model,
+                         eta_sweep, ewac_bounds, ewac_objective, pm_mask,
+                         simulate, smooth, solve)
 from casino_ewac.cli import (EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                              EXIT_USAGE, PATH_1, PATH_2, _parse_path, main)
 from helpers import (dense_filter, dense_smooth, exact_canonical_values,
@@ -33,13 +33,13 @@ def run(*argv):
     return main(list(argv))
 
 
-def run_module(*args):
+def run_module(*args, text=True):
     """``python -m casino_ewac.cli`` in a child process that imports the
     package under test, wherever pytest found it."""
     src = str(Path(casino_ewac.cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=text, env={**os.environ, "PYTHONPATH": path})
 
 
 class TestBuiltinPaths:
@@ -157,6 +157,24 @@ class TestSweepCommands:
         assert lines[0] == "horizon,lb,ub,naive"
         assert [int(line.split(",")[0]) for line in lines[1:]] == [20, 80]
 
+    def test_horizon_sweep_peak_memory_per_period(self, tmp_path,
+                                                  monkeypatch):
+        # Blocks of 2^12 periods: the sweep keeps face counts at the
+        # horizons, not the path, so its peak is one block's temporaries,
+        # about 1 byte per period here.  Holding the simulated path took 62.
+        periods = 200_000
+        monkeypatch.setattr(hmm, "_SIMULATE_BLOCK", 1 << 12)
+        out = str(tmp_path / "horizon.csv")
+        argv = ("sweep-horizon", "--eta", "0.5", "--out", out)
+        assert run(*argv, "--t-grid", "10") == EXIT_OK  # first-call costs
+        tracemalloc.start()
+        try:
+            assert run(*argv, "--t-max", str(periods)) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / periods < 4
+
     def test_horizon_sweep_needs_eta(self, capsys):
         assert run("sweep-horizon", "--t-grid", "20") == EXIT_USAGE
         assert "eta" in capsys.readouterr().err
@@ -195,8 +213,8 @@ class TestWacDistCommand:
         wac = sweeps.sample_wac(model, PATH_2,
                                 engine.copula_pmf(model, "comonotonic"),
                                 samples, 4).wac
-        assert out.read_text() == template_csv(
-            ("sample", "wac"), (range(1, samples + 1), wac.tolist()))
+        assert_same_text(out.read_text(), template_csv(
+            ("sample", "wac"), (range(1, samples + 1), wac.tolist())))
 
     def test_copula_theta_does_not_smooth(self, tmp_path, monkeypatch):
         def no_smoothing(*args):
@@ -698,6 +716,16 @@ class TestDeterminism:
         assert casino_ewac.PATH_2 is PATH_2
 
 
+def assert_same_text(got, want):
+    """got == want, else a failure naming the first line that differs: on
+    texts of 10^5 lines, pytest's own diff would take minutes."""
+    if got != want:
+        got, want = got.splitlines(True), want.splitlines(True)
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail(f"line {at + 1}: {got[at:at + 1]} != {want[at:at + 1]}")
+
+
 def write_path(path, faces, end="\n"):
     path.write_text("\n".join(map(str, faces)) + end)
     return f"@{path}"
@@ -870,10 +898,12 @@ class TestPathParsing:
 class TestNumberedCsv:
     # The smooth CSV equals one "%d,%.12g,%.12g" template per line, across
     # blocks of 2^16 lines, on the i.i.d. route (K + 1 distinct rows), on
-    # a Markov chain (T distinct rows) and at T = 1.
-    @pytest.mark.parametrize("markov,periods", [(False, 150_000),
-                                                (True, 70_000),
-                                                (False, 1), (True, 1)])
+    # a Markov chain (T distinct rows) and at T = 1.  Blocks also end
+    # before each power of ten; T = 9 to 100,001 sits on those edges.
+    @pytest.mark.parametrize("markov,periods", [
+        (False, 150_000), (True, 70_000), (False, 1), (True, 1),
+        (False, 9), (False, 10), (False, 100), (False, 65_536),
+        (False, 65_537), (False, 100_001), (True, 100), (True, 65_537)])
     def test_smooth_equals_the_template(self, markov, periods, tmp_path):
         model = sticky_model() if markov else canonical_model(0.5)
         obs = simulate(model, periods, seed=4)[1]
@@ -883,10 +913,36 @@ class TestNumberedCsv:
         out = tmp_path / "delta.csv"
         assert run("smooth", *argv, "--out", str(out)) == EXIT_OK
         delta = smooth(model, obs)
-        assert out.read_text() == template_csv(
+        assert_same_text(out.read_text(), template_csv(
             ("t", "delta_fair", "delta_biased"),
             (range(1, periods + 1), delta[:, 0].tolist(),
-             delta[:, 1].tolist()))
+             delta[:, 1].tolist())))
+
+    @pytest.mark.parametrize("rows", [[[0.5, 0.5]] * 2,
+                                      [[0.9, 0.1], [0.2, 0.8]]])
+    def test_mixed_row_widths_equal_the_template(self, rows, tmp_path):
+        # Face 2, which only the fair die rolls, prints ",1,0", face 1 of
+        # the i.i.d. chain ",0.5,0.5" and most rows 14-digit values: the
+        # suffixes differ in width, so the pad bytes are dropped.
+        model = HmmModel([0.5, 0.5], rows, [[0.25] * 4, [0.25, 0, 0.35, 0.4]],
+                         [1, 2, 3, 4])
+        obs = simulate(model, 70_000, seed=2)[1]
+        config = tmp_path / "model.json"
+        config.write_text(json.dumps({
+            "model": {"p": [0.5, 0.5], "Q": rows, "E": model.emission.tolist(),
+                      "w": [1, 2, 3, 4]},
+            "path": write_path(tmp_path / "path.txt", obs.tolist())}))
+        out = tmp_path / "delta.csv"
+        assert run("smooth", "--config", str(config),
+                   "--out", str(out)) == EXIT_OK
+        delta = smooth(model, obs)
+        text = out.read_text()
+        suffixes = {line.partition(",")[2] for line in text.splitlines()[1:]}
+        assert "1,0" in suffixes and len(set(map(len, suffixes))) >= 3
+        assert_same_text(text, template_csv(
+            ("t", "delta_fair", "delta_biased"),
+            (range(1, obs.size + 1), delta[:, 0].tolist(),
+             delta[:, 1].tolist())))
 
     def test_smooth_peak_memory_per_period(self, tmp_path):
         # The text, the faces and the index cost a few tens of bytes per
@@ -903,3 +959,41 @@ class TestNumberedCsv:
         finally:
             tracemalloc.stop()
         assert peak / periods < 100
+
+
+class TestStdout:
+    # Output is written in binary mode, to stdout as to a file.
+    @pytest.mark.parametrize("argv", [
+        "smooth --eta 0.5 --path {path}",
+        "smooth --eta 0.5 --path builtin:2",
+        "bounds --eta 0.3 --path builtin:2",
+        "sweep-eta --path builtin:1 --grid 0.2,0.7",
+        "wac-dist --eta 0.5 --path {path} --theta ub --samples 300",
+    ])
+    def test_stdout_equals_out(self, argv, tmp_path, capsysbinary):
+        obs = simulate(canonical_model(0.5), 70_000, seed=3)[1]
+        argv = argv.format(path=write_path(tmp_path / "path.txt",
+                                           obs.tolist())).split()
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == EXIT_OK
+        assert run(*argv) == EXIT_OK
+        assert_same_text(capsysbinary.readouterr().out.decode(),
+                         out.read_text())
+
+    def test_text_stream_in_place_of_stdout(self, tmp_path):
+        # A stream without a binary buffer, as io.StringIO, gets the text.
+        out = tmp_path / "delta.csv"
+        assert run("smooth", "--eta", "0.5", "--out", str(out)) == EXIT_OK
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert run("smooth", "--eta", "0.5") == EXIT_OK
+        assert text.getvalue() == out.read_text()
+
+    def test_process_stdout_equals_out(self, tmp_path):
+        # The real stdout of a process, which pytest's capture replaces.
+        out = tmp_path / "delta.csv"
+        argv = ("-m", "casino_ewac.cli", "smooth", "--eta", "0.5",
+                "--path", "builtin:2")
+        proc = run_module(*argv, text=False)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert run_module(*argv, "--out", str(out)).returncode == EXIT_OK
+        assert proc.stdout == out.read_bytes()

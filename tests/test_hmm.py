@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casino_ewac import (BIASED, FAIR, PATH_1, HmmModel, ZeroLikelihoodError,
+                         hmm,
                          canonical_model, sample_hidden_paths, simulate,
                          smooth)
 from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _forward_filter,
@@ -296,6 +297,26 @@ class TestSimulate:
         states, obs = simulate(model, horizon, seed)
         want_states, want_obs = loop_simulate(model, horizon, seed)
         assert states.dtype == obs.dtype == np.int64
+        np.testing.assert_array_equal(states, want_states)
+        np.testing.assert_array_equal(obs, want_obs)
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans(),
+           st.integers(1, 300), st.integers(1, 9), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_equal_the_per_period_loop(self, q_fair, q_biased, iid,
+                                              horizon, block, seed):
+        # Blocks of a few periods: each block's scan starts from the state
+        # that ended the block before.
+        if iid:
+            q_biased = q_fair
+        model = HmmModel([0.5, 0.5],
+                         [[q_fair, 1.0 - q_fair], [q_biased, 1.0 - q_biased]],
+                         [np.full(6, 1 / 6), np.arange(1, 7) / 21],
+                         np.arange(1, 7))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hmm, "_SIMULATE_BLOCK", block)
+            states, obs = simulate(model, horizon, seed)
+        want_states, want_obs = loop_simulate(model, horizon, seed)
         np.testing.assert_array_equal(states, want_states)
         np.testing.assert_array_equal(obs, want_obs)
 

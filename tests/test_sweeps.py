@@ -14,7 +14,7 @@ from casino_ewac import (PATH_1, PATH_2, HmmModel, SweepRow, canonical_model,
                          ewac_objective, ewac_of_theta, horizon_sweep,
                          naive_ewac, sample_hidden_paths, sample_wac,
                          simulate, smooth)
-from casino_ewac import engine
+from casino_ewac import engine, hmm
 from casino_ewac.engine import _bounds_report, _face_objective, _path_objective
 from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _face_posteriors,
                              _forward_filter, as_symbol_indices)
@@ -207,6 +207,33 @@ class TestSampleWac:
         np.testing.assert_array_equal(draws.biased_counts, counts)
         np.testing.assert_array_equal(draws.wac, wac)
         assert draws.biased_counts.dtype == np.int64
+
+    @pytest.mark.parametrize("markov", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sparse_theta_redraw_equals_the_loops(self, markov, seed):
+        # Theta columns with leading, interior and trailing zeros, and
+        # single cells first, in the middle and last (a zero cell takes no
+        # binomial draw), give the loops' counts and losses; the payoffs
+        # are not integers, so the losses' sums must run in one order.
+        support = digit_rows("1010010", "0010001", "1100000", "1001000",
+                             "1100001", "0000110", "0001011")
+        rng = np.random.default_rng(seed)
+        theta = support * rng.uniform(0.2, 1.0, support.shape)
+        theta /= theta.sum()
+        rows = [[0.6, 0.4], [0.3, 0.7]] if markov else [[0.6, 0.4]] * 2
+        model = HmmModel([0.5, 0.5], rows, [theta.sum(axis=1),
+                                            theta.sum(axis=0)],
+                         np.cumsum(rng.uniform(0.1, 2.0, 7)))
+        obs = rng.integers(1, 8, 60)
+        if markov:
+            alpha = _forward_filter(model, as_symbol_indices(model, obs))
+            wac, counts = loop_count_sample_wac(model, alpha, obs, theta, 300,
+                                                seed)
+        else:
+            wac, counts = loop_iid_sample_wac(model, obs, theta, 300, seed)
+        draws = sample_wac(model, obs, theta, 300, seed)
+        np.testing.assert_array_equal(draws.biased_counts, counts)
+        np.testing.assert_array_equal(draws.wac, wac)
 
     def test_slightly_negative_theta_cells_count_as_zero(self):
         # The marginal check accepts cells down to -1e-8; a multinomial
@@ -428,6 +455,17 @@ class TestHorizonSweep:
         rows = horizon_sweep(eta, grid, seed)
         assert [bits(row.as_dict()) for row in rows] == list(map(bits,
                                                                  expected))
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_change_no_row(self, block, monkeypatch):
+        # Horizons before, on and after the edges of simulation blocks:
+        # the face counts carry over from block to block.
+        grid = [1, 6, 7, 8, 63, 64, 65, 200, 448]
+        want = horizon_sweep(0.4, grid, seed=9)
+        monkeypatch.setattr(hmm, "_SIMULATE_BLOCK", block)
+        got = horizon_sweep(0.4, grid, seed=9)
+        assert ([bits(row.as_dict()) for row in got]
+                == [bits(row.as_dict()) for row in want])
 
     def test_truncations_share_the_simulated_path(self):
         # The longer row's prefix analysis must equal the shorter row.

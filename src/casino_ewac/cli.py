@@ -8,12 +8,13 @@ three benchmark couplings.  Options may come from a JSON config file via
 ``--config``; explicit flags win over config values.  A path of digits
 (inline, or an ``@file`` read in blocks of 1 MB) becomes one int64 array
 by numpy, other text is read token by token; CSV text is formatted in
-blocks.  The ``smooth`` CSV is built as bytes by numpy: each block
-formats its distinct rows once and gathers them after line numbers
-written digit by digit, so no Python object is made per line.  Output is
-written in binary mode, to stdout as to a file.  Numbers are written
-with 12 significant digits and reruns with identical inputs produce
-byte-identical files.
+blocks.  The ``smooth`` and ``wac-dist`` CSVs are built as bytes by
+numpy from their distinct rows (the smoothed rows, the distinct losses):
+each block formats its rows once and gathers them after line numbers
+written digit by digit, so a repeated row costs no Python object per
+line.  Output is written in binary mode, to stdout as to a file.  Numbers
+are written with 12 significant digits and reruns with identical inputs
+produce byte-identical files.
 
 Exit codes: 0 success, 2 bad flags or config or a run too large for the
 available memory, 3 infeasible constraint set, 4 numerical failure (for
@@ -91,48 +92,39 @@ _CSV_BLOCK = 1 << 16  # lines
 _PARSE_BLOCK = 1 << 20  # bytes
 
 
-def _lines(template, columns):
-    """``template`` per position of the ``columns``, by a single ``%``."""
-    values = [None] * (len(columns) * len(columns[0]))
-    for i, column in enumerate(columns):
-        values[i::len(columns)] = column
-    return template * len(columns[0]) % tuple(values)
-
-
-def _csv(header, columns=None, rows=None):
-    """CSV text: the header, then one line per position of the columns.
-
-    Each column is a sequence of Python numbers, as ``tolist()`` gives, and
-    is typed by its first value: integers print in full and floats with 12
-    significant digits.  ``rows`` of sweep records stand in for the
-    columns: column ``name`` holds each row's attribute ``name``.  The
-    lines are formatted in blocks of 2^16.
+def _csv(header, rows):
+    """CSV text of sweep records: the header, then one line per record of
+    its attributes named in the header, formatted by one ``%`` per block
+    of 2^16 records.  A column is typed by its first value: integers print
+    in full and floats with 12 significant digits.
     """
-    if rows is not None:
-        columns = [[getattr(row, name) for row in rows] for name in header]
     text = [",".join(header) + "\n"]
-    if len(columns[0]):
-        template = ",".join("%d" if type(col[0]) is int else "%.12g"
-                            for col in columns) + "\n"
-        text += [_lines(template, [col[start:start + _CSV_BLOCK]
-                                   for col in columns])
-                 for start in range(0, len(columns[0]), _CSV_BLOCK)]
+    if rows:
+        template = ",".join("%d" if type(getattr(rows[0], name)) is int
+                            else "%.12g" for name in header) + "\n"
+        for start in range(0, len(rows), _CSV_BLOCK):
+            block = rows[start:start + _CSV_BLOCK]
+            text.append(template * len(block) % tuple(
+                getattr(row, name) for row in block for name in header))
     return "".join(text)
 
 
 def _numbered_csv(header, rows, index):
     """The CSV of the table rows[index], numbered from 1, numbers with 12
     significant digits, as the header's text and then one bytes-like chunk
-    per block of lines; the bytes equal ``_csv``'s text.
+    per block of lines; the bytes equal those of one "%d,%.12g,..." line
+    per index.
 
     Blocks hold at most 2^16 lines and are also cut at each power of ten,
     so the line numbers of a block have one digit count d.  A block formats
     the rows between its least and greatest index once each, by one ``%``,
     as ",x,...\n" suffixes (the K + 1 rows of an i.i.d. smoothed table, or
     a Markov table's rows of the block), split into a (R, W) byte table
-    padded with zero bytes.  Its lines are the rows of an (n, d + W) byte
-    matrix: the digits of the line numbers by division by ten, then the
-    suffixes gathered by index, with the pad bytes dropped if there are any.
+    padded with zero bytes; when those rows outnumber its lines (distinct
+    losses spread over every block), the rows of its lines in line order
+    instead.  Its lines are the rows of an (n, d + W) byte matrix: the
+    digits of the line numbers by division by ten, then the suffixes
+    gathered by index, with the pad bytes dropped if there are any.
     """
     template = ",%.12g" * rows.shape[1] + "\n"
     yield ",".join(header) + "\n"
@@ -143,11 +135,16 @@ def _numbered_csv(header, rows, index):
         at = index[start:stop]
         low = int(at.min())
         span = rows[low:int(at.max()) + 1]
+        at = at - low
+        if len(span) > at.size:  # format the block's rows in line order
+            span, at = span[at], np.arange(at.size)
         text = np.frombuffer((template * len(span) % tuple(
             span.ravel().tolist())).encode(), np.uint8)
         widths = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)
-        table = np.zeros((span.shape[0], widths.max()), np.uint8)
-        table[np.arange(table.shape[1]) < widths[:, None]] = text
+        width = widths.max()
+        widths = widths.astype(np.min_scalar_type(width))  # a faster mask
+        table = np.zeros((span.shape[0], width), np.uint8)
+        table[np.arange(width, dtype=widths.dtype) < widths[:, None]] = text
         digits = len(str(stop))
         lines = np.empty((at.size, digits + table.shape[1]), np.uint8)
         number = np.arange(start + 1, stop + 1, dtype=np.min_scalar_type(stop))
@@ -156,9 +153,9 @@ def _numbered_csv(header, rows, index):
             lines[:, column] = number - 10 * tens + ord("0")
             number = tens
         suffix = f"V{table.shape[1]}"  # a row as one item: a faster gather
-        lines[:, digits:].view(suffix)[:, 0] = table.view(suffix)[at - low, 0]
+        lines[:, digits:].view(suffix)[:, 0] = table.view(suffix)[at, 0]
         lines = lines.ravel()
-        yield lines[lines != 0] if widths.min() < widths.max() else lines
+        yield lines[lines != 0] if widths.min() < width else lines
 
 
 def _number(value, key, cast=float):
@@ -349,7 +346,7 @@ def _cmd_sweep_eta(args, config):
     grid = _option(args, config, "grid")
     rows = eta_sweep(obs, None if grid is None else _parse_grid(grid, "grid"))
     _write_text(_option(args, config, "out"),
-                [_csv(ETA_SWEEP_COLUMNS, rows=rows)])
+                [_csv(ETA_SWEEP_COLUMNS, rows)])
     return EXIT_OK
 
 
@@ -368,7 +365,7 @@ def _cmd_sweep_horizon(args, config):
     rows = horizon_sweep(_number(eta, "eta"), t_grid,
                          _option(args, config, "seed", 0, int))
     _write_text(_option(args, config, "out"),
-                [_csv(HORIZON_SWEEP_COLUMNS, rows=rows)])
+                [_csv(HORIZON_SWEEP_COLUMNS, rows)])
     return EXIT_OK
 
 
@@ -398,9 +395,11 @@ def _cmd_wac_dist(args, config):
     wac = _sample_wac(model, o, theta,
                       _option(args, config, "samples", 10_000, int),
                       _option(args, config, "seed", 0, int), alpha).wac
+    # Distinct by bit pattern, so -0 and 0 print apart.
+    losses, index = np.unique(wac.view(np.int64), return_inverse=True)
     _write_text(_option(args, config, "out"),
-                [_csv(("sample", "wac"),
-                      (range(1, wac.size + 1), wac.tolist()))])
+                _numbered_csv(("sample", "wac"),
+                              losses.view(np.float64)[:, None], index))
     return EXIT_OK
 
 

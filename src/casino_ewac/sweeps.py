@@ -103,14 +103,18 @@ def sample_wac(model, obs, theta, count, seed, *, filtered=None):
     c_j the column sum, the same law as redrawing period by period.  With
     equal transition rows the states are independent: b_j ~ Binomial(n_j,
     p_j) over the n_j periods after the first that show face j, p_j their
-    posterior biased probability, as one (S, K) row-major array, then S
-    uniforms for period 1 (biased when one reaches its fair posterior).
-    Otherwise paths are drawn backwards from the forward filter
-    (``filtered``, if the caller has it) in row blocks of about 2^20
+    posterior biased probability, drawn face by face as one (K, S) array,
+    then S uniforms for period 1 (biased when one reaches its fair
+    posterior).  Otherwise paths are drawn backwards from the forward
+    filter (``filtered``, if the caller has it) in row blocks of about 2^20
     sample-periods, each summed to counts and dropped, so no memory grows
-    with S * T.  One multinomial per face with a non-empty column follows;
-    theta cells the marginal check lets through slightly below zero count
-    as zero.
+    with S * T.  Each face's multinomial is then drawn as a chain of
+    conditional binomials over the nonzero cells i of its column, in
+    order, for all samples at once: of the periods no earlier cell took,
+    Binomial(left, theta_ij / r_i) go to cell i, r_i the sum of the
+    column's cells from i on, and the last cell takes the rest (Devroye
+    1986, *Non-Uniform Random Variate Generation*, ch. XI).  Theta cells
+    the marginal check lets through slightly below zero count as zero.
 
     Raises:
         ValueError: if ``count`` is below 1 or theta is not a joint PMF
@@ -132,19 +136,20 @@ def _sample_wac(model, o, theta, count, seed, filtered=None):
     rng = np.random.default_rng(seed)
     faces = np.arange(model.num_symbols)
     iid = _iid_posteriors(model, o)
-    if iid is not None:
-        counts = rng.binomial(np.bincount(o[1:], minlength=faces.size),
-                              iid[0][:, 1], size=(count, faces.size))
-        counts[:, o[0]] += rng.random(count) >= iid[1][0]
+    if iid is not None:  # face-major: one binomial set-up per face
+        n = np.bincount(o[1:], minlength=faces.size)
+        counts = rng.binomial(n[:, None], iid[0][:, 1, None],
+                              size=(faces.size, count))
+        counts[o[0]] += rng.random(count) >= iid[1][0]
     else:
         alpha = _forward_filter(model, o) if filtered is None else filtered
         periods = [np.flatnonzero(o == j) for j in faces]
-        counts = np.vstack([
-            np.column_stack([block[:, at].sum(axis=1) for at in periods])
+        counts = np.hstack([
+            np.stack([block[:, at].sum(axis=1) for at in periods])
             for block in _backward_sample(model, alpha, count, rng)])
 
     col_sums = theta.sum(axis=0)
-    hit = (col_sums <= 0) & counts.any(axis=0)
+    hit = (col_sums <= 0) & counts.any(axis=1)
     if hit.any():
         # The posterior cannot put biased mass on a face the biased die
         # never rolls; reaching this line means the inputs disagree.
@@ -155,9 +160,18 @@ def _sample_wac(model, o, theta, count, seed, filtered=None):
     w = model.rewards
     wac = np.zeros(count)
     for j in faces[col_sums > 0]:
-        redrawn = rng.multinomial(counts[:, j], theta[:, j] / col_sums[j])
-        wac += redrawn @ (w[j] - w)
-    return WacSamples(wac=wac, biased_counts=counts)
+        cells = np.flatnonzero(theta[:, j])
+        column = theta[cells, j]
+        # Each cell's share of the cells not yet drawn: a suffix sum of
+        # positive floats is never below its first term, so p <= 1.
+        p = column / np.cumsum(column[::-1])[::-1]
+        left = counts[j].copy()
+        for i, share in zip(cells[:-1].tolist(), p[:-1].tolist()):
+            redrawn = rng.binomial(left, share)
+            wac += redrawn * (w[j] - w[i])
+            left -= redrawn
+        wac += left * (w[j] - w[cells[-1]])
+    return WacSamples(wac=wac, biased_counts=counts.T)
 
 
 def default_eta_grid():

@@ -10,10 +10,11 @@ transport solver's pivot path is redone one tableau element and one row at
 a time, both phases of every solve.  The
 sampling oracles redo the posterior draws one period at a time (hidden
 paths) from the filtered probabilities they are given, count the biased
-periods of each face by a plain loop and redraw each face's fair faces by
-one multinomial, consuming the same random numbers in the same order as
-the library; for an i.i.d. chain they draw each face's binomial count and
-period 1's uniform one scalar at a time instead.  The loss moments of an
+periods of each face by a plain loop and redraw each face's fair faces as
+a chain of conditional binomials, one scalar draw per cell and sample,
+consuming the same random numbers in the same order as the library; for
+an i.i.d. chain they draw each face's binomial count and period 1's
+uniform one scalar at a time instead.  The loss moments of an
 i.i.d. chain come in closed form, and its exact distribution, for integer
 payoffs, by convolving the per-period ones.  ``exact_canonical_values``
 recomputes the canonical casino's bounds and coupling values in exact
@@ -614,25 +615,40 @@ def template_csv(header, columns):
 
 
 def _redraw(rng, counts, theta, rewards):
-    """Losses from biased counts: one multinomial per face with a non-empty
-    theta column, in face order, each fair face i adding w_j - w_i."""
+    """Losses from biased counts, one scalar draw at a time: for each face
+    j, each nonzero cell i of its theta column in order, each sample, the
+    periods left after the earlier cells give Binomial(left, theta_ij /
+    r_i) to cell i, r_i the column's sum from cell i on; the last cell
+    takes the rest, with no draw.  Cell i adds w_j - w_i per period."""
     theta = np.maximum(np.asarray(theta, dtype=float), 0.0)
-    wac = np.zeros(counts.shape[0])
-    for j in range(counts.shape[1]):
-        col_sum = theta[:, j].sum()
-        if col_sum > 0:
-            redrawn = rng.multinomial(counts[:, j], theta[:, j] / col_sum)
-            wac += redrawn @ (rewards[j] - rewards)
-    return wac
+    count, k = counts.shape
+    wac = [0.0] * count
+    for j in range(k):
+        cells = [i for i in range(k) if theta[i, j] > 0]
+        left = [int(b) for b in counts[:, j]]
+        for n, i in enumerate(cells):
+            loss = float(rewards[j] - rewards[i])
+            if n == len(cells) - 1:
+                drawn = left
+            else:
+                rest = 0.0
+                for later in reversed(cells[n:]):
+                    rest += float(theta[later, j])
+                share = float(theta[i, j]) / rest
+                drawn = [int(rng.binomial(m, share)) for m in left]
+            for s in range(count):
+                wac[s] += drawn[s] * loss
+                left[s] -= drawn[s]
+    return np.array(wac)
 
 
 def loop_count_sample_wac(model, alpha, obs, theta, count, seed):
     """(wac, biased_counts) from the per-period path loop, reduced to
-    biased counts one face at a time, then redrawn by one multinomial per
-    face with a non-empty theta column, in face order.
+    biased counts one face at a time, then redrawn by ``_redraw``.
 
     Given b_j biased periods on face j, the fair faces redrawn there are
-    M_.j ~ Multinomial(b_j, theta_.j / c_j), and each adds w_j - w_i.
+    M_.j ~ Multinomial(b_j, theta_.j / c_j), and each adds w_j - w_i; the
+    chain of conditional binomials draws that law cell by cell.
     """
     o = np.asarray(obs, dtype=np.int64) - 1
     rng = np.random.default_rng(seed)
@@ -672,11 +688,11 @@ def _iid_periods(model, obs):
 def loop_iid_sample_wac(model, obs, theta, count, seed):
     """(wac, biased_counts) of an i.i.d. chain, one scalar draw at a time.
 
-    The order of draws: for each sample, for each face j, the biased count
+    The order of draws: for each face j, for each sample, the biased count
     among the n_j periods after the first that show face j, a
     Binomial(n_j, p_j); then one uniform per sample for period 1, biased
     when it reaches P(fair | o_1) under the initial distribution; then the
-    per-face multinomial redraws of ``loop_count_sample_wac``.
+    per-face redraws of ``_redraw``.
     """
     o = np.asarray(obs, dtype=np.int64) - 1
     k = model.num_symbols
@@ -685,10 +701,10 @@ def loop_iid_sample_wac(model, obs, theta, count, seed):
         n[face] += 1
     rng = np.random.default_rng(seed)
     counts = np.zeros((count, k), dtype=np.int64)
-    for s in range(count):
-        for j in range(k):
-            counts[s, j] = rng.binomial(n[j],
-                                        bayes(model.transition[0], model, j)[1])
+    for j in range(k):
+        p_j = bayes(model.transition[0], model, j)[1]
+        for s in range(count):
+            counts[s, j] = rng.binomial(n[j], p_j)
     fair_first = bayes(model.initial, model, o[0])[0]
     for s in range(count):
         counts[s, o[0]] += rng.random() >= fair_first

@@ -203,8 +203,8 @@ class TestWacDistCommand:
 
     @pytest.mark.parametrize("samples", [70_000, 1])
     def test_csv_equals_the_template(self, samples, tmp_path):
-        # One % template per block of 2^16 lines writes the text of one
-        # template per line, across a block boundary and for one line.
+        # The distinct losses, written by the byte writer, give the text of
+        # one template per line, across a block boundary and for one line.
         out = tmp_path / "wac.csv"
         assert run("wac-dist", "--eta", "0.3", "--path", "builtin:2",
                    "--samples", str(samples), "--seed", "4",
@@ -215,6 +215,41 @@ class TestWacDistCommand:
                                 samples, 4).wac
         assert_same_text(out.read_text(), template_csv(
             ("sample", "wac"), (range(1, samples + 1), wac.tolist())))
+
+    @staticmethod
+    def losses_csv(wac, tmp_path, monkeypatch):
+        """The wac-dist CSV of the losses ``wac``."""
+        monkeypatch.setattr(
+            casino_ewac.cli, "_sample_wac",
+            lambda *args: sweeps.WacSamples(wac=np.asarray(wac, float),
+                                            biased_counts=None))
+        out = tmp_path / "wac.csv"
+        assert run("wac-dist", "--eta", "0.5", "--samples", str(len(wac)),
+                   "--out", str(out)) == EXIT_OK
+        return out.read_text()
+
+    @pytest.mark.parametrize("samples", [9, 10, 65_536, 65_537])
+    def test_distinct_losses_equal_the_template(self, samples, tmp_path,
+                                                monkeypatch):
+        # All distinct, not integers, of both signs and many widths: every
+        # block's lines then spread over nearly all distinct losses, and
+        # blocks end at powers of ten and after 2^16 lines.
+        wac = np.random.default_rng(samples).standard_cauchy(samples)
+        assert np.unique(wac).size == samples
+        assert_same_text(self.losses_csv(wac, tmp_path, monkeypatch),
+                         template_csv(("sample", "wac"),
+                                      (range(1, samples + 1), wac.tolist())))
+
+    def test_signed_zeros_print_apart(self, tmp_path, monkeypatch):
+        # -0.0 == 0.0, yet "%.12g" prints "-0": the losses are told apart
+        # by their bits, and the writer keeps both rows in one block.
+        wac = [0.0, -0.0, 1.5, -0.0, 0.0]
+        assert self.losses_csv(wac, tmp_path, monkeypatch) == (
+            "sample,wac\n1,0\n2,-0\n3,1.5\n4,-0\n5,0\n")
+        header, *blocks = casino_ewac.cli._numbered_csv(
+            ("x", "y"), np.array([[-0.0], [0.0]]), np.array([1, 0, 0, 1]))
+        assert header + b"".join(blocks).decode() == (
+            "x,y\n1,0\n2,-0\n3,-0\n4,0\n")
 
     def test_copula_theta_does_not_smooth(self, tmp_path, monkeypatch):
         def no_smoothing(*args):
@@ -282,9 +317,9 @@ class TestGoldenOutputs:
     # recorded before the CSV writer and the path sampler were rewritten,
     # and still hold with face counts in place of forward-backward; the
     # canonical wac-dist digests were derived from the losses of
-    # helpers.loop_iid_sample_wac (scalar binomial counts, then per-face
-    # multinomial redraws), written as "%d,%.12g" lines under a
-    # "sample,wac" header.
+    # helpers.loop_iid_sample_wac (scalar binomial counts face by face,
+    # then per-face chains of scalar conditional binomials), written as
+    # "%d,%.12g" lines under a "sample,wac" header.
     @pytest.mark.parametrize("argv,digest", [
         pytest.param(
             "smooth --eta 0.5 --path builtin:1",
@@ -297,12 +332,12 @@ class TestGoldenOutputs:
         pytest.param(
             "wac-dist --eta 0.5 --path builtin:1 --theta comonotonic "
             "--samples 200 --seed 21",
-            "d039ad218385679cd9cf0f47121c6ada959def4c14643356fec622142c3824e9",
+            "401ebdee8828c30637c85954a768ec86753e16385c9bbb89dfd8f7fed940dbac",
             id="wac-dist-comonotonic"),
         pytest.param(
             "wac-dist --eta 0.5 --path builtin:2 --theta ub --constraints cs "
             "--samples 50 --seed 2",
-            "061c77715577e2c31d34adca242dbc0d7147e4640462d6971f089c01c71c4f7a",
+            "86313b94b399a54bfff2808088bfc0c73c5f92b72eb521661c889785cbb67910",
             id="wac-dist-ub-cs"),
         pytest.param(
             "sweep-eta --path builtin:2 --grid 0.25,0.75",
@@ -342,24 +377,39 @@ class TestGoldenOutputs:
 
     # SHA-256 of the outputs for a Markov chain (the sticky config model on
     # builtin:1), recorded from the forward-backward code before the
-    # i.i.d. route existed; that route must leave them alone.
+    # i.i.d. route existed; that route must leave them alone.  The
+    # wac-dist digests were derived from helpers.loop_count_sample_wac on
+    # helpers.dense_filter, written as "%d,%.12g" lines; those cases are
+    # named by their arguments alone, so a new digest renames no test.
     @pytest.mark.parametrize("argv,digest", [
         ("smooth",
          "be8f03d9f09b5cdef33c2e5160fbaae87106acff1bc96d5805263ee4a285e917"),
         ("bounds",
          "c8cc468a4b8048a088b619203b42804549c4f161036ccc0cfb1712bc13b54c1a"),
-        ("wac-dist --theta lb",
-         "c0a7a529fc9e1d9a04be113b757fc896f06b76b41dfe61e74634f35271359622"),
-        ("wac-dist --theta ub",
-         "b61226cca75ddf234b6880adb2c6d85daa9c502e2eda6b2787d0281c2c10e68d"),
-        ("wac-dist --theta lb --constraints pm",
-         "155ec79c9f1a00af109d04373e0c746e5be80d9b2550c197f9530639d83e9fea"),
-        ("wac-dist --theta independence",
-         "8f659ebb03d8ef8b69caacf04a95509da73efca8b80d7fd132411eeaf2b95191"),
-        ("wac-dist --theta comonotonic",
-         "b61226cca75ddf234b6880adb2c6d85daa9c502e2eda6b2787d0281c2c10e68d"),
-        ("wac-dist --theta countermonotonic",
-         "c0a7a529fc9e1d9a04be113b757fc896f06b76b41dfe61e74634f35271359622"),
+        pytest.param(
+            "wac-dist --theta lb",
+            "e133f36fb0a536379c7e725043681566a43efbe7f2bb1cdf90cd9ce24145544b",
+            id="wac-dist --theta lb"),
+        pytest.param(
+            "wac-dist --theta ub",
+            "90470fd84fcf536fd9eac7fbf15cda20bcab92828fd8e049e3465b53b3568246",
+            id="wac-dist --theta ub"),
+        pytest.param(
+            "wac-dist --theta lb --constraints pm",
+            "a5b111d6c3ebb9ea9cde624222e6eb49a8280a208df19ec9386cca24a8586e32",
+            id="wac-dist --theta lb --constraints pm"),
+        pytest.param(
+            "wac-dist --theta independence",
+            "f1e15bc2e1d3399e21a0b378276864b2154cf3604b91ff6e62a08867ff5fc90c",
+            id="wac-dist --theta independence"),
+        pytest.param(
+            "wac-dist --theta comonotonic",
+            "90470fd84fcf536fd9eac7fbf15cda20bcab92828fd8e049e3465b53b3568246",
+            id="wac-dist --theta comonotonic"),
+        pytest.param(
+            "wac-dist --theta countermonotonic",
+            "e133f36fb0a536379c7e725043681566a43efbe7f2bb1cdf90cd9ce24145544b",
+            id="wac-dist --theta countermonotonic"),
     ])
     def test_markov_chain_bytes(self, argv, digest, tmp_path):
         if argv.startswith("wac-dist"):
@@ -385,7 +435,7 @@ class TestGoldenOutputs:
         text = "sample,wac\n" + "".join(
             "%d,%.12g\n" % (n, x) for n, x in enumerate(wac.tolist(), 1))
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "155ec79c9f1a00af109d04373e0c746e5be80d9b2550c197f9530639d83e9fea")
+            "a5b111d6c3ebb9ea9cde624222e6eb49a8280a208df19ec9386cca24a8586e32")
 
     def test_mid_level_lower_bound_is_the_exact_value(self, tmp_path):
         # The EWAC summed as theta_ij f_j (w_j - w_i) keeps the 12th digit

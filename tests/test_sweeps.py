@@ -60,13 +60,14 @@ class TestSampleWac:
         assert draws.biased_counts.dtype == np.int64
 
     @pytest.mark.parametrize("kind,wac", [
-        ("comonotonic", [5.0, 7.0, 5.0, 5.0]),
-        ("countermonotonic", [2.0, -5.0, 4.0, 5.0]),
+        ("comonotonic", [5.0, 6.0, 4.0, 2.0]),
+        ("countermonotonic", [2.0, -6.0, 4.0, 4.0]),
     ])
     def test_golden_draws(self, kind, wac):
         # Golden values: a fixed seed keeps drawing the same uniforms in the
         # same order, so hidden paths, their face counts and the losses
-        # never move.  The losses come from helpers.loop_count_sample_wac.
+        # never move.  The losses come from helpers.loop_count_sample_wac
+        # on helpers.dense_filter.
         model = sticky_model()
         draws = sample_wac(model, PATH_1[:15], copula_pmf(model, kind), 4,
                            seed=7)
@@ -192,7 +193,7 @@ class TestSampleWac:
         # Same seed, same random numbers: biased counts and losses
         # (non-integer payoffs on the random models) match the per-period
         # path loop reduced face by face, or on an i.i.d. chain the scalar
-        # binomial loop, with the same per-face multinomial redraws.
+        # binomial loop, with the same scalar conditional-binomial redraws.
         _, model, obs, count = case
         theta = random_feasible_theta(*model.emission,
                                       np.random.default_rng(len(obs)))
@@ -235,8 +236,49 @@ class TestSampleWac:
         np.testing.assert_array_equal(draws.biased_counts, counts)
         np.testing.assert_array_equal(draws.wac, wac)
 
+    def test_markov_redraw_has_the_conditional_moments(self):
+        # Given the biased counts b_sj, the redraw adds sum_j b_sj m_j to
+        # the mean and sum_j b_sj v_j to the variance, m_j and v_j the mean
+        # and variance of w_j - w_X, X drawn from theta's column j.  On a
+        # Markov chain, with a dense theta and non-integer payoffs, the
+        # residual wac - sum_j b_sj m_j and its square less sum_j b_sj v_j
+        # both average 0 within 4 standard errors.
+        sticky = sticky_model()
+        model = HmmModel(sticky.initial, sticky.transition, sticky.emission,
+                         [0.5, 1.25, 2.0, 3.5, 3.75, 6.1])
+        theta = random_feasible_theta(*model.emission,
+                                      np.random.default_rng(3))
+        assert (theta > 0).all()
+        losses = model.rewards[None, :] - model.rewards[:, None]  # (i, j)
+        pi = theta / theta.sum(axis=0)
+        m = (pi * losses).sum(axis=0)
+        v = (pi * (losses - m) ** 2).sum(axis=0)
+        count = 100_000
+        draws = sample_wac(model, PATH_1, theta, count, seed=12)
+        residual = draws.wac - draws.biased_counts @ m
+        for z in (residual, residual ** 2 - draws.biased_counts @ v):
+            assert abs(z.mean()) <= 4 * z.std(ddof=1) / np.sqrt(count)
+
+    @pytest.mark.parametrize("markov", [False, True])
+    @pytest.mark.parametrize("tiny_first", [True, False])
+    def test_tiny_cell_beside_its_complement(self, markov, tiny_first):
+        # Column 1 holds 1e-17 beside 1 - 1e-17 (which rounds to 1), in
+        # either order; column 2 is one cell.  Each conditional probability
+        # stays in [0, 1], so the draws run, and the large cell takes every
+        # biased period on face 1: the loss is b_1 (w_1 - w_2) or 0.
+        t = 1e-17
+        column = [t, 1 - t] if tiny_first else [1 - t, t]
+        theta = np.array([[0.5 * column[0], 0.0], [0.5 * column[1], 0.5]])
+        rows = [[0.6, 0.4], [0.3, 0.7]] if markov else [[0.6, 0.4]] * 2
+        model = HmmModel([0.5, 0.5], rows, [theta.sum(axis=1),
+                                            theta.sum(axis=0)], [1.0, 3.5])
+        draws = sample_wac(model, [1, 2, 1, 1, 2, 1], theta, 1000, seed=0)
+        assert draws.biased_counts[:, 0].sum() > 0
+        np.testing.assert_array_equal(
+            draws.wac, -2.5 * draws.biased_counts[:, 0] if tiny_first else 0.0)
+
     def test_slightly_negative_theta_cells_count_as_zero(self):
-        # The marginal check accepts cells down to -1e-8; a multinomial
+        # The marginal check accepts cells down to -1e-8; a binomial
         # rejects negative probabilities, so such cells are clipped.
         model = canonical_model(0.5)
         theta = copula_pmf(model, "comonotonic")

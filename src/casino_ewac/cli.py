@@ -4,17 +4,20 @@ Subcommands map one-to-one onto the library: ``smooth`` writes posterior
 state probabilities, ``bounds`` a JSON report of every bound and benchmark
 for a single model, ``sweep-eta`` and ``sweep-horizon`` CSV grids,
 ``wac-dist`` Monte-Carlo draws of the cheating loss, and ``copulas`` the
-three benchmark couplings.  Options may come from a JSON config file via
-``--config``; explicit flags win over config values.  A path of digits
-(inline, or an ``@file`` read in blocks of 1 MB) becomes one int64 array
-by numpy, other text is read token by token; CSV text is formatted in
-blocks.  The ``smooth`` and ``wac-dist`` CSVs are built as bytes by
-numpy from their distinct rows (the smoothed rows, the distinct losses):
-each block formats its rows once and gathers them after line numbers
-written digit by digit, so a repeated row costs no Python object per
-line.  Output is written in binary mode, to stdout as to a file.  Numbers
-are written with 12 significant digits and reruns with identical inputs
-produce byte-identical files.
+three benchmark couplings.  Each option is declared once, in ``_OPTIONS``:
+its help, its default (which ``--help`` prints) and its type.  Options may
+come from a JSON config file via ``--config``; explicit flags win over
+config values, and every config value is checked when the config is read,
+even for an option the command will not use.  A path of digits (inline, or
+an ``@file`` read in blocks of 1 MB) becomes one int64 array by numpy,
+other text is read token by token; CSV text is formatted in blocks.  The
+``smooth`` and ``wac-dist`` CSVs are built as bytes by numpy from their
+distinct rows (the smoothed rows, the distinct losses): each block formats
+its rows once and gathers them after line numbers written digit by digit,
+so a repeated row costs no Python object per line.  Output is written in
+binary mode, to stdout as to a file.  Numbers are written with 12
+significant digits and reruns with identical inputs produce byte-identical
+files.
 
 Exit codes: 0 success, 2 bad flags or config or a run too large for the
 available memory, 3 infeasible constraint set, 4 numerical failure (for
@@ -47,17 +50,12 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
-_THETA_KINDS = ("lb", "ub", "independence", "comonotonic", "countermonotonic")
-_CONSTRAINT_SETS = ("none", "pm", "cs")
-
 log = logging.getLogger("casino_ewac")
 
 __all__ = ["PATH_1", "PATH_2", "main", "entry_point"]
 
 
 def _json_ready(obj):
-    if obj is None:
-        return None
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
@@ -177,10 +175,8 @@ def _parse_path(spec):
         return [_number(v, "path", int) for v in spec]
     if not isinstance(spec, str):
         raise ValueError(f"cannot read an observation path from {spec!r}")
-    if spec == "builtin:1":
-        return list(PATH_1)
-    if spec == "builtin:2":
-        return list(PATH_2)
+    if spec in ("builtin:1", "builtin:2"):
+        return list(PATH_1 if spec == "builtin:1" else PATH_2)
     if spec.startswith("builtin:"):
         raise ValueError(f"unknown builtin path {spec!r}; use builtin:1 or builtin:2")
     source, faces = "observation path", None
@@ -247,28 +243,28 @@ def _digit_runs(fh):
             return faces[:n]
 
 
-def _parse_grid(spec, key, cast=float):
-    if isinstance(spec, str):
-        spec = [tok for tok in spec.split(",") if tok]
-    elif not isinstance(spec, (list, tuple)):
-        spec = [spec]
-    return [_number(v, key, cast) for v in spec]
-
-
-# Config keys each subcommand accepts (besides those shared by all).
-_COMMON_KEYS = {"out"}
-_COMMAND_KEYS = {
-    "smooth": {"eta", "model", "path"},
-    "bounds": {"eta", "model", "path"},
-    "sweep-eta": {"path", "grid"},
-    "sweep-horizon": {"eta", "seed", "t_grid", "t_min", "t_max", "t_points"},
-    "wac-dist": {"eta", "model", "path", "theta", "constraints", "samples",
-                 "seed"},
-    "copulas": {"eta", "model"},
-}
+def _cast(key, value):
+    """A flag's or a config's ``value`` as option ``key``'s type, raising a
+    ValueError that names the key."""
+    kind = _OPTIONS[key][2]
+    if kind in (float, int):
+        return _number(value, key, kind)
+    if isinstance(kind, list):  # a comma-separated flag or a config list
+        if isinstance(value, str):
+            value = [tok for tok in value.split(",") if tok]
+        return [_number(v, key, kind[0]) for v in
+                (value if isinstance(value, (list, tuple)) else [value])]
+    if isinstance(kind, tuple):  # choices
+        if value not in kind:
+            raise ValueError(f"{key} must be one of {kind}, got {value!r}")
+        return value
+    if kind is str and not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return kind(value)
 
 
 def _load_config(path, command):
+    """The config file's values, each cast by its option's type."""
     if path is None:
         return {}
     with open(path) as fh:
@@ -279,52 +275,46 @@ def _load_config(path, command):
                              f"{exc.colno}: {exc.msg}") from None
     if not isinstance(config, dict):
         raise ValueError(f"config {path}: expected a JSON object at top level")
-    allowed = _COMMAND_KEYS[command] | _COMMON_KEYS
+    _, options, takes_model, _ = _COMMANDS[command]
+    allowed = {"out", *options, *(["model"] if takes_model else [])}
     unknown = sorted(set(config) - allowed)
     if unknown:
         raise ValueError(
             f"config {path}: unknown field {unknown[0]!r} for {command!r} "
             f"(allowed: {', '.join(sorted(allowed))})")
-    return config
+    if not isinstance(model := config.get("model", {}), dict):
+        raise ValueError(f"model must be a JSON object, got {model!r}")
+    return {key: value if key == "model" else _cast(key, value)
+            for key, value in config.items()}
 
 
-def _option(args, config, key, default=None, cast=None):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is None:
-        value = config.get(key, default)
-    return value if cast is None else _number(value, key, cast)
-
-
-def _resolve_model(args, config):
-    eta = _option(args, config, "eta")
-    spec = config.get("model")
+def _model_and_faces(opts):
+    """The run's model, and its path as 0-based faces if it takes one."""
+    eta, spec = opts["eta"], opts["model"]
     if (eta is None) == (spec is None):
         raise ValueError(
             "specify the model exactly one way: --eta (or config 'eta') for "
             "the canonical casino, or a config 'model' object")
-    if eta is not None:
-        return canonical_model(_number(eta, "eta"))
-    for key in ("p", "Q", "E", "w"):
-        if key not in spec:
-            raise ValueError(f"config model is missing field {key!r}")
-    return HmmModel(spec["p"], spec["Q"], spec["E"], spec["w"])
+    if eta is None:
+        for key in ("p", "Q", "E", "w"):
+            if key not in spec:
+                raise ValueError(f"config model is missing field {key!r}")
+        model = HmmModel(spec["p"], spec["Q"], spec["E"], spec["w"])
+    else:
+        model = canonical_model(eta)
+    if "path" not in opts:
+        return model, None
+    return model, _symbol_indices(model, opts["path"], in_place=True)
 
 
-def _cmd_smooth(args, config):
-    model = _resolve_model(args, config)
-    o = _symbol_indices(model, _parse_path(
-        _option(args, config, "path", "builtin:1")), in_place=True)
-    rows, index = _smoothed_rows(model, o)
-    _write_text(_option(args, config, "out"),
-                _numbered_csv(("t", "delta_fair", "delta_biased"), rows,
-                              index))
-    return EXIT_OK
+def _cmd_smooth(opts):
+    model, o = _model_and_faces(opts)
+    return _numbered_csv(("t", "delta_fair", "delta_biased"),
+                         *_smoothed_rows(model, o))
 
 
-def _cmd_bounds(args, config):
-    model = _resolve_model(args, config)
-    o = _symbol_indices(model, _parse_path(
-        _option(args, config, "path", "builtin:1")), in_place=True)
+def _cmd_bounds(opts):
+    model, o = _model_and_faces(opts)
     objective, _ = _path_objective(model, o)
     mask = None
     try:
@@ -335,89 +325,90 @@ def _cmd_bounds(args, config):
     counts = np.bincount(o, minlength=model.num_symbols)
     report.update(naive=_naive(model, counts), theta_lb=plain.theta_lb,
                   theta_ub=plain.theta_ub)
-    _write_text(_option(args, config, "out"),
-                [json.dumps(_json_ready(report), indent=2,
-                            sort_keys=True) + "\n"])
-    return EXIT_OK
+    return [json.dumps(_json_ready(report), indent=2, sort_keys=True) + "\n"]
 
 
-def _cmd_sweep_eta(args, config):
-    obs = _parse_path(_option(args, config, "path", "builtin:1"))
-    grid = _option(args, config, "grid")
-    rows = eta_sweep(obs, None if grid is None else _parse_grid(grid, "grid"))
-    _write_text(_option(args, config, "out"),
-                [_csv(ETA_SWEEP_COLUMNS, rows)])
-    return EXIT_OK
+def _cmd_sweep_eta(opts):
+    return [_csv(ETA_SWEEP_COLUMNS, eta_sweep(opts["path"], opts["grid"]))]
 
 
-def _cmd_sweep_horizon(args, config):
-    eta = _option(args, config, "eta")
-    if eta is None:
+def _cmd_sweep_horizon(opts):
+    if opts["eta"] is None:
         raise ValueError("sweep-horizon needs --eta (or config 'eta')")
-    t_grid = _option(args, config, "t_grid")
-    if t_grid is not None:
-        t_grid = _parse_grid(t_grid, "t_grid", int)
-    else:
-        t_grid = default_horizon_grid(
-            _option(args, config, "t_min", 10, int),
-            _option(args, config, "t_max", 100_000, int),
-            _option(args, config, "t_points", 25, int))
-    rows = horizon_sweep(_number(eta, "eta"), t_grid,
-                         _option(args, config, "seed", 0, int))
-    _write_text(_option(args, config, "out"),
-                [_csv(HORIZON_SWEEP_COLUMNS, rows)])
-    return EXIT_OK
+    t_grid = opts["t_grid"]
+    if t_grid is None:
+        t_grid = default_horizon_grid(opts["t_min"], opts["t_max"],
+                                      opts["t_points"])
+    return [_csv(HORIZON_SWEEP_COLUMNS,
+                 horizon_sweep(opts["eta"], t_grid, opts["seed"]))]
 
 
-def _cmd_wac_dist(args, config):
-    model = _resolve_model(args, config)
-    obs = _parse_path(_option(args, config, "path", "builtin:1"))
-    kind = _option(args, config, "theta", "comonotonic")
-    if kind not in _THETA_KINDS:
-        raise ValueError(f"theta must be one of {_THETA_KINDS}, got {kind!r}")
-    constraints = _option(args, config, "constraints", "none")
-    if constraints not in _CONSTRAINT_SETS:
-        raise ValueError(
-            f"constraints must be one of {_CONSTRAINT_SETS}, got {constraints!r}")
-    o = _symbol_indices(model, obs, in_place=True)
+def _cmd_wac_dist(opts):
+    model, o = _model_and_faces(opts)
+    kind, constraints = opts["theta"], opts["constraints"]
     alpha = None  # a Markov chain's forward filter, once computed
     if kind in ("lb", "ub"):
         objective, alpha = _path_objective(model, o)
-        mask = frozenset()
-        if constraints == "pm":
-            mask = pm_mask(model.num_symbols)
-        elif constraints == "cs":
-            mask = cs_mask(model.emission)
+        mask = (pm_mask(model.num_symbols) if constraints == "pm"
+                else cs_mask(model.emission) if constraints == "cs"
+                else frozenset())
         pair = ewac_bounds(objective, mask, tag=constraints)
         theta = pair.theta_lb if kind == "lb" else pair.theta_ub
     else:
         theta = copula_pmf(model, kind)
-    wac = _sample_wac(model, o, theta,
-                      _option(args, config, "samples", 10_000, int),
-                      _option(args, config, "seed", 0, int), alpha).wac
+    wac = _sample_wac(model, o, theta, opts["samples"], opts["seed"],
+                      alpha).wac
     # Distinct by bit pattern, so -0 and 0 print apart.
     losses, index = np.unique(wac.view(np.int64), return_inverse=True)
-    _write_text(_option(args, config, "out"),
-                _numbered_csv(("sample", "wac"),
-                              losses.view(np.float64)[:, None], index))
-    return EXIT_OK
+    return _numbered_csv(("sample", "wac"), losses.view(np.float64)[:, None],
+                         index)
 
 
-def _cmd_copulas(args, config):
-    model = _resolve_model(args, config)
-    _write_text(_option(args, config, "out"),
-                [json.dumps(_json_ready(_copulas(model)), indent=2,
-                            sort_keys=True) + "\n"])
-    return EXIT_OK
+def _cmd_copulas(opts):
+    model, _ = _model_and_faces(opts)
+    return [json.dumps(_json_ready(_copulas(model)), indent=2,
+                       sort_keys=True) + "\n"]
 
 
-_DISPATCH = {
-    "smooth": _cmd_smooth,
-    "bounds": _cmd_bounds,
-    "sweep-eta": _cmd_sweep_eta,
-    "sweep-horizon": _cmd_sweep_horizon,
-    "wac-dist": _cmd_wac_dist,
-    "copulas": _cmd_copulas,
+# Each option once, as (help, default, type).  The type casts flag and
+# config values alike (see _cast): float or int, [float] or [int] for a
+# comma-separated list, a tuple of choices, str, or _parse_path.  A
+# default other than None is in the help text.
+_OPTIONS = {
+    "out": ("output file (default: stdout)", None, str),
+    "eta": ("fairness level of the canonical casino", None, float),
+    "path": ("observation path: builtin:1, builtin:2, comma-separated "
+             "faces, or @file", "builtin:1", _parse_path),
+    "seed": ("RNG seed", 0, int),
+    "grid": ("comma-separated fairness levels", None, [float]),
+    "t_grid": ("comma-separated horizons", None, [int]),
+    "t_min": ("smallest horizon", 10, int),
+    "t_max": ("largest horizon", 100_000, int),
+    "t_points": ("points in the geometric grid", 25, int),
+    "theta": ("which joint PMF to sample under", "comonotonic",
+              ("lb", "ub", "independence", "comonotonic", "countermonotonic")),
+    "constraints": ("constraint set for the lb/ub optimisers", "none",
+                    ("none", "pm", "cs")),
+    "samples": ("number of draws", 10_000, int),
+}
+
+# Each subcommand once, as (help, options besides out, whether a config
+# may give its model, handler).
+_COMMANDS = {
+    "smooth": ("posterior state probabilities per period",
+               ("eta", "path"), True, _cmd_smooth),
+    "bounds": ("all bounds and benchmarks for one model and path",
+               ("eta", "path"), True, _cmd_bounds),
+    "sweep-eta": ("bounds across fairness levels",
+                  ("path", "grid"), False, _cmd_sweep_eta),
+    "sweep-horizon": ("per-period bounds along one simulated path",
+                      ("eta", "seed", "t_grid", "t_min", "t_max",
+                       "t_points"), False, _cmd_sweep_horizon),
+    "wac-dist": ("Monte-Carlo draws of the cheating loss",
+                 ("eta", "path", "seed", "theta", "constraints", "samples"),
+                 True, _cmd_wac_dist),
+    "copulas": ("the three benchmark joint PMFs", ("eta",), True,
+                _cmd_copulas),
 }
 
 
@@ -428,47 +419,16 @@ def _build_parser():
         description="Bounds on the expected winnings attributable to cheating "
                     "in the two-state casino model.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, model=False, path=False, seed=False):
-        p = sub.add_parser(name, help=help_text)
+    for command, (help_text, options, _, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with option defaults")
-        p.add_argument("--out", help="output file (default: stdout)")
-        if model:
-            p.add_argument("--eta", type=float,
-                           help="fairness level of the canonical casino")
-        if path:
-            p.add_argument("--path",
-                           help="observation path: builtin:1, builtin:2, "
-                                "comma-separated faces, or @file")
-        if seed:
-            p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-        return p
-
-    add("smooth", "posterior state probabilities per period",
-        model=True, path=True)
-    add("bounds", "all bounds and benchmarks for one model and path",
-        model=True, path=True)
-
-    p = add("sweep-eta", "bounds across fairness levels", path=True)
-    p.add_argument("--grid", help="comma-separated fairness levels")
-
-    p = add("sweep-horizon", "per-period bounds along one simulated path",
-        model=True, seed=True)
-    p.add_argument("--t-grid", help="comma-separated horizons")
-    p.add_argument("--t-min", type=int, help="smallest horizon (default 10)")
-    p.add_argument("--t-max", type=int, help="largest horizon (default 100000)")
-    p.add_argument("--t-points", type=int,
-                   help="points in the geometric grid (default 25)")
-
-    p = add("wac-dist", "Monte-Carlo draws of the cheating loss",
-            model=True, path=True, seed=True)
-    p.add_argument("--theta", choices=_THETA_KINDS,
-                   help="which joint PMF to sample under (default comonotonic)")
-    p.add_argument("--constraints", choices=_CONSTRAINT_SETS,
-                   help="constraint set for the lb/ub optimisers (default none)")
-    p.add_argument("--samples", type=int, help="number of draws (default 10000)")
-
-    add("copulas", "the three benchmark joint PMFs", model=True)
+        for key in ("out", *options):
+            text, default, kind = _OPTIONS[key]
+            if default is not None:
+                text += f" (default {default})"
+            p.add_argument("--" + key.replace("_", "-"), help=text,
+                           type=kind if kind in (float, int) else None,
+                           choices=kind if isinstance(kind, tuple) else None)
     return parser
 
 
@@ -483,7 +443,15 @@ def main(argv=None):
         return EXIT_OK if not exc.code else int(exc.code)
     try:
         config = _load_config(args.config, args.command)
-        return _DISPATCH[args.command](args, config)
+        _, options, _, handler = _COMMANDS[args.command]
+        opts = {"model": None, **config}
+        for key in ("out", *options):  # a flag, else the config, else default
+            value = getattr(args, key)
+            if value is not None or key not in config:
+                value = _OPTIONS[key][1] if value is None else value
+                opts[key] = None if value is None else _cast(key, value)
+        _write_text(opts["out"], handler(opts))
+        return EXIT_OK
     except InfeasibleMaskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -162,14 +162,6 @@ def _face_objective(model, counts, masses):
                          independence=independence)
 
 
-def _iid_objective(model, counts, first_face, posteriors, first):
-    """``_face_objective`` of an i.i.d. chain's (..., K) face counts, by
-    per-face ``posteriors`` (K, 2) but ``first`` for period 1's face."""
-    masses = counts[..., None] * posteriors
-    masses[..., first_face, :] += first - posteriors[first_face]
-    return _face_objective(model, counts, masses)
-
-
 def _path_objective(model, o):
     """(objective, alpha) of the 0-based faces ``o``: from face counts for
     an i.i.d. chain, alpha None; else from smoothing a copy of the forward
@@ -180,7 +172,9 @@ def _path_objective(model, o):
         delta = _smooth_filtered(model, o, alpha.copy())
         return _smoothed_objective(model, o, delta), alpha
     counts = np.bincount(o, minlength=model.num_symbols)
-    return _iid_objective(model, counts, o[0], *iid), None
+    masses = counts[:, None] * iid[0]
+    masses[o[0]] += iid[1] - iid[0][o[0]]  # period 1 under ``initial``
+    return _face_objective(model, counts, masses), None
 
 
 def validate_joint_pmf(theta, row_marginals, col_marginals, atol=_PMF_ATOL):

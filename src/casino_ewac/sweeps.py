@@ -10,9 +10,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from casino_ewac.engine import (_face_objective, _greedy_stacks,
-                                _iid_objective, _naive, _optimal_tables,
-                                validate_joint_pmf)
+from casino_ewac.engine import (_face_objective, _greedy_stacks, _naive,
+                                _optimal_tables, validate_joint_pmf)
 from casino_ewac.hmm import (_backward_sample, _face_posteriors,
                              _forward_filter, _iid_posteriors,
                              _simulated_blocks, as_symbol_indices,
@@ -271,8 +270,6 @@ def horizon_sweep(eta, t_grid=None, seed=0):
     model = canonical_model(eta)
     total, counts, done = np.zeros(model.num_symbols, dtype=np.int64), [], 0
     for _, faces in _simulated_blocks(model, int(t_grid[-1]), seed):
-        if not done:
-            first = faces[:1].copy()
         cuts = t_grid[(t_grid > done) & (t_grid <= done + faces.size)] - done
         for i, part in enumerate(np.split(faces, cuts)):
             if i:  # the part before reached a horizon
@@ -280,8 +277,9 @@ def horizon_sweep(eta, t_grid=None, seed=0):
             total += np.bincount(part, minlength=total.size)
         done += faces.size
     counts = np.array(counts)
-    stack = _iid_objective(model, counts, first[0],
-                           *_iid_posteriors(model, first))
+    # Period 1 too: canonical_model's initial law is its transition row.
+    stack = _face_objective(model, counts, counts[..., None]
+                            * _face_posteriors(model.initial, model.emission))
     lb, ub = stack.ewac(_tables_by_order(model, stack.factor, {})) / t_grid
     return [SweepRow(horizon=horizon, lb=low, ub=high,
                      naive=_naive(model, n) / horizon)

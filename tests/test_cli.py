@@ -559,6 +559,15 @@ class TestConfigHandling:
         ("sweep-eta", {"path": [0.5, None]}, "path"),
         ("sweep-eta", {"grid": [0.5, None]}, "grid"),
         ("sweep-eta", {"grid": [[0.5]]}, "grid"),
+        ("bounds", {"model": 5}, "model"),
+        ("bounds", {"model": None, "eta": 0.5}, "model"),
+        ("wac-dist", {"eta": 0.5, "theta": "median"}, "theta"),
+        # Checked though the call's --out overrides it, or t_grid leaves
+        # it unused.
+        ("bounds", {"eta": 0.5, "out": [1]}, "out"),
+        ("bounds", {"eta": 0.5, "out": True}, "out"),
+        ("sweep-horizon", {"eta": 0.5, "t_grid": [10], "t_min": "x"},
+         "t_min"),
     ])
     def test_bad_config_values_name_the_key(self, command, config, key,
                                             tmp_path, capsys):
@@ -608,6 +617,45 @@ class TestConfigHandling:
                    "--eta", "0.5") == EXIT_USAGE
         assert "exactly one way" in capsys.readouterr().err
         assert run("bounds") == EXIT_USAGE
+
+
+# Options of little work besides the one under test.
+_SMALL_RUNS = {"smooth": {"eta": 0.5}, "bounds": {"eta": 0.5},
+               "sweep-eta": {"grid": "0.2,0.7"},
+               "sweep-horizon": {"eta": 0.5, "t_max": 2000},
+               "wac-dist": {"eta": 0.5, "samples": 300}}
+
+
+class TestOptionTable:
+    # Each (command, option) of the table that has a default.
+    @pytest.mark.parametrize("command,key", [
+        (command, key)
+        for command, (_, keys, _, _) in casino_ewac.cli._COMMANDS.items()
+        for key in keys if casino_ewac.cli._OPTIONS[key][1] is not None])
+    def test_the_default_has_one_source(self, command, key, tmp_path,
+                                        capsys):
+        default = casino_ewac.cli._OPTIONS[key][1]
+        argv = [command]
+        for name, value in _SMALL_RUNS[command].items():
+            if name != key:
+                argv += ["--" + name.replace("_", "-"), str(value)]
+
+        def output(*extra):
+            out = tmp_path / "out"
+            assert run(*argv, *extra, "--out", str(out)) == EXIT_OK
+            return out.read_bytes()
+
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: default}))
+        flag = "--" + key.replace("_", "-")
+        omitted = output()
+        assert output(flag, str(default)) == omitted
+        assert output("--config", str(config)) == omitted
+        capsys.readouterr()
+        assert run(command, "--help") == EXIT_OK
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"{flag} " in help_text
+        assert f"(default {default})" in help_text
 
 
 class TestExitCodes:
@@ -895,6 +943,27 @@ class TestPathParsing:
         assert casino_ewac.cli._digit_runs(fh) is None
         assert fh.tell() <= 6 * 8
         assert_parses_as_the_loop("1 2 " * 25_000)
+
+    def test_a_file_that_grew_goes_to_the_tokenizer(self, tmp_path,
+                                                     monkeypatch):
+        # The array of faces is sized from the file's length when opened;
+        # a file longer than that (here its end-seek under-reports) makes
+        # the numpy parse give up, and the tokenizer reads every face.
+        class Grown(io.BufferedReader):
+            def seek(self, offset, whence=os.SEEK_SET):
+                at = super().seek(offset, whence)
+                return at // 4 if whence == os.SEEK_END else at
+
+        faces = [1, 6, 3, 2, 5] * 20
+        spec = write_path(tmp_path / "path.txt", faces)
+        monkeypatch.setattr(casino_ewac.cli, "open", raising=False,
+                            value=lambda name, mode: Grown(io.FileIO(name)))
+        runs = []
+        digit_runs = casino_ewac.cli._digit_runs
+        monkeypatch.setattr(casino_ewac.cli, "_digit_runs",
+                            lambda fh: runs.append(digit_runs(fh)) or runs[0])
+        np.testing.assert_array_equal(_parse_path(spec), faces)
+        assert runs == [None]
 
     def test_file_without_final_newline(self, tmp_path):
         spec = write_path(tmp_path / "path.txt", [1, 2, 6], end="")

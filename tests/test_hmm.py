@@ -171,6 +171,15 @@ class TestSmooth:
         np.testing.assert_array_equal(o, [0, 5, 2, 1])
         assert not np.shares_memory(o, obs)
 
+    def test_symbol_indices_of_floats(self):
+        # Integral floats (a path read as numbers) are faces; 1.5 is not.
+        model = canonical_model(0.5)
+        np.testing.assert_array_equal(
+            as_symbol_indices(model, np.array([1.0, 6.0, 3.0])),
+            as_symbol_indices(model, [1, 6, 3]))
+        with pytest.raises(ValueError, match="must contain integers"):
+            as_symbol_indices(model, [1.0, 1.5, 2.0])
+
 
 class TestSampleHiddenPaths:
     def test_deterministic_given_seed(self):

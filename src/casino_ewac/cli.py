@@ -370,6 +370,9 @@ def _cmd_copulas(opts):
                        sort_keys=True) + "\n"]
 
 
+# sweep-horizon's grid defaults are the library's, as horizon_sweep uses.
+_T_MIN, _T_MAX, _T_POINTS = default_horizon_grid.__defaults__
+
 # Each option once, as (help, default, type).  The type casts flag and
 # config values alike (see _cast): float or int, [float] or [int] for a
 # comma-separated list, a tuple of choices, str, or _parse_path.  A
@@ -382,9 +385,9 @@ _OPTIONS = {
     "seed": ("RNG seed", 0, int),
     "grid": ("comma-separated fairness levels", None, [float]),
     "t_grid": ("comma-separated horizons", None, [int]),
-    "t_min": ("smallest horizon", 10, int),
-    "t_max": ("largest horizon", 100_000, int),
-    "t_points": ("points in the geometric grid", 25, int),
+    "t_min": ("smallest horizon", _T_MIN, int),
+    "t_max": ("largest horizon", _T_MAX, int),
+    "t_points": ("points in the geometric grid", _T_POINTS, int),
     "theta": ("which joint PMF to sample under", "comonotonic",
               ("lb", "ub", "independence", "comonotonic", "countermonotonic")),
     "constraints": ("constraint set for the lb/ub optimisers", "none",

@@ -6,6 +6,7 @@ path and analyses each truncation from its face counts, which suffice for
 the canonical casino's i.i.d. hidden states.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -33,6 +34,11 @@ _BOUND_SLACK = 1e-9
 # Levels eta_sweep evaluates at a time: their stacked tables and products
 # take about 3.5 KB per level, so memory does not grow with the grid.
 _LEVEL_BLOCK = 1 << 12
+# Binomials with n at most this are drawn by inverting tabulated CDFs
+# (see sample_wac); row k of _COMB holds C(n, k) for n = 0 .. _TABLE_N.
+_TABLE_N = 32
+_COMB = np.array([[math.comb(n, k) for n in range(_TABLE_N + 1)]
+                  for k in range(_TABLE_N)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -115,6 +121,11 @@ def sample_wac(model, obs, theta, count, seed, *, filtered=None):
     1986, *Non-Uniform Random Variate Generation*, ch. XI).  Theta cells
     the marginal check lets through slightly below zero count as zero.
 
+    The i.i.d. counts when the largest n_j is at most 32, and a face's
+    redraws when its largest b_j is, are drawn by inversion (Devroye, ch.
+    III.2), one uniform per draw in the order above, from binomial CDF
+    tables; above 32, numpy's sampler is as fast for p near 0.05.
+
     Raises:
         ValueError: if ``count`` is below 1 or theta is not a joint PMF
             of the fair and biased dice.
@@ -136,9 +147,14 @@ def _sample_wac(model, o, theta, count, seed, filtered=None):
     faces = np.arange(model.num_symbols)
     iid = _iid_posteriors(model, o)
     if iid is not None:  # face-major: one binomial set-up per face
-        n = np.bincount(o[1:], minlength=faces.size)
-        counts = rng.binomial(n[:, None], iid[0][:, 1, None],
-                              size=(faces.size, count))
+        n, biased = np.bincount(o[1:], minlength=faces.size), iid[0][:, 1]
+        if n.max() <= _TABLE_N:
+            rows = _cdf_rows(biased, n, n.max())[:, :, None]
+            counts = _inverted(rng.random((faces.size, count)),
+                               rows).astype(np.int64)
+        else:
+            counts = rng.binomial(n[:, None], biased[:, None],
+                                  size=(faces.size, count))
         counts[o[0]] += rng.random(count) >= iid[1][0]
     else:
         alpha = _forward_filter(model, o) if filtered is None else filtered
@@ -164,13 +180,34 @@ def _sample_wac(model, o, theta, count, seed, filtered=None):
         # Each cell's share of the cells not yet drawn: a suffix sum of
         # positive floats is never below its first term, so p <= 1.
         p = column / np.cumsum(column[::-1])[::-1]
-        left = counts[j].copy()
+        left, m = counts[j].copy(), counts[j].max()
         for i, share in zip(cells[:-1].tolist(), p[:-1].tolist()):
-            redrawn = rng.binomial(left, share)
+            if m <= _TABLE_N:
+                rows = _cdf_rows(share, np.arange(m + 1), m)
+                redrawn = _inverted(rng.random(count),
+                                    (row[left] for row in rows))
+            else:
+                redrawn = rng.binomial(left, share)
             wac += redrawn * (w[j] - w[i])
             left -= redrawn
         wac += left * (w[j] - w[cells[-1]])
     return WacSamples(wac=wac, biased_counts=counts.T)
+
+
+def _cdf_rows(p, n, m):
+    """(m, n.size): P(Binomial(n, p) <= k) in row k; +inf from k = n on,
+    so that a CDF rounded below 1 never draws more than n."""
+    k = np.arange(m)[:, None]
+    pmf = _COMB[k, n] * p ** k * (1 - p) ** np.maximum(n - k, 0)
+    return np.where(k < n, pmf.cumsum(axis=0), np.inf)
+
+
+def _inverted(u, rows):
+    """Inversion draws: how many of the CDF ``rows`` each uniform reaches."""
+    drawn = np.zeros(u.shape, np.int8)
+    for row in rows:
+        drawn += u >= row
+    return drawn
 
 
 def default_eta_grid():

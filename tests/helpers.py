@@ -14,22 +14,30 @@ periods of each face by a plain loop and redraw each face's fair faces as
 a chain of conditional binomials, one scalar draw per cell and sample,
 consuming the same random numbers in the same order as the library; for
 an i.i.d. chain they draw each face's binomial count and period 1's
-uniform one scalar at a time instead.  The loss moments of an
-i.i.d. chain come in closed form, and its exact distribution, for integer
-payoffs, by convolving the per-period ones.  ``exact_canonical_values``
-recomputes the canonical casino's bounds and coupling values in exact
-rationals.  ``iid_cases`` generates i.i.d. models for hypothesis.
-``loop_simulate``, ``loop_parse_path`` and ``template_csv`` keep the
-per-period simulation, the per-token path parser and the one-template CSV
-writer that the CLI and ``simulate`` replaced, as references.
+uniform one scalar at a time instead.  A binomial on the library's table
+route is one uniform inverted against its exact CDF in rationals
+(``exact_binomial_cdf``), any other one numpy's scalar draw.  The loss
+moments of an i.i.d. chain come in closed form, and its exact
+distribution, for integer payoffs, by convolving the per-period ones.
+``exact_canonical_values`` recomputes the canonical casino's bounds and
+coupling values in exact rationals.  ``iid_cases`` generates i.i.d.
+models for hypothesis.  ``loop_simulate``, ``loop_parse_path`` and
+``template_csv`` keep the per-period simulation, the per-token path parser
+and the one-template CSV writer that the CLI and ``simulate`` replaced,
+as references.
 """
 
+import bisect
+import functools
 import itertools
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
+
+from casino_ewac.sweeps import _TABLE_N
 
 
 def path_posterior(model, obs):
@@ -614,18 +622,39 @@ def template_csv(header, columns):
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=None)
+def exact_binomial_cdf(n, p):
+    """[P(Binomial(n, p) <= k) for k = 0 .. n - 1] in exact rationals, p
+    the exact value of the float, each term from ``math.comb``."""
+    p = Fraction(p)
+    return list(itertools.accumulate(
+        math.comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n)))
+
+
+def _binomial(rng, n, p, inverted):
+    """One Binomial(n, p) draw: with ``inverted``, the number of exact CDF
+    values that one uniform reaches; otherwise numpy's sampler."""
+    if not inverted:
+        return int(rng.binomial(n, p))
+    u = Fraction(rng.random())
+    return bisect.bisect_right(exact_binomial_cdf(n, p), u)
+
+
 def _redraw(rng, counts, theta, rewards):
     """Losses from biased counts, one scalar draw at a time: for each face
     j, each nonzero cell i of its theta column in order, each sample, the
     periods left after the earlier cells give Binomial(left, theta_ij /
     r_i) to cell i, r_i the column's sum from cell i on; the last cell
-    takes the rest, with no draw.  Cell i adds w_j - w_i per period."""
+    takes the rest, with no draw.  Cell i adds w_j - w_i per period.  A
+    face whose largest count is at most the library's table cap draws by
+    inverting one uniform each, any other face by numpy's sampler."""
     theta = np.maximum(np.asarray(theta, dtype=float), 0.0)
     count, k = counts.shape
     wac = [0.0] * count
     for j in range(k):
         cells = [i for i in range(k) if theta[i, j] > 0]
         left = [int(b) for b in counts[:, j]]
+        inverted = max(left) <= _TABLE_N
         for n, i in enumerate(cells):
             loss = float(rewards[j] - rewards[i])
             if n == len(cells) - 1:
@@ -635,7 +664,7 @@ def _redraw(rng, counts, theta, rewards):
                 for later in reversed(cells[n:]):
                     rest += float(theta[later, j])
                 share = float(theta[i, j]) / rest
-                drawn = [int(rng.binomial(m, share)) for m in left]
+                drawn = [_binomial(rng, m, share, inverted) for m in left]
             for s in range(count):
                 wac[s] += drawn[s] * loss
                 left[s] -= drawn[s]
@@ -690,7 +719,8 @@ def loop_iid_sample_wac(model, obs, theta, count, seed):
 
     The order of draws: for each face j, for each sample, the biased count
     among the n_j periods after the first that show face j, a
-    Binomial(n_j, p_j); then one uniform per sample for period 1, biased
+    Binomial(n_j, p_j), by inversion when the largest n_j is at most the
+    library's table cap; then one uniform per sample for period 1, biased
     when it reaches P(fair | o_1) under the initial distribution; then the
     per-face redraws of ``_redraw``.
     """
@@ -701,10 +731,11 @@ def loop_iid_sample_wac(model, obs, theta, count, seed):
         n[face] += 1
     rng = np.random.default_rng(seed)
     counts = np.zeros((count, k), dtype=np.int64)
+    inverted = max(n) <= _TABLE_N
     for j in range(k):
         p_j = bayes(model.transition[0], model, j)[1]
         for s in range(count):
-            counts[s, j] = rng.binomial(n[j], p_j)
+            counts[s, j] = _binomial(rng, n[j], p_j, inverted)
     fair_first = bayes(model.initial, model, o[0])[0]
     for s in range(count):
         counts[s, o[0]] += rng.random() >= fair_first

@@ -25,8 +25,8 @@ from casino_ewac import (HmmModel, TransportProblem, canonical_model,
 from casino_ewac.cli import (EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                              EXIT_USAGE, PATH_1, PATH_2, _parse_path, main)
 from helpers import (dense_filter, dense_smooth, exact_canonical_values,
-                     loop_count_sample_wac, loop_parse_path, round12,
-                     sticky_model, template_csv)
+                     loop_count_sample_wac, loop_iid_sample_wac,
+                     loop_parse_path, round12, sticky_model, template_csv)
 
 
 def run(*argv):
@@ -175,6 +175,19 @@ class TestSweepCommands:
             tracemalloc.stop()
         assert peak / periods < 4
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_horizon_default_grid_is_the_library_default(self, seed,
+                                                         tmp_path):
+        # With no grid flag the command sweeps the grid horizon_sweep
+        # takes without one: the option table reads its defaults there.
+        out = tmp_path / "horizon.csv"
+        assert run("sweep-horizon", "--eta", "0.3", "--seed", str(seed),
+                   "--out", str(out)) == EXIT_OK
+        rows = [row.as_dict() for row in sweeps.horizon_sweep(0.3, seed=seed)]
+        columns = sweeps.HORIZON_SWEEP_COLUMNS
+        assert out.read_bytes() == template_csv(
+            columns, [[row[c] for row in rows] for c in columns]).encode()
+
     def test_horizon_sweep_needs_eta(self, capsys):
         assert run("sweep-horizon", "--t-grid", "20") == EXIT_USAGE
         assert "eta" in capsys.readouterr().err
@@ -251,6 +264,34 @@ class TestWacDistCommand:
         assert header + b"".join(blocks).decode() == (
             "x,y\n1,0\n2,-0\n3,-0\n4,0\n")
 
+    @pytest.mark.parametrize("markov", [False, True])
+    def test_config_die_ruling_out_a_face(self, markov, tmp_path):
+        # The biased die never shows face 1 and the fair die never shows
+        # face 3, so their biased probabilities are 0 and 1; the losses
+        # under independence are the loops' draws.
+        rows = [[0.6, 0.4], [0.3, 0.7]] if markov else [[0.6, 0.4]] * 2
+        model = HmmModel([0.5, 0.5], rows, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],
+                         [1.0, 2.5, 6.0])
+        obs = np.random.default_rng(37).integers(1, 4, 40).tolist()
+        config = tmp_path / "die.json"
+        config.write_text(json.dumps({
+            "model": {"p": model.initial.tolist(), "Q": rows,
+                      "E": model.emission.tolist(), "w": [1.0, 2.5, 6.0]},
+            "path": ",".join(map(str, obs))}))
+        out = tmp_path / "wac.csv"
+        assert run("wac-dist", "--config", str(config), "--theta",
+                   "independence", "--samples", "300", "--seed", "6",
+                   "--out", str(out)) == EXIT_OK
+        theta = engine.copula_pmf(model, "independence")
+        if markov:
+            wac, counts = loop_count_sample_wac(model, dense_filter(model, obs),
+                                                obs, theta, 300, 6)
+        else:
+            wac, counts = loop_iid_sample_wac(model, obs, theta, 300, 6)
+        assert (counts[:, 0] == 0).all() and counts[:, 2].min() > 0
+        assert_same_text(out.read_text(), template_csv(
+            ("sample", "wac"), (range(1, 301), wac.tolist())))
+
     def test_copula_theta_does_not_smooth(self, tmp_path, monkeypatch):
         def no_smoothing(*args):
             raise AssertionError("a copula theta never reads the smoothing")
@@ -318,8 +359,9 @@ class TestGoldenOutputs:
     # and still hold with face counts in place of forward-backward; the
     # canonical wac-dist digests were derived from the losses of
     # helpers.loop_iid_sample_wac (scalar binomial counts face by face,
-    # then per-face chains of scalar conditional binomials), written as
-    # "%d,%.12g" lines under a "sample,wac" header.
+    # then per-face chains of scalar conditional binomials, each small one
+    # a uniform inverted against its exact CDF), written as "%d,%.12g"
+    # lines under a "sample,wac" header.
     @pytest.mark.parametrize("argv,digest", [
         pytest.param(
             "smooth --eta 0.5 --path builtin:1",
@@ -332,12 +374,12 @@ class TestGoldenOutputs:
         pytest.param(
             "wac-dist --eta 0.5 --path builtin:1 --theta comonotonic "
             "--samples 200 --seed 21",
-            "401ebdee8828c30637c85954a768ec86753e16385c9bbb89dfd8f7fed940dbac",
+            "8c48ceaa17300a4394e7d2a1615f5ec5b349d6b618a8d030c835b1eaa0102d7a",
             id="wac-dist-comonotonic"),
         pytest.param(
             "wac-dist --eta 0.5 --path builtin:2 --theta ub --constraints cs "
             "--samples 50 --seed 2",
-            "86313b94b399a54bfff2808088bfc0c73c5f92b72eb521661c889785cbb67910",
+            "ef3ebd858758dc46866bc3b345182c1c4c1899c0314656fce2e76beac1ebf244",
             id="wac-dist-ub-cs"),
         pytest.param(
             "sweep-eta --path builtin:2 --grid 0.25,0.75",
@@ -388,27 +430,27 @@ class TestGoldenOutputs:
          "c8cc468a4b8048a088b619203b42804549c4f161036ccc0cfb1712bc13b54c1a"),
         pytest.param(
             "wac-dist --theta lb",
-            "e133f36fb0a536379c7e725043681566a43efbe7f2bb1cdf90cd9ce24145544b",
+            "9d3a7ba9f85ef5f5e406407d369c248a5728fbfd5aba2cb7673ebd9c14fb0801",
             id="wac-dist --theta lb"),
         pytest.param(
             "wac-dist --theta ub",
-            "90470fd84fcf536fd9eac7fbf15cda20bcab92828fd8e049e3465b53b3568246",
+            "305bba8003d23cc352788fb80f041ec8a64ec793a504701e72e5f1fb9f230d45",
             id="wac-dist --theta ub"),
         pytest.param(
             "wac-dist --theta lb --constraints pm",
-            "a5b111d6c3ebb9ea9cde624222e6eb49a8280a208df19ec9386cca24a8586e32",
+            "8a27c77bacd66a4f548926cea2968f3682155eb032c2ea16f34aa9f6080f1d50",
             id="wac-dist --theta lb --constraints pm"),
         pytest.param(
             "wac-dist --theta independence",
-            "f1e15bc2e1d3399e21a0b378276864b2154cf3604b91ff6e62a08867ff5fc90c",
+            "b2de943e69b3789e1b631ddbedf058ff68ff6c747d86615c6f057c8e6e7b47f0",
             id="wac-dist --theta independence"),
         pytest.param(
             "wac-dist --theta comonotonic",
-            "90470fd84fcf536fd9eac7fbf15cda20bcab92828fd8e049e3465b53b3568246",
+            "305bba8003d23cc352788fb80f041ec8a64ec793a504701e72e5f1fb9f230d45",
             id="wac-dist --theta comonotonic"),
         pytest.param(
             "wac-dist --theta countermonotonic",
-            "e133f36fb0a536379c7e725043681566a43efbe7f2bb1cdf90cd9ce24145544b",
+            "9d3a7ba9f85ef5f5e406407d369c248a5728fbfd5aba2cb7673ebd9c14fb0801",
             id="wac-dist --theta countermonotonic"),
     ])
     def test_markov_chain_bytes(self, argv, digest, tmp_path):
@@ -435,7 +477,7 @@ class TestGoldenOutputs:
         text = "sample,wac\n" + "".join(
             "%d,%.12g\n" % (n, x) for n, x in enumerate(wac.tolist(), 1))
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "a5b111d6c3ebb9ea9cde624222e6eb49a8280a208df19ec9386cca24a8586e32")
+            "8a27c77bacd66a4f548926cea2968f3682155eb032c2ea16f34aa9f6080f1d50")
 
     def test_mid_level_lower_bound_is_the_exact_value(self, tmp_path):
         # The EWAC summed as theta_ij f_j (w_j - w_i) keeps the 12th digit

@@ -1,6 +1,8 @@
 """Monte-Carlo loss draws and the two sweep drivers."""
 
+import hashlib
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +20,11 @@ from casino_ewac import engine, hmm
 from casino_ewac.engine import _bounds_report, _face_objective, _path_objective
 from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _face_posteriors,
                              _forward_filter, as_symbol_indices)
-from helpers import (digit_rows, iid_wac_moments, iid_wac_pmf, is_iid,
-                     loop_count_sample_wac, loop_iid_sample_wac,
-                     random_feasible_theta, sampling_cases, sticky_model)
+from casino_ewac.sweeps import _TABLE_N, _cdf_rows
+from helpers import (digit_rows, exact_binomial_cdf, iid_wac_moments,
+                     iid_wac_pmf, is_iid, loop_count_sample_wac,
+                     loop_iid_sample_wac, random_feasible_theta,
+                     sampling_cases, sticky_model)
 
 
 def bits(row):
@@ -60,8 +64,8 @@ class TestSampleWac:
         assert draws.biased_counts.dtype == np.int64
 
     @pytest.mark.parametrize("kind,wac", [
-        ("comonotonic", [5.0, 6.0, 4.0, 2.0]),
-        ("countermonotonic", [2.0, -6.0, 4.0, 4.0]),
+        ("comonotonic", [6.0, 7.0, 2.0, 3.0]),
+        ("countermonotonic", [2.0, -5.0, 5.0, 2.0]),
     ])
     def test_golden_draws(self, kind, wac):
         # Golden values: a fixed seed keeps drawing the same uniforms in the
@@ -347,6 +351,117 @@ class TestSampleWac:
         model = canonical_model(0.5)
         with pytest.raises(ValueError, match="marginals"):
             sample_wac(model, PATH_1, np.full((6, 6), 1 / 36), 10, seed=0)
+
+
+# An i.i.d. chain whose theta columns are single cells, so the losses take
+# no redraw and only the biased counts draw: face 1 periods after the first
+# are biased with probability 0.4 * 0.7 / (0.6 * 0.3 + 0.4 * 0.7) = 14 / 23.
+SWAP = HmmModel([0.5, 0.5], [[0.6, 0.4]] * 2, [[0.3, 0.7], [0.7, 0.3]],
+                [1.0, 3.5])
+SWAP_THETA = [[0.0, 0.3], [0.7, 0.0]]
+# A Markov chain whose fair die never shows face 3, so every face-3 period
+# is biased; face 3's column redraws Binomial(b_3, 0.35 / 0.5) periods to
+# face 1 (a loss of 5 each) and the rest to face 2 (3.5 each), and the
+# other columns are single cells on their own face, which lose nothing.
+# Both shares here exceed 1/2, where numpy's sampler does not invert the
+# CDF at one uniform, so the two routes draw apart.
+FORCED = HmmModel([0.5, 0.5], [[0.6, 0.4], [0.3, 0.7]],
+                  [[0.5, 0.5, 0.0], [0.15, 0.35, 0.5]], [1.0, 2.5, 6.0])
+FORCED_THETA = [[0.15, 0.0, 0.35], [0.0, 0.35, 0.15], [0.0, 0.0, 0.0]]
+
+
+def swap_path(n):
+    """A path whose largest count after period 1 is n, on face 1."""
+    return [2] + [1] * n + [2, 2, 2]
+
+
+def forced_path(n):
+    """A path on which every sample has n biased face-3 periods."""
+    return [1, 2] + [3] * n + [2, 1]
+
+
+def assert_binomial_law(draws, n, p):
+    """The draws' empirical CDF lies within the Kolmogorov-Smirnov band
+    of level 0.001 of Binomial(n, p), its CDF in exact rationals."""
+    cdf = [float(c) for c in exact_binomial_cdf(n, p)] + [1.0]
+    empirical = np.searchsorted(np.sort(draws), np.arange(n + 1),
+                                side="right") / draws.size
+    assert np.abs(empirical - cdf).max() <= 1.95 / np.sqrt(draws.size)
+
+
+class TestInvertedBinomials:
+    # Binomials whose largest n is at most _TABLE_N invert tabulated CDFs
+    # at one uniform per draw; above it, numpy's sampler draws them.  The
+    # route depends on the input alone: the largest face count after
+    # period 1 for the i.i.d. counts, a face's largest biased count for
+    # its redraws.
+    @pytest.mark.parametrize("p", [0.0, 1e-17, 0.05, 0.3, 0.5, 2 / 3, 0.95,
+                                   1 - 1e-16, 1.0])
+    def test_table_is_the_exact_cdf(self, p):
+        # Row k, column l: P(Binomial(l, p) <= k) within 4 l eps of the
+        # exact value, and +inf from k = l on, so no draw exceeds l.
+        table = _cdf_rows(p, np.arange(_TABLE_N + 1), _TABLE_N)
+        assert table.shape == (_TABLE_N, _TABLE_N + 1)
+        eps = np.finfo(float).eps
+        for n in range(_TABLE_N + 1):
+            for k, exact in enumerate(exact_binomial_cdf(n, p)):
+                assert abs(Fraction(table[k, n]) - exact) <= 4 * n * eps
+            assert (table[n:, n] == np.inf).all()
+        # The per-face form, one (n, p) pair per column, agrees.
+        n = np.arange(_TABLE_N + 1)
+        np.testing.assert_array_equal(
+            _cdf_rows(np.full(n.size, p), n, _TABLE_N), table)
+
+    @pytest.mark.parametrize("n,digest", [
+        (_TABLE_N, None),
+        (_TABLE_N + 1,
+         "73f43b03107d52fd2600724c9ef9ce206e56339a06d7ceb6a1aa8f3fd7661450"),
+    ], ids=["cap", "cap+1"])
+    def test_counts_route_at_the_cap(self, n, digest):
+        # Both sides equal the scalar oracle under the route rule; above
+        # the cap the draws are those of numpy's sampler, as before the
+        # table existed (digest of the losses' and counts' bytes, recorded
+        # from that sampler).
+        obs = swap_path(n)
+        draws = sample_wac(SWAP, obs, SWAP_THETA, 200, seed=3)
+        wac, counts = loop_iid_sample_wac(SWAP, obs, SWAP_THETA, 200, 3)
+        np.testing.assert_array_equal(draws.biased_counts, counts)
+        np.testing.assert_array_equal(draws.wac, wac)
+        if digest is not None:
+            assert hashlib.sha256(draws.wac.tobytes() + draws.biased_counts
+                                  .tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n,digest", [
+        (_TABLE_N, None),
+        (_TABLE_N + 1,
+         "a56c8ef762ab64feb067c1463db179b868c028045fef5c1f65e3fd814aa33ea0"),
+    ], ids=["cap", "cap+1"])
+    def test_redraw_route_at_the_cap(self, n, digest):
+        obs = forced_path(n)
+        alpha = _forward_filter(FORCED, as_symbol_indices(FORCED, obs))
+        draws = sample_wac(FORCED, obs, FORCED_THETA, 200, seed=3)
+        wac, counts = loop_count_sample_wac(FORCED, alpha, obs, FORCED_THETA,
+                                            200, 3)
+        assert (draws.biased_counts[:, 2] == n).all()
+        np.testing.assert_array_equal(draws.biased_counts, counts)
+        np.testing.assert_array_equal(draws.wac, wac)
+        if digest is not None:
+            assert hashlib.sha256(draws.wac.tobytes() + draws.biased_counts
+                                  .tobytes()).hexdigest() == digest
+
+    def test_counts_at_the_cap_follow_the_binomial_law(self):
+        draws = sample_wac(SWAP, swap_path(_TABLE_N), SWAP_THETA, 100_000,
+                           seed=23)
+        share = 0.4 * 0.7 / (0.6 * 0.3 + 0.4 * 0.7)
+        assert_binomial_law(draws.biased_counts[:, 0], _TABLE_N, share)
+
+    def test_redraws_at_the_cap_follow_the_binomial_law(self):
+        n = _TABLE_N
+        draws = sample_wac(FORCED, forced_path(n), FORCED_THETA, 100_000,
+                           seed=29)
+        to_face_1 = (draws.wac - 3.5 * n) / 1.5
+        np.testing.assert_array_equal(to_face_1, np.round(to_face_1))
+        assert_binomial_law(to_face_1, n, 0.35 / 0.5)
 
 
 class TestSweepRow:

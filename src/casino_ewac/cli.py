@@ -10,14 +10,14 @@ come from a JSON config file via ``--config``; explicit flags win over
 config values, and every config value is checked when the config is read,
 even for an option the command will not use.  A path of digits (inline, or
 an ``@file`` read in blocks of 1 MB) becomes one int64 array by numpy,
-other text is read token by token; CSV text is formatted in blocks.  The
-``smooth`` and ``wac-dist`` CSVs are built as bytes by numpy from their
-distinct rows (the smoothed rows, the distinct losses): each block formats
-its rows once and gathers them after line numbers written digit by digit,
-so a repeated row costs no Python object per line.  Output is written in
-binary mode, to stdout as to a file.  Numbers are written with 12
-significant digits and reruns with identical inputs produce byte-identical
-files.
+other text is read token by token.  Output is written from arrays, with
+no Python object per row: the JSON of ``bounds`` and ``copulas`` by one
+``%`` template, the sweep CSVs by one ``%`` per block of rows, and the
+``smooth`` and ``wac-dist`` CSVs as bytes by numpy from their distinct
+rows (the smoothed rows, the distinct losses): each block formats its
+rows once and gathers them after line numbers written digit by digit.
+Output is binary, to stdout as to a file; numbers have 12 significant
+digits, and reruns with identical inputs produce byte-identical files.
 
 Exit codes: 0 success, 2 bad flags or config or a run too large for the
 available memory, 3 infeasible constraint set, 4 numerical failure (for
@@ -35,15 +35,16 @@ import sys
 
 import numpy as np
 
-from casino_ewac.engine import (InfeasibleMaskError, _bounds_report,
-                                _copulas, _naive, _path_objective, copula_pmf,
-                                cs_mask, ewac_bounds, pm_mask)
+from casino_ewac.engine import (REPORT_COLUMNS, InfeasibleMaskError,
+                                _copulas, _naive, _path_objective,
+                                _report_values, copula_pmf, cs_mask,
+                                ewac_bounds, pm_mask)
 from casino_ewac.hmm import (HmmModel, ZeroLikelihoodError, _smoothed_rows,
                              _symbol_indices, canonical_model)
 from casino_ewac.paths import PATH_1, PATH_2
 from casino_ewac.sweeps import (ETA_SWEEP_COLUMNS, HORIZON_SWEEP_COLUMNS,
-                                _sample_wac, default_horizon_grid, eta_sweep,
-                                horizon_sweep)
+                                _eta_table, _horizon_table, _sample_wac,
+                                default_horizon_grid)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -55,18 +56,28 @@ log = logging.getLogger("casino_ewac")
 __all__ = ["PATH_1", "PATH_2", "main", "entry_point"]
 
 
-def _json_ready(obj):
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.12g}")
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    return obj
+def _json_text(report):
+    """``json.dumps(report, indent=2, sort_keys=True)`` and a line end for
+    a dict of floats, None and (K, K) arrays, numbers first rounded to 12
+    significant digits by one ``%``: one ``%`` template of the document
+    takes their ``repr``, as ``json`` prints floats but NaN and Infinity."""
+    lines, flat = [], []
+    for key in sorted(report):
+        value = report[key]
+        if value is None:
+            lines.append(f'  "{key}": null')
+        elif isinstance(value, np.ndarray):
+            row = "[\n" + ",\n".join(["      %s"] * len(value)) + "\n    ]"
+            lines.append(f'  "{key}": [\n'
+                         + ",\n".join(["    " + row] * len(value)) + "\n  ]")
+            flat += value.ravel().tolist()
+        else:
+            lines.append(f'  "{key}": %s')
+            flat.append(value)
+    rounded = ("%.12g " * len(flat) % tuple(flat)).split()
+    words = [*map(repr, map(float, rounded))]
+    return ("{\n" + ",\n".join(lines) + "\n}\n") % tuple(
+        map(_JSON_WORDS.get, words, words))
 
 
 def _write_text(out, chunks):
@@ -88,23 +99,19 @@ def _write_text(out, chunks):
 
 _CSV_BLOCK = 1 << 16  # lines
 _PARSE_BLOCK = 1 << 20  # bytes
+# json's spelling of the floats repr writes as nan, inf and -inf.
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _csv(header, rows):
-    """CSV text of sweep records: the header, then one line per record of
-    its attributes named in the header, formatted by one ``%`` per block
-    of 2^16 records.  A column is typed by its first value: integers print
-    in full and floats with 12 significant digits.
-    """
-    text = [",".join(header) + "\n"]
-    if rows:
-        template = ",".join("%d" if type(getattr(rows[0], name)) is int
-                            else "%.12g" for name in header) + "\n"
-        for start in range(0, len(rows), _CSV_BLOCK):
-            block = rows[start:start + _CSV_BLOCK]
-            text.append(template * len(block) % tuple(
-                getattr(row, name) for row in block for name in header))
-    return "".join(text)
+def _table_csv(header, table):
+    """The CSV of a sweep ``table``: the header, then one ``%`` per block
+    of 2^16 rows, ``%d`` for the horizon, else 12 significant digits."""
+    template = ",".join("%d" if name == "horizon" else "%.12g"
+                        for name in header) + "\n"
+    yield ",".join(header) + "\n"
+    for start in range(0, len(table), _CSV_BLOCK):
+        block = table[start:start + _CSV_BLOCK]
+        yield template * len(block) % tuple(block.ravel().tolist())
 
 
 def _numbered_csv(header, rows, index):
@@ -321,15 +328,23 @@ def _cmd_bounds(opts):
         mask = cs_mask(model.emission)
     except ValueError:
         log.info("fair die is not uniform; skipping the cs bounds")
-    plain, report = _bounds_report(objective, model, mask)
-    counts = np.bincount(o, minlength=model.num_symbols)
-    report.update(naive=_naive(model, counts), theta_lb=plain.theta_lb,
-                  theta_ub=plain.theta_ub)
-    return [json.dumps(_json_ready(report), indent=2, sort_keys=True) + "\n"]
+    staircase = mask == pm_mask(model.num_symbols)
+    values, tables = _report_values(model, objective, {}, staircase)
+    naive = _naive(model, np.bincount(o, minlength=model.num_symbols))
+    report = dict(zip(REPORT_COLUMNS, values[0].tolist()), naive=naive,
+                  ewac_independence=objective.independence,
+                  theta_lb=tables[0, 0], theta_ub=tables[1, 0])
+    if mask is None:
+        report.update(lb_cs=None, ub_cs=None)
+    elif not staircase:  # the simplex
+        pair = ewac_bounds(objective, mask, tag="cs")
+        report.update(lb_cs=pair.lb, ub_cs=pair.ub)
+    return [_json_text(report)]
 
 
 def _cmd_sweep_eta(opts):
-    return [_csv(ETA_SWEEP_COLUMNS, eta_sweep(opts["path"], opts["grid"]))]
+    return _table_csv(ETA_SWEEP_COLUMNS,
+                      _eta_table(opts["path"], opts["grid"]))
 
 
 def _cmd_sweep_horizon(opts):
@@ -339,8 +354,8 @@ def _cmd_sweep_horizon(opts):
     if t_grid is None:
         t_grid = default_horizon_grid(opts["t_min"], opts["t_max"],
                                       opts["t_points"])
-    return [_csv(HORIZON_SWEEP_COLUMNS,
-                 horizon_sweep(opts["eta"], t_grid, opts["seed"]))]
+    return _table_csv(HORIZON_SWEEP_COLUMNS,
+                      _horizon_table(opts["eta"], t_grid, opts["seed"]))
 
 
 def _cmd_wac_dist(opts):
@@ -366,8 +381,7 @@ def _cmd_wac_dist(opts):
 
 def _cmd_copulas(opts):
     model, _ = _model_and_faces(opts)
-    return [json.dumps(_json_ready(_copulas(model)), indent=2,
-                       sort_keys=True) + "\n"]
+    return [_json_text(_copulas(model))]
 
 
 # sweep-horizon's grid defaults are the library's, as horizon_sweep uses.

@@ -84,9 +84,10 @@ class EwacObjective:
     def ewac(self, theta):
         """The EWAC at theta, unchecked (``ewac_of_theta`` validates): a
         float, or for tables (..., [E,] K, K) the values, each the same
-        K^2-term sum."""
+        K^2-term sum (the factor repeated over rows: faster than broadcast)."""
         w = self.rewards
-        terms = theta * self.factor[..., None, :] * (w - w[:, None])
+        terms = theta * np.repeat(self.factor[..., None, :], w.size, axis=-2)
+        terms *= w - w[:, None]
         values = terms.sum(axis=(-2, -1))
         return float(values) if values.ndim == 0 else values
 
@@ -292,8 +293,7 @@ def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
     """
     rows, cols, factor = (objective.row_marginals, objective.col_marginals,
                           objective.factor)
-    feasible, iterations = True, (0, 0)
-    staircase = bool(zero_mask)
+    iterations, staircase = (0, 0), bool(zero_mask)
     if staircase and frozenset(map(tuple, zero_mask)) != pm_mask(factor.size):
         lo, hi = (solve(TransportProblem(objective.coeff, rows, cols,
                                          zero_mask, sense))
@@ -301,17 +301,25 @@ def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
         feasible = lo.status == hi.status == "optimal"
         iterations, hi, lo = (hi.iterations, lo.iterations), hi.theta, lo.theta
     else:
-        if staircase:
-            excess = np.cumsum(cols)[:-1] - np.cumsum(rows)[:-1]
-            feasible = excess.max(initial=0.0) <= FEASIBILITY_TOL
+        feasible = not staircase or _pm_feasible(rows, cols)
         hi, lo = _optimal_tables(rows, cols, np.argsort(factor, kind="stable"),
                                  staircase)[-2:]
     if not feasible:
-        raise InfeasibleMaskError(
-            f"constraint set {tag!r} ({len(zero_mask)} forced zeros) admits "
-            "no joint PMF with the required marginals")
+        raise _infeasible(tag, zero_mask)
     return EwacBounds(objective.ewac(hi), objective.ewac(lo), hi, lo,
                       constraint_tag=tag, iterations=iterations)
+
+
+def _pm_feasible(rows, cols):
+    """Whether the pm staircase admits a table (see ``ewac_bounds``)."""
+    excess = np.cumsum(cols)[:-1] - np.cumsum(rows)[:-1]
+    return excess.max(initial=0.0) <= FEASIBILITY_TOL
+
+
+def _infeasible(tag, zero_mask):
+    return InfeasibleMaskError(
+        f"constraint set {tag!r} ({len(zero_mask)} forced zeros) admits "
+        "no joint PMF with the required marginals")
 
 
 def pm_mask(k):
@@ -398,26 +406,49 @@ def copula_pmf(model, kind):
 
 def _copulas(model):
     """The three benchmark couplings by kind, each validated once."""
-    return {kind: validate_joint_pmf(copula_pmf(model, kind), *model.emission)
-            for kind in ("independence", "comonotonic", "countermonotonic")}
+    rows, cols = model.emission
+    tables = np.outer(rows, cols), *_optimal_tables(rows, cols,
+                                                    np.arange(rows.size))
+    return {kind: validate_joint_pmf(theta, rows, cols) for kind, theta in
+            zip(("independence", "comonotonic", "countermonotonic"), tables)}
 
 
-def _bounds_report(objective, model, mask=None):
-    """(plain bounds, report): lb/ub, lb_cs/ub_cs (None without a cs
-    ``mask``), lb_inhom/ub_inhom at the ``_greedy_stacks`` and ewac_<kind>
-    at the ``_copulas``, the independence value from the objective's sum."""
-    plain = ewac_bounds(objective)
-    tied = None if mask is None else ewac_bounds(objective, mask, tag="cs")
-    best, worst = _greedy_stacks(*model.emission)
-    report = {"lb": plain.lb, "ub": plain.ub,
-              "lb_cs": None if tied is None else tied.lb,
-              "ub_cs": None if tied is None else tied.ub,
-              "lb_inhom": objective.ewac(best),
-              "ub_inhom": objective.ewac(worst)}
-    for kind, theta in _copulas(model).items():
-        report[f"ewac_{kind}"] = objective.ewac(theta)
-    report["ewac_independence"] = objective.independence
-    return plain, report
+REPORT_COLUMNS = ("lb", "ub", "lb_cs", "ub_cs", "lb_inhom", "ub_inhom",
+                  "ewac_comonotonic", "ewac_countermonotonic")
+
+
+def _tables_by_order(model, factor, built, staircase=False):
+    """(n, E, K, K): the ``_optimal_tables`` of each row of the (E, K) or
+    (K,) ``factor`` by stable order (all they depend on), gathered from the
+    dict ``built`` of each order's tables, to which it adds those missing."""
+    first = {}  # distinct orders by first row: faster than np.unique here
+    at = [first.setdefault(key, len(first)) for key in map(tuple, np.argsort(
+        np.atleast_2d(factor), axis=1, kind="stable").tolist())]
+    for key in first.keys() - built.keys():
+        built[key] = np.stack(_optimal_tables(*model.emission, np.array(key),
+                                              staircase))
+    return np.stack([built[key] for key in first], axis=1)[:, at]
+
+
+def _report_values(model, stack, built, staircase=True):
+    """(values, tables): the (E, 8) ``REPORT_COLUMNS`` of the objectives
+    ``stack`` by one ``ewac`` of the (n, E, K, K) tables, per factor order
+    (``_tables_by_order``) the fills and the pm fills (the cs pair, NaN
+    without ``staircase``), then the greedy stacks and Frechet couplings.
+    An empty staircase raises as ``ewac_bounds`` with pm and tag "cs"."""
+    rows, cols = model.emission
+    if staircase and not _pm_feasible(rows, cols):
+        raise _infeasible("cs", pm_mask(rows.size))
+    fixed = np.stack([*_greedy_stacks(rows, cols), *(
+        validate_joint_pmf(theta, rows, cols)
+        for theta in _optimal_tables(rows, cols, np.arange(rows.size)))])
+    tables = _tables_by_order(model, stack.factor, built, staircase)
+    tables = np.concatenate([tables, np.broadcast_to(
+        fixed[:, None], (fixed.shape[0], *tables.shape[1:]))])
+    values = stack.ewac(tables)
+    if not staircase:
+        values = np.insert(values, [2, 2], np.nan, axis=0)
+    return values.T, tables
 
 
 def naive_ewac(model, obs):
@@ -431,10 +462,11 @@ def naive_ewac(model, obs):
 
 
 def _naive(model, counts):
-    """``naive_ewac`` of the (K,) face counts of a path: their payoffs
-    less the fair mean payoff per period."""
+    """``naive_ewac`` of (..., K) face counts of paths: their payoffs less
+    the fair mean payoff per period; a float for one path."""
     w = model.rewards
-    return float(counts @ w - counts.sum() * (model.emission[FAIR] @ w))
+    naive = counts @ w - counts.sum(axis=-1) * (model.emission[FAIR] @ w)
+    return naive if naive.ndim else float(naive)
 
 
 def stationary(model):

@@ -6,13 +6,14 @@ path and analyses each truncation from its face counts, which suffice for
 the canonical casino's i.i.d. hidden states.
 """
 
-import math
+import functools
+import logging
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from casino_ewac.engine import (_face_objective, _greedy_stacks, _naive,
-                                _optimal_tables, validate_joint_pmf)
+from casino_ewac.engine import (_face_objective, _naive, _report_values,
+                                _tables_by_order, validate_joint_pmf)
 from casino_ewac.hmm import (_backward_sample, _face_posteriors,
                              _forward_filter, _iid_posteriors,
                              _simulated_blocks, as_symbol_indices,
@@ -31,14 +32,14 @@ __all__ = [
 ]
 
 _BOUND_SLACK = 1e-9
+_BOUND_PAIRS = (("lb", "ub"), ("lb_cs", "ub_cs"), ("lb_inhom", "ub_inhom"))
 # Levels eta_sweep evaluates at a time: their stacked tables and products
-# take about 3.5 KB per level, so memory does not grow with the grid.
+# take about 7 KB per level, so memory does not grow with the grid.
 _LEVEL_BLOCK = 1 << 12
-# Binomials with n at most this are drawn by inverting tabulated CDFs
-# (see sample_wac); row k of _COMB holds C(n, k) for n = 0 .. _TABLE_N.
+# The largest n of binomials drawn by inverting tabulated CDFs (see
+# sample_wac): a face's redraws, and the i.i.d. counts up to the crossover.
 _TABLE_N = 32
-_COMB = np.array([[math.comb(n, k) for n in range(_TABLE_N + 1)]
-                  for k in range(_TABLE_N)], dtype=float)
+_COUNTS_N = 224
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,7 @@ class SweepRow:
     naive: float | None = None
 
     def __post_init__(self):
-        for lo, hi in (("lb", "ub"), ("lb_cs", "ub_cs"),
-                       ("lb_inhom", "ub_inhom")):
+        for lo, hi in _BOUND_PAIRS:
             a, b = getattr(self, lo), getattr(self, hi)
             if a is not None and b is not None and a > b + _BOUND_SLACK:
                 raise ValueError(f"{lo}={a!r} exceeds {hi}={b!r}")
@@ -121,10 +121,11 @@ def sample_wac(model, obs, theta, count, seed, *, filtered=None):
     1986, *Non-Uniform Random Variate Generation*, ch. XI).  Theta cells
     the marginal check lets through slightly below zero count as zero.
 
-    The i.i.d. counts when the largest n_j is at most 32, and a face's
-    redraws when its largest b_j is, are drawn by inversion (Devroye, ch.
-    III.2), one uniform per draw in the order above, from binomial CDF
-    tables; above 32, numpy's sampler is as fast for p near 0.05.
+    The i.i.d. counts when the largest n_j is at most 224, and a face's
+    redraws when its largest b_j is at most 32, are drawn by inversion
+    (Devroye, ch. III.2), one uniform per draw in the order above, from
+    binomial CDF tables; above those caps numpy's sampler is as fast.  A
+    Markov chain logs its S * T sample-periods at ``info``.
 
     Raises:
         ValueError: if ``count`` is below 1 or theta is not a joint PMF
@@ -148,7 +149,7 @@ def _sample_wac(model, o, theta, count, seed, filtered=None):
     iid = _iid_posteriors(model, o)
     if iid is not None:  # face-major: one binomial set-up per face
         n, biased = np.bincount(o[1:], minlength=faces.size), iid[0][:, 1]
-        if n.max() <= _TABLE_N:
+        if n.max() <= _COUNTS_N:
             rows = _cdf_rows(biased, n, n.max())[:, :, None]
             counts = _inverted(rng.random((faces.size, count)),
                                rows).astype(np.int64)
@@ -157,6 +158,9 @@ def _sample_wac(model, o, theta, count, seed, filtered=None):
                                   size=(faces.size, count))
         counts[o[0]] += rng.random(count) >= iid[1][0]
     else:
+        logging.getLogger(__name__).info(
+            "backward sampling %d sample-periods (%d samples x %d periods)",
+            count * o.size, count, o.size)
         alpha = _forward_filter(model, o) if filtered is None else filtered
         periods = [np.flatnonzero(o == j) for j in faces]
         counts = np.hstack([
@@ -194,17 +198,27 @@ def _sample_wac(model, o, theta, count, seed, filtered=None):
     return WacSamples(wac=wac, biased_counts=counts.T)
 
 
+@functools.cache
+def _comb(m):
+    """(m, m + 1): C(n, k) in row k, column n, from integers rounded once."""
+    rows = [np.ones(m + 1, dtype=object)]
+    for _ in range(1, m):
+        rows.append(np.concatenate([[0], np.cumsum(rows[-1][:-1])]))
+    return np.array(rows, dtype=float)
+
+
 def _cdf_rows(p, n, m):
     """(m, n.size): P(Binomial(n, p) <= k) in row k; +inf from k = n on,
     so that a CDF rounded below 1 never draws more than n."""
     k = np.arange(m)[:, None]
-    pmf = _COMB[k, n] * p ** k * (1 - p) ** np.maximum(n - k, 0)
+    pmf = _comb(max(m, _TABLE_N))[k, n] * p ** k * (1 - p) ** np.maximum(
+        n - k, 0)
     return np.where(k < n, pmf.cumsum(axis=0), np.inf)
 
 
 def _inverted(u, rows):
     """Inversion draws: how many of the CDF ``rows`` each uniform reaches."""
-    drawn = np.zeros(u.shape, np.int8)
+    drawn = np.zeros(u.shape, np.uint8)
     for row in rows:
         drawn += u >= row
     return drawn
@@ -225,16 +239,21 @@ def default_horizon_grid(t_min=10, t_max=100_000, points=25):
     return np.unique(np.rint(grid).astype(np.int64))
 
 
-def _tables_by_order(model, factor, built, staircase=False):
-    """(n, E, K, K): the ``_optimal_tables`` of each row of the (E, K)
-    ``factor`` from the dict ``built`` by stable order (all they depend
-    on), to which the tables of each order it lacks are added."""
-    orders = [tuple(order) for order in
-              np.argsort(factor, axis=1, kind="stable").tolist()]
-    for order in set(orders).difference(built):
-        built[order] = _optimal_tables(*model.emission, np.array(order),
-                                       staircase)
-    return np.stack([built[order] for order in orders], axis=1)
+def _checked(table, columns):
+    """``table`` once its rows pass ``SweepRow``'s check, run on the arrays:
+    the first row to fail is made a SweepRow, which raises."""
+    at = dict(zip(columns, table.T))
+    _sweep_rows(columns, table[np.any([
+        at[lo] > at[hi] + _BOUND_SLACK for lo, hi in _BOUND_PAIRS if lo in at],
+        axis=0)][:1])
+    return table
+
+
+def _sweep_rows(columns, table):
+    """The rows of a sweep ``table`` as SweepRows, horizons as ints."""
+    return [SweepRow(**{name: int(value) if name == "horizon" else value
+                        for name, value in zip(columns, row)})
+            for row in table.tolist()]
 
 
 def eta_sweep(obs, eta_grid=None):
@@ -242,9 +261,8 @@ def eta_sweep(obs, eta_grid=None):
 
     Every row holds the plain, cs-constrained (for these dice, pm) and
     per-period relaxed bounds, the three couplings and the naive estimate.
-    The levels form stacks of objectives, whose optimal tables are built
-    once per factor order and evaluated, beside the path-independent
-    tables, in one stacked ``ewac`` per block of 2^12 levels.
+    The levels form stacks of objectives, one ``_report_values`` per block
+    of 2^12 levels; the rows are one array (``_eta_table``) until here.
 
     Args:
         obs: observation path, faces 1..6.
@@ -254,38 +272,35 @@ def eta_sweep(obs, eta_grid=None):
         list of SweepRow in grid order.
 
     Raises:
-        ValueError: if the grid is empty or a level lies outside [0, 1].
+        ValueError: if the grid is empty, a level lies outside [0, 1], or
+            a lower bound exceeds its upper bound by over 1e-9.
     """
+    return _sweep_rows(ETA_SWEEP_COLUMNS, _eta_table(obs, eta_grid))
+
+
+def _eta_table(obs, eta_grid=None):
+    """``eta_sweep``'s rows as one (N, 11) array, ETA_SWEEP_COLUMNS."""
     eta_grid = np.asarray(default_eta_grid() if eta_grid is None else eta_grid,
                           dtype=float)
     if eta_grid.size == 0:
         raise ValueError("fairness grid must contain at least one level")
     # The extremes (a NaN among them) validate every level.
     model = canonical_model(eta_grid.min())
-    canonical_model(eta_grid.max())
+    if eta_grid.max() > 1.0:
+        canonical_model(eta_grid.max())
     counts = np.bincount(as_symbol_indices(model, obs),
                          minlength=model.num_symbols)
-    # Path-independent: the greedy stacks and the Frechet couplings.
-    fixed = np.stack([*_greedy_stacks(*model.emission), *_optimal_tables(
-        *model.emission, np.arange(model.num_symbols))])
-    names = ("lb", "ub", "lb_cs", "ub_cs", "lb_inhom", "ub_inhom",
-             "ewac_comonotonic", "ewac_countermonotonic")
-    naive = _naive(model, counts)
-    built, rows = {}, []
+    naive, built, blocks = _naive(model, counts), {}, []
     for start in range(0, eta_grid.size, _LEVEL_BLOCK):
         etas = eta_grid[start:start + _LEVEL_BLOCK]
         priors = np.column_stack([etas, 1.0 - etas])
         stack = _face_objective(model, counts, counts[:, None]
                                 * _face_posteriors(priors, model.emission))
-        values = np.vstack([
-            stack.ewac(_tables_by_order(model, stack.factor, built, True)),
-            stack.ewac(fixed[:, None])])
-        rows += [SweepRow(eta=eta, naive=naive, ewac_independence=independence,
-                          **dict(zip(names, row)))
-                 for eta, independence, row in zip(
-                     etas.tolist(), stack.independence.tolist(),
-                     values.T.tolist())]
-    return rows
+        values, _ = _report_values(model, stack, built)
+        blocks.append(np.column_stack([
+            etas, values[:, :6], stack.independence, values[:, 6:],
+            np.full(etas.size, naive)]))
+    return _checked(np.vstack(blocks), ETA_SWEEP_COLUMNS)
 
 
 def horizon_sweep(eta, t_grid=None, seed=0):
@@ -295,10 +310,16 @@ def horizon_sweep(eta, t_grid=None, seed=0):
     lb/T, ub/T and naive/T for each grid value T from the face counts of
     the first T periods.  The counts are summed block by block as the path
     is simulated and no block is kept, so memory does not grow with the
-    horizon; the bounds are evaluated as in ``eta_sweep``.  The asymptotic
-    per-period rate these approach is
-    ``asymptotic_ewac_rate(canonical_model(eta))``.
+    horizon.  The bounds are read at the fills of ``_report_values``, the
+    rows one array (``_horizon_table``) until here.  The asymptotic
+    per-period rate is ``asymptotic_ewac_rate(canonical_model(eta))``.
     """
+    return _sweep_rows(HORIZON_SWEEP_COLUMNS,
+                       _horizon_table(eta, t_grid, seed))
+
+
+def _horizon_table(eta, t_grid=None, seed=0):
+    """``horizon_sweep``'s rows as one (N, 4) array, HORIZON_SWEEP_COLUMNS."""
     if t_grid is None:
         t_grid = default_horizon_grid()
     t_grid = np.unique(np.asarray(t_grid, dtype=np.int64))
@@ -317,8 +338,7 @@ def horizon_sweep(eta, t_grid=None, seed=0):
     # Period 1 too: canonical_model's initial law is its transition row.
     stack = _face_objective(model, counts, counts[..., None]
                             * _face_posteriors(model.initial, model.emission))
-    lb, ub = stack.ewac(_tables_by_order(model, stack.factor, {})) / t_grid
-    return [SweepRow(horizon=horizon, lb=low, ub=high,
-                     naive=_naive(model, n) / horizon)
-            for horizon, low, high, n in zip(t_grid.tolist(), lb.tolist(),
-                                              ub.tolist(), counts)]
+    lb, ub = stack.ewac(_tables_by_order(model, stack.factor, {}))
+    return _checked(np.column_stack([t_grid, lb / t_grid, ub / t_grid,
+                                     _naive(model, counts) / t_grid]),
+                    HORIZON_SWEEP_COLUMNS)

@@ -24,7 +24,11 @@ coupling values in exact rationals.  ``iid_cases`` generates i.i.d.
 models for hypothesis.  ``loop_simulate``, ``loop_parse_path`` and
 ``template_csv`` keep the per-period simulation, the per-token path parser
 and the one-template CSV writer that the CLI and ``simulate`` replaced,
-as references.
+as references; so do ``loop_bounds_report`` (two ``ewac_bounds`` calls,
+the simplex's for a cs mask other than pm, and one evaluation per table),
+``json_ready`` (the rounding before ``json.dumps``) and ``attribute_csv``
+(the sweep CSV written attribute by attribute from SweepRows) for the
+report kernel and the JSON and CSV written from arrays.
 """
 
 import bisect
@@ -37,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from casino_ewac.sweeps import _TABLE_N
+from casino_ewac.sweeps import _COUNTS_N, _TABLE_N
 
 
 def path_posterior(model, obs):
@@ -612,6 +616,59 @@ def loop_parse_path(spec):
         raise
 
 
+def attribute_csv(header, rows):
+    """CSV text of sweep records: the header, then one line per record of
+    its attributes named in the header, formatted by one ``%`` per block
+    of 2^16 records.  A column is typed by its first value: integers print
+    in full and floats with 12 significant digits."""
+    text = [",".join(header) + "\n"]
+    if rows:
+        template = ",".join("%d" if type(getattr(rows[0], name)) is int
+                            else "%.12g" for name in header) + "\n"
+        for start in range(0, len(rows), 1 << 16):
+            block = rows[start:start + (1 << 16)]
+            text.append(template * len(block) % tuple(
+                getattr(row, name) for row in block for name in header))
+    return "".join(text)
+
+
+def json_ready(obj):
+    """``obj`` with numpy values as Python ones and every float rounded
+    to the 12 significant digits the CLI prints, for ``json.dumps``."""
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{float(obj):.12g}")
+    if isinstance(obj, np.ndarray):
+        return json_ready(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [json_ready(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: json_ready(v) for k, v in obj.items()}
+    return obj
+
+
+def loop_bounds_report(objective, model, mask=None):
+    """(plain bounds, report): lb/ub, lb_cs/ub_cs (None without a cs
+    ``mask``), lb_inhom/ub_inhom at the greedy stacks and ewac_<kind> at
+    the three couplings, the independence value from the objective's sum:
+    two ``ewac_bounds`` calls and one ``ewac`` per table."""
+    from casino_ewac.engine import _copulas, _greedy_stacks, ewac_bounds
+
+    plain = ewac_bounds(objective)
+    tied = None if mask is None else ewac_bounds(objective, mask, tag="cs")
+    best, worst = _greedy_stacks(*model.emission)
+    report = {"lb": plain.lb, "ub": plain.ub,
+              "lb_cs": None if tied is None else tied.lb,
+              "ub_cs": None if tied is None else tied.ub,
+              "lb_inhom": objective.ewac(best),
+              "ub_inhom": objective.ewac(worst)}
+    for kind, theta in _copulas(model).items():
+        report[f"ewac_{kind}"] = objective.ewac(theta)
+    report["ewac_independence"] = objective.independence
+    return plain, report
+
+
 def template_csv(header, columns):
     """CSV text with one ``%`` template per line, each column typed by its
     first value: integers in full, floats with 12 significant digits."""
@@ -720,7 +777,7 @@ def loop_iid_sample_wac(model, obs, theta, count, seed):
     The order of draws: for each face j, for each sample, the biased count
     among the n_j periods after the first that show face j, a
     Binomial(n_j, p_j), by inversion when the largest n_j is at most the
-    library's table cap; then one uniform per sample for period 1, biased
+    library's counts cap; then one uniform per sample for period 1, biased
     when it reaches P(fair | o_1) under the initial distribution; then the
     per-face redraws of ``_redraw``.
     """
@@ -731,7 +788,7 @@ def loop_iid_sample_wac(model, obs, theta, count, seed):
         n[face] += 1
     rng = np.random.default_rng(seed)
     counts = np.zeros((count, k), dtype=np.int64)
-    inverted = max(n) <= _TABLE_N
+    inverted = max(n) <= _COUNTS_N
     for j in range(k):
         p_j = bayes(model.transition[0], model, j)[1]
         for s in range(count):

@@ -4,6 +4,8 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
+import math
 import os
 import subprocess
 import sys
@@ -20,13 +22,19 @@ from hypothesis import strategies as st
 import casino_ewac.cli
 from casino_ewac import engine, hmm, sweeps
 from casino_ewac import (HmmModel, TransportProblem, canonical_model,
-                         eta_sweep, ewac_bounds, ewac_objective, pm_mask,
+                         copula_pmf, cs_mask, eta_sweep, ewac_bounds,
+                         ewac_objective, horizon_sweep, naive_ewac, pm_mask,
                          simulate, smooth, solve)
 from casino_ewac.cli import (EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
-                             EXIT_USAGE, PATH_1, PATH_2, _parse_path, main)
-from helpers import (dense_filter, dense_smooth, exact_canonical_values,
-                     loop_count_sample_wac, loop_iid_sample_wac,
-                     loop_parse_path, round12, sticky_model, template_csv)
+                             EXIT_USAGE, PATH_1, PATH_2, _json_text,
+                             _parse_path, main)
+from casino_ewac.engine import _path_objective
+from casino_ewac.hmm import as_symbol_indices
+from helpers import (attribute_csv, dense_filter, dense_smooth,
+                     exact_canonical_values, iid_cases, json_ready,
+                     loop_bounds_report, loop_count_sample_wac,
+                     loop_iid_sample_wac, loop_parse_path, round12,
+                     sticky_model, template_csv)
 
 
 def run(*argv):
@@ -315,6 +323,48 @@ def sticky_config(tmp_path, path="builtin:1"):
     return config
 
 
+class TestMarkovSamplerLog:
+    # Backward sampling costs O(S * T); a Markov wac-dist states S * T at
+    # info before it samples, and the output does not change by a byte.
+    ARGV = ("wac-dist", "--theta", "ub", "--samples", "300", "--seed", "5")
+
+    def test_logs_sample_periods(self, tmp_path, caplog, capsysbinary):
+        config = str(sticky_config(tmp_path))
+        quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+        assert run(*self.ARGV, "--config", config,
+                   "--out", str(quiet)) == EXIT_OK
+        assert not caplog.records
+        with caplog.at_level(logging.INFO, logger="casino_ewac"):
+            assert run(*self.ARGV, "--config", config,
+                       "--out", str(loud)) == EXIT_OK
+            assert run(*self.ARGV, "--config", config) == EXIT_OK
+        assert [r.getMessage() for r in caplog.records] == [
+            "backward sampling 9000 sample-periods (300 samples x 30 "
+            "periods)"] * 2
+        assert quiet.read_bytes() == loud.read_bytes()
+        assert capsysbinary.readouterr().out == quiet.read_bytes()
+
+    def test_iid_chain_does_not_log(self, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="casino_ewac"):
+            assert run(*self.ARGV, "--eta", "0.5", "--out",
+                       str(tmp_path / "out.csv")) == EXIT_OK
+        assert not caplog.records
+
+    def test_process_stderr_has_the_line(self, tmp_path, monkeypatch):
+        config = str(sticky_config(tmp_path))
+        out = tmp_path / "out.csv"
+        assert run(*self.ARGV, "--config", config,
+                   "--out", str(out)) == EXIT_OK
+        monkeypatch.setenv("CASINO_EWAC_LOG", "info")
+        proc = run_module("-m", "casino_ewac.cli", *self.ARGV, "--config",
+                          config, text=False)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == out.read_bytes()
+        assert proc.stderr.decode() == (
+            "INFO casino_ewac.sweeps: backward sampling 9000 sample-periods "
+            "(300 samples x 30 periods)\n")
+
+
 class TestForwardFilterCalls:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -558,6 +608,150 @@ class TestCopulasCommand:
                                "countermonotonic"}
         indep = np.array(report["independence"])
         np.testing.assert_allclose(indep[0, 0], (1 / 6) * (1 / 21), atol=1e-12)
+
+
+def model_config(file, model, **fields):
+    """A config file holding ``model`` and the other ``fields``."""
+    file.write_text(json.dumps({
+        "model": {"p": model.initial.tolist(), "Q": model.transition.tolist(),
+                  "E": model.emission.tolist(), "w": model.rewards.tolist()},
+        **fields}))
+    return file
+
+
+def loop_bounds_text(model, obs):
+    """The bounds JSON as it was written before the arrays: the report of
+    helpers.loop_bounds_report, the naive value and the plain optimisers,
+    by ``json.dumps``."""
+    objective, _ = _path_objective(model, as_symbol_indices(model, obs))
+    try:
+        mask = cs_mask(model.emission)
+    except ValueError:
+        mask = None
+    plain, report = loop_bounds_report(objective, model, mask)
+    report.update(naive=naive_ewac(model, obs), theta_lb=plain.theta_lb,
+                  theta_ub=plain.theta_ub)
+    return json.dumps(json_ready(report), indent=2, sort_keys=True) + "\n"
+
+
+def loop_copulas_text(model):
+    return json.dumps(json_ready({kind: copula_pmf(model, kind) for kind in (
+        "independence", "comonotonic", "countermonotonic")}),
+        indent=2, sort_keys=True) + "\n"
+
+
+# Floats whose text takes each of json's and repr's forms.
+JSON_FLOATS = (st.sampled_from([20.0, -3.0, 0.0, -0.0, 1e-05, 1.5e-05, 1e-4,
+                                0.1, 1e12, 999999999999.9, 1e15, 1.5e15,
+                                1e16, 1e17, 1e-300, 5e-324, 1.7e308,
+                                math.nan, math.inf, -math.inf])
+               | st.floats(allow_nan=True, allow_infinity=True))
+
+
+def json_tables(k):
+    return st.lists(JSON_FLOATS, min_size=k * k, max_size=k * k).map(
+        lambda values: np.array(values).reshape(k, k))
+
+
+class TestReportsFromArrays:
+    # bounds and copulas write JSON, the sweeps CSV, from arrays; these
+    # pin the bytes to the writers they replaced (json.dumps of the
+    # per-table report, and the attribute-by-attribute CSV writer).
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.dictionaries(
+        st.text("abcdefghij_", min_size=1, max_size=12),
+        st.none() | JSON_FLOATS | JSON_FLOATS.map(np.float64)
+        | st.integers(2, 7).flatmap(json_tables), min_size=1, max_size=14))
+    def test_json_writer_equals_json_dumps(self, report):
+        assert _json_text(report) == json.dumps(
+            json_ready(report), indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=iid_cases(),
+           fair=st.sampled_from(["drawn", "uniform", "increasing"]))
+    def test_bounds_and_copulas_equal_json_dumps(self, case, fair,
+                                                 tmp_path_factory):
+        # The fair die as drawn (no cs bounds), uniform (the biased die in
+        # any order: the simplex) or uniform beside an increasing biased
+        # die (the pm staircase).
+        model, obs = case
+        if fair != "drawn":
+            biased = model.emission[1]
+            if fair == "increasing":
+                biased = np.sort(biased)
+            k = model.num_symbols
+            model = HmmModel(model.initial, model.transition,
+                             [[1.0 / k] * k, biased], model.rewards)
+        folder = tmp_path_factory.mktemp("report")
+        out = folder / "out.json"
+        config = model_config(folder / "bounds.json", model, path=obs)
+        assert run("bounds", "--config", str(config),
+                   "--out", str(out)) == EXIT_OK
+        assert out.read_text() == loop_bounds_text(model, obs)
+        config = model_config(folder / "copulas.json", model)
+        assert run("copulas", "--config", str(config),
+                   "--out", str(out)) == EXIT_OK
+        assert out.read_text() == loop_copulas_text(model)
+
+    @pytest.mark.parametrize("path", ["builtin:1", "builtin:2"])
+    @pytest.mark.parametrize("eta", ["0", "0.2", "0.5", "0.99999", "1"])
+    def test_canonical_bounds_equal_json_dumps(self, path, eta, tmp_path):
+        out = tmp_path / "bounds.json"
+        assert run("bounds", "--eta", eta, "--path", path,
+                   "--out", str(out)) == EXIT_OK
+        obs = list(PATH_1 if path == "builtin:1" else PATH_2)
+        assert out.read_text() == loop_bounds_text(canonical_model(
+            float(eta)), obs)
+        assert run("copulas", "--eta", eta, "--out", str(out)) == EXIT_OK
+        assert out.read_text() == loop_copulas_text(canonical_model(
+            float(eta)))
+
+    def test_infeasible_pm_exits_three(self, tmp_path, capsys, monkeypatch):
+        # An increasing biased die, the only one whose cs mask is pm, never
+        # passes the uniform CDF, so the bounds command meets an empty
+        # staircase only with the mask forced to pm: it exits 3 with the
+        # message of ewac_bounds.
+        model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
+                         [[0.25] * 4, [1.0, 0.0, 0.0, 0.0]], [1, 2, 3, 4])
+        objective, _ = _path_objective(model, np.zeros(3, dtype=np.int64))
+        with pytest.raises(ValueError) as want:
+            ewac_bounds(objective, pm_mask(4), tag="cs")
+        monkeypatch.setattr(casino_ewac.cli, "cs_mask",
+                            lambda emission: pm_mask(emission.shape[1]))
+        config = model_config(tmp_path / "model.json", model, path=[1, 1, 1])
+        assert run("bounds", "--config", str(config)) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == f"error: {want.value}\n"
+
+    @pytest.mark.parametrize("argv", [
+        "sweep-eta --path builtin:1",
+        "sweep-eta --path builtin:2 --grid 0,1,0.5,1e-9",
+        "sweep-horizon --eta 0.5 --seed 3",
+        "sweep-horizon --eta 0.3 --t-max 1000 --seed 4",
+        "sweep-horizon --eta 0.9 --t-grid 1,2,3,57 --seed 2",
+    ])
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_sweep_csv_equals_the_attribute_writer(self, argv, block,
+                                                   tmp_path, monkeypatch):
+        # Blocks of 7 rows cut the sweeps' tables mid-grid.
+        if block is not None:
+            monkeypatch.setattr(casino_ewac.cli, "_CSV_BLOCK", block)
+        out = tmp_path / "sweep.csv"
+        assert run(*argv.split(), "--out", str(out)) == EXIT_OK
+        opts = dict(zip(argv.split()[1::2], argv.split()[2::2]))
+        if argv.startswith("sweep-eta"):
+            grid = opts.get("--grid")
+            rows = eta_sweep(_parse_path(opts["--path"]), grid and [
+                float(g) for g in grid.split(",")])
+            header = sweeps.ETA_SWEEP_COLUMNS
+        else:
+            grid = opts.get("--t-grid")
+            grid = (sweeps.default_horizon_grid(t_max=int(opts.get(
+                "--t-max", 100_000))) if grid is None
+                else [int(t) for t in grid.split(",")])
+            rows = horizon_sweep(float(opts["--eta"]), grid,
+                                 int(opts["--seed"]))
+            header = sweeps.HORIZON_SWEEP_COLUMNS
+        assert out.read_text() == attribute_csv(header, rows)
 
 
 class TestConfigHandling:

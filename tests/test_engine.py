@@ -13,10 +13,11 @@ from casino_ewac import (BIASED, FAIR, HmmModel, InfeasibleMaskError, PATH_1,
                          ewac_of_theta, greedy_column, inhomogeneous_bounds,
                          naive_ewac, pm_mask, sample_wac, smooth, solve,
                          stationary, validate_joint_pmf, TransportProblem)
-from casino_ewac.engine import _path_objective
+from casino_ewac.engine import REPORT_COLUMNS, _path_objective, _report_values
 from casino_ewac.hmm import _forward_filter, _smooth_filtered, as_symbol_indices
 from helpers import (biased_winnings, brute_force_ewac, closed_form_extremes,
-                     iid_cases, random_feasible_theta, random_small_model)
+                     iid_cases, loop_bounds_report, random_feasible_theta,
+                     random_small_model, sticky_model)
 
 
 def _objective(eta, obs):
@@ -303,6 +304,63 @@ class TestMasks:
         emission = np.vstack([np.array([0.3, 0.2, 0.2, 0.3]), np.full(4, 0.25)])
         with pytest.raises(ValueError, match="uniform"):
             cs_mask(emission)
+
+
+# Report cases: (model, path, whether the cs mask is the pm staircase).
+REPORT_CASES = {
+    "builtin1-0.2": (canonical_model(0.2), PATH_1, True),
+    "builtin2-0.5": (canonical_model(0.5), PATH_2, True),
+    "builtin2-0": (canonical_model(0.0), PATH_2, True),
+    "builtin1-1": (canonical_model(1.0), PATH_1, True),
+    "sticky-markov": (sticky_model(), PATH_1, True),
+    # A uniform fair die whose biased die is not increasing: the simplex.
+    "unsorted-die": (HmmModel([0.5, 0.5], [[0.7, 0.3], [0.4, 0.6]],
+                              [[0.25] * 4, [0.1, 0.4, 0.2, 0.3]],
+                              [1, 2, 4, 7]), [1, 2, 2, 4, 3, 1, 4, 4], False),
+    "tied-die": (HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
+                          [[0.25] * 4, [0.1, 0.3, 0.3, 0.3]], [1, 2, 3, 4]),
+                 [1, 2, 3, 4, 4, 3], False),
+    # A fair die that is not uniform: no cs bounds.
+    "non-uniform-fair": (HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
+                                  [[0.4, 0.6], [0.3, 0.7]], [1, 2]),
+                         [1, 2, 2], None),
+}
+
+
+class TestReportValues:
+    # The report kernel against helpers.loop_bounds_report, the report as
+    # it was built before: two ewac_bounds calls and one evaluation per
+    # table.  Bit for bit; the kernel's cs pair is NaN unless the cs mask
+    # is the pm staircase (the bounds command takes it from the simplex,
+    # or prints null, as the oracle does).
+    @pytest.mark.parametrize("case", REPORT_CASES)
+    def test_equals_the_loop_report(self, case):
+        model, obs, staircase = REPORT_CASES[case]
+        objective, _ = _path_objective(model, as_symbol_indices(model, obs))
+        mask = None if staircase is None else cs_mask(model.emission)
+        assert (mask == pm_mask(model.num_symbols)) is bool(staircase)
+        values, tables = _report_values(model, objective, {}, bool(staircase))
+        plain, want = loop_bounds_report(objective, model, mask)
+        assert values.shape == (1, len(REPORT_COLUMNS))
+        got = dict(zip(REPORT_COLUMNS, values[0].tolist()))
+        for name, value in got.items():
+            if not staircase and name in ("lb_cs", "ub_cs"):
+                assert np.isnan(value), name
+            else:
+                assert value.hex() == float(want[name]).hex(), name
+        np.testing.assert_array_equal(tables[0, 0], plain.theta_lb)
+        np.testing.assert_array_equal(tables[1, 0], plain.theta_ub)
+
+    def test_infeasible_pm_raises_as_ewac_bounds(self):
+        # All biased mass on face 1 cannot flow into the upper triangle.
+        model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
+                         [[0.25] * 4, [1.0, 0.0, 0.0, 0.0]], [1, 2, 3, 4])
+        objective, _ = _path_objective(model, np.zeros(3, dtype=np.int64))
+        with pytest.raises(InfeasibleMaskError) as want:
+            ewac_bounds(objective, pm_mask(4), tag="cs")
+        with pytest.raises(InfeasibleMaskError) as got:
+            _report_values(model, objective, {})
+        assert str(got.value) == str(want.value)
 
 
 class TestInhomogeneous:

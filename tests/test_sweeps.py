@@ -17,14 +17,14 @@ from casino_ewac import (PATH_1, PATH_2, HmmModel, SweepRow, canonical_model,
                          naive_ewac, sample_hidden_paths, sample_wac,
                          simulate, smooth)
 from casino_ewac import engine, hmm
-from casino_ewac.engine import _bounds_report, _face_objective, _path_objective
+from casino_ewac.engine import _face_objective, _path_objective
 from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _face_posteriors,
                              _forward_filter, as_symbol_indices)
-from casino_ewac.sweeps import _TABLE_N, _cdf_rows
+from casino_ewac.sweeps import _COUNTS_N, _TABLE_N, _cdf_rows
 from helpers import (digit_rows, exact_binomial_cdf, iid_wac_moments,
-                     iid_wac_pmf, is_iid, loop_count_sample_wac,
-                     loop_iid_sample_wac, random_feasible_theta,
-                     sampling_cases, sticky_model)
+                     iid_wac_pmf, is_iid, loop_bounds_report,
+                     loop_count_sample_wac, loop_iid_sample_wac,
+                     random_feasible_theta, sampling_cases, sticky_model)
 
 
 def bits(row):
@@ -35,13 +35,14 @@ def bits(row):
 
 def per_level_row(obs, eta):
     """One eta_sweep row the slow way: the level's own objective from its
-    face counts, ``_bounds_report`` (two ``ewac_bounds`` calls and one
+    face counts, ``loop_bounds_report`` (two ``ewac_bounds`` calls and one
     evaluation per table) and ``naive_ewac``."""
     model = canonical_model(eta)
     counts = np.bincount(np.asarray(obs) - 1, minlength=6)
     posteriors = _face_posteriors(np.array([eta, 1.0 - eta]), model.emission)
     objective = _face_objective(model, counts, counts[:, None] * posteriors)
-    _, report = _bounds_report(objective, model, cs_mask(model.emission))
+    _, report = loop_bounds_report(objective, model,
+                                   cs_mask(model.emission))
     return dict(report, eta=eta, horizon=None, naive=naive_ewac(model, obs))
 
 
@@ -390,11 +391,11 @@ def assert_binomial_law(draws, n, p):
 
 
 class TestInvertedBinomials:
-    # Binomials whose largest n is at most _TABLE_N invert tabulated CDFs
-    # at one uniform per draw; above it, numpy's sampler draws them.  The
+    # Binomials whose largest n is at most a cap invert tabulated CDFs at
+    # one uniform per draw; above it, numpy's sampler draws them.  The
     # route depends on the input alone: the largest face count after
-    # period 1 for the i.i.d. counts, a face's largest biased count for
-    # its redraws.
+    # period 1 against _COUNTS_N for the i.i.d. counts, a face's largest
+    # biased count against _TABLE_N for its redraws.
     @pytest.mark.parametrize("p", [0.0, 1e-17, 0.05, 0.3, 0.5, 2 / 3, 0.95,
                                    1 - 1e-16, 1.0])
     def test_table_is_the_exact_cdf(self, p):
@@ -411,17 +412,27 @@ class TestInvertedBinomials:
         n = np.arange(_TABLE_N + 1)
         np.testing.assert_array_equal(
             _cdf_rows(np.full(n.size, p), n, _TABLE_N), table)
+        # So do the counts' larger tables, up to their cap.
+        n = np.array([_TABLE_N + 1, 64, 100, 128, _COUNTS_N])
+        table = _cdf_rows(p, n, _COUNTS_N)
+        for column, l in enumerate(n.tolist()):
+            for k, exact in enumerate(exact_binomial_cdf(l, p)):
+                assert abs(Fraction(table[k, column]) - exact) <= 4 * l * eps
+            assert (table[l:, column] == np.inf).all()
 
     @pytest.mark.parametrize("n,digest", [
-        (_TABLE_N, None),
+        (_COUNTS_N, None),
+        (_COUNTS_N + 1,
+         "1ce8a0afc3ecb2c74626e9efa220dd3f3cd17017a544bf43949ea38d49cfa57d"),
         (_TABLE_N + 1,
-         "73f43b03107d52fd2600724c9ef9ce206e56339a06d7ceb6a1aa8f3fd7661450"),
-    ], ids=["cap", "cap+1"])
+         "c346b1fc3b4be7b2ac0954e51f301334dbe97abed9c40a808909bdc2ed211d9a"),
+    ], ids=["cap", "cap+1", "33"])
     def test_counts_route_at_the_cap(self, n, digest):
         # Both sides equal the scalar oracle under the route rule; above
         # the cap the draws are those of numpy's sampler, as before the
-        # table existed (digest of the losses' and counts' bytes, recorded
-        # from that sampler).
+        # table existed.  The digests of the losses' and counts' bytes come
+        # from the oracle: past the cap, numpy's scalar draws (equal to the
+        # sampler before tables); at 33, inversion against exact CDFs.
         obs = swap_path(n)
         draws = sample_wac(SWAP, obs, SWAP_THETA, 200, seed=3)
         wac, counts = loop_iid_sample_wac(SWAP, obs, SWAP_THETA, 200, 3)
@@ -450,10 +461,10 @@ class TestInvertedBinomials:
                                   .tobytes()).hexdigest() == digest
 
     def test_counts_at_the_cap_follow_the_binomial_law(self):
-        draws = sample_wac(SWAP, swap_path(_TABLE_N), SWAP_THETA, 100_000,
+        draws = sample_wac(SWAP, swap_path(_COUNTS_N), SWAP_THETA, 100_000,
                            seed=23)
         share = 0.4 * 0.7 / (0.6 * 0.3 + 0.4 * 0.7)
-        assert_binomial_law(draws.biased_counts[:, 0], _TABLE_N, share)
+        assert_binomial_law(draws.biased_counts[:, 0], _COUNTS_N, share)
 
     def test_redraws_at_the_cap_follow_the_binomial_law(self):
         n = _TABLE_N
@@ -473,6 +484,34 @@ class TestSweepRow:
         row = SweepRow(horizon=10, lb=-1.0, ub=3.0, naive=0.5)
         assert row.lb_cs is None
         assert row.as_dict()["horizon"] == 10
+
+
+class TestSweepTableCheck:
+    # The sweeps check their bound pairs on the array, raising what the
+    # first SweepRow to fail would have raised.
+    @pytest.mark.parametrize("bad", [[], [(2, 3, 4), (3, 1, 2)],
+                                     [(4, 5, 6)], [(0, 1, 2), (0, 3, 4)]])
+    def test_first_failure_is_the_rows_first(self, bad):
+        columns = casino_ewac.sweeps.ETA_SWEEP_COLUMNS
+        table = np.tile(np.arange(11.0), (5, 1))
+        for row, lo, hi in bad:  # lo exceeds hi by more than the slack
+            table[row, lo] = table[row, hi] + 2e-9
+        if not bad:
+            assert casino_ewac.sweeps._checked(table, columns) is table
+            return
+        with pytest.raises(ValueError) as want:
+            [SweepRow(**dict(zip(columns, row))) for row in table.tolist()]
+        with pytest.raises(ValueError) as got:
+            casino_ewac.sweeps._checked(table, columns)
+        assert str(got.value) == str(want.value)
+
+    def test_within_the_slack_passes(self):
+        columns = casino_ewac.sweeps.HORIZON_SWEEP_COLUMNS
+        table = np.array([[10.0, 1.0 + 1e-9, 1.0, 0.0]])
+        assert casino_ewac.sweeps._checked(table, columns) is table
+        table[0, 1] = np.nextafter(table[0, 1], 2.0)
+        with pytest.raises(ValueError, match="exceeds ub=1.0"):
+            casino_ewac.sweeps._checked(table, columns)
 
 
 class TestEtaSweep:

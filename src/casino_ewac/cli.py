@@ -14,8 +14,8 @@ other text is read token by token.  Output is written from arrays, with
 no Python object per row: the JSON of ``bounds`` and ``copulas`` by one
 ``%`` template, the sweep CSVs by one ``%`` per block of rows, and the
 ``smooth`` and ``wac-dist`` CSVs as bytes by numpy from their distinct
-rows (the smoothed rows, the distinct losses): each block formats its
-rows once and gathers them after line numbers written digit by digit.
+rows (the smoothed rows, the distinct losses), in blocks of 10^4 lines
+that format their rows once and number them from a table of 4-digit words.
 Output is binary, to stdout as to a file; numbers have 12 significant
 digits, and reruns with identical inputs produce byte-identical files.
 
@@ -97,7 +97,7 @@ def _write_text(out, chunks):
             fh.writelines(chunks)
 
 
-_CSV_BLOCK = 1 << 16  # lines
+_CSV_BLOCK = 10**4  # lines or rows; a power of ten (see _numbered_csv)
 _PARSE_BLOCK = 1 << 20  # bytes
 # json's spelling of the floats repr writes as nan, inf and -inf.
 _JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -105,7 +105,7 @@ _JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _table_csv(header, table):
     """The CSV of a sweep ``table``: the header, then one ``%`` per block
-    of 2^16 rows, ``%d`` for the horizon, else 12 significant digits."""
+    of _CSV_BLOCK rows, ``%d`` for the horizon, else 12 significant digits."""
     template = ",".join("%d" if name == "horizon" else "%.12g"
                         for name in header) + "\n"
     yield ",".join(header) + "\n"
@@ -114,53 +114,60 @@ def _table_csv(header, table):
         yield template * len(block) % tuple(block.ravel().tolist())
 
 
+@functools.cache  # built by the first command that numbers lines
+def _digit_words(width):
+    """The (10^width, width) bytes of the words "0...0" to "9...9"."""
+    grid = np.indices((10,) * width, np.uint8).reshape(width, -1)
+    return np.ascontiguousarray(grid.T) + np.uint8(ord("0"))
+
+
 def _numbered_csv(header, rows, index):
     """The CSV of the table rows[index], numbered from 1, numbers with 12
     significant digits, as the header's text and then one bytes-like chunk
     per block of lines; the bytes equal those of one "%d,%.12g,..." line
     per index.
 
-    Blocks hold at most 2^16 lines and are also cut at each power of ten,
-    so the line numbers of a block have one digit count d.  A block formats
-    the rows between its least and greatest index once each, by one ``%``,
-    as ",x,...\n" suffixes (the K + 1 rows of an i.i.d. smoothed table, or
-    a Markov table's rows of the block), split into a (R, W) byte table
-    padded with zero bytes; when those rows outnumber its lines (distinct
-    losses spread over every block), the rows of its lines in line order
-    instead.  Its lines are the rows of an (n, d + W) byte matrix: the
-    digits of the line numbers by division by ten, then the suffixes
-    gathered by index, with the pad bytes dropped if there are any.
+    Blocks are cut before the line numbers k * _CSV_BLOCK (10^4) and the
+    powers of ten: a block's numbers have one digit count d and share all
+    but their last four digits.  The rows between its least and greatest
+    index become zero-padded records, d bytes then ",x,...\n" by one ``%``,
+    formatted once per rows and d (the K + 1 i.i.d. smoothed rows), or in
+    line order when as many as the lines (Markov rows, distinct losses).
+    ``np.take`` gathers the records, the shared digits already in them; the
+    last digits are one slice of the cached 4-digit words; pads are dropped.
     """
     template = ",%.12g" * rows.shape[1] + "\n"
     yield ",".join(header) + "\n"
-    cuts = {*range(0, index.size, _CSV_BLOCK),
-            *(10**d - 1 for d in range(1, len(str(index.size))))}
-    edges = sorted(cuts) + [index.size]
+    width = len(str(_CSV_BLOCK)) - 1
+    words = _digit_words(width)
+    n = index.size
+    edges = sorted({0, n, *range(_CSV_BLOCK - 1, n, _CSV_BLOCK),
+                    *(10**d - 1 for d in range(1, width) if 10**d <= n)})
+    key = None
     for start, stop in zip(edges, edges[1:]):
         at = index[start:stop]
-        low = int(at.min())
-        span = rows[low:int(at.max()) + 1]
-        at = at - low
-        if len(span) > at.size:  # format the block's rows in line order
-            span, at = span[at], np.arange(at.size)
-        text = np.frombuffer((template * len(span) % tuple(
-            span.ravel().tolist())).encode(), np.uint8)
-        widths = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)
-        width = widths.max()
-        widths = widths.astype(np.min_scalar_type(width))  # a faster mask
-        table = np.zeros((span.shape[0], width), np.uint8)
-        table[np.arange(width, dtype=widths.dtype) < widths[:, None]] = text
         digits = len(str(stop))
-        lines = np.empty((at.size, digits + table.shape[1]), np.uint8)
-        number = np.arange(start + 1, stop + 1, dtype=np.min_scalar_type(stop))
-        for column in range(digits - 1, -1, -1):
-            tens = number // 10
-            lines[:, column] = number - 10 * tens + ord("0")
-            number = tens
-        suffix = f"V{table.shape[1]}"  # a row as one item: a faster gather
-        lines[:, digits:].view(suffix)[:, 0] = table.view(suffix)[at, 0]
+        low, high = int(at.min()), int(at.max())
+        in_order = high - low >= at.size - 1
+        if in_order or key != (low, high, digits):
+            span = rows[at] if in_order else rows[low:high + 1]
+            key = None if in_order else (low, high, digits)
+            text = np.frombuffer((template * len(span) % tuple(
+                span.ravel().tolist())).encode(), np.uint8)
+            widths = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)
+            size = widths.max()
+            table = np.zeros((len(span), digits + size), np.uint8)
+            table[:, digits:][np.arange(size) < widths[:, None]] = text
+        shared = max(digits - width, 0)  # leading digits of every number
+        table[:, :shared] = np.frombuffer(b"%d" % (stop // _CSV_BLOCK),
+                                          np.uint8)[:shared]
+        lines = table if in_order else np.take(table, at - low, axis=0)
+        first = (start + 1) % _CSV_BLOCK
+        item = f"V{digits - shared}"  # a number's last digits as one item
+        lines[:, shared:digits].view(item)[:, 0] = words[
+            first:first + at.size, width + shared - digits:].view(item)[:, 0]
         lines = lines.ravel()
-        yield lines[lines != 0] if widths.min() < width else lines
+        yield lines[lines != 0] if widths.min() < size else lines
 
 
 def _number(value, key, cast=float):

@@ -379,9 +379,20 @@ def inhomogeneous_bounds(objective):
 
 def _greedy_stacks(caps, totals):
     """(best, worst): the "max" and "min" ``greedy_column`` of each column
-    total, ``caps`` filled from the last row up and from the first down."""
-    return (np.hstack([_nw_fill(caps[::-1], [s])[::-1] for s in totals]),
-            np.hstack([_nw_fill(caps, [s]) for s in totals]))
+    total, ``caps`` filled from the last row up and from the first down:
+    each column the single-column ``_nw_fill`` walk, on Python floats."""
+    caps, k = [*map(float, caps)], len(caps)
+    stacks = np.zeros((2, k, len(totals)))
+    for stack, order in zip(stacks, (range(k - 1, -1, -1), range(k))):
+        held = sum(caps[i] for i in order)
+        for j, total in enumerate(map(float, totals)):
+            tol = (k + 1) * _EPS * max(held, total)
+            for i in order:
+                stack[i, j] = take = min(caps[i], total)
+                total -= take
+                if total <= tol:
+                    break
+    return stacks[0], stacks[1]
 
 
 def copula_pmf(model, kind):

@@ -249,12 +249,13 @@ class TestWacDistCommand:
                    "--out", str(out)) == EXIT_OK
         return out.read_text()
 
-    @pytest.mark.parametrize("samples", [9, 10, 65_536, 65_537])
+    @pytest.mark.parametrize("samples", [9, 10, 9_999, 10_000, 10_001,
+                                         65_536, 65_537, 100_001])
     def test_distinct_losses_equal_the_template(self, samples, tmp_path,
                                                 monkeypatch):
         # All distinct, not integers, of both signs and many widths: every
         # block's lines then spread over nearly all distinct losses, and
-        # blocks end at powers of ten and after 2^16 lines.
+        # blocks end at powers of ten and every 10^4 lines.
         wac = np.random.default_rng(samples).standard_cauchy(samples)
         assert np.unique(wac).size == samples
         assert_same_text(self.losses_csv(wac, tmp_path, monkeypatch),
@@ -1252,13 +1253,15 @@ class TestPathParsing:
 
 class TestNumberedCsv:
     # The smooth CSV equals one "%d,%.12g,%.12g" template per line, across
-    # blocks of 2^16 lines, on the i.i.d. route (K + 1 distinct rows), on
-    # a Markov chain (T distinct rows) and at T = 1.  Blocks also end
-    # before each power of ten; T = 9 to 100,001 sits on those edges.
+    # blocks of 10^4 lines, on the i.i.d. route (K + 1 distinct rows), on
+    # a Markov chain (T distinct rows) and at T = 1.  Blocks end before
+    # each multiple of 10^4 and each power of ten; T = 9 to 100,001 sits
+    # on those edges.
     @pytest.mark.parametrize("markov,periods", [
         (False, 150_000), (True, 70_000), (False, 1), (True, 1),
         (False, 9), (False, 10), (False, 100), (False, 65_536),
-        (False, 65_537), (False, 100_001), (True, 100), (True, 65_537)])
+        (False, 65_537), (False, 100_001), (True, 100), (True, 65_537),
+        (False, 10_001), (True, 10_001), (True, 100_001)])
     def test_smooth_equals_the_template(self, markov, periods, tmp_path):
         model = sticky_model() if markov else canonical_model(0.5)
         obs = simulate(model, periods, seed=4)[1]
@@ -1298,6 +1301,45 @@ class TestNumberedCsv:
             ("t", "delta_fair", "delta_biased"),
             (range(1, obs.size + 1), delta[:, 0].tolist(),
              delta[:, 1].tolist())))
+
+    @pytest.mark.parametrize("lines", [9_998, 10_001, 19_999, 20_003])
+    def test_ragged_rows_across_block_edges(self, lines):
+        # Rows of many widths, -0, NaN and infinities among them, in random
+        # order, with lines on both sides of 9,999/10,000/10,001 and
+        # 19,999/20,000: the bytes of one template per line, in blocks
+        # that each hold lines of one multiple of 10^4.
+        rows = np.array([[0.5, -0.0], [np.nan, np.inf], [1e20, -np.inf],
+                         [1 / 3, 0.0], [-0.0, 2.5e-7]])
+        index = np.random.default_rng(lines).integers(0, len(rows), lines)
+        header, *blocks = casino_ewac.cli._numbered_csv(("t", "a", "b"),
+                                                        rows, index)
+        blocks = [bytes(block) for block in blocks]
+        assert header + b"".join(blocks).decode() == template_csv(
+            ("t", "a", "b"), (range(1, lines + 1), rows[index, 0].tolist(),
+                              rows[index, 1].tolist()))
+        last = np.cumsum([block.count(b"\n") for block in blocks])
+        first = np.r_[1, last[:-1] + 1]
+        assert (first // 10**4 == last // 10**4).all()
+
+    @pytest.mark.parametrize("lines", [10**5, 10**6])
+    def test_writer_peak_memory_is_bounded(self, lines):
+        # A block holds at most 10^4 lines, so the writer's peak does not
+        # grow with the number of lines.
+        rows = np.random.default_rng(0).random((7, 2))
+        index = np.random.default_rng(1).integers(0, 6, lines)
+        index[0] = 6
+        for _ in casino_ewac.cli._numbered_csv(("t", "a", "b"), rows,
+                                               index[:10]):
+            pass  # the digit table is built once per process
+        tracemalloc.start()
+        try:
+            for _ in casino_ewac.cli._numbered_csv(("t", "a", "b"), rows,
+                                                   index):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_smooth_peak_memory_per_period(self, tmp_path):
         # The text, the faces and the index cost a few tens of bytes per

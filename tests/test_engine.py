@@ -13,7 +13,8 @@ from casino_ewac import (BIASED, FAIR, HmmModel, InfeasibleMaskError, PATH_1,
                          ewac_of_theta, greedy_column, inhomogeneous_bounds,
                          naive_ewac, pm_mask, sample_wac, smooth, solve,
                          stationary, validate_joint_pmf, TransportProblem)
-from casino_ewac.engine import REPORT_COLUMNS, _path_objective, _report_values
+from casino_ewac.engine import (REPORT_COLUMNS, _greedy_stacks, _nw_fill,
+                                _path_objective, _report_values)
 from casino_ewac.hmm import _forward_filter, _smooth_filtered, as_symbol_indices
 from helpers import (biased_winnings, brute_force_ewac, closed_form_extremes,
                      iid_cases, loop_bounds_report, random_feasible_theta,
@@ -401,6 +402,31 @@ class TestInhomogeneous:
         np.testing.assert_allclose(stacked.sum(axis=0),
                                    model.emission[BIASED], atol=1e-12)
         assert stacked.sum(axis=1).max() > 1 / 6 + 1e-3
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_greedy_stacks_equal_the_single_column_fills(self, data):
+        # The walks on Python floats give, bit for bit, the single-column
+        # north-west fills of caps from the last row up and from the first
+        # down, also where a cap equals what its column still lacks (tied
+        # values, a column total that is a cap) and at zero caps and totals.
+        k = data.draw(st.integers(2, 7))
+        mass = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.01, 1.0)
+
+        def die():
+            values = np.array(data.draw(st.lists(mass, min_size=k,
+                                                 max_size=k)))
+            values[0] += not values.any()
+            return values / values.sum()
+
+        caps = die()
+        totals = data.draw(st.sampled_from([
+            die(), caps[::-1].copy(), np.roll(caps, 1)]))
+        want = (np.hstack([_nw_fill(caps[::-1], [s])[::-1] for s in totals]),
+                np.hstack([_nw_fill(caps, [s]) for s in totals]))
+        for got, fill in zip(_greedy_stacks(caps, totals), want):
+            assert got.shape == fill.shape
+            assert (got.view(np.int64) == fill.view(np.int64)).all()
 
     def test_sense_validated(self):
         with pytest.raises(ValueError, match="sense"):

@@ -9,10 +9,11 @@ its help, its default (which ``--help`` prints) and its type.  Options may
 come from a JSON config file via ``--config``; explicit flags win over
 config values, and every config value is checked when the config is read,
 even for an option the command will not use.  A path of digits (inline, or
-an ``@file`` read in blocks of 1 MB) becomes one int64 array by numpy,
-other text is read token by token.  Output is written from arrays, with
-no Python object per row: the JSON of ``bounds`` and ``copulas`` by one
-``%`` template, the sweep CSVs by one ``%`` per block of rows, and the
+an ``@file`` read in blocks of 1 MB) is parsed by numpy, other text token
+by token, into one array, uint8 when every value lies in 0..255, else
+int64; a command counts its faces once.  Output is written from arrays,
+with no Python object per row: the JSON of ``bounds`` and ``copulas`` by
+one ``%`` template, the sweep CSVs by one ``%`` per block of rows, and the
 ``smooth`` and ``wac-dist`` CSVs as bytes by numpy from their distinct
 rows (the smoothed rows, the distinct losses), in blocks of 10^4 lines
 that format their rows once and number them from a table of 4-digit words.
@@ -39,8 +40,8 @@ from casino_ewac.engine import (REPORT_COLUMNS, InfeasibleMaskError,
                                 _copulas, _naive, _path_objective,
                                 _report_values, copula_pmf, cs_mask,
                                 ewac_bounds, pm_mask)
-from casino_ewac.hmm import (HmmModel, ZeroLikelihoodError, _smoothed_rows,
-                             _symbol_indices, canonical_model)
+from casino_ewac.hmm import (HmmModel, ZeroLikelihoodError, _face_counts,
+                             _smoothed_rows, _symbol_indices, canonical_model)
 from casino_ewac.paths import PATH_1, PATH_2
 from casino_ewac.sweeps import (ETA_SWEEP_COLUMNS, HORIZON_SWEEP_COLUMNS,
                                 _eta_table, _horizon_table, _sample_wac,
@@ -209,7 +210,7 @@ def _parse_path(spec):
         return faces
     tokens = [tok for tok in spec.replace(" ", "").split(",") if tok]
     try:
-        return np.array(tokens, dtype=np.int64)
+        return _narrowed(np.array(tokens, dtype=np.int64))
     except (ValueError, OverflowError):
         for position, tok in enumerate(tokens, 1):
             try:
@@ -220,15 +221,19 @@ def _parse_path(spec):
         raise
 
 
+def _narrowed(faces):
+    """``faces`` as uint8 if there are some and all lie in 0..255, else int64."""
+    small = faces.size and faces.min() >= 0 and faces.max() <= 255
+    return faces.astype(np.uint8 if small else np.int64, copy=False)
+
+
 def _digit_runs(fh):
-    """The numbers in the seekable binary file ``fh`` as one int64 array,
-    parsed by numpy in blocks of about 1 MB cut at a separator; None, for
-    the tokenizer, on a byte other than a digit, a space (dropped) or a
-    separator, on a number past int64, or on 19 bytes or more after a
-    block's last separator."""
-    faces = np.empty((fh.seek(0, os.SEEK_END) + 1) // 2, np.int64)
-    fh.seek(0)
-    n, carry = 0, b","  # each block starts and ends with a separator
+    """The numbers in the binary file ``fh`` as one ``_narrowed`` array,
+    parsed by numpy in blocks of about 1 MB cut at a separator and joined
+    at the end; None, for the tokenizer, on a byte other than a digit, a
+    space (dropped) or a separator, on a number past int64, or on 19 bytes
+    or more after a block's last separator."""
+    runs, carry = [], b","  # each block starts and ends with a separator
     while True:
         chunk = fh.read(_PARSE_BLOCK)
         block = (carry + (chunk or b",")).replace(b" ", b"")
@@ -244,17 +249,14 @@ def _digit_runs(fh):
         if ndigit + seps < raw.size:
             return None
         if not ndigit or 2 * ndigit + 1 == raw.size and digit[1::2].all():
-            runs = text[1::2][:ndigit]  # no token, or one digit each
+            runs.append(text[1::2][:ndigit].copy())  # none, or one digit each
         else:  # numpy saturates past int64: the tokenizer names the token
-            runs = np.fromstring(block.replace(b",", b" "), np.int64, sep=" ")
-            if runs.max() == np.iinfo(np.int64).max:
+            wide = np.fromstring(block.replace(b",", b" "), np.int64, sep=" ")
+            if wide.max() == np.iinfo(np.int64).max:
                 return None
-        if n + runs.size > faces.size:  # the file grew
-            return None
-        faces[n:n + runs.size] = runs
-        n += runs.size
+            runs.append(_narrowed(wide))
         if not chunk:
-            return faces[:n]
+            return _narrowed(np.concatenate(runs))
 
 
 def _cast(key, value):
@@ -303,7 +305,7 @@ def _load_config(path, command):
 
 
 def _model_and_faces(opts):
-    """The run's model, and its path as 0-based faces if it takes one."""
+    """The run's model, and its path's 0-based faces and counts if any."""
     eta, spec = opts["eta"], opts["model"]
     if (eta is None) == (spec is None):
         raise ValueError(
@@ -317,19 +319,20 @@ def _model_and_faces(opts):
     else:
         model = canonical_model(eta)
     if "path" not in opts:
-        return model, None
-    return model, _symbol_indices(model, opts["path"], in_place=True)
+        return model, None, None
+    o = _symbol_indices(model, opts["path"], in_place=True)
+    return model, o, _face_counts(o, model.num_symbols)
 
 
 def _cmd_smooth(opts):
-    model, o = _model_and_faces(opts)
+    model, o, counts = _model_and_faces(opts)
     return _numbered_csv(("t", "delta_fair", "delta_biased"),
-                         *_smoothed_rows(model, o))
+                         *_smoothed_rows(model, o, counts))
 
 
 def _cmd_bounds(opts):
-    model, o = _model_and_faces(opts)
-    objective, _ = _path_objective(model, o)
+    model, o, counts = _model_and_faces(opts)
+    objective, _ = _path_objective(model, o, counts)
     mask = None
     try:
         mask = cs_mask(model.emission)
@@ -337,8 +340,8 @@ def _cmd_bounds(opts):
         log.info("fair die is not uniform; skipping the cs bounds")
     staircase = mask == pm_mask(model.num_symbols)
     values, tables = _report_values(model, objective, {}, staircase)
-    naive = _naive(model, np.bincount(o, minlength=model.num_symbols))
-    report = dict(zip(REPORT_COLUMNS, values[0].tolist()), naive=naive,
+    report = dict(zip(REPORT_COLUMNS, values[0].tolist()),
+                  naive=_naive(model, counts),
                   ewac_independence=objective.independence,
                   theta_lb=tables[0, 0], theta_ub=tables[1, 0])
     if mask is None:
@@ -366,11 +369,11 @@ def _cmd_sweep_horizon(opts):
 
 
 def _cmd_wac_dist(opts):
-    model, o = _model_and_faces(opts)
+    model, o, counts = _model_and_faces(opts)
     kind, constraints = opts["theta"], opts["constraints"]
     alpha = None  # a Markov chain's forward filter, once computed
     if kind in ("lb", "ub"):
-        objective, alpha = _path_objective(model, o)
+        objective, alpha = _path_objective(model, o, counts)
         mask = (pm_mask(model.num_symbols) if constraints == "pm"
                 else cs_mask(model.emission) if constraints == "cs"
                 else frozenset())
@@ -378,7 +381,7 @@ def _cmd_wac_dist(opts):
         theta = pair.theta_lb if kind == "lb" else pair.theta_ub
     else:
         theta = copula_pmf(model, kind)
-    wac = _sample_wac(model, o, theta, opts["samples"], opts["seed"],
+    wac = _sample_wac(model, o, counts, theta, opts["samples"], opts["seed"],
                       alpha).wac
     # Distinct by bit pattern, so -0 and 0 print apart.
     losses, index = np.unique(wac.view(np.int64), return_inverse=True)
@@ -387,8 +390,7 @@ def _cmd_wac_dist(opts):
 
 
 def _cmd_copulas(opts):
-    model, _ = _model_and_faces(opts)
-    return [_json_text(_copulas(model))]
+    return [_json_text(_copulas(_model_and_faces(opts)[0]))]
 
 
 # sweep-horizon's grid defaults are the library's, as horizon_sweep uses.

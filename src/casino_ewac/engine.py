@@ -163,16 +163,15 @@ def _face_objective(model, counts, masses):
                          independence=independence)
 
 
-def _path_objective(model, o):
-    """(objective, alpha) of the 0-based faces ``o``: from face counts for
-    an i.i.d. chain, alpha None; else from smoothing a copy of the forward
-    filter alpha, which ``sample_wac`` can reuse."""
-    iid = _iid_posteriors(model, o)
+def _path_objective(model, o, counts):
+    """(objective, alpha) of the 0-based faces ``o`` and their ``counts``:
+    from the counts for an i.i.d. chain, alpha None; else from smoothing a
+    copy of the forward filter alpha, which ``sample_wac`` can reuse."""
+    iid = _iid_posteriors(model, o, counts)
     if iid is None:
         alpha = _forward_filter(model, o)
         delta = _smooth_filtered(model, o, alpha.copy())
         return _smoothed_objective(model, o, delta), alpha
-    counts = np.bincount(o, minlength=model.num_symbols)
     masses = counts[:, None] * iid[0]
     masses[o[0]] += iid[1] - iid[0][o[0]]  # period 1 under ``initial``
     return _face_objective(model, counts, masses), None

@@ -1,15 +1,17 @@
 """Two-state hidden Markov model of a casino that may swap in a biased die.
 
 State 0 is the fair die, state 1 the biased one.  Die faces are 1..K in the
-public API; arrays indexed by face use 0-based positions internally.  With
-equal transition rows (the canonical casino) the hidden states are
-independent and each period's posterior is Bayes' rule on its own face, so
-the smoothed table is K + 1 distinct rows (one per face, and period 1's)
-gathered by an index per period.  Other chains are smoothed by per-step
-renormalised forward and backward passes, fine for horizons up to about a
-million periods in double precision.  They run on Python floats, one
-scalar per state, through float64 memoryviews: with two states, numpy's
-fixed cost per call (about a microsecond) outweighs the arithmetic.
+public API; paths of 0-based faces, int64 or one byte each (uint8) as the
+command line parses them, are used internally.  With equal transition rows
+(the canonical casino) the hidden states are independent and each period's
+posterior is Bayes' rule on its own face, so the smoothed table is K + 1
+distinct rows (one per face, and period 1's) gathered by an index per
+period, and the face counts tell whether the path is possible.  Other
+chains are smoothed by per-step renormalised forward and backward passes,
+fine for horizons up to about a million periods in double precision.  They
+run on Python floats, one scalar per state, through float64 memoryviews:
+with two states, numpy's fixed cost per call (about a microsecond)
+outweighs the arithmetic.
 
 Simulation and posterior path sampling have no loop over periods.  Each
 backward step of the sampler maps the successor's state to the current
@@ -105,21 +107,28 @@ class HmmModel:
                 f"K={self.num_symbols})")
 
 
+# The canonical dice and payoffs, checked once and shared read-only.
+_CANONICAL_DICE = dict(
+    emission=_frozen_array([[1 / 6] * 6, np.arange(1, 7) / 21], (2, 6),
+                           "emission"),
+    rewards=_frozen_array(range(1, 7), (6,), "rewards"))
+
+
 def canonical_model(eta):
     """Standard casino instance at fairness level ``eta``.
 
     The chain stays fair with probability eta regardless of the current
     state (so the initial distribution is (eta, 1 - eta) as well), the fair
     die is uniform on six faces, the biased die rolls face i with
-    probability i/21, and face i pays i.
+    probability i/21, and face i pays i.  Only eta and its row are checked.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    row = np.array([eta, 1.0 - eta])
-    fair = np.full(6, 1.0 / 6.0)
-    biased = np.arange(1, 7) / 21.0
-    return HmmModel(row, np.vstack([row, row]), np.vstack([fair, biased]),
-                    np.arange(1, 7, dtype=float))
+    row = _frozen_array([eta, 1.0 - eta], (2,), "initial")
+    model = HmmModel.__new__(HmmModel)
+    model.__dict__.update(_CANONICAL_DICE, initial=row, transition=(
+        _frozen_array([row, row], (2, 2), "transition")))
+    return model
 
 
 def as_symbol_indices(model, obs):
@@ -128,7 +137,8 @@ def as_symbol_indices(model, obs):
 
 
 def _symbol_indices(model, obs, in_place):
-    """as_symbol_indices, in place on an int64 ``obs`` if ``in_place``."""
+    """as_symbol_indices, in place on an integer ``obs`` if ``in_place``,
+    where uint8 faces stay uint8; checked by the least and greatest face."""
     o = np.asarray(obs)
     if o.ndim != 1 or o.size == 0:
         raise ValueError("observation path must be a non-empty 1-d sequence")
@@ -138,13 +148,21 @@ def _symbol_indices(model, obs, in_place):
             raise ValueError("observation path must contain integers")
         o = cast
     k = model.num_symbols
-    bad = np.nonzero((o < 1) | (o > k))[0]
-    if bad.size:
-        t = int(bad[0])
+    if o.min() < 1 or o.max() > k:
+        t = int(np.flatnonzero((o < 1) | (o > k))[0])
         raise ValueError(
             f"observation at position {t + 1} is {o[t]}, expected a face in 1..{k}")
-    o = o.astype(np.int64, copy=False)
+    if not (in_place and o.dtype == np.uint8):
+        o = o.astype(np.int64, copy=False)
     return np.subtract(o, 1, out=o if in_place else None)
+
+
+def _face_counts(o, k):
+    """``np.bincount(o, minlength=k)`` of the 0-based faces ``o``: uint8
+    faces of K <= 8 by a pass per face, faster than bincount's widening."""
+    if o.dtype == np.uint8 and k <= 8:
+        return np.array([np.count_nonzero(o == j) for j in range(k)])
+    return np.bincount(o, minlength=k)
 
 
 def _forward_filter(model, o):
@@ -177,18 +195,21 @@ def _face_posteriors(prior, emission):
     return np.divide(joint, total, out=np.zeros_like(joint), where=total > 0)
 
 
-def _iid_posteriors(model, o):
+def _iid_posteriors(model, o, counts):
     """With equal transition rows, (P(state | face) under the row, (K, 2),
     for periods 2..T, period 1's posterior under ``initial``); else None.
-    A face both states rule out raises the filter's ZeroLikelihoodError."""
+    A face both states rule out, seen by its ``counts``, raises the
+    filter's ZeroLikelihoodError; only then is the path scanned."""
     row = model.transition[FAIR]
     if not np.array_equal(row, model.transition[BIASED]):
         return None
     table, start = _face_posteriors(np.stack([row, model.initial]),
                                     model.emission)
-    dead = ~table.any(axis=1)[o]
-    dead[0] = not start[o[0]].any()
-    if dead.any():
+    dead = ~table.any(axis=1)
+    later = counts - (np.arange(dead.size) == o[0])  # periods 2..T
+    if not start[o[0]].any() or later[dead].any():
+        dead = dead[o]
+        dead[0] = not start[o[0]].any()
         # The filter of the prefix ending there raises the same error.
         _forward_filter(model, o[:dead.argmax() + 1])
     return table, start[o[0]]
@@ -212,16 +233,18 @@ def _smooth_filtered(model, o, delta):
     return delta
 
 
-def _smoothed_rows(model, o):
+def _smoothed_rows(model, o, counts):
     """(rows, index) with rows[index] the smoothed (T, 2) table of the
-    0-based faces ``o``, which it may overwrite: the K per-face posteriors
-    and period 1's (index K) with equal transition rows, else the T
-    forward-backward rows."""
-    iid = _iid_posteriors(model, o)
+    0-based faces ``o`` (which it may overwrite) and their ``counts``: the
+    K per-face posteriors and period 1's (index K) with equal transition
+    rows, else the T forward-backward rows."""
+    iid = _iid_posteriors(model, o, counts)
     if iid is None:
         return (_smooth_filtered(model, o, _forward_filter(model, o)),
                 np.arange(o.size))
-    o[0] = iid[0].shape[0]
+    k = iid[0].shape[0]
+    o = o if k < 256 else o.astype(np.int64, copy=False)  # so index K fits
+    o[0] = k
     return np.vstack(iid), o
 
 
@@ -238,7 +261,8 @@ def smooth(model, obs):
     Raises:
         ZeroLikelihoodError: if the path is impossible under the model.
     """
-    rows, index = _smoothed_rows(model, as_symbol_indices(model, obs))
+    o = as_symbol_indices(model, obs)
+    rows, index = _smoothed_rows(model, o, _face_counts(o, model.num_symbols))
     return rows[index]
 
 

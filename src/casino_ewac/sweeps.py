@@ -14,8 +14,8 @@ import numpy as np
 
 from casino_ewac.engine import (_face_objective, _naive, _report_values,
                                 _tables_by_order, validate_joint_pmf)
-from casino_ewac.hmm import (_backward_sample, _face_posteriors,
-                             _forward_filter, _iid_posteriors,
+from casino_ewac.hmm import (_backward_sample, _face_counts,
+                             _face_posteriors, _forward_filter, _iid_posteriors,
                              _simulated_blocks, as_symbol_indices,
                              canonical_model)
 
@@ -134,21 +134,23 @@ def sample_wac(model, obs, theta, count, seed, *, filtered=None):
         ArithmeticError: if a sampled path is biased on a face whose theta
             column is all zero.
     """
-    return _sample_wac(model, as_symbol_indices(model, obs), theta, count,
-                       seed, filtered)
+    o = as_symbol_indices(model, obs)
+    return _sample_wac(model, o, _face_counts(o, model.num_symbols), theta,
+                       count, seed, filtered)
 
 
-def _sample_wac(model, o, theta, count, seed, filtered=None):
-    """``sample_wac`` of the 0-based faces ``o``."""
+def _sample_wac(model, o, face_counts, theta, count, seed, filtered=None):
+    """``sample_wac`` of the 0-based faces ``o`` and their counts."""
     if count < 1:
         raise ValueError("count must be at least 1")
     theta = np.maximum(
         validate_joint_pmf(theta, model.emission[0], model.emission[1]), 0.0)
     rng = np.random.default_rng(seed)
     faces = np.arange(model.num_symbols)
-    iid = _iid_posteriors(model, o)
+    iid = _iid_posteriors(model, o, face_counts)
     if iid is not None:  # face-major: one binomial set-up per face
-        n, biased = np.bincount(o[1:], minlength=faces.size), iid[0][:, 1]
+        n = face_counts - (faces == o[0])  # periods 2..T
+        biased = iid[0][:, 1]
         if n.max() <= _COUNTS_N:
             rows = _cdf_rows(biased, n, n.max())[:, :, None]
             counts = _inverted(rng.random((faces.size, count)),

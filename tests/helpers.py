@@ -41,6 +41,8 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
+from casino_ewac.engine import _path_objective
+from casino_ewac.hmm import as_symbol_indices
 from casino_ewac.sweeps import _COUNTS_N, _TABLE_N
 
 
@@ -467,6 +469,14 @@ def round12(value):
         ctx.prec = 60
         decimal = Decimal(value.numerator) / Decimal(value.denominator)
         return float(f"{decimal:.12g}")
+
+
+def path_objective(model, obs):
+    """``engine._path_objective`` of the faces ``obs`` in 1..K, with their
+    counts by ``np.bincount``."""
+    o = as_symbol_indices(model, obs)
+    counts = np.bincount(o, minlength=model.num_symbols)
+    return _path_objective(model, o, counts)
 
 
 def biased_winnings(objective):

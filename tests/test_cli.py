@@ -28,13 +28,11 @@ from casino_ewac import (HmmModel, TransportProblem, canonical_model,
 from casino_ewac.cli import (EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                              EXIT_USAGE, PATH_1, PATH_2, _json_text,
                              _parse_path, main)
-from casino_ewac.engine import _path_objective
-from casino_ewac.hmm import as_symbol_indices
 from helpers import (attribute_csv, dense_filter, dense_smooth,
                      exact_canonical_values, iid_cases, json_ready,
                      loop_bounds_report, loop_count_sample_wac,
-                     loop_iid_sample_wac, loop_parse_path, round12,
-                     sticky_model, template_csv)
+                     loop_iid_sample_wac, loop_parse_path, path_objective,
+                     round12, sticky_model, template_csv)
 
 
 def run(*argv):
@@ -624,7 +622,7 @@ def loop_bounds_text(model, obs):
     """The bounds JSON as it was written before the arrays: the report of
     helpers.loop_bounds_report, the naive value and the plain optimisers,
     by ``json.dumps``."""
-    objective, _ = _path_objective(model, as_symbol_indices(model, obs))
+    objective, _ = path_objective(model, obs)
     try:
         mask = cs_mask(model.emission)
     except ValueError:
@@ -714,7 +712,7 @@ class TestReportsFromArrays:
         # message of ewac_bounds.
         model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
                          [[0.25] * 4, [1.0, 0.0, 0.0, 0.0]], [1, 2, 3, 4])
-        objective, _ = _path_objective(model, np.zeros(3, dtype=np.int64))
+        objective, _ = path_objective(model, [1, 1, 1])
         with pytest.raises(ValueError) as want:
             ewac_bounds(objective, pm_mask(4), tag="cs")
         monkeypatch.setattr(casino_ewac.cli, "cs_mask",
@@ -1079,7 +1077,9 @@ _PATH_TEXT = (st.text("0123456789,\n +-x", max_size=40)
 
 
 def assert_parses_as_the_loop(spec):
-    """_parse_path gives the token loop's faces, or its error message."""
+    """_parse_path gives the token loop's faces, or its error message; the
+    faces are one byte each (uint8) when there are some and all lie in
+    0..255, else int64."""
     try:
         want = loop_parse_path(spec)
     except ValueError as exc:
@@ -1088,7 +1088,8 @@ def assert_parses_as_the_loop(spec):
         assert str(got.value) == str(exc)
     else:
         got = _parse_path(spec)
-        assert got.dtype == np.int64
+        narrow = want.size > 0 and 0 <= want.min() and want.max() <= 255
+        assert got.dtype == (np.uint8 if narrow else np.int64)
         np.testing.assert_array_equal(got, want)
 
 
@@ -1181,26 +1182,32 @@ class TestPathParsing:
         assert fh.tell() <= 6 * 8
         assert_parses_as_the_loop("1 2 " * 25_000)
 
-    def test_a_file_that_grew_goes_to_the_tokenizer(self, tmp_path,
-                                                     monkeypatch):
-        # The array of faces is sized from the file's length when opened;
-        # a file longer than that (here its end-seek under-reports) makes
-        # the numpy parse give up, and the tokenizer reads every face.
-        class Grown(io.BufferedReader):
-            def seek(self, offset, whence=os.SEEK_SET):
-                at = super().seek(offset, whence)
-                return at // 4 if whence == os.SEEK_END else at
+    def test_a_file_that_grows_is_read_to_its_end(self, tmp_path,
+                                                   monkeypatch):
+        # No array is sized from the file's length when opened: each
+        # block's faces are kept and joined at the end, so faces appended
+        # while the file is read are parsed by numpy with the rest.
+        class Growing(io.FileIO):
+            def read(self, size=-1):
+                chunk = super().read(size)
+                if self.tell() == size:  # after the first block
+                    with open(self.name, "a") as fh:
+                        fh.write("4\n" * 50)
+                return chunk
 
         faces = [1, 6, 3, 2, 5] * 20
         spec = write_path(tmp_path / "path.txt", faces)
+        monkeypatch.setattr(casino_ewac.cli, "_PARSE_BLOCK", 64)
         monkeypatch.setattr(casino_ewac.cli, "open", raising=False,
-                            value=lambda name, mode: Grown(io.FileIO(name)))
+                            value=lambda name, mode: Growing(name))
         runs = []
         digit_runs = casino_ewac.cli._digit_runs
         monkeypatch.setattr(casino_ewac.cli, "_digit_runs",
                             lambda fh: runs.append(digit_runs(fh)) or runs[0])
-        np.testing.assert_array_equal(_parse_path(spec), faces)
-        assert runs == [None]
+        got = _parse_path(spec)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, faces + [4] * 50)
+        assert runs[0] is got
 
     def test_file_without_final_newline(self, tmp_path):
         spec = write_path(tmp_path / "path.txt", [1, 2, 6], end="")
@@ -1227,28 +1234,86 @@ class TestPathParsing:
         top = np.iinfo(np.int64).max
         np.testing.assert_array_equal(_parse_path(f"1,{top}"), [1, top])
 
-    @pytest.mark.parametrize("argv,limit", [(("bounds",), 13),
+    @pytest.mark.parametrize("argv,limit", [(("bounds",), 5),
                                             (("wac-dist", "--theta", "ub"),
-                                             20)])
+                                             8)])
     def test_path_peak_memory_per_period(self, argv, limit, tmp_path,
                                          monkeypatch):
         # Blocks of 16 kB parse the 400 kB file in pieces. The faces, read
-        # once and made 0-based in place, take 8 bytes per period: `bounds`
-        # peaks at 11 and `wac-dist` at 16. A second int64 copy of the
-        # faces takes both to 16 and 24, and parse temporaries of the whole
-        # text take `bounds` to 16.
+        # once and made 0-based in place, take 1 byte per period: `bounds`
+        # peaks at about 2 and `wac-dist` at 5.4. Faces as int64 took them
+        # to 11 and 12.4, and parsing the whole text as one block takes
+        # `bounds` to 14.
         periods = 200_000
         obs = simulate(canonical_model(0.5), periods, seed=1)[1]
         spec = write_path(tmp_path / "path.txt", obs.tolist())
         monkeypatch.setattr(casino_ewac.cli, "_PARSE_BLOCK", 1 << 14)
+        out = str(tmp_path / "out.txt")
+        # First-call costs (lazy imports) stay out of the peak.
+        assert run(*argv, "--eta", "0.5", "--out", out) == EXIT_OK
         tracemalloc.start()
         try:
             assert run(*argv, "--eta", "0.5", "--path", spec,
-                       "--out", str(tmp_path / "out.txt")) == EXIT_OK
+                       "--out", out) == EXIT_OK
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak / periods < limit
+
+    def test_parse_peak_memory_of_a_million_faces(self, tmp_path):
+        # One byte per face, and no array sized from the file: each 1-MB
+        # block's faces are kept and joined at the end, so the traced peak
+        # is the blocks' temporaries and two copies of the faces, about
+        # 5.9 MB.  An int64 array sized from the file peaked at 13.9 MB.
+        periods = 1_000_000
+        obs = simulate(canonical_model(0.5), periods, seed=1)[1]
+        spec = write_path(tmp_path / "path.txt", obs.tolist())
+        tracemalloc.start()
+        try:
+            faces = _parse_path(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert faces.dtype == np.uint8 and faces.nbytes == periods
+        np.testing.assert_array_equal(faces, obs)
+        assert peak < 7e6
+
+
+def wide_die(k):
+    """An i.i.d. config die of ``k`` faces: uniform fair die, the biased die
+    rolling face i with probability proportional to i, face i paying i."""
+    row = [0.6, 0.4]
+    biased = np.arange(1, k + 1) / (k * (k + 1) / 2)
+    return HmmModel(row, [row, row], [np.full(k, 1.0 / k), biased],
+                    np.arange(1, k + 1))
+
+
+class TestNarrowFaces:
+    # A path parsed to one byte per face gives the bytes of the same faces
+    # given as a config list, which stay int64.
+    @pytest.mark.parametrize("k,faces", [
+        (300, np.random.default_rng(3).integers(1, 10, 500)),  # one digit
+        (300, np.tile([255, 1, 200, 9, 37], 40)),  # numpy's text reader
+        (6, np.random.default_rng(4).integers(1, 7, 300)),
+    ], ids=["K300-digits", "K300-text", "K6"])
+    def test_one_byte_faces_equal_int64_faces(self, k, faces, tmp_path):
+        model = wide_die(k)
+        spec = write_path(tmp_path / "path.txt", faces.tolist())
+        assert _parse_path(spec).dtype == np.uint8
+        narrow = model_config(tmp_path / "narrow.json", model, path=spec)
+        wide = model_config(tmp_path / "wide.json", model,
+                            path=faces.tolist())
+        for argv in (("smooth",), ("bounds",),
+                     ("wac-dist", "--theta", "ub", "--samples", "500"),
+                     ("wac-dist", "--samples", "500", "--seed", "2")):
+            outs = []
+            for config in (narrow, wide):
+                out = tmp_path / f"{config.stem}.out"
+                assert run(*argv, "--config", str(config),
+                           "--out", str(out)) == EXIT_OK
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1], argv
+            assert len(outs[0]) > 100
 
 
 class TestNumberedCsv:

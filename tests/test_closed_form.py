@@ -25,10 +25,9 @@ from casino_ewac import (BIASED, FAIR, FEASIBILITY_TOL, PATH_1, PATH_2,
                          cs_mask, ewac_bounds, ewac_objective,
                          inhomogeneous_bounds, pm_mask, smooth, solve,
                          validate_joint_pmf)
-from casino_ewac.engine import _path_objective
-from casino_ewac.hmm import as_symbol_indices
 from helpers import (biased_winnings, enumerate_transport_optimum, exact_fill,
-                     exact_transport_optimum, random_small_model)
+                     exact_transport_optimum, path_objective,
+                     random_small_model)
 
 REL_TOL = 1e-12
 # Fixed examples keep the suite deterministic from run to run.
@@ -424,7 +423,7 @@ class TestStaircaseGreedy:
         for obs in (PATH_1, PATH_2):
             for eta in levels:
                 model = canonical_model(eta)
-                obj = _path_objective(model, as_symbol_indices(model, obs))[0]
+                obj = path_objective(model, obs)[0]
                 mask = cs_mask(model.emission)
                 pair = ewac_bounds(obj, mask, tag="cs")
                 np.testing.assert_allclose(

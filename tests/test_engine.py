@@ -14,11 +14,11 @@ from casino_ewac import (BIASED, FAIR, HmmModel, InfeasibleMaskError, PATH_1,
                          naive_ewac, pm_mask, sample_wac, smooth, solve,
                          stationary, validate_joint_pmf, TransportProblem)
 from casino_ewac.engine import (REPORT_COLUMNS, _greedy_stacks, _nw_fill,
-                                _path_objective, _report_values)
+                                _report_values)
 from casino_ewac.hmm import _forward_filter, _smooth_filtered, as_symbol_indices
 from helpers import (biased_winnings, brute_force_ewac, closed_form_extremes,
-                     iid_cases, loop_bounds_report, random_feasible_theta,
-                     random_small_model, sticky_model)
+                     iid_cases, loop_bounds_report, path_objective,
+                     random_feasible_theta, random_small_model, sticky_model)
 
 
 def _objective(eta, obs):
@@ -86,7 +86,7 @@ class TestFaceCountObjective:
         o = as_symbol_indices(model, obs)
         delta = _smooth_filtered(model, o, _forward_filter(model, o))
         expected = ewac_objective(model, obs, delta)
-        got, alpha = _path_objective(model, o)
+        got, alpha = path_objective(model, obs)
         assert alpha is None
         tol = 4 * len(obs) * np.finfo(float).eps * len(obs)
         assert biased_winnings(got) == pytest.approx(
@@ -101,7 +101,7 @@ class TestFaceCountObjective:
         model = random_small_model(np.random.default_rng(4), 5)
         obs = np.random.default_rng(5).integers(1, 6, size=200)
         o = as_symbol_indices(model, obs)
-        got, alpha = _path_objective(model, o)
+        got, alpha = path_objective(model, obs)
         expected = ewac_objective(model, obs, smooth(model, obs))
         assert biased_winnings(got) == biased_winnings(expected)
         assert got.factor.tobytes() == expected.factor.tobytes()
@@ -337,7 +337,7 @@ class TestReportValues:
     @pytest.mark.parametrize("case", REPORT_CASES)
     def test_equals_the_loop_report(self, case):
         model, obs, staircase = REPORT_CASES[case]
-        objective, _ = _path_objective(model, as_symbol_indices(model, obs))
+        objective, _ = path_objective(model, obs)
         mask = None if staircase is None else cs_mask(model.emission)
         assert (mask == pm_mask(model.num_symbols)) is bool(staircase)
         values, tables = _report_values(model, objective, {}, bool(staircase))
@@ -356,7 +356,7 @@ class TestReportValues:
         # All biased mass on face 1 cannot flow into the upper triangle.
         model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
                          [[0.25] * 4, [1.0, 0.0, 0.0, 0.0]], [1, 2, 3, 4])
-        objective, _ = _path_objective(model, np.zeros(3, dtype=np.int64))
+        objective, _ = path_objective(model, [1, 1, 1])
         with pytest.raises(InfeasibleMaskError) as want:
             ewac_bounds(objective, pm_mask(4), tag="cs")
         with pytest.raises(InfeasibleMaskError) as got:

@@ -9,8 +9,10 @@ from casino_ewac import (BIASED, FAIR, PATH_1, HmmModel, ZeroLikelihoodError,
                          hmm,
                          canonical_model, sample_hidden_paths, simulate,
                          smooth)
-from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _forward_filter,
-                             _smooth_filtered, as_symbol_indices)
+from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _face_counts,
+                             _forward_filter, _iid_posteriors,
+                             _smooth_filtered, _symbol_indices,
+                             as_symbol_indices)
 from helpers import (brute_force_smooth, dense_smooth, digit_rows, iid_cases,
                      loop_backward_sample, loop_simulate, random_small_model,
                      sampling_cases, sticky_model)
@@ -43,8 +45,36 @@ class TestHmmModel:
 
     def test_arrays_are_read_only(self):
         model = canonical_model(0.3)
-        with pytest.raises(ValueError):
-            model.emission[0, 0] = 1.0
+        for name in ("initial", "transition", "emission", "rewards"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(model, name).flat[0] = 1.0
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0, 1e-300, 0.1 + 0.2,
+                                     np.nextafter(1.0, 0.0)])
+    def test_canonical_equals_a_checked_model(self, eta):
+        # The shared dice and payoffs and the row of eta, bit for bit the
+        # arrays HmmModel checks and copies.
+        row = np.array([eta, 1.0 - eta])
+        want = HmmModel(row, np.vstack([row, row]),
+                        np.vstack([np.full(6, 1.0 / 6.0),
+                                   np.arange(1, 7) / 21.0]),
+                        np.arange(1, 7, dtype=float))
+        got = canonical_model(eta)
+        assert type(got) is HmmModel and repr(got) == repr(want)
+        for name in ("initial", "transition", "emission", "rewards"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+            assert not a.flags.writeable, name
+
+    @pytest.mark.parametrize("eta,text", [(float("nan"), "nan"),
+                                          (-0.1, "-0.1"), (1.5, "1.5"),
+                                          (float("inf"), "inf"),
+                                          (-1e-300, "-1e-300")])
+    def test_canonical_eta_outside_the_unit_interval(self, eta, text):
+        with pytest.raises(ValueError) as exc:
+            canonical_model(eta)
+        assert str(exc.value) == f"eta must lie in [0, 1], got {text}"
 
 
 class TestSmooth:
@@ -138,6 +168,48 @@ class TestSmooth:
             _forward_filter(model, as_symbol_indices(model, path))
         assert str(iid.value) == str(filtered.value)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("initial,row,path,message", [
+        # Face 2 is ruled out by both states only at period 1 (fair).
+        ([1.0, 0.0], [0.5, 0.5], [2, 1, 2, 2], "position 1"),
+        # Dead under the row, seen only at period 1: no error.
+        ([0.5, 0.5], [1.0, 0.0], [2, 1, 1, 1], None),
+        # Dead under the row at period 4.
+        ([0.5, 0.5], [1.0, 0.0], [2, 1, 1, 2, 1, 2], "length 4"),
+        ([0.5, 0.5], [1.0, 0.0], [1] * 99 + [2], "length 100"),
+    ])
+    def test_dead_faces_from_the_counts(self, dtype, initial, row, path,
+                                        message):
+        # The counts say whether an observed face is dead; the position
+        # and message are then the filter's.
+        model = HmmModel(initial, [row, row], [[1.0, 0.0], [0.5, 0.5]],
+                         [0.0, 1.0])
+        o = _symbol_indices(model, np.array(path, dtype), in_place=True)
+        counts = _face_counts(o, 2)
+        if message is None:  # the filter agrees, and is not run
+            _forward_filter(model, o)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(hmm, "_forward_filter", None)
+                assert _iid_posteriors(model, o, counts) is not None
+            return
+        with pytest.raises(ZeroLikelihoodError, match=message) as got:
+            _iid_posteriors(model, o, counts)
+        with pytest.raises(ZeroLikelihoodError) as want:
+            _forward_filter(model, o)
+        assert str(got.value) == str(want.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(0, k - 1), max_size=300))),
+        st.sampled_from([np.uint8, np.int64]))
+    def test_face_counts_equal_bincount(self, case, dtype):
+        k, faces = case
+        o = np.array(faces, dtype)
+        got = _face_counts(o, k)
+        want = np.bincount(o, minlength=k)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
     def test_impossible_path_raises(self):
         model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
                          [[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
@@ -170,6 +242,33 @@ class TestSmooth:
         np.testing.assert_array_equal(obs, [1, 6, 3, 2])
         np.testing.assert_array_equal(o, [0, 5, 2, 1])
         assert not np.shares_memory(o, obs)
+
+    def test_symbol_indices_keep_one_byte_faces_in_place(self):
+        # In place, one-byte faces stay one byte; the public conversion
+        # returns int64 whatever the dtype.
+        model = canonical_model(0.5)
+        obs = np.array([1, 6, 3, 2], dtype=np.uint8)
+        public = as_symbol_indices(model, obs)
+        assert public.dtype == np.int64
+        np.testing.assert_array_equal(public, [0, 5, 2, 1])
+        o = _symbol_indices(model, obs, in_place=True)
+        assert o.dtype == np.uint8 and np.shares_memory(o, obs)
+        np.testing.assert_array_equal(obs, [0, 5, 2, 1])
+        wide = np.array([1, 6, 3, 2], dtype=np.int32)
+        assert _symbol_indices(model, wide, in_place=True).dtype == np.int64
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("path,position,face", [
+        ([7, 1, 2], 1, 7), ([1, 2, 0, 9], 3, 0), ([6] * 40 + [255], 41, 255),
+    ])
+    def test_bad_faces_are_named_in_every_dtype(self, dtype, path, position,
+                                                face):
+        model = canonical_model(0.5)
+        for in_place in (False, True):
+            with pytest.raises(ValueError) as exc:
+                _symbol_indices(model, np.array(path, dtype), in_place)
+            assert str(exc.value) == (f"observation at position {position} "
+                                      f"is {face}, expected a face in 1..6")
 
     def test_symbol_indices_of_floats(self):
         # Integral floats (a path read as numbers) are faces; 1.5 is not.

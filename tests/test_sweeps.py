@@ -17,14 +17,15 @@ from casino_ewac import (PATH_1, PATH_2, HmmModel, SweepRow, canonical_model,
                          naive_ewac, sample_hidden_paths, sample_wac,
                          simulate, smooth)
 from casino_ewac import engine, hmm
-from casino_ewac.engine import _face_objective, _path_objective
+from casino_ewac.engine import _face_objective
 from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _face_posteriors,
                              _forward_filter, as_symbol_indices)
 from casino_ewac.sweeps import _COUNTS_N, _TABLE_N, _cdf_rows
 from helpers import (digit_rows, exact_binomial_cdf, iid_wac_moments,
                      iid_wac_pmf, is_iid, loop_bounds_report,
                      loop_count_sample_wac, loop_iid_sample_wac,
-                     random_feasible_theta, sampling_cases, sticky_model)
+                     path_objective, random_feasible_theta, sampling_cases,
+                     sticky_model)
 
 
 def bits(row):
@@ -641,8 +642,7 @@ class TestHorizonSweep:
         expected = []
         for horizon in sorted(grid):
             prefix = obs[:horizon]
-            objective, _ = _path_objective(model,
-                                           as_symbol_indices(model, prefix))
+            objective, _ = path_objective(model, prefix)
             pair = ewac_bounds(objective)
             expected.append(dict(
                 SweepRow().as_dict(), horizon=horizon, lb=pair.lb / horizon,

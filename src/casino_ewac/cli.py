@@ -229,34 +229,39 @@ def _narrowed(faces):
 
 def _digit_runs(fh):
     """The numbers in the binary file ``fh`` as one ``_narrowed`` array,
-    parsed by numpy in blocks of about 1 MB cut at a separator and joined
-    at the end; None, for the tokenizer, on a byte other than a digit, a
-    space (dropped) or a separator, on a number past int64, or on 19 bytes
-    or more after a block's last separator."""
-    runs, carry = [], b","  # each block starts and ends with a separator
-    while True:
+    parsed by numpy in blocks of about 1 MB cut at a separator into one
+    array sized from the file; None, for the tokenizer, on a byte other
+    than a digit, a space (dropped) or a separator, on a number past
+    int64, or on 19 bytes or more after a block's last separator."""
+    faces, n, carry = np.empty(fh.seek(0, 2) // 2 + 1, np.uint8), 0, b"\n"
+    fh.seek(0)
+    while True:  # each block starts and ends with a separator
         chunk = fh.read(_PARSE_BLOCK)
-        block = (carry + (chunk or b",")).replace(b" ", b"")
-        cut = max(map(block.rfind, b",\n\r"))
+        block = (carry + (chunk or b"\n")).replace(b" ", b"")
+        cut = max(map(block.rfind, b"\n,\r"))
         block, carry = block[:cut + 1], block[cut:]
         if len(carry) > 19:  # so a file without separators stays linear
             return None
         raw = np.frombuffer(block, np.uint8)
         text = raw - 48  # digits to 0-9
-        digit = text < 10
-        ndigit = np.count_nonzero(digit)  # the rest must be separators
-        seps = sum(np.count_nonzero(raw == c) for c in b",\n\r")
-        if ndigit + seps < raw.size:
+        ndigit = known = np.count_nonzero(text < 10)
+        for sep in b"\n,\r":  # the rest must be separators: count to full
+            known += known < raw.size and np.count_nonzero(raw == sep)
+        if known < raw.size:
             return None
-        if not ndigit or 2 * ndigit + 1 == raw.size and digit[1::2].all():
-            runs.append(text[1::2][:ndigit].copy())  # none, or one digit each
-        else:  # numpy saturates past int64: the tokenizer names the token
-            wide = np.fromstring(block.replace(b",", b" "), np.int64, sep=" ")
-            if wide.max() == np.iinfo(np.int64).max:
-                return None
-            runs.append(_narrowed(wide))
+        run = text[1::2][:ndigit].copy()  # one digit each, if all are digits
+        if ndigit and (2 * ndigit + 1 != raw.size or not (run < 10).all()):
+            run = np.fromstring(block.replace(b",", b" "), np.int64, sep=" ")
+            if run.max() == np.iinfo(np.int64).max:  # numpy saturates there:
+                return None  # the tokenizer names the token
+            run = _narrowed(run)
+        if n + run.size > faces.size or run.itemsize > faces.itemsize:
+            faces = np.concatenate([faces[:n], np.empty(  # wider, or longer
+                max(faces.size - n, run.size), run.dtype)])
+        faces[n:n + run.size] = run
+        n += run.size
         if not chunk:
-            return _narrowed(np.concatenate(runs))
+            return _narrowed(faces[:n])
 
 
 def _cast(key, value):

@@ -11,8 +11,9 @@ are north-west-corner fills against the biased faces sorted by f (Hoffman
 1963; Cambanis, Simons and Stout 1976), and on the staircase j >= i of the
 pm mask (for the canonical dice also the cs mask) greedy fills row by row
 in payoff order (Shamir and Dietrich 1990).  Either way an optimum sees the
-path only through the stable order of f, so a sweep builds its tables once
-per order.  The simplex serves every other mask.
+path only through the stable order of f: one batched kernel fills all the
+distinct orders of a sweep, and the pm fills are built once per order.  The
+simplex serves every other mask.
 """
 
 from dataclasses import dataclass
@@ -201,29 +202,33 @@ def ewac_of_theta(objective, theta, atol=_PMF_ATOL):
         theta, objective.row_marginals, objective.col_marginals, atol))
 
 
-def _nw_fill(rows, cols):
-    """North-west-corner fill of a table with these row and column sums.
-
-    Each cell on the walk from the top-left corner takes what its row and
-    column still lack; the walk passes every full row and column, where a
-    remainder within the rounding error of the running sums counts as full
-    (no noise cells where a row and a column end together).
-    """
-    rows = np.asarray(rows, dtype=float).tolist()
-    cols = np.asarray(cols, dtype=float).tolist()
-    theta = np.zeros((len(rows), len(cols)))
-    tol = (len(rows) + len(cols)) * _EPS * max(sum(rows), sum(cols))
-    i = j = 0
-    while i < len(rows) and j < len(cols):
-        take = min(rows[i], cols[j])
-        theta[i, j] = take
-        rows[i] -= take
-        cols[j] -= take
-        if rows[i] <= tol:
-            i += 1
-        if cols[j] <= tol:
-            j += 1
-    return theta
+def _nw_fills(rows, cols, orders):
+    """(2, E, K, K): the north-west-corner fills against the columns in
+    each of the (E, K) ``orders`` and reversed, the max and min tables of
+    sum_ij w_i f_j theta[i, j], w increasing, of each stable factor order.
+    Cell (i, j) is the overlap min(R_{i+1}, C_{j+1}) - max(R_i, C_j) of
+    the row's and column's cumulative-mass intervals (columns in order):
+    the least of the two masses and two edge differences, the prefix sums
+    carrying their rounding errors (exact by TwoSum; Knuth, TAOCP 4.2.2),
+    so a cell is within about an ulp of the exact overlap (on the canonical
+    dice, correctly rounded).  An overlap within rounding counts as empty."""
+    n, k = orders.shape
+    at = np.concatenate([orders, orders[:, ::-1]])
+    x = np.concatenate([cols[at], rows[None]])
+    cum = np.zeros((2, 2 * n + 1, k + 1))  # prefix sums, and their errors
+    total = np.add.accumulate(x, axis=1, out=cum[0, :, 1:])
+    step = total - cum[0, :, :-1]
+    np.add.accumulate((cum[0, :, :-1] - (total - step)) + (x - step), axis=1,
+                      out=cum[1, :, 1:])
+    # Where face j's column edges are in each order's row of prefix sums.
+    j = at.argsort(axis=1) + np.arange(0, 2 * n * (k + 1), k + 1)[:, None]
+    flat, r = cum.reshape(2, -1), cum[:, None, -1, :, None]
+    up = r[:, :, 1:] - flat.take(j, axis=1)[:, :, None]
+    down = flat.take(j + 1, axis=1)[:, :, None] - r[:, :, :-1]
+    theta = np.minimum(up[0] + up[1], down[0] + down[1])
+    np.minimum(theta, np.minimum(rows[:, None], cols), out=theta)
+    theta[theta <= 2 * k * _EPS * max(cum[0, 0, -1], cum[0, -1, -1])] = 0
+    return theta.reshape(2, n, k, k)
 
 
 def _staircase_fill(rows, cols, order):
@@ -265,25 +270,13 @@ def _staircase_fill(rows, cols, order):
     return theta
 
 
-def _optimal_tables(rows, cols, order, staircase=False):
-    """(max, min) tables of sum_ij w_i f_j theta[i, j], w increasing, for
-    the stable ascending factor ``order``: the north-west-corner fills
-    against the biased faces in that order and reversed, then, with
-    ``staircase``, the two pm ``_staircase_fill``s."""
-    hi, lo = np.empty((2, order.size, order.size))
-    for theta, at in ((hi, order), (lo, order[::-1])):
-        theta[:, at] = _nw_fill(rows, cols[at])
-    return (hi, lo) + (tuple(_staircase_fill(rows, cols, at) for at in
-                             (order, order[::-1])) if staircase else ())
-
-
 def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
     """Sharp EWAC bounds over the (optionally masked) polytope.
 
     The upper bound minimises the coefficient form, the lower bound
     maximises it; both optimisers are vertices and satisfy the mask
     exactly.  With no mask or ``pm_mask(K)`` they are the fills of
-    ``_optimal_tables`` for the stable factor order, and no simplex runs;
+    ``_tables_by_order`` for the stable factor order, and no simplex runs;
     the pm polytope is empty when the biased CDF passes the fair one by
     over FEASIBILITY_TOL.
 
@@ -301,8 +294,8 @@ def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
         iterations, hi, lo = (hi.iterations, lo.iterations), hi.theta, lo.theta
     else:
         feasible = not staircase or _pm_feasible(rows, cols)
-        hi, lo = _optimal_tables(rows, cols, np.argsort(factor, kind="stable"),
-                                 staircase)[-2:]
+        hi, lo = _tables_by_order(rows, cols, factor, {} if staircase
+                                  else None)[0][-2:, 0]
     if not feasible:
         raise _infeasible(tag, zero_mask)
     return EwacBounds(objective.ewac(hi), objective.ewac(lo), hi, lo,
@@ -379,7 +372,7 @@ def inhomogeneous_bounds(objective):
 def _greedy_stacks(caps, totals):
     """(best, worst): the "max" and "min" ``greedy_column`` of each column
     total, ``caps`` filled from the last row up and from the first down:
-    each column the single-column ``_nw_fill`` walk, on Python floats."""
+    each column the single-column north-west walk, on Python floats."""
     caps, k = [*map(float, caps)], len(caps)
     stacks = np.zeros((2, k, len(totals)))
     for stack, order in zip(stacks, (range(k - 1, -1, -1), range(k))):
@@ -401,14 +394,14 @@ def copula_pmf(model, kind):
     the marginals, "comonotonic" couples them through a common uniform
     (highest positive dependence), "countermonotonic" through opposed
     uniforms (lowest).  The last two are the classical Frechet bounds, the
-    ``_optimal_tables`` of the face order.
+    ``_nw_fills`` of the face order.
     """
     e_fair, e_biased = model.emission
     if kind == "independence":
         return np.outer(e_fair, e_biased)
     if kind in ("comonotonic", "countermonotonic"):
-        return _optimal_tables(e_fair, e_biased, np.arange(e_fair.size))[
-            kind == "countermonotonic"]
+        return _nw_fills(e_fair, e_biased, np.arange(e_fair.size)[None])[
+            int(kind == "countermonotonic"), 0]
     raise ValueError(
         "kind must be 'independence', 'comonotonic' or "
         f"'countermonotonic', got {kind!r}")
@@ -417,8 +410,8 @@ def copula_pmf(model, kind):
 def _copulas(model):
     """The three benchmark couplings by kind, each validated once."""
     rows, cols = model.emission
-    tables = np.outer(rows, cols), *_optimal_tables(rows, cols,
-                                                    np.arange(rows.size))
+    tables = np.outer(rows, cols), *_nw_fills(rows, cols, np.arange(
+        rows.size)[None])[:, 0]
     return {kind: validate_joint_pmf(theta, rows, cols) for kind, theta in
             zip(("independence", "comonotonic", "countermonotonic"), tables)}
 
@@ -427,32 +420,43 @@ REPORT_COLUMNS = ("lb", "ub", "lb_cs", "ub_cs", "lb_inhom", "ub_inhom",
                   "ewac_comonotonic", "ewac_countermonotonic")
 
 
-def _tables_by_order(model, factor, built, staircase=False):
-    """(n, E, K, K): the ``_optimal_tables`` of each row of the (E, K) or
-    (K,) ``factor`` by stable order (all they depend on), gathered from the
-    dict ``built`` of each order's tables, to which it adds those missing."""
+def _tables_by_order(rows, cols, factor, built=None, *extra):
+    """(tables, *fills): the (n, E, K, K) optimal tables of each row of the
+    (E, K) or (K,) ``factor`` by its stable order (all they depend on), by
+    one ``_nw_fills`` of its distinct orders and the ``extra`` ones, whose
+    (2, K, K) fills follow; with a dict ``built`` of the max and min pm
+    ``_staircase_fill``s by order, to which it adds those missing, also
+    those (n = 4)."""
     first = {}  # distinct orders by first row: faster than np.unique here
     at = [first.setdefault(key, len(first)) for key in map(tuple, np.argsort(
         np.atleast_2d(factor), axis=1, kind="stable").tolist())]
-    for key in first.keys() - built.keys():
-        built[key] = np.stack(_optimal_tables(*model.emission, np.array(key),
-                                              staircase))
-    return np.stack([built[key] for key in first], axis=1)[:, at]
+    keys, ends = [*first], [first.setdefault(key, len(first)) for key in extra]
+    fills = _nw_fills(rows, cols, np.array([*first]))
+    tables = fills[:, at]
+    if built is not None:
+        for key in {*keys} - built.keys():
+            built[key] = np.stack([_staircase_fill(rows, cols, np.array(order))
+                                   for order in (key, key[::-1])])
+        tables = np.concatenate([tables, np.stack(
+            [built[key] for key in keys], axis=1)[:, at]])
+    return (tables, *(fills[:, i] for i in ends))
 
 
 def _report_values(model, stack, built, staircase=True):
     """(values, tables): the (E, 8) ``REPORT_COLUMNS`` of the objectives
     ``stack`` by one ``ewac`` of the (n, E, K, K) tables, per factor order
     (``_tables_by_order``) the fills and the pm fills (the cs pair, NaN
-    without ``staircase``), then the greedy stacks and Frechet couplings.
-    An empty staircase raises as ``ewac_bounds`` with pm and tag "cs"."""
+    without ``staircase``), then the greedy stacks and Frechet couplings,
+    the latter filled in the same call as the face order.  An empty
+    staircase raises as ``ewac_bounds`` with pm and tag "cs"."""
     rows, cols = model.emission
     if staircase and not _pm_feasible(rows, cols):
         raise _infeasible("cs", pm_mask(rows.size))
+    tables, frechet = _tables_by_order(rows, cols, stack.factor, built
+                                       if staircase else None,
+                                       tuple(range(rows.size)))
     fixed = np.stack([*_greedy_stacks(rows, cols), *(
-        validate_joint_pmf(theta, rows, cols)
-        for theta in _optimal_tables(rows, cols, np.arange(rows.size)))])
-    tables = _tables_by_order(model, stack.factor, built, staircase)
+        validate_joint_pmf(theta, rows, cols) for theta in frechet)])
     tables = np.concatenate([tables, np.broadcast_to(
         fixed[:, None], (fixed.shape[0], *tables.shape[1:]))])
     values = stack.ewac(tables)

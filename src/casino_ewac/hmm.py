@@ -342,6 +342,8 @@ def _simulated_blocks(model, horizon, seed):
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(model.emission, axis=1)
     cdf[:, -1] = 1.0
+    width = 1 << (cdf.shape[1] - 1).bit_length()  # state h's row at h * width
+    cdf = np.hstack([cdf, np.full((2, width - cdf.shape[1]), np.inf)]).ravel()
     last = None
     for start in range(0, horizon, _SIMULATE_BLOCK):
         # One (state, observation) uniform pair per period, so a longer run
@@ -355,14 +357,17 @@ def _simulated_blocks(model, horizon, seed):
         d = (u_state >= model.transition[BIASED, FAIR]) != g
         g[0] = (u_state[0] >= model.initial[FAIR] if last is None
                 else g[0] ^ (d[0] & last))
-        prefix = np.zeros(u.shape[0] + 1, dtype=bool)  # prefix[t + 1] = C(t)
-        np.bitwise_xor.accumulate(g, out=prefix[1:])
-        run = np.maximum.accumulate(np.where(d, 0, np.arange(u.shape[0])))
-        states = prefix[1:] ^ prefix[run]
-        faces = np.empty(states.size, dtype=np.int64)
-        for h in (FAIR, BIASED):
-            mask = states == h
-            faces[mask] = np.searchsorted(cdf[h], u_obs[mask], side="right")
+        states = g  # d false after period 0: an i.i.d. chain, s_t = g_t
+        if d[1:].any():
+            prefix = np.zeros(u.shape[0] + 1, dtype=bool)  # [t + 1] = C(t)
+            np.bitwise_xor.accumulate(g, out=prefix[1:])
+            run = np.maximum.accumulate(np.where(d, 0, np.arange(d.size)))
+            states = prefix[1:] ^ prefix[run]
+        # searchsorted(state's CDF row, u, side="right") by bisection
+        faces = states * width
+        for step in (width >> np.arange(1, width.bit_length())).tolist():
+            faces += (cdf[step - 1:][faces] <= u_obs) * step
+        faces -= states * width
         last = states[-1]
         yield states, faces
 

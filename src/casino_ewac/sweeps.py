@@ -312,8 +312,8 @@ def horizon_sweep(eta, t_grid=None, seed=0):
     lb/T, ub/T and naive/T for each grid value T from the face counts of
     the first T periods.  The counts are summed block by block as the path
     is simulated and no block is kept, so memory does not grow with the
-    horizon.  The bounds are read at the fills of ``_report_values``, the
-    rows one array (``_horizon_table``) until here.  The asymptotic
+    horizon.  The bounds are read at the fills of ``_tables_by_order``,
+    the rows one array (``_horizon_table``) until here.  The asymptotic
     per-period rate is ``asymptotic_ewac_rate(canonical_model(eta))``.
     """
     return _sweep_rows(HORIZON_SWEEP_COLUMNS,
@@ -340,7 +340,7 @@ def _horizon_table(eta, t_grid=None, seed=0):
     # Period 1 too: canonical_model's initial law is its transition row.
     stack = _face_objective(model, counts, counts[..., None]
                             * _face_posteriors(model.initial, model.emission))
-    lb, ub = stack.ewac(_tables_by_order(model, stack.factor, {}))
+    lb, ub = stack.ewac(_tables_by_order(*model.emission, stack.factor)[0])
     return _checked(np.column_stack([t_grid, lb / t_grid, ub / t_grid,
                                      _naive(model, counts) / t_grid]),
                     HORIZON_SWEEP_COLUMNS)

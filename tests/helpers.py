@@ -21,10 +21,11 @@ moments of an i.i.d. chain come in closed form, and its exact
 distribution, for integer payoffs, by convolving the per-period ones.
 ``exact_canonical_values`` recomputes the canonical casino's bounds and
 coupling values in exact rationals.  ``iid_cases`` generates i.i.d.
-models for hypothesis.  ``loop_simulate``, ``loop_parse_path`` and
-``template_csv`` keep the per-period simulation, the per-token path parser
-and the one-template CSV writer that the CLI and ``simulate`` replaced,
-as references; so do ``loop_bounds_report`` (two ``ewac_bounds`` calls,
+models for hypothesis.  ``loop_simulate``, ``loop_parse_path``,
+``loop_nw_fill`` and ``template_csv`` keep the per-period simulation, the
+per-token path parser, the scalar north-west walk and the one-template CSV
+writer that the CLI, ``simulate`` and the batched fills replaced, as
+references; so do ``loop_bounds_report`` (two ``ewac_bounds`` calls,
 the simplex's for a cs mask other than pm, and one evaluation per table),
 ``json_ready`` (the rounding before ``json.dumps``) and ``attribute_csv``
 (the sweep CSV written attribute by attribute from SweepRows) for the
@@ -41,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from casino_ewac.engine import _path_objective
+from casino_ewac.engine import _EPS, _path_objective
 from casino_ewac.hmm import as_symbol_indices
 from casino_ewac.sweeps import _COUNTS_N, _TABLE_N
 
@@ -404,6 +405,31 @@ def north_west_corner(rows, cols):
         if rows[i] <= 0.0:
             i += 1
         else:
+            j += 1
+    return theta
+
+
+def loop_nw_fill(rows, cols):
+    """North-west-corner fill of a table with these row and column sums.
+
+    Each cell on the walk from the top-left corner takes what its row and
+    column still lack; the walk passes every full row and column, where a
+    remainder within the rounding error of the running sums counts as full
+    (no noise cells where a row and a column end together).
+    """
+    rows = np.asarray(rows, dtype=float).tolist()
+    cols = np.asarray(cols, dtype=float).tolist()
+    theta = np.zeros((len(rows), len(cols)))
+    tol = (len(rows) + len(cols)) * _EPS * max(sum(rows), sum(cols))
+    i = j = 0
+    while i < len(rows) and j < len(cols):
+        take = min(rows[i], cols[j])
+        theta[i, j] = take
+        rows[i] -= take
+        cols[j] -= take
+        if rows[i] <= tol:
+            i += 1
+        if cols[j] <= tol:
             j += 1
     return theta
 

@@ -1184,8 +1184,8 @@ class TestPathParsing:
 
     def test_a_file_that_grows_is_read_to_its_end(self, tmp_path,
                                                    monkeypatch):
-        # No array is sized from the file's length when opened: each
-        # block's faces are kept and joined at the end, so faces appended
+        # The faces go into one array sized from the file's length when
+        # opened, which grows when a block does not fit: faces appended
         # while the file is read are parsed by numpy with the rest.
         class Growing(io.FileIO):
             def read(self, size=-1):
@@ -1261,10 +1261,11 @@ class TestPathParsing:
         assert peak / periods < limit
 
     def test_parse_peak_memory_of_a_million_faces(self, tmp_path):
-        # One byte per face, and no array sized from the file: each 1-MB
-        # block's faces are kept and joined at the end, so the traced peak
-        # is the blocks' temporaries and two copies of the faces, about
-        # 5.9 MB.  An int64 array sized from the file peaked at 13.9 MB.
+        # One byte per face, each 1-MB block's faces written into one
+        # uint8 array sized from the file: the traced peak is one block's
+        # temporaries and the faces, about 5.7 MB (5.9 when the blocks were
+        # joined at the end).  An int64 array sized from the file peaked at
+        # 13.9 MB.
         periods = 1_000_000
         obs = simulate(canonical_model(0.5), periods, seed=1)[1]
         spec = write_path(tmp_path / "path.txt", obs.tolist())

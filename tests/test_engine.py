@@ -1,6 +1,8 @@
 """Objective assembly, LP bounds, constraint masks, copulas, asymptotics."""
 
+import itertools
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,12 +15,13 @@ from casino_ewac import (BIASED, FAIR, HmmModel, InfeasibleMaskError, PATH_1,
                          ewac_of_theta, greedy_column, inhomogeneous_bounds,
                          naive_ewac, pm_mask, sample_wac, smooth, solve,
                          stationary, validate_joint_pmf, TransportProblem)
-from casino_ewac.engine import (REPORT_COLUMNS, _greedy_stacks, _nw_fill,
-                                _report_values)
+from casino_ewac.engine import (_EPS, REPORT_COLUMNS, _greedy_stacks,
+                                _nw_fills, _report_values)
 from casino_ewac.hmm import _forward_filter, _smooth_filtered, as_symbol_indices
 from helpers import (biased_winnings, brute_force_ewac, closed_form_extremes,
-                     iid_cases, loop_bounds_report, path_objective,
-                     random_feasible_theta, random_small_model, sticky_model)
+                     exact_fill, iid_cases, loop_bounds_report, loop_nw_fill,
+                     path_objective, random_feasible_theta,
+                     random_small_model, sticky_model)
 
 
 def _objective(eta, obs):
@@ -422,8 +425,9 @@ class TestInhomogeneous:
         caps = die()
         totals = data.draw(st.sampled_from([
             die(), caps[::-1].copy(), np.roll(caps, 1)]))
-        want = (np.hstack([_nw_fill(caps[::-1], [s])[::-1] for s in totals]),
-                np.hstack([_nw_fill(caps, [s]) for s in totals]))
+        want = (np.hstack([loop_nw_fill(caps[::-1], [s])[::-1]
+                           for s in totals]),
+                np.hstack([loop_nw_fill(caps, [s]) for s in totals]))
         for got, fill in zip(_greedy_stacks(caps, totals), want):
             assert got.shape == fill.shape
             assert (got.view(np.int64) == fill.view(np.int64)).all()
@@ -433,6 +437,57 @@ class TestInhomogeneous:
             greedy_column(canonical_model(0.5), 1, "up")
         with pytest.raises(ValueError, match="face"):
             greedy_column(canonical_model(0.5), 7, "max")
+
+
+class TestNorthWestKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equals_the_scalar_walks(self, data):
+        # The batched overlaps against the scalar walk of each order and of
+        # it reversed, within 2K eps of the largest total per cell, with
+        # tied and zero masses and a column total equal to a row's; the
+        # marginals hold within the same bound.
+        k = data.draw(st.integers(1, 12))
+        mass = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.01, 1.0)
+
+        def die():
+            values = np.array(data.draw(st.lists(mass, min_size=k,
+                                                 max_size=k)))
+            values[0] += not values.any()
+            return values / values.sum()
+
+        rows = die()
+        cols = data.draw(st.sampled_from([
+            die(), rows[::-1].copy(), np.roll(rows, 1)]))
+        orders = np.array(data.draw(st.lists(
+            st.permutations(range(k)), min_size=1, max_size=50)))
+        got = _nw_fills(rows, cols, orders)
+        assert got.shape == (2, len(orders), k, k)
+        tol = 2 * k * _EPS * max(rows.sum(), cols.sum())
+        for e, at in enumerate(orders):
+            for fill, order in zip(got[:, e], (at, at[::-1])):
+                want = np.zeros((k, k))
+                want[:, order] = loop_nw_fill(rows, cols[order])
+                assert np.abs(fill - want).max() <= tol
+                assert fill.min() >= 0.0
+                assert np.abs(fill.sum(axis=1) - rows).max() <= tol
+                assert np.abs(fill.sum(axis=0) - cols).max() <= tol
+
+    def test_canonical_fills_are_the_exact_overlaps_rounded(self):
+        # The edges carry their rounding errors, so on the canonical dice
+        # every cell of every order is the exact overlap (in rationals)
+        # correctly rounded; the walk's remainders miss it by an ulp in
+        # some cells.
+        rows, cols = canonical_model(0.5).emission
+        orders = np.array(list(itertools.permutations(range(6))))
+        got = _nw_fills(rows, cols, orders)
+        exact = [Fraction(x) for x in rows], [Fraction(x) for x in cols]
+        for e, at in enumerate(orders):
+            for fill, order in zip(got[:, e], (at, at[::-1])):
+                want = np.zeros((6, 6))
+                want[:, order] = exact_fill(
+                    exact[0], [exact[1][j] for j in order]).astype(float)
+                assert (fill.view(np.int64) == want.view(np.int64)).all()
 
 
 class TestCopulas:

@@ -428,6 +428,31 @@ class TestSimulate:
         np.testing.assert_array_equal(states, want_states)
         np.testing.assert_array_equal(obs, want_obs)
 
+    @pytest.mark.parametrize("k", [1, 2, 6, 48, 300])
+    @pytest.mark.parametrize("chain", ["fair", "biased", "mixed"])
+    def test_faces_at_any_k_equal_the_per_period_loop(self, k, chain):
+        # The bisection over CDF rows padded with +inf to a power of two
+        # draws searchsorted(side="right")'s faces bit for bit: dice with
+        # zero-probability faces (repeated CDF values, at both ends too),
+        # over 255 faces, and blocks all fair, all biased or mixed.
+        rng = np.random.default_rng(k)
+        dice = rng.random((2, k)) * (rng.random((2, k)) < 0.6)
+        dice[:, [0, -1]] *= k > 2  # dead first and last faces
+        dice[:, k // 2] += 0.5
+        dice /= dice.sum(axis=1, keepdims=True)
+        first, stay = {"fair": (1.0, 1.0), "biased": (0.0, 0.0),
+                       "mixed": (0.5, 0.6)}[chain]
+        model = HmmModel([first, 1.0 - first],
+                         [[stay, 1.0 - stay], [stay / 2, 1.0 - stay / 2]],
+                         dice, np.arange(1, k + 1))
+        horizon = hmm._SIMULATE_BLOCK + 1000  # two blocks
+        states, obs = simulate(model, horizon, k)
+        want_states, want_obs = loop_simulate(model, horizon, k)
+        np.testing.assert_array_equal(states, want_states)
+        np.testing.assert_array_equal(obs, want_obs)
+        if chain != "mixed":
+            assert (states == (chain == "biased")).all()
+
     def test_degenerate_emissions(self):
         model = HmmModel([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]],
                          [[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0])

@@ -130,12 +130,13 @@ def _numbered_csv(header, rows, index):
 
     Blocks are cut before the line numbers k * _CSV_BLOCK (10^4) and the
     powers of ten: a block's numbers have one digit count d and share all
-    but their last four digits.  The rows between its least and greatest
-    index become zero-padded records, d bytes then ",x,...\n" by one ``%``,
-    formatted once per rows and d (the K + 1 i.i.d. smoothed rows), or in
-    line order when as many as the lines (Markov rows, distinct losses).
-    ``np.take`` gathers the records, the shared digits already in them; the
-    last digits are one slice of the cached 4-digit words; pads are dropped.
+    but their last four digits.  Rows become zero-padded records, digits
+    then ",x,...\n" by one ``%``: once if they fit in one block (the K + 1
+    i.i.d. smoothed rows, up to 10^4 losses), as wide as the last number,
+    a block taking its d digit columns by a view and its records by
+    ``np.take``; else per block in line order (long Markov chains, more
+    losses).  Shared digits go into the records, the last digits are one
+    slice of the cached 4-digit words, and pads are dropped.
     """
     template = ",%.12g" * rows.shape[1] + "\n"
     yield ",".join(header) + "\n"
@@ -144,25 +145,23 @@ def _numbered_csv(header, rows, index):
     n = index.size
     edges = sorted({0, n, *range(_CSV_BLOCK - 1, n, _CSV_BLOCK),
                     *(10**d - 1 for d in range(1, width) if 10**d <= n)})
-    key = None
+    few, records = len(rows) <= _CSV_BLOCK, None
     for start, stop in zip(edges, edges[1:]):
         at = index[start:stop]
         digits = len(str(stop))
-        low, high = int(at.min()), int(at.max())
-        in_order = high - low >= at.size - 1
-        if in_order or key != (low, high, digits):
-            span = rows[at] if in_order else rows[low:high + 1]
-            key = None if in_order else (low, high, digits)
+        if records is None or not few:
+            span, lead = (rows, len(str(n))) if few else (rows[at], digits)
             text = np.frombuffer((template * len(span) % tuple(
                 span.ravel().tolist())).encode(), np.uint8)
             widths = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)
             size = widths.max()
-            table = np.zeros((len(span), digits + size), np.uint8)
-            table[:, digits:][np.arange(size) < widths[:, None]] = text
+            records = np.zeros((widths.size, lead + size), np.uint8)
+            records[:, lead:][np.arange(size) < widths[:, None]] = text
+        table = records[:, lead - digits:]
         shared = max(digits - width, 0)  # leading digits of every number
         table[:, :shared] = np.frombuffer(b"%d" % (stop // _CSV_BLOCK),
                                           np.uint8)[:shared]
-        lines = table if in_order else np.take(table, at - low, axis=0)
+        lines = np.take(table, at, axis=0) if few else table
         first = (start + 1) % _CSV_BLOCK
         item = f"V{digits - shared}"  # a number's last digits as one item
         lines[:, shared:digits].view(item)[:, 0] = words[
@@ -344,7 +343,7 @@ def _cmd_bounds(opts):
     except ValueError:
         log.info("fair die is not uniform; skipping the cs bounds")
     staircase = mask == pm_mask(model.num_symbols)
-    values, tables = _report_values(model, objective, {}, staircase)
+    values, tables = _report_values(model, objective, staircase)
     report = dict(zip(REPORT_COLUMNS, values[0].tolist()),
                   naive=_naive(model, counts),
                   ewac_independence=objective.independence,

@@ -11,11 +11,13 @@ are north-west-corner fills against the biased faces sorted by f (Hoffman
 1963; Cambanis, Simons and Stout 1976), and on the staircase j >= i of the
 pm mask (for the canonical dice also the cs mask) greedy fills row by row
 in payoff order (Shamir and Dietrich 1990).  Either way an optimum sees the
-path only through the stable order of f: one batched kernel fills all the
-distinct orders of a sweep, and the pm fills are built once per order.  The
-simplex serves every other mask.
+path only through the stable order of f: a memo by dice keeps, read-only
+and under 16 MB, each order's fills (one kernel call fills those missing)
+and pm fills, and the fixed tables; public results are copies.  The simplex
+serves every other mask.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,8 @@ from casino_ewac.transport import FEASIBILITY_TOL, TransportProblem, solve
 _UNIFORM_TOL = 1e-12
 _PMF_ATOL = 1e-8
 _EPS = float(np.finfo(float).eps)
+_MEMO_BOUND = 1 << 24  # bytes of tables the memo holds; see _memoised
+_memo, _memo_bytes = {}, 0
 
 __all__ = [
     "EwacObjective",
@@ -211,7 +215,8 @@ def _nw_fills(rows, cols, orders):
     the least of the two masses and two edge differences, the prefix sums
     carrying their rounding errors (exact by TwoSum; Knuth, TAOCP 4.2.2),
     so a cell is within about an ulp of the exact overlap (on the canonical
-    dice, correctly rounded).  An overlap within rounding counts as empty."""
+    dice, correctly rounded).  Overlaps within rounding of the totals (the
+    columns' summed in face order, as in any batch) count as empty."""
     n, k = orders.shape
     at = np.concatenate([orders, orders[:, ::-1]])
     x = np.concatenate([cols[at], rows[None]])
@@ -227,7 +232,7 @@ def _nw_fills(rows, cols, orders):
     down = flat.take(j + 1, axis=1)[:, :, None] - r[:, :, :-1]
     theta = np.minimum(up[0] + up[1], down[0] + down[1])
     np.minimum(theta, np.minimum(rows[:, None], cols), out=theta)
-    theta[theta <= 2 * k * _EPS * max(cum[0, 0, -1], cum[0, -1, -1])] = 0
+    theta[theta <= 2 * k * _EPS * max(cols.sum(), cum[0, -1, -1])] = 0
     return theta.reshape(2, n, k, k)
 
 
@@ -275,8 +280,8 @@ def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
 
     The upper bound minimises the coefficient form, the lower bound
     maximises it; both optimisers are vertices and satisfy the mask
-    exactly.  With no mask or ``pm_mask(K)`` they are the fills of
-    ``_tables_by_order`` for the stable factor order, and no simplex runs;
+    exactly.  With no mask or ``pm_mask(K)`` they are copies of the fills
+    (``_tables_by_order``) of the stable factor order, and no simplex runs;
     the pm polytope is empty when the biased CDF passes the fair one by
     over FEASIBILITY_TOL.
 
@@ -292,20 +297,13 @@ def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
                   for sense in ("min", "max"))
         feasible = lo.status == hi.status == "optimal"
         iterations, hi, lo = (hi.iterations, lo.iterations), hi.theta, lo.theta
-    else:
-        feasible = not staircase or _pm_feasible(rows, cols)
-        hi, lo = _tables_by_order(rows, cols, factor, {} if staircase
-                                  else None)[0][-2:, 0]
+    elif feasible := not staircase or _memoised(rows, cols, "feasible")[0]:
+        hi, lo = _tables_by_order(rows, cols, factor,
+                                  ("pm",) if staircase else ("nw",))[:, 0]
     if not feasible:
         raise _infeasible(tag, zero_mask)
     return EwacBounds(objective.ewac(hi), objective.ewac(lo), hi, lo,
                       constraint_tag=tag, iterations=iterations)
-
-
-def _pm_feasible(rows, cols):
-    """Whether the pm staircase admits a table (see ``ewac_bounds``)."""
-    excess = np.cumsum(cols)[:-1] - np.cumsum(rows)[:-1]
-    return excess.max(initial=0.0) <= FEASIBILITY_TOL
 
 
 def _infeasible(tag, zero_mask):
@@ -314,6 +312,7 @@ def _infeasible(tag, zero_mask):
         "no joint PMF with the required marginals")
 
 
+@functools.lru_cache(maxsize=16)
 def pm_mask(k):
     """Cells forced to zero when the biased roll never pays less than the
     fair roll of the same period: everything strictly below the diagonal."""
@@ -322,12 +321,19 @@ def pm_mask(k):
 
 def cs_mask(emission):
     """Cells forced to zero when the cheat never moves probability toward a
-    face the biased die makes no likelier.
+    face the biased die makes no likelier; cached by the emission's bytes.
 
     Valid only when the fair die is uniform, since the argument compares
     biased emission probabilities alone; a tie masks both ordered pairs.
     """
     emission = np.asarray(emission, dtype=float)
+    return _cs_mask(emission.shape, emission.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _cs_mask(shape, data):
+    """``cs_mask`` of the emission matrix of ``shape`` and bytes ``data``."""
+    emission = np.frombuffer(data).reshape(shape)
     k = emission.shape[1]
     fair = emission[FAIR]
     if np.abs(fair - 1.0 / k).max() > _UNIFORM_TOL:
@@ -353,7 +359,8 @@ def greedy_column(model, face, sense):
     k = model.num_symbols
     if not 0 <= j < k:
         raise ValueError(f"face must lie in 1..{k}, got {face}")
-    return _greedy_stacks(*model.emission)[sense == "min"][:, j]
+    best, worst = _memoised(*model.emission, "greedy")[0]
+    return (worst if sense == "min" else best)[:, j].copy()
 
 
 def inhomogeneous_bounds(objective):
@@ -363,14 +370,14 @@ def inhomogeneous_bounds(objective):
     extremes are the form at the stacked per-face greedy columns; always
     at least as wide as the time-homogeneous bounds.
     """
-    best, worst = _greedy_stacks(objective.row_marginals,
-                                 objective.col_marginals)
+    best, worst = _memoised(objective.row_marginals, objective.col_marginals,
+                            "greedy")[0]
     return EwacBounds(objective.ewac(best), objective.ewac(worst), None, None,
                       constraint_tag="inhomogeneous")
 
 
 def _greedy_stacks(caps, totals):
-    """(best, worst): the "max" and "min" ``greedy_column`` of each column
+    """(2, K, N): the "max" and "min" ``greedy_column`` of each column
     total, ``caps`` filled from the last row up and from the first down:
     each column the single-column north-west walk, on Python floats."""
     caps, k = [*map(float, caps)], len(caps)
@@ -384,7 +391,7 @@ def _greedy_stacks(caps, totals):
                 total -= take
                 if total <= tol:
                     break
-    return stacks[0], stacks[1]
+    return stacks
 
 
 def copula_pmf(model, kind):
@@ -394,69 +401,92 @@ def copula_pmf(model, kind):
     the marginals, "comonotonic" couples them through a common uniform
     (highest positive dependence), "countermonotonic" through opposed
     uniforms (lowest).  The last two are the classical Frechet bounds, the
-    ``_nw_fills`` of the face order.
+    ``_nw_fills`` of the face order, copied from the memo.
     """
     e_fair, e_biased = model.emission
     if kind == "independence":
         return np.outer(e_fair, e_biased)
     if kind in ("comonotonic", "countermonotonic"):
-        return _nw_fills(e_fair, e_biased, np.arange(e_fair.size)[None])[
-            int(kind == "countermonotonic"), 0]
+        return _memoised(e_fair, e_biased, "frechet")[0][
+            int(kind == "countermonotonic")].copy()
     raise ValueError(
         "kind must be 'independence', 'comonotonic' or "
         f"'countermonotonic', got {kind!r}")
 
 
 def _copulas(model):
-    """The three benchmark couplings by kind, each validated once."""
+    """The three benchmark couplings by kind, validated, as copies."""
     rows, cols = model.emission
-    tables = np.outer(rows, cols), *_nw_fills(rows, cols, np.arange(
-        rows.size)[None])[:, 0]
-    return {kind: validate_joint_pmf(theta, rows, cols) for kind, theta in
-            zip(("independence", "comonotonic", "countermonotonic"), tables)}
+    return dict(zip(("independence", "comonotonic", "countermonotonic"), (
+        validate_joint_pmf(np.outer(rows, cols), rows, cols),
+        *_memoised(rows, cols, "frechet")[0].copy())))
 
 
 REPORT_COLUMNS = ("lb", "ub", "lb_cs", "ub_cs", "lb_inhom", "ub_inhom",
                   "ewac_comonotonic", "ewac_countermonotonic")
 
 
-def _tables_by_order(rows, cols, factor, built=None, *extra):
-    """(tables, *fills): the (n, E, K, K) optimal tables of each row of the
-    (E, K) or (K,) ``factor`` by its stable order (all they depend on), by
-    one ``_nw_fills`` of its distinct orders and the ``extra`` ones, whose
-    (2, K, K) fills follow; with a dict ``built`` of the max and min pm
-    ``_staircase_fill``s by order, to which it adds those missing, also
-    those (n = 4)."""
+def _memoised(rows, cols, kind, keys=((),)):
+    """The memo's read-only tables ``kind`` of the dice (rows, cols) for
+    ``keys``: by stable factor order the "nw" and "pm" max and min fills;
+    under () the "greedy" stacks, validated "frechet" couplings and pm's
+    "feasible" flag.  Those missing are made at once; the memo is cleared
+    when it passes _MEMO_BOUND bytes."""
+    global _memo_bytes
+    dice = rows.tobytes() + cols.tobytes()
+    got = {key: _memo.get((dice, kind, key)) for key in keys}
+    missing = [key for key, table in got.items() if table is None]
+    if not missing:
+        return [got[key] for key in keys]
+    if kind == "nw":
+        made = [*_nw_fills(rows, cols, np.array(missing)).swapaxes(0, 1)]
+    elif kind == "pm":
+        made = [np.stack([_staircase_fill(rows, cols, np.array(order))
+                          for order in (key, key[::-1])]) for key in missing]
+    elif kind == "greedy":
+        made = [_greedy_stacks(rows, cols)]
+    elif kind == "frechet":  # the face order's fills
+        made = _memoised(rows, cols, "nw", [(*range(rows.size),)])
+        for theta in made[0]:
+            validate_joint_pmf(theta, rows, cols)
+    else:  # see ewac_bounds
+        excess = np.cumsum(cols)[:-1] - np.cumsum(rows)[:-1]
+        made = [np.array(excess.max(initial=0.0) <= FEASIBILITY_TOL)]
+    for key, table in zip(missing, made):
+        table.setflags(write=False)
+        got[key] = _memo[dice, kind, key] = table
+        _memo_bytes += table.nbytes
+    if _memo_bytes > _MEMO_BOUND:
+        _memo.clear()
+        _memo_bytes = 0
+    return [got[key] for key in keys]
+
+
+def _tables_by_order(rows, cols, factor, kinds=("nw",)):
+    """The (2n, E, K, K) optimal tables of each row of the (E, K) or (K,)
+    ``factor`` by its stable order (all they depend on): for each of the n
+    ``kinds``, "nw" or "pm", the memo's max and min tables (``_memoised``),
+    gathered into a new array."""
     first = {}  # distinct orders by first row: faster than np.unique here
     at = [first.setdefault(key, len(first)) for key in map(tuple, np.argsort(
         np.atleast_2d(factor), axis=1, kind="stable").tolist())]
-    keys, ends = [*first], [first.setdefault(key, len(first)) for key in extra]
-    fills = _nw_fills(rows, cols, np.array([*first]))
-    tables = fills[:, at]
-    if built is not None:
-        for key in {*keys} - built.keys():
-            built[key] = np.stack([_staircase_fill(rows, cols, np.array(order))
-                                   for order in (key, key[::-1])])
-        tables = np.concatenate([tables, np.stack(
-            [built[key] for key in keys], axis=1)[:, at]])
-    return (tables, *(fills[:, i] for i in ends))
+    return np.concatenate([np.stack(_memoised(rows, cols, kind, [*first]),
+                                    axis=1) for kind in kinds])[:, at]
 
 
-def _report_values(model, stack, built, staircase=True):
+def _report_values(model, stack, staircase=True):
     """(values, tables): the (E, 8) ``REPORT_COLUMNS`` of the objectives
     ``stack`` by one ``ewac`` of the (n, E, K, K) tables, per factor order
     (``_tables_by_order``) the fills and the pm fills (the cs pair, NaN
-    without ``staircase``), then the greedy stacks and Frechet couplings,
-    the latter filled in the same call as the face order.  An empty
-    staircase raises as ``ewac_bounds`` with pm and tag "cs"."""
+    without ``staircase``), then the greedy stacks and Frechet couplings.
+    An empty staircase raises as ``ewac_bounds`` with pm and tag "cs"."""
     rows, cols = model.emission
-    if staircase and not _pm_feasible(rows, cols):
+    if staircase and not _memoised(rows, cols, "feasible")[0]:
         raise _infeasible("cs", pm_mask(rows.size))
-    tables, frechet = _tables_by_order(rows, cols, stack.factor, built
-                                       if staircase else None,
-                                       tuple(range(rows.size)))
-    fixed = np.stack([*_greedy_stacks(rows, cols), *(
-        validate_joint_pmf(theta, rows, cols) for theta in frechet)])
+    tables = _tables_by_order(rows, cols, stack.factor,
+                              ("nw", "pm")[:1 + staircase])
+    fixed = np.concatenate([_memoised(rows, cols, kind)[0]
+                            for kind in ("greedy", "frechet")])
     tables = np.concatenate([tables, np.broadcast_to(
         fixed[:, None], (fixed.shape[0], *tables.shape[1:]))])
     values = stack.ewac(tables)

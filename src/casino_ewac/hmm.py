@@ -120,14 +120,14 @@ def canonical_model(eta):
     The chain stays fair with probability eta regardless of the current
     state (so the initial distribution is (eta, 1 - eta) as well), the fair
     die is uniform on six faces, the biased die rolls face i with
-    probability i/21, and face i pays i.  Only eta and its row are checked.
+    probability i/21, and face i pays i.  Only eta is checked (in [0, 1]).
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    row = _frozen_array([eta, 1.0 - eta], (2,), "initial")
     model = HmmModel.__new__(HmmModel)
-    model.__dict__.update(_CANONICAL_DICE, initial=row, transition=(
-        _frozen_array([row, row], (2, 2), "transition")))
+    model.transition = np.array([[eta, 1.0 - eta]] * 2, dtype=float)
+    model.transition.setflags(write=False)
+    model.__dict__.update(_CANONICAL_DICE, initial=model.transition[0])
     return model
 
 

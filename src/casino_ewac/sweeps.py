@@ -292,13 +292,13 @@ def _eta_table(obs, eta_grid=None):
         canonical_model(eta_grid.max())
     counts = np.bincount(as_symbol_indices(model, obs),
                          minlength=model.num_symbols)
-    naive, built, blocks = _naive(model, counts), {}, []
+    naive, blocks = _naive(model, counts), []
     for start in range(0, eta_grid.size, _LEVEL_BLOCK):
         etas = eta_grid[start:start + _LEVEL_BLOCK]
         priors = np.column_stack([etas, 1.0 - etas])
         stack = _face_objective(model, counts, counts[:, None]
                                 * _face_posteriors(priors, model.emission))
-        values, _ = _report_values(model, stack, built)
+        values, _ = _report_values(model, stack)
         blocks.append(np.column_stack([
             etas, values[:, :6], stack.independence, values[:, 6:],
             np.full(etas.size, naive)]))
@@ -340,7 +340,7 @@ def _horizon_table(eta, t_grid=None, seed=0):
     # Period 1 too: canonical_model's initial law is its transition row.
     stack = _face_objective(model, counts, counts[..., None]
                             * _face_posteriors(model.initial, model.emission))
-    lb, ub = stack.ewac(_tables_by_order(*model.emission, stack.factor)[0])
+    lb, ub = stack.ewac(_tables_by_order(*model.emission, stack.factor))
     return _checked(np.column_stack([t_grid, lb / t_grid, ub / t_grid,
                                      _naive(model, counts) / t_grid]),
                     HORIZON_SWEEP_COLUMNS)

@@ -572,6 +572,14 @@ def dense_smooth(model, obs):
     return delta
 
 
+def cold_memo(monkeypatch):
+    """Give the engine's memo of tables by dice an empty dict and size for
+    the rest of the test; monkeypatch restores the process's memo after."""
+    from casino_ewac import engine
+    monkeypatch.setattr(engine, "_memo", {})
+    monkeypatch.setattr(engine, "_memo_bytes", 0)
+
+
 def sticky_model():
     """Canonical dice on a chain whose transition rows differ, so the
     posterior couples neighbouring periods."""

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -28,7 +29,7 @@ from casino_ewac import (HmmModel, TransportProblem, canonical_model,
 from casino_ewac.cli import (EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                              EXIT_USAGE, PATH_1, PATH_2, _json_text,
                              _parse_path, main)
-from helpers import (attribute_csv, dense_filter, dense_smooth,
+from helpers import (attribute_csv, cold_memo, dense_filter, dense_smooth,
                      exact_canonical_values, iid_cases, json_ready,
                      loop_bounds_report, loop_count_sample_wac,
                      loop_iid_sample_wac, loop_parse_path, path_objective,
@@ -1028,6 +1029,66 @@ class TestDeterminism:
             assert proc.returncode == EXIT_OK, proc.stderr
             assert (tmp_path / f"seq{i}").read_bytes() == fresh.read_bytes()
 
+    def test_cold_and_warm_memo_print_the_same_bytes(self, tmp_path,
+                                                     monkeypatch):
+        # Every subcommand prints the same bytes from an empty memo of
+        # tables as after other dice's commands: the canonical dice on
+        # both builtin paths, an unsorted K = 48 die, a K = 7 die and two
+        # six-sided pairs that share one die with the canonical pair,
+        # interleaved in three orders, so tables kept under the wrong key
+        # would show.
+        cold_memo(monkeypatch)
+        rng, runs = np.random.default_rng(7), {}
+        up, flat = np.arange(1.0, 7), np.ones(6)
+        for path in ("builtin:1", "builtin:2"):
+            wac = ("wac-dist", "--eta", "0.3", "--path", path,
+                   "--samples", "200")
+            runs[path] = [("bounds", "--eta", "0.3", "--path", path),
+                          ("sweep-eta", "--path", path, "--grid", "0.2,0.9"),
+                          (*wac, "--theta", "ub", "--constraints", "cs"),
+                          (*wac, "--theta", "lb"), wac,
+                          ("copulas", "--eta", "0.3"),
+                          ("smooth", "--eta", "0.3", "--path", path),
+                          ("sweep-horizon", "--eta", "0.3", "--t-max", "300")]
+        for k, fair, biased in ((48, np.ones(48), rng.permutation(48) + 1.0),
+                                (7, np.ones(7), np.arange(1.0, 8)),
+                                ("reversed", flat, up[::-1]),
+                                ("unfair", up[::-1], up)):
+            model = {"p": [0.4, 0.6], "Q": [[0.4, 0.6]] * 2,
+                     "E": [(fair / fair.sum()).tolist(),
+                           (biased / biased.sum()).tolist()],
+                     "w": list(range(1, fair.size + 1))}
+            config, dice = tmp_path / f"k{k}.json", tmp_path / f"d{k}.json"
+            config.write_text(json.dumps({"model": model, "path": rng.integers(
+                1, fair.size + 1, 60).tolist()}))
+            dice.write_text(json.dumps({"model": model}))
+            wac = ("wac-dist", "--config", str(config), "--samples", "200")
+            runs[k] = [("bounds", "--config", str(config)),
+                       (*wac, "--theta", "ub"), (*wac, "--theta", "lb"),
+                       (*wac, "--theta", "countermonotonic"),
+                       ("copulas", "--config", str(dice)),
+                       ("smooth", "--config", str(config))]
+            if k == 7:
+                runs[k].append((*wac, "--theta", "lb", "--constraints", "pm"))
+        out = tmp_path / "out"
+
+        def output(argv):
+            return run(*argv, "--out", str(out)), out.read_bytes()
+
+        cold = {}
+        for argv in itertools.chain(*runs.values()):
+            engine._memo.clear()
+            engine._memo_bytes = 0
+            cold[argv] = output(argv)
+        assert all(code == EXIT_OK for code, _ in cold.values())
+        lists = [*runs.values()]
+        for order in (itertools.chain(*itertools.zip_longest(*lists)),
+                      itertools.chain(*lists[::-1]),
+                      itertools.chain(*itertools.zip_longest(
+                          *(argvs[::-1] for argvs in lists)))):
+            for argv in filter(None, order):
+                assert output(argv) == cold[argv], argv
+
     def test_console_script_wiring(self, tmp_path):
         out = tmp_path / "delta.csv"
         proc = run_module("-m", "casino_ewac.cli", "smooth", "--eta", "0.5",
@@ -1386,6 +1447,19 @@ class TestNumberedCsv:
         last = np.cumsum([block.count(b"\n") for block in blocks])
         first = np.r_[1, last[:-1] + 1]
         assert (first // 10**4 == last // 10**4).all()
+
+    @pytest.mark.parametrize("rows", [1, 10**4, 10**4 + 1])
+    def test_rows_on_both_sides_of_one_block(self, rows):
+        # Up to 10^4 rows are formatted once, widest first, and gathered by
+        # every block; more are formatted block by block in line order.
+        table = np.random.default_rng(rows).standard_normal((rows, 2))
+        index = np.random.default_rng(1).integers(0, rows, 25_003)
+        header, *blocks = casino_ewac.cli._numbered_csv(("t", "a", "b"),
+                                                        table, index)
+        assert header + b"".join(map(bytes, blocks)).decode() == template_csv(
+            ("t", "a", "b"), (range(1, index.size + 1),
+                              table[index, 0].tolist(),
+                              table[index, 1].tolist()))
 
     @pytest.mark.parametrize("lines", [10**5, 10**6])
     def test_writer_peak_memory_is_bounded(self, lines):

@@ -429,3 +429,37 @@ class TestStaircaseGreedy:
                 np.testing.assert_allclose(
                     _form_extremes(pair, obj), _simplex_extremes(obj, mask),
                     rtol=0, atol=REL_TOL * _scale(obj))
+
+
+class TestIdentification:
+    # The paper's identification result for the canonical casino.  Its
+    # faces fall i.i.d. with law q_j = eta/6 + (1 - eta) j/21, so face j's
+    # periods are biased with probability (1 - eta)(j/21)/q_j and the
+    # factor is f_j = (1 - eta) n_j / q_j.  The bounds' width, the max
+    # less the min of sum_ij theta_ij w_i f_j over the polytope, is then
+    #
+    #     ub - lb = (1 - eta) W((n - T q) / q),
+    #
+    # W(z) that spread for the factor z: the T q part of n adds the same
+    # T sum_i w_i e_f[i] to every table.  W comes from the simplex, not
+    # the fills.  Both sides sum K^2 products whose sizes total a few
+    # T max|w| (sum_j f_j e_b[j] = sum_j m_j <= T), so the tolerance is
+    # 64 eps T max|w|.
+    @PROPERTY
+    @given(eta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           counts=st.lists(st.integers(0, 3) | st.integers(0, 10**5),
+                           min_size=6, max_size=6).filter(any))
+    def test_width_is_the_spread_of_the_centred_counts(self, eta, counts):
+        model = canonical_model(eta)
+        n = np.array(counts)
+        t = int(n.sum())
+        pair = ewac_bounds(path_objective(model, np.repeat(np.arange(1, 7),
+                                                           n))[0])
+        q = eta / 6 + (1 - eta) * np.arange(1, 7) / 21
+        w = model.rewards
+        high, low = (solve(TransportProblem(np.outer(w, (n - t * q) / q),
+                                            *model.emission,
+                                            sense=sense)).value
+                     for sense in ("max", "min"))
+        tol = 64 * np.finfo(float).eps * t * np.abs(w).max()
+        assert abs(pair.ub - pair.lb - (1 - eta) * (high - low)) <= tol

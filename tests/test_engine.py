@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casino_ewac import (BIASED, FAIR, HmmModel, InfeasibleMaskError, PATH_1,
+from casino_ewac import (BIASED, FAIR, EwacObjective, HmmModel,
+                         InfeasibleMaskError, PATH_1,
                          PATH_2, asymptotic_ewac_rate, canonical_model,
                          copula_pmf, cs_mask, ewac_bounds, ewac_objective,
                          ewac_of_theta, greedy_column, inhomogeneous_bounds,
@@ -18,7 +19,9 @@ from casino_ewac import (BIASED, FAIR, HmmModel, InfeasibleMaskError, PATH_1,
 from casino_ewac.engine import (_EPS, REPORT_COLUMNS, _greedy_stacks,
                                 _nw_fills, _report_values)
 from casino_ewac.hmm import _forward_filter, _smooth_filtered, as_symbol_indices
+from casino_ewac import engine, eta_sweep, horizon_sweep
 from helpers import (biased_winnings, brute_force_ewac, closed_form_extremes,
+                     cold_memo,
                      exact_fill, iid_cases, loop_bounds_report, loop_nw_fill,
                      path_objective, random_feasible_theta,
                      random_small_model, sticky_model)
@@ -343,7 +346,7 @@ class TestReportValues:
         objective, _ = path_objective(model, obs)
         mask = None if staircase is None else cs_mask(model.emission)
         assert (mask == pm_mask(model.num_symbols)) is bool(staircase)
-        values, tables = _report_values(model, objective, {}, bool(staircase))
+        values, tables = _report_values(model, objective, bool(staircase))
         plain, want = loop_bounds_report(objective, model, mask)
         assert values.shape == (1, len(REPORT_COLUMNS))
         got = dict(zip(REPORT_COLUMNS, values[0].tolist()))
@@ -363,8 +366,111 @@ class TestReportValues:
         with pytest.raises(InfeasibleMaskError) as want:
             ewac_bounds(objective, pm_mask(4), tag="cs")
         with pytest.raises(InfeasibleMaskError) as got:
-            _report_values(model, objective, {})
+            _report_values(model, objective)
         assert str(got.value) == str(want.value)
+
+
+class TestMemo:
+    # The per-process memo of tables by dice (engine._memoised): entries
+    # read-only, results handed out as copies, the size within its bound.
+
+    @staticmethod
+    def results(model, objective):
+        """Every public table the memo serves, and the report's values."""
+        pairs = [ewac_bounds(objective, mask) for mask in (frozenset(),
+                                                          pm_mask(6))]
+        return [*(getattr(pair, name) for pair in pairs
+                  for name in ("theta_lb", "theta_ub")),
+                *(copula_pmf(model, kind)
+                  for kind in ("comonotonic", "countermonotonic")),
+                *engine._copulas(model).values(),
+                *(greedy_column(model, face, sense) for face in (1, 4)
+                  for sense in ("max", "min")),
+                *_report_values(model, objective)]
+
+    def test_results_are_writable_copies(self, monkeypatch):
+        # Overwriting every returned table changes no later result.
+        cold_memo(monkeypatch)
+        model = canonical_model(0.4)
+        objective = path_objective(model, PATH_2)[0]
+        first = self.results(model, objective)
+        want = [table.copy() for table in first]
+        for table in first:
+            assert table.flags.writeable
+            table.fill(7.0)
+        for got, table in zip(self.results(model, objective), want):
+            assert got.tobytes() == table.tobytes()
+
+    def test_entries_are_read_only(self, monkeypatch):
+        cold_memo(monkeypatch)
+        model = canonical_model(0.4)
+        self.results(model, path_objective(model, PATH_1)[0])
+        eta_sweep(PATH_2, [0.2, 0.7])
+        horizon_sweep(0.5, [50, 400])
+        inhomogeneous_bounds(path_objective(model, PATH_2)[0])
+        assert {kind for _, kind, _ in engine._memo} == {
+            "nw", "pm", "greedy", "frechet", "feasible"}
+        for table in engine._memo.values():
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                np.copyto(table, 0)
+        assert engine._memo_bytes == sum(
+            table.nbytes for table in engine._memo.values())
+
+    def test_bound_holds_and_an_evicted_order_returns_bit_identical(
+            self, monkeypatch):
+        # 500 distinct factor orders on an unsorted K = 48 die: their fills,
+        # 36,864 bytes a pair, pass the 16 MB bound, so the memo is cleared
+        # on the way; after each call it holds at most the bound, and the
+        # first order, gone from it, comes back with the same bits.
+        cold_memo(monkeypatch)
+        k, rng = 48, np.random.default_rng(48)
+        cols = rng.permutation(np.arange(1, k + 1)) / (k * (k + 1) / 2)
+        factors = [rng.permutation(k) + 0.5 for _ in range(500)]
+        orders = {tuple(np.argsort(f, kind="stable")) for f in factors}
+        assert len(orders) == len(factors)
+
+        def bounds(factor):
+            return ewac_bounds(EwacObjective(
+                rewards=np.arange(1.0, k + 1), factor=factor,
+                row_marginals=np.full(k, 1 / k), col_marginals=cols))
+
+        first, cleared = bounds(factors[0]), False
+        for factor in factors[1:]:
+            held = engine._memo_bytes
+            bounds(factor)
+            cleared |= engine._memo_bytes < held
+            assert engine._memo_bytes <= engine._MEMO_BOUND
+        assert cleared
+        dice = np.full(k, 1 / k).tobytes() + cols.tobytes()
+        assert (dice, "nw", tuple(np.argsort(factors[0], kind="stable")
+                                  .tolist())) not in engine._memo
+        again = bounds(factors[0])
+        assert (again.lb.hex(), again.ub.hex()) == (first.lb.hex(),
+                                                    first.ub.hex())
+        for name in ("theta_lb", "theta_ub"):
+            assert (getattr(again, name).tobytes()
+                    == getattr(first, name).tobytes())
+
+    def test_an_empty_staircase_raises_before_filling(self, monkeypatch):
+        # All biased mass on face 1 cannot flow into the upper triangle.
+        cold_memo(monkeypatch)
+        monkeypatch.setattr(engine, "_staircase_fill", None)
+        model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
+                         [[0.25] * 4, [1.0, 0.0, 0.0, 0.0]], [1, 2, 3, 4])
+        with pytest.raises(InfeasibleMaskError):
+            ewac_bounds(path_objective(model, [1, 1])[0], pm_mask(4))
+
+    def test_canonical_dice_take_under_a_megabyte(self, monkeypatch):
+        # All 720 factor orders of the canonical dice, fills and pm fills,
+        # with the fixed tables.
+        cold_memo(monkeypatch)
+        model = canonical_model(0.5)
+        factors = np.array([*itertools.permutations(range(6))], float)
+        _report_values(model, replace(path_objective(model, PATH_1)[0],
+                                      factor=factors))
+        assert len(engine._memo) == 2 * 720 + 3
+        assert engine._memo_bytes < 2**20
 
 
 class TestInhomogeneous:

@@ -21,8 +21,8 @@ from casino_ewac.engine import _face_objective
 from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _face_posteriors,
                              _forward_filter, as_symbol_indices)
 from casino_ewac.sweeps import _COUNTS_N, _TABLE_N, _cdf_rows
-from helpers import (digit_rows, exact_binomial_cdf, iid_wac_moments,
-                     iid_wac_pmf, is_iid, loop_bounds_report,
+from helpers import (cold_memo, digit_rows, exact_binomial_cdf,
+                     iid_wac_moments, iid_wac_pmf, is_iid, loop_bounds_report,
                      loop_count_sample_wac, loop_iid_sample_wac,
                      path_objective, random_feasible_theta, sampling_cases,
                      sticky_model)
@@ -569,8 +569,10 @@ class TestEtaSweep:
 
     @pytest.mark.parametrize("obs,orders", [(PATH_1, 1), (PATH_2, 7)])
     def test_fills_once_per_factor_order(self, obs, orders, monkeypatch):
-        # Two staircase fills for each distinct stable factor order of the
-        # default grid, and no call to ewac_bounds at all.
+        # From an empty memo, two staircase fills for each distinct stable
+        # factor order of the default grid, none for a second sweep, and
+        # no call to ewac_bounds at all.
+        cold_memo(monkeypatch)
         calls = []
         fill = engine._staircase_fill
 
@@ -587,17 +589,23 @@ class TestEtaSweep:
                 monkeypatch.setattr(module, "ewac_bounds", refuse)
         eta_sweep(obs)
         assert len(calls) == 2 * orders
+        eta_sweep(obs)
+        assert len(calls) == 2 * orders
 
     @pytest.mark.parametrize("obs", [PATH_1, PATH_2])
     def test_blocks_of_levels_change_no_row(self, obs, monkeypatch):
-        # Blocks of 7 levels share one dict of tables: the same rows, bit
-        # for bit, and still two staircase fills per order.
+        # Blocks of 7 levels share the memo's tables: from an empty memo
+        # the same rows, bit for bit, still two staircase fills per order,
+        # and none for a second sweep.
         whole = [bits(row.as_dict()) for row in eta_sweep(obs)]
+        cold_memo(monkeypatch)
         calls = []
         fill = engine._staircase_fill
         monkeypatch.setattr(casino_ewac.sweeps, "_LEVEL_BLOCK", 7)
         monkeypatch.setattr(engine, "_staircase_fill",
                             lambda *args: calls.append(args) or fill(*args))
+        assert [bits(row.as_dict()) for row in eta_sweep(obs)] == whole
+        assert len(calls) == (2 if obs is PATH_1 else 14)
         assert [bits(row.as_dict()) for row in eta_sweep(obs)] == whole
         assert len(calls) == (2 if obs is PATH_1 else 14)
 

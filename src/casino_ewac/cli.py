@@ -15,7 +15,7 @@ int64; a command counts its faces once.  Output is written from arrays,
 with no Python object per row: the JSON of ``bounds`` and ``copulas`` by
 one ``%`` template, the sweep CSVs by one ``%`` per block of rows, and the
 ``smooth`` and ``wac-dist`` CSVs as bytes by numpy from their distinct
-rows (the smoothed rows, the distinct losses), in blocks of 10^4 lines
+rows (the smoothed rows, the losses), in blocks of 10^4 lines
 that format their rows once and number them from a table of 4-digit words.
 Output is binary, to stdout as to a file; numbers have 12 significant
 digits, and reruns with identical inputs produce byte-identical files.
@@ -44,7 +44,7 @@ from casino_ewac.hmm import (HmmModel, ZeroLikelihoodError, _face_counts,
                              _smoothed_rows, _symbol_indices, canonical_model)
 from casino_ewac.paths import PATH_1, PATH_2
 from casino_ewac.sweeps import (ETA_SWEEP_COLUMNS, HORIZON_SWEEP_COLUMNS,
-                                _eta_table, _horizon_table, _sample_wac,
+                                _eta_table, _horizon_table, _wac_dist,
                                 default_horizon_grid)
 
 EXIT_OK = 0
@@ -385,12 +385,9 @@ def _cmd_wac_dist(opts):
         theta = pair.theta_lb if kind == "lb" else pair.theta_ub
     else:
         theta = copula_pmf(model, kind)
-    wac = _sample_wac(model, o, counts, theta, opts["samples"], opts["seed"],
-                      alpha).wac
-    # Distinct by bit pattern, so -0 and 0 print apart.
-    losses, index = np.unique(wac.view(np.int64), return_inverse=True)
-    return _numbered_csv(("sample", "wac"), losses.view(np.float64)[:, None],
-                         index)
+    losses, index = _wac_dist(model, o, counts, theta, opts["samples"],
+                              opts["seed"], alpha)
+    return _numbered_csv(("sample", "wac"), losses[:, None], index)
 
 
 def _cmd_copulas(opts):

@@ -40,6 +40,10 @@ _LEVEL_BLOCK = 1 << 12
 # sample_wac): a face's redraws, and the i.i.d. counts up to the crossover.
 _TABLE_N = 32
 _COUNTS_N = 224
+# wac-dist draws from the exact law when its lattice of W points has W^2 <=
+# _LAW_COST * S: the law's convolutions cost up to about 0.13 ns * W^2, the
+# Monte Carlo 1 to 6 us per sample.
+_LAW_COST = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -127,6 +131,10 @@ def sample_wac(model, obs, theta, count, seed, *, filtered=None):
     binomial CDF tables; above those caps numpy's sampler is as fast.  A
     Markov chain logs its S * T sample-periods at ``info``.
 
+    ``wac-dist`` (``_wac_dist``) inverts the loss's exact law instead on
+    i.i.d. chains with integral payoffs and short paths, where it has no
+    per-sample counts to return; it calls this sampler on the rest.
+
     Raises:
         ValueError: if ``count`` is below 1 or theta is not a joint PMF
             of the fair and biased dice.
@@ -198,6 +206,108 @@ def _sample_wac(model, o, face_counts, theta, count, seed, filtered=None):
             left -= redrawn
         wac += left * (w[j] - w[cells[-1]])
     return WacSamples(wac=wac, biased_counts=counts.T)
+
+
+def _wac_dist(model, o, counts, theta, count, seed, filtered=None):
+    """``wac-dist``'s draws as (losses, index), the S losses being
+    losses[index], from the 0-based faces ``o`` and their ``counts``.
+
+    With equal transition rows, integral payoffs and a loss lattice of W =
+    span(w) * T + 1 points with W^2 <= _LAW_COST * S (2^15 S), the
+    losses are drawn from their exact law (``_wac_law``), one uniform u of
+    ``default_rng(seed)`` each: the first positive atom whose CDF exceeds
+    u, the last one if none does (``_searched``).  ``losses`` is then every
+    positive atom.  Otherwise (Markov chains, other payoffs, long paths)
+    the losses are ``_sample_wac``'s, told apart by their bits.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    w = model.rewards
+    width = (w[-1] - w[0]) * o.size + 1
+    if (width * width <= _LAW_COST * count and np.array_equal(w, np.rint(w))
+            and np.array_equal(*model.transition)):
+        low, pmf = _wac_law(model, o, counts, theta)
+        atoms = np.flatnonzero(pmf)
+        return (low + atoms).astype(float), _searched(
+            np.cumsum(pmf[atoms]), np.random.default_rng(seed).random(count))
+    wac = _sample_wac(model, o, counts, theta, count, seed, filtered).wac
+    # Distinct by bit pattern, so -0 and 0 print apart.
+    losses, index = np.unique(wac.view(np.int64), return_inverse=True)
+    return losses.view(np.float64), index
+
+
+def _searched(cdf, u):
+    """``np.searchsorted(cdf, u, "right")`` clamped to the last index, for
+    a nondecreasing ``cdf`` and u in [0, 1), by a guide table (Chen & Asau
+    1974): guide[g] is the first index whose CDF exceeds g / G, G a power
+    of two (so u * G is exact), and each u steps on from guide[floor(u G)]
+    past the CDF values it reaches."""
+    cdf = np.append(cdf[:-1], np.inf)  # the clamp
+    size = 2 << cdf.size.bit_length()
+    guide = np.searchsorted(cdf, np.arange(size) / size, "right")
+    index = guide[(u * size).astype(np.intp)]
+    ahead = np.flatnonzero(u >= cdf[index])
+    while ahead.size:
+        index[ahead] += 1
+        ahead = ahead[u[ahead] >= cdf[index[ahead]]]
+    return index
+
+
+def _wac_law(model, o, counts, theta):
+    """(low, pmf): the exact law of ``sample_wac``'s loss on an i.i.d.
+    chain with integral payoffs, pmf[k] the probability of the loss low + k.
+
+    Given the states the periods' losses are independent: a period showing
+    face j is fair (loss 0) with probability 1 - p_j, else loses w_j - w_i
+    with probability p_j theta_ij / c_j, p_j its biased posterior and c_j
+    theta's column sum.  The n_j periods after the first that show face j
+    add the n_j-fold convolution of that law, by repeated squaring; the
+    faces' laws are convolved, and period 1's under ``initial`` (Embrechts
+    & Frei 2009; Hong 2013).  A direct ``np.convolve`` costs about W^2 for
+    a lattice of W points.
+
+    Raises:
+        ValueError: if theta is not a joint PMF of the fair and biased dice.
+        ZeroLikelihoodError: if the path is impossible under the model.
+        ArithmeticError: if a biased state on a face whose theta column is
+            all zero has positive probability.
+    """
+    theta = np.maximum(
+        validate_joint_pmf(theta, model.emission[0], model.emission[1]), 0.0)
+    table, start = _iid_posteriors(model, o, counts)
+    faces = np.arange(model.num_symbols)
+    first = faces == o[0]
+    biased = np.append(table[:, 1], start[1])
+    times = np.append(counts - first, 1)  # periods 2..T per face, period 1
+    col_sums = theta.sum(axis=0)
+    hit = (col_sums <= 0) & ((times[:-1] > 0) & (biased[:-1] > 0)
+                             | first & (biased[-1] > 0))
+    if hit.any():
+        # The posterior cannot put biased mass on a face the biased die
+        # never rolls; reaching this line means the inputs disagree.
+        raise ArithmeticError(
+            f"a biased state on face {faces[hit][0] + 1} has positive "
+            "probability, but its theta column is all zero")
+    w = model.rewards
+    low, pmf = 0, np.ones(1)
+    for j, p, n in zip([*faces, o[0]], biased.tolist(), times.tolist()):
+        if n == 0 or p == 0:
+            continue
+        cells = np.flatnonzero(theta[:, j])
+        loss = np.rint(w[j] - w[cells]).astype(np.int64)  # all distinct
+        lo = min(loss.min(), 0)
+        period = np.zeros(max(loss.max(), 0) - lo + 1)
+        period[loss - lo] = p * theta[cells, j] / col_sums[j]
+        period[-lo] += 1.0 - p
+        low += lo * n
+        while True:  # pmf *= period ** n
+            if n & 1:
+                pmf = np.convolve(pmf, period)
+            n >>= 1
+            if not n:
+                break
+            period = np.convolve(period, period)
+    return low, pmf
 
 
 @functools.cache

@@ -505,6 +505,20 @@ def path_objective(model, obs):
     return _path_objective(model, o, counts)
 
 
+def wac_theta(model, obs, kind, constraints="none"):
+    """The joint PMF ``wac-dist --theta kind --constraints constraints``
+    samples under, by the library's public functions."""
+    from casino_ewac import copula_pmf, cs_mask, ewac_bounds, pm_mask
+
+    if kind not in ("lb", "ub"):
+        return copula_pmf(model, kind)
+    mask = (frozenset() if constraints == "none" else
+            pm_mask(model.num_symbols) if constraints == "pm" else
+            cs_mask(model.emission))
+    pair = ewac_bounds(path_objective(model, obs)[0], mask, tag=constraints)
+    return pair.theta_lb if kind == "lb" else pair.theta_ub
+
+
 def biased_winnings(objective):
     """sum_j m_j w_j, the observed winnings of the biased periods, from the
     objective's per-face biased masses m_j = factor_j * e_b[j]."""
@@ -891,6 +905,18 @@ def iid_wac_pmf(model, obs, theta):
         pmf = np.convolve(pmf, period)
         low -= span
     return np.arange(low, low + pmf.size), pmf
+
+
+def iid_law_draws(model, obs, theta, count, seed):
+    """``count`` losses drawn from ``iid_wac_pmf``'s law by inversion: for
+    each uniform u of ``np.random.default_rng(seed).random(count)``, the
+    first loss of positive probability whose CDF exceeds u, the last such
+    loss if none does."""
+    support, pmf = iid_wac_pmf(model, obs, theta)
+    support, cdf = support[pmf > 0], np.cumsum(pmf[pmf > 0])
+    u = np.random.default_rng(seed).random(count)
+    at = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+    return support[at].astype(float)
 
 
 def sampling_cases():

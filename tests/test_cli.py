@@ -30,10 +30,11 @@ from casino_ewac.cli import (EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                              EXIT_USAGE, PATH_1, PATH_2, _json_text,
                              _parse_path, main)
 from helpers import (attribute_csv, cold_memo, dense_filter, dense_smooth,
-                     exact_canonical_values, iid_cases, json_ready,
-                     loop_bounds_report, loop_count_sample_wac,
-                     loop_iid_sample_wac, loop_parse_path, path_objective,
-                     round12, sticky_model, template_csv)
+                     exact_canonical_values, iid_cases, iid_law_draws,
+                     iid_wac_pmf, json_ready, loop_bounds_report,
+                     loop_count_sample_wac, loop_iid_sample_wac,
+                     loop_parse_path, path_objective, round12, sticky_model,
+                     template_csv, wac_theta)
 
 
 def run(*argv):
@@ -223,29 +224,31 @@ class TestWacDistCommand:
 
     @pytest.mark.parametrize("samples", [70_000, 1])
     def test_csv_equals_the_template(self, samples, tmp_path):
-        # The distinct losses, written by the byte writer, give the text of
-        # one template per line, across a block boundary and for one line.
+        # The losses, drawn from their exact law and written by the byte
+        # writer, give the text of one template per line, across a block
+        # boundary and for one line.
         out = tmp_path / "wac.csv"
         assert run("wac-dist", "--eta", "0.3", "--path", "builtin:2",
                    "--samples", str(samples), "--seed", "4",
                    "--out", str(out)) == EXIT_OK
         model = canonical_model(0.3)
-        wac = sweeps.sample_wac(model, PATH_2,
-                                engine.copula_pmf(model, "comonotonic"),
-                                samples, 4).wac
+        wac = iid_law_draws(model, PATH_2,
+                            engine.copula_pmf(model, "comonotonic"),
+                            samples, 4)
         assert_same_text(out.read_text(), template_csv(
             ("sample", "wac"), (range(1, samples + 1), wac.tolist())))
 
     @staticmethod
     def losses_csv(wac, tmp_path, monkeypatch):
-        """The wac-dist CSV of the losses ``wac``."""
+        """The wac-dist CSV of the Monte-Carlo losses ``wac`` (a Markov
+        chain's, so that the draws take that route)."""
         monkeypatch.setattr(
-            casino_ewac.cli, "_sample_wac",
+            sweeps, "_sample_wac",
             lambda *args: sweeps.WacSamples(wac=np.asarray(wac, float),
                                             biased_counts=None))
         out = tmp_path / "wac.csv"
-        assert run("wac-dist", "--eta", "0.5", "--samples", str(len(wac)),
-                   "--out", str(out)) == EXIT_OK
+        assert run("wac-dist", "--config", str(sticky_config(tmp_path)),
+                   "--samples", str(len(wac)), "--out", str(out)) == EXIT_OK
         return out.read_text()
 
     @pytest.mark.parametrize("samples", [9, 10, 9_999, 10_000, 10_001,
@@ -312,15 +315,119 @@ class TestWacDistCommand:
                        "--out", str(out)) == EXIT_OK
 
 
-def sticky_config(tmp_path, path="builtin:1"):
-    """A config file holding helpers.sticky_model(), a Markov chain."""
-    model = sticky_model()
+def sticky_config(tmp_path, path="builtin:1", model=None):
+    """A config file holding ``model``, by default helpers.sticky_model(),
+    a Markov chain."""
+    model = sticky_model() if model is None else model
     config = tmp_path / "sticky.json"
     config.write_text(json.dumps({
         "model": {"p": model.initial.tolist(), "Q": model.transition.tolist(),
                   "E": model.emission.tolist(), "w": model.rewards.tolist()},
         "path": path}))
     return config
+
+
+class TestWacDistRoutes:
+    # On an i.i.d. chain with integral payoffs, wac-dist inverts the loss's
+    # exact law at the seed's S uniforms when W^2 <= 2^15 S, W = span(w) T
+    # + 1 the points of the loss lattice; other inputs keep the Monte-Carlo
+    # draws of sample_wac.
+
+    @pytest.mark.parametrize("path,faces", [("builtin:1", PATH_1),
+                                            ("builtin:2", PATH_2)])
+    @pytest.mark.parametrize("theta", [
+        "independence", "comonotonic", "countermonotonic", "lb", "ub",
+        "lb --constraints pm", "ub --constraints pm", "lb --constraints cs",
+        "ub --constraints cs"])
+    def test_losses_are_the_oracle_law_inverted(self, path, faces, theta,
+                                                tmp_path):
+        out = tmp_path / "wac.csv"
+        assert run("wac-dist", "--eta", "0.3", "--path", path, "--theta",
+                   *theta.split(), "--samples", "3000", "--seed", "17",
+                   "--out", str(out)) == EXIT_OK
+        model = canonical_model(0.3)
+        wac = iid_law_draws(model, faces, wac_theta(
+            model, faces, *theta.replace(" --constraints", "").split()),
+            3000, 17)
+        assert out.read_text() == template_csv(
+            ("sample", "wac"), (range(1, 3001), wac.tolist()))
+
+    def test_draws_pass_a_chi_square_test(self, tmp_path):
+        # Level 0.001, cells merged from the left until each expects at
+        # least 5 draws, the last merged into the one before it if short.
+        chisquare = pytest.importorskip("scipy.stats").chisquare
+        count = 20_000
+        out = tmp_path / "wac.csv"
+        assert run("wac-dist", "--eta", "0.5", "--path", "builtin:2",
+                   "--theta", "independence", "--samples", str(count),
+                   "--seed", "2024", "--out", str(out)) == EXIT_OK
+        wac = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        model = canonical_model(0.5)
+        support, pmf = iid_wac_pmf(model, PATH_2,
+                                   copula_pmf(model, "independence"))
+        assert np.isin(wac, support[pmf > 0]).all()
+        observed = np.bincount(np.searchsorted(support, wac),
+                               minlength=support.size)
+        cells, seen, expected = [], 0, 0.0
+        for o, e in zip(observed, count * pmf):
+            seen, expected = seen + o, expected + e
+            if expected >= 5:
+                cells.append([seen, expected])
+                seen, expected = 0, 0.0
+        cells[-1][0] += seen
+        cells[-1][1] += expected
+        seen, expected = np.array(cells).T
+        assert len(cells) > 20
+        assert chisquare(seen, expected).pvalue >= 0.001
+
+    @pytest.mark.parametrize("case,digest", [
+        ("long-path",
+         "d20043bf33f62010e92cd1e914f36b69b754ac450519a9d8e20e4510eaef39ed"),
+        ("fractional-payoff",
+         "ac4af4a658d983914eddd149510f6fa2a0a6648f5340cd216100a30322d0e2b0"),
+        ("sticky",
+         "bfae1a2bb1ee475ff5f5d6c46d52edcda914154aeaf35440b5050987fbf06f3c"),
+    ])
+    def test_monte_carlo_inputs_keep_their_bytes(self, case, digest,
+                                                 tmp_path):
+        # Digests recorded before the law route existed: a 10^5-period
+        # canonical @file at 50 samples, an i.i.d. chain whose last payoff
+        # is 6.5, and a Markov chain.
+        if case == "long-path":
+            path = tmp_path / "long.txt"
+            faces = simulate(canonical_model(0.5), 10**5, 1)[1]
+            path.write_text("\n".join(map(str, faces.tolist())) + "\n")
+            argv = ("--eta", "0.5", "--path", f"@{path}", "--theta",
+                    "comonotonic", "--samples", "50", "--seed", "11")
+        else:
+            c = canonical_model(0.5)
+            model = None if case == "sticky" else HmmModel(
+                c.initial, c.transition, c.emission, [1, 2, 3, 4, 5, 6.5])
+            argv = ("--config", str(sticky_config(tmp_path, model=model)),
+                    "--theta", "ub", "--constraints", "cs",
+                    "--samples", "2000", "--seed", "3")
+        out = tmp_path / "wac.csv"
+        assert run("wac-dist", *argv, "--out", str(out)) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("samples", [68, 69])
+    def test_either_side_of_the_width_rule(self, samples, tmp_path):
+        # 300 periods of the canonical casino: W = 5 * 300 + 1 = 1501 and
+        # W^2 = 2,253,001 lies above 2^15 * 68 and below 2^15 * 69.
+        model = canonical_model(0.5)
+        faces = simulate(model, 300, 4)[1].tolist()
+        theta = copula_pmf(model, "independence")
+        out = tmp_path / "wac.csv"
+        assert run("wac-dist", "--eta", "0.5", "--path",
+                   ",".join(map(str, faces)), "--theta", "independence",
+                   "--samples", str(samples), "--seed", "9",
+                   "--out", str(out)) == EXIT_OK
+        if samples == 68:
+            wac, _ = loop_iid_sample_wac(model, faces, theta, samples, 9)
+        else:
+            wac = iid_law_draws(model, faces, theta, samples, 9)
+        assert out.read_text() == template_csv(
+            ("sample", "wac"), (range(1, samples + 1), wac.tolist()))
 
 
 class TestMarkovSamplerLog:
@@ -407,11 +514,10 @@ class TestGoldenOutputs:
     # SHA-256 of the CSV bytes.  smooth, sweep-eta and sweep-horizon were
     # recorded before the CSV writer and the path sampler were rewritten,
     # and still hold with face counts in place of forward-backward; the
-    # canonical wac-dist digests were derived from the losses of
-    # helpers.loop_iid_sample_wac (scalar binomial counts face by face,
-    # then per-face chains of scalar conditional binomials, each small one
-    # a uniform inverted against its exact CDF), written as "%d,%.12g"
-    # lines under a "sample,wac" header.
+    # canonical wac-dist digests were derived from helpers.iid_law_draws
+    # (the loss law by sequential convolution, period by period, inverted
+    # at the seed's uniforms), written as "%d,%.12g" lines under a
+    # "sample,wac" header.
     @pytest.mark.parametrize("argv,digest", [
         pytest.param(
             "smooth --eta 0.5 --path builtin:1",
@@ -424,12 +530,12 @@ class TestGoldenOutputs:
         pytest.param(
             "wac-dist --eta 0.5 --path builtin:1 --theta comonotonic "
             "--samples 200 --seed 21",
-            "8c48ceaa17300a4394e7d2a1615f5ec5b349d6b618a8d030c835b1eaa0102d7a",
+            "b9c34e42833ba1eda3e3f95bfae68d29e8d990171b8ff137a05df6e7e3cc972e",
             id="wac-dist-comonotonic"),
         pytest.param(
             "wac-dist --eta 0.5 --path builtin:2 --theta ub --constraints cs "
             "--samples 50 --seed 2",
-            "ef3ebd858758dc46866bc3b345182c1c4c1899c0314656fce2e76beac1ebf244",
+            "f0fd39cface7776fef209149b3ee961ee0c3edf3967c82ea6c2e21d8b1c983b6",
             id="wac-dist-ub-cs"),
         pytest.param(
             "sweep-eta --path builtin:2 --grid 0.25,0.75",
@@ -982,7 +1088,7 @@ class TestExitCodes:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.45 GiB")
 
-        monkeypatch.setattr(casino_ewac.cli, "_sample_wac", exhausted)
+        monkeypatch.setattr(casino_ewac.cli, "_wac_dist", exhausted)
         assert run("wac-dist", "--eta", "0.5", "--path", "builtin:1",
                    "--samples", "10000") == EXIT_USAGE
         err = capsys.readouterr().err

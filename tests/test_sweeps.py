@@ -6,26 +6,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import casino_ewac
-from casino_ewac import (PATH_1, PATH_2, HmmModel, SweepRow, canonical_model,
-                         copula_pmf, cs_mask, default_eta_grid,
-                         default_horizon_grid, eta_sweep, ewac_bounds,
-                         ewac_objective, ewac_of_theta, horizon_sweep,
-                         naive_ewac, sample_hidden_paths, sample_wac,
-                         simulate, smooth)
-from casino_ewac import engine, hmm
+from casino_ewac import (PATH_1, PATH_2, HmmModel, InfeasibleMaskError,
+                         SweepRow, canonical_model, copula_pmf, cs_mask,
+                         default_eta_grid, default_horizon_grid, eta_sweep,
+                         ewac_bounds, ewac_objective, ewac_of_theta,
+                         horizon_sweep, naive_ewac, sample_hidden_paths,
+                         sample_wac, simulate, smooth)
+from casino_ewac import engine, hmm, sweeps
 from casino_ewac.engine import _face_objective
 from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _face_posteriors,
                              _forward_filter, as_symbol_indices)
 from casino_ewac.sweeps import _COUNTS_N, _TABLE_N, _cdf_rows
-from helpers import (cold_memo, digit_rows, exact_binomial_cdf,
+from helpers import (cold_memo, digit_rows, exact_binomial_cdf, iid_cases,
                      iid_wac_moments, iid_wac_pmf, is_iid, loop_bounds_report,
                      loop_count_sample_wac, loop_iid_sample_wac,
                      path_objective, random_feasible_theta, sampling_cases,
-                     sticky_model)
+                     sticky_model, wac_theta)
 
 
 def bits(row):
@@ -353,6 +353,95 @@ class TestSampleWac:
         model = canonical_model(0.5)
         with pytest.raises(ValueError, match="marginals"):
             sample_wac(model, PATH_1, np.full((6, 6), 1 / 36), 10, seed=0)
+
+
+@st.composite
+def integral_iid_cases(draw, uniform_fair):
+    """(model, obs) of helpers.iid_cases with integral payoffs (steps of 1
+    to 3) and, if ``uniform_fair``, a uniform fair die and increasing
+    biased probabilities, as the cs mask needs."""
+    model, obs = draw(iid_cases())
+    k = model.num_symbols
+    emission = model.emission
+    if uniform_fair:
+        emission = [np.full(k, 1 / k), np.sort(emission[1])]
+    steps = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    return HmmModel(model.initial, model.transition, emission,
+                    np.cumsum(steps)), obs
+
+
+class TestWacLaw:
+    @pytest.mark.parametrize("theta", [
+        "independence", "comonotonic", "countermonotonic", "lb none",
+        "ub none", "lb pm", "ub pm", "lb cs", "ub cs"])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_equals_the_convolution_oracle(self, theta, data):
+        # Against period-by-period convolution: atoms within 4 T eps; the
+        # mass within (T + K) eps, K + 1 terms rounded in period 1's law
+        # (2 eps seen at T = 1, K = 7); the mean, a sum of T terms of size
+        # up to max|w|, within 64 T max|w| eps of ewac_of_theta.
+        kind, constraints = (theta.split() + ["none"])[:2]
+        model, obs = data.draw(integral_iid_cases(constraints != "none"))
+        objective = ewac_objective(model, obs, smooth(model, obs))
+        try:
+            theta = wac_theta(model, obs, kind, constraints)
+        except InfeasibleMaskError:
+            assume(False)  # tied biased probabilities
+        o = as_symbol_indices(model, obs)
+        low, pmf = sweeps._wac_law(
+            model, o, np.bincount(o, minlength=model.num_symbols), theta)
+        support, want = iid_wac_pmf(model, obs, theta)
+        at = low - support[0]
+        assert 0 <= at and at + pmf.size <= want.size
+        got = np.zeros_like(want)
+        got[at:at + pmf.size] = pmf
+        eps, t = np.finfo(float).eps, len(obs)
+        assert np.abs(got - want).max() <= 4 * t * eps
+        assert abs(pmf.sum() - 1.0) <= (t + model.num_symbols) * eps
+        mean = (low + np.arange(pmf.size)) @ pmf
+        assert abs(mean - ewac_of_theta(objective, theta)) <= (
+            64 * t * np.abs(model.rewards).max() * eps)
+
+    @pytest.mark.parametrize("cdf", [
+        [1.0], [0.25, 0.5, 0.75, 1.0], [0.1, 0.1, 0.1, 0.6, 0.6, 0.9],
+        [2**-60, 0.5, 0.5, 1.0 - 2**-53], [0.3, 0.3, 0.3 + 2**-54],
+        np.cumsum(np.full(1000, 1e-3)), np.cumsum(0.5 ** np.arange(1, 60))])
+    def test_guide_table_equals_the_clamped_search(self, cdf):
+        # Uniforms at, just below and just above every CDF value and every
+        # guide cell's edge, and past the last CDF value.
+        cdf = np.asarray(cdf, dtype=float)
+        edges = np.arange(64 * cdf.size + 1) / (64 * cdf.size)
+        u = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 1),
+                            edges, np.nextafter(edges, 0),
+                            np.random.default_rng(5).random(1000)])
+        u = u[(u >= 0) & (u < 1)]
+        want = np.minimum(np.searchsorted(cdf, u, "right"), cdf.size - 1)
+        np.testing.assert_array_equal(sweeps._searched(cdf, u), want)
+
+    def test_a_possible_biased_state_on_an_empty_column_raises(self):
+        # Face 2 is biased with probability about 2e-10, and its theta
+        # column is zero within the marginal tolerance.  The law raises
+        # whatever the seed, where the Monte Carlo raises only if a draw
+        # reaches that state; on a path without face 2 the law draws.
+        tiny = 1e-10
+        model = HmmModel([0.5, 0.5], [[0.5, 0.5]] * 2,
+                         [[0.5, 0.5], [1.0 - tiny, tiny]], [1.0, 2.0])
+        theta = [[0.5, 0.0], [0.5 - tiny, 0.0]]
+        o = np.array([0, 1, 0])
+        counts = np.bincount(o, minlength=2)
+        for seed in range(5):
+            assert sample_wac(model, [1, 2, 1], theta, 1000, seed).wac.size
+            with pytest.raises(ArithmeticError, match="face 2 has positive"):
+                sweeps._wac_dist(model, o, counts, theta, 1000, seed)
+        with pytest.raises(ArithmeticError, match="face 2"):
+            sweeps._wac_law(model, o, counts, theta)
+        o = np.zeros(3, np.int64)
+        low, pmf = sweeps._wac_law(model, o, np.array([3, 0]), theta)
+        assert (low, pmf.size) == (-3, 4)
+        losses, index = sweeps._wac_dist(model, o, np.array([3, 0]), theta,
+                                         1000, 0)
+        assert set(losses[index]) <= {0.0, -1.0, -2.0, -3.0}
 
 
 # An i.i.d. chain whose theta columns are single cells, so the losses take

@@ -375,9 +375,9 @@ def _cmd_sweep_horizon(opts):
 def _cmd_wac_dist(opts):
     model, o, counts = _model_and_faces(opts)
     kind, constraints = opts["theta"], opts["constraints"]
-    alpha = None  # a Markov chain's forward filter, once computed
+    filtered = None  # the posteriors or forward filter, once computed
     if kind in ("lb", "ub"):
-        objective, alpha = _path_objective(model, o, counts)
+        objective, filtered = _path_objective(model, o, counts)
         mask = (pm_mask(model.num_symbols) if constraints == "pm"
                 else cs_mask(model.emission) if constraints == "cs"
                 else frozenset())
@@ -386,7 +386,7 @@ def _cmd_wac_dist(opts):
     else:
         theta = copula_pmf(model, kind)
     losses, index = _wac_dist(model, o, counts, theta, opts["samples"],
-                              opts["seed"], alpha)
+                              opts["seed"], filtered)
     return _numbered_csv(("sample", "wac"), losses[:, None], index)
 
 

@@ -13,8 +13,8 @@ pm mask (for the canonical dice also the cs mask) greedy fills row by row
 in payoff order (Shamir and Dietrich 1990).  Either way an optimum sees the
 path only through the stable order of f: a memo by dice keeps, read-only
 and under 16 MB, each order's fills (one kernel call fills those missing)
-and pm fills, and the fixed tables; public results are copies.  The simplex
-serves every other mask.
+and pm fills, and the fixed tables; public results are copies.  The
+transportation simplex (``transport.solve``) serves every other mask.
 """
 
 import functools
@@ -103,8 +103,9 @@ class EwacBounds:
 
     ``theta_lb`` and ``theta_ub`` are None for the time-inhomogeneous
     relaxation, whose optimiser varies by period.  ``iterations`` counts
-    the simplex pivots, phase one plus phase two, of the (lb, ub) solves
-    of a mask other than pm; the fills of the other bounds report (0, 0).
+    the tree pivots of the transportation simplex, phase one plus phase
+    two, of the (lb, ub) solves of a mask other than pm; the fills of the
+    other bounds report (0, 0).
     """
 
     lb: float
@@ -169,9 +170,11 @@ def _face_objective(model, counts, masses):
 
 
 def _path_objective(model, o, counts):
-    """(objective, alpha) of the 0-based faces ``o`` and their ``counts``:
-    from the counts for an i.i.d. chain, alpha None; else from smoothing a
-    copy of the forward filter alpha, which ``sample_wac`` can reuse."""
+    """(objective, filtered) of the 0-based faces ``o`` and their
+    ``counts``, filtered what the samplers (``sweeps._wac_dist``) reuse:
+    for an i.i.d. chain the face posteriors (``_iid_posteriors``), from
+    which the objective comes with the counts; else the forward filter
+    alpha, a copy of which is smoothed."""
     iid = _iid_posteriors(model, o, counts)
     if iid is None:
         alpha = _forward_filter(model, o)
@@ -179,7 +182,7 @@ def _path_objective(model, o, counts):
         return _smoothed_objective(model, o, delta), alpha
     masses = counts[:, None] * iid[0]
     masses[o[0]] += iid[1] - iid[0][o[0]]  # period 1 under ``initial``
-    return _face_objective(model, counts, masses), None
+    return _face_objective(model, counts, masses), iid
 
 
 def validate_joint_pmf(theta, row_marginals, col_marginals, atol=_PMF_ATOL):

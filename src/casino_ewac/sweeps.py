@@ -148,14 +148,16 @@ def sample_wac(model, obs, theta, count, seed, *, filtered=None):
 
 
 def _sample_wac(model, o, face_counts, theta, count, seed, filtered=None):
-    """``sample_wac`` of the 0-based faces ``o`` and their counts."""
+    """``sample_wac`` of the 0-based faces ``o`` and their counts;
+    ``filtered`` may also be an i.i.d. chain's ``_iid_posteriors``."""
     if count < 1:
         raise ValueError("count must be at least 1")
     theta = np.maximum(
         validate_joint_pmf(theta, model.emission[0], model.emission[1]), 0.0)
     rng = np.random.default_rng(seed)
     faces = np.arange(model.num_symbols)
-    iid = _iid_posteriors(model, o, face_counts)
+    iid = (filtered if isinstance(filtered, tuple)
+           else _iid_posteriors(model, o, face_counts))
     if iid is not None:  # face-major: one binomial set-up per face
         n = face_counts - (faces == o[0])  # periods 2..T
         biased = iid[0][:, 1]
@@ -219,6 +221,8 @@ def _wac_dist(model, o, counts, theta, count, seed, filtered=None):
     u, the last one if none does (``_searched``).  ``losses`` is then every
     positive atom.  Otherwise (Markov chains, other payoffs, long paths)
     the losses are ``_sample_wac``'s, told apart by their bits.
+    ``filtered`` is the chain's posteriors or forward filter as
+    ``engine._path_objective`` returns them, or None.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -226,7 +230,7 @@ def _wac_dist(model, o, counts, theta, count, seed, filtered=None):
     width = (w[-1] - w[0]) * o.size + 1
     if (width * width <= _LAW_COST * count and np.array_equal(w, np.rint(w))
             and np.array_equal(*model.transition)):
-        low, pmf = _wac_law(model, o, counts, theta)
+        low, pmf = _wac_law(model, o, counts, theta, filtered)
         atoms = np.flatnonzero(pmf)
         return (low + atoms).astype(float), _searched(
             np.cumsum(pmf[atoms]), np.random.default_rng(seed).random(count))
@@ -253,7 +257,7 @@ def _searched(cdf, u):
     return index
 
 
-def _wac_law(model, o, counts, theta):
+def _wac_law(model, o, counts, theta, iid=None):
     """(low, pmf): the exact law of ``sample_wac``'s loss on an i.i.d.
     chain with integral payoffs, pmf[k] the probability of the loss low + k.
 
@@ -264,7 +268,8 @@ def _wac_law(model, o, counts, theta):
     add the n_j-fold convolution of that law, by repeated squaring; the
     faces' laws are convolved, and period 1's under ``initial`` (Embrechts
     & Frei 2009; Hong 2013).  A direct ``np.convolve`` costs about W^2 for
-    a lattice of W points.
+    a lattice of W points.  ``iid`` is the chain's ``_iid_posteriors``, if
+    the caller has them.
 
     Raises:
         ValueError: if theta is not a joint PMF of the fair and biased dice.
@@ -274,7 +279,7 @@ def _wac_law(model, o, counts, theta):
     """
     theta = np.maximum(
         validate_joint_pmf(theta, model.emission[0], model.emission[1]), 0.0)
-    table, start = _iid_posteriors(model, o, counts)
+    table, start = iid or _iid_posteriors(model, o, counts)
     faces = np.arange(model.num_symbols)
     first = faces == o[0]
     biased = np.append(table[:, 1], start[1])

@@ -1,43 +1,44 @@
 """Linear programming over transportation polytopes with forced-zero cells.
 
 The feasible set is the set of K x K matrices with fixed row and column
-sums, optionally with a set of cells pinned to zero.  The solver is a dense
-two-phase primal simplex on the equality form of the problem.  Bland's rule
-picks both the entering and the leaving variable, which rules out cycling on
-the degenerate bases these polytopes produce, and every returned optimum is
-a vertex.
+sums, optionally with a set of cells pinned to zero.  The solver is the
+transportation simplex (Dantzig 1951; Ahuja, Magnanti and Orlin 1993,
+*Network Flows*, ch. 11): a basis is a spanning tree of 2K - 1 cells over
+the rows and columns, the first the north-west corner.  Each pivot walks
+the tree once from row 0 for the potentials (u_i + v_j = c_ij on the tree)
+and the parent links; the entering cell has the most negative reduced
+cost c - u - v over the grid (Dantzig's rule), and the cells on the tree
+paths up from its row and column alternately lose and gain the leaving
+cell's value.  Every optimum returned is a vertex.
 
-Every solve runs phase one, which depends on the polytope alone (K, the
-forced zeros and the two target vectors), and then phase two from the
-feasible basis it leaves; nothing is kept between calls, so no result
-depends on what was solved before.  Phase two stops once no reduced cost
-is below 64 * eps * max|c|, the scale of rounding in the costs, so costs
-spanning many orders of magnitude still reach the optimum.
+No pivot sequence cycles: Orden's (1956) perturbation adds K + 1 epsilons
+to each row target, K to each column and K more to the last.  A tree cell
+holds the net target of the side of the tree it cuts off, whose epsilon
+part (K + 1) rows - K (columns + [last]) is zero only for an empty side or
+the whole, so no perturbed basis is degenerate, zero targets included.
+The leaving cell is the least (value, epsilon coefficient) of the losing
+cells, values within 2K eps of the total mass tied (and zero in theta).
+
+Phase one prices the masked cells at 1; the polytope is empty if they
+keep over FEASIBILITY_TOL of the total mass.  Phase two goes on from that
+tree, a cell entering only if unmasked at zero phase-one reduced cost (so
+masked cells stay zero), until no reduced cost is below 64 eps max|c|
+(scaled, or tiny costs stop early; at rounding level, or costs spanning
+many magnitudes stop short).  ``iterations`` counts both phases' pivots.
+Targets balance within 1e-12 of their total; no state outlives a call.
 """
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 FEASIBILITY_TOL = 1e-9
-_PIVOT_TOL = 1e-10
 _BALANCE_TOL = 1e-12
-# Phase two stops once no reduced cost is below this times max|c|: scaled,
-# since an absolute tolerance stops early on tiny costs, and at rounding
-# level, since a looser one stops short when costs span many magnitudes.
-_OPTIMALITY_TOL = 64 * float(np.finfo(float).eps)
-# Ratios tie within this times the starting max|rhs|, the rounding of the
-# right-hand side: a wider tie lets a ratio near 1e-10 tie with 0.
-_TIE_TOL = 64 * float(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
 
-__all__ = [
-    "FEASIBILITY_TOL",
-    "TransportProblem",
-    "LpSolution",
-    "solve",
-    "check_feasibility",
-]
+__all__ = ["FEASIBILITY_TOL", "TransportProblem", "LpSolution", "solve",
+           "check_feasibility"]
 
 
 def _validated_mask(zero_mask, k):
@@ -59,7 +60,7 @@ def _validated_targets(row_targets, col_targets, k):
                 f"{name} targets must be finite, got {arr.tolist()}")
     if np.any(r < 0) or np.any(s < 0):
         raise ValueError("targets must be non-negative")
-    if abs(r.sum() - s.sum()) > _BALANCE_TOL:
+    if abs(r.sum() - s.sum()) > _BALANCE_TOL * max(r.sum(), s.sum()):
         raise ValueError(
             f"row total {r.sum()!r} and column total {s.sum()!r} differ")
     return r, s
@@ -95,10 +96,10 @@ class TransportProblem:
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         for arr in (costs, r, s):
             arr.setflags(write=False)
-        object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "row_targets", r)
-        object.__setattr__(self, "col_targets", s)
-        object.__setattr__(self, "zero_mask", _validated_mask(self.zero_mask, k))
+        for name, value in (("costs", costs), ("row_targets", r),
+                            ("col_targets", s),
+                            ("zero_mask", _validated_mask(self.zero_mask, k))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -111,106 +112,80 @@ class LpSolution:
     iterations: int
 
 
-def _equality_form(k, zero_mask):
-    """Constraint matrix over unmasked cells, one redundant row dropped.
-
-    Rows 0..K-1 are row sums, rows K..2K-2 the first K-1 column sums; the
-    last column sum is implied because the targets balance.  Returns the
-    cells' row and column indices, in row-major order, and the matrix.
-    """
-    free = np.ones((k, k), dtype=bool)
-    for cell in zero_mask:
-        free[cell] = False
-    rows, cols = np.nonzero(free)
-    A = np.zeros((2 * k - 1, rows.size))
-    A[rows, np.arange(rows.size)] = 1.0
-    summed = np.flatnonzero(cols < k - 1)
-    A[k + cols[summed], summed] = 1.0
-    return rows, cols, A
-
-
-def _pivot(tab, basis, row, col):
-    piv = tab[row, col]
-    tab[row] /= piv
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    # Rows with a zero in the pivot column would only subtract zeros.
-    hit = factors.nonzero()[0]
-    tab[hit] -= factors[hit, None] * tab[row]
-    basis[row] = col
-
-
-def _bland_iterate(tab, basis, eligible, tol):
-    """Run Bland pivots until no eligible reduced cost is below ``-tol``.
-
-    ``tab`` has the reduced-cost row last and the right-hand side in the
-    last column; ``basis`` is an integer array.  Returns the pivot count.
-    """
-    m = tab.shape[0] - 1
-    reduced = tab[m, :eligible]
-    rhs = tab[:m, -1]
-    # On a transportation polytope no basic value grows past 2K - 1 times
-    # the starting maximum, so one scale serves every pivot.
-    tie = _TIE_TOL * np.abs(rhs).max()
-    iterations = 0
-    while True:
-        below = (reduced < -tol).nonzero()[0]
-        if not below.size:
-            return iterations
-        entering = below[0]
-        column = tab[:m, entering]
-        rows = (column > _PIVOT_TOL).nonzero()[0]
-        ratios = rhs[rows] / column[rows]
-        best = ratios.min(initial=np.inf)
-        if not math.isfinite(best):
-            # Cannot happen on a bounded polytope; guard anyway.
-            raise ArithmeticError("unbounded direction in simplex")
-        # Ties go to the smallest basic-variable index (Bland).
-        tied = rows[ratios <= best + tie]
-        _pivot(tab, basis, tied[basis[tied].argmin()], entering)
-        iterations += 1
+def _pivot(cells, held, cost, price, tol, tie):
+    """(pivots, u, v): pivot the tree ``cells`` (``held`` in place) until no
+    reduced cost of ``price`` is below -tol; u + v is ``cost`` on the tree."""
+    k = cost.shape[0]
+    c = cost.tolist()
+    links = [set() for _ in range(2 * k)]  # node: {(neighbour, cell index)}
+    for n, (i, j) in enumerate(cells):
+        links[i].add((k + j, n))
+        links[k + j].add((i, n))
+    for pivots in itertools.count():
+        pot, parent = [0.0] * (2 * k), [-1] * (2 * k)
+        up, depth, stack = [-1] * (2 * k), [0] * (2 * k), [0]
+        while stack:
+            a = stack.pop()
+            for b, n in links[a]:
+                if b != parent[a]:
+                    i, j = cells[n]
+                    parent[b], up[b], depth[b] = a, n, depth[a] + 1
+                    pot[b] = c[i][j] - pot[a]
+                    stack.append(b)
+        u, v = np.array(pot[:k]), np.array(pot[k:])
+        reduced = price - u[:, None] - v
+        best = int(reduced.argmin())
+        if not reduced.flat[best] < -tol:
+            return pivots, u, v
+        i, j = divmod(best, k)
+        a, b, paths = i, k + j, ([], [])
+        while a != b:  # up to the meeting node, the deeper side first
+            side = 0 if depth[a] >= depth[b] else 1
+            paths[side].append(up[(a, b)[side]])
+            a, b = (parent[a], b) if side == 0 else (a, parent[b])
+        # Each path starts in the entering cell's row or column: it loses.
+        lose = np.array(paths[0][::2] + paths[1][::2])
+        near = lose[held[lose, 0] <= held[lose, 0].min() + tie]
+        out = near[np.lexsort(held[near].T)[0]]
+        step = held[out].copy()
+        held[paths[0][1::2] + paths[1][1::2]] += step
+        held[lose] -= step
+        held[out] = step
+        for p, q in (cells[out], (i, j)):  # the leaving edge out, entering in
+            links[p] ^= {(k + q, out)}
+            links[k + q] ^= {(p, out)}
+        cells[out] = (i, j)
 
 
-def _phase_one(k, zero_mask, row_targets, col_targets):
-    """Phase one on the polytope of these forced zeros and targets.
-
-    Artificial variables seed it; whatever remains basic afterwards is
-    either pivoted onto a real column or its (redundant) row is deleted.
-    Returns (rows, cols, tab, basis, iterations).  Column idx of the
-    equality form is cell (rows[idx], cols[idx]).  ``tab`` holds the kept
-    constraint rows over the cell columns and the right-hand side, above a
-    cost row left to phase two, and ``basis`` the basic column of each
-    kept row; both are None when the polytope is empty.  ``iterations``
-    counts the Bland pivots.
-    """
-    rows, cols, A = _equality_form(k, zero_mask)
-    m, n = A.shape
-    tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = A
-    tab[:m, n:n + m] = np.eye(m)
-    tab[:m, -1] = np.concatenate([row_targets, col_targets[:-1]])
-    basis = np.arange(n, n + m)
-    # Phase-one reduced costs: artificials cost 1 and start basic.
-    tab[m, :] = -tab[:m, :].sum(axis=0)
-    tab[m, n:n + m] = 0.0
-
-    # Phase-one costs are 0 or 1, so an absolute tolerance fits.
-    iterations = _bland_iterate(tab, basis, n + m, FEASIBILITY_TOL)
-    if -tab[m, -1] > FEASIBILITY_TOL:
-        return rows, cols, None, None, iterations
-
-    # Clear leftover artificials from the basis.
-    keep = []
-    for r in range(m):
-        if basis[r] >= n:
-            free = np.abs(tab[r, :n]) > _PIVOT_TOL
-            free[basis[basis < n]] = False
-            if not free.any():
-                continue  # redundant constraint row, dropped below
-            _pivot(tab, basis, r, free.argmax())
-        keep.append(r)
-    return (rows, cols, tab[np.ix_(keep + [m], np.r_[:n, n + m])],
-            basis[keep], iterations)
+def _phase_one(k, zero_mask, r, s):
+    """Phase one from the north-west corner: (tree, pivots), tree None if
+    the polytope is empty, else (cells, held, masked, entering, tie) with
+    ``masked`` the 0/1 costs and ``entering`` phase two's cells."""
+    masked = np.zeros((k, k))
+    masked.flat[[i * k + j for i, j in zero_mask]] = 1.0
+    total = max(r.sum(), s.sum())
+    tie = 2 * k * _EPS * total
+    need = np.column_stack([np.r_[r, s], np.repeat([k + 1.0, k], k)])
+    need[-1, 1] = 2.0 * k  # the perturbed targets
+    cells, held, i, j = [], [], 0, k
+    for _ in range(2 * k - 1):
+        (a, x), (b, y) = need[i], need[j]
+        # The row runs out first if less (lexicographically, values within
+        # ``tie`` tied); in the last row or column the walk can only go on.
+        row = j == 2 * k - 1 or i < k - 1 and (
+            a < b - tie or a <= b + tie and x < y)
+        cells.append((i, j - k))
+        held.append(need[i if row else j].copy())
+        need[j if row else i] -= held[-1]
+        i, j = (i + 1, j) if row else (i, j + 1)
+    held = np.array(held)
+    # Phase-one potentials are integers, so its reduced costs are exact.
+    pivots, u, v = _pivot(cells, held, masked, masked, 0.0, tie)
+    if held[masked[tuple(np.transpose(cells))] > 0, 0].sum() > (
+            FEASIBILITY_TOL * total):
+        return None, pivots
+    entering = (masked == 0) & (masked - u[:, None] - v == 0)
+    return (cells, held, masked, entering, tie), pivots
 
 
 def solve(problem):
@@ -220,38 +195,23 @@ def solve(problem):
     max(c) == -min(-c) holds exactly.
     """
     k = problem.costs.shape[0]
-    rows, cols, tab, basis, iterations = _phase_one(
-        k, problem.zero_mask, problem.row_targets, problem.col_targets)
-    if tab is None:
+    r, s = problem.row_targets, problem.col_targets
+    tree, iterations = _phase_one(k, problem.zero_mask, r, s)
+    if tree is None:
         return LpSolution(status="infeasible", value=np.nan, theta=None,
                           iterations=iterations)
-
-    # Phase two from phase one's basis, its cost row reduced afresh.
-    c = problem.costs[rows, cols]
-    if problem.sense == "max":
-        c = -c
-    n = c.size
-    tab[-1] = np.append(c, 0.0)
-    for r, j in enumerate(basis):
-        tab[-1] -= tab[-1, j] * tab[r]
-    iterations += _bland_iterate(
-        tab, basis, n, _OPTIMALITY_TOL * np.abs(c).max(initial=0.0))
-
-    x = np.zeros(n)
-    x[basis] = tab[:-1, -1]
-    if x.size and x.min() < -FEASIBILITY_TOL:
+    cells, held, masked, entering, tie = tree
+    c = -problem.costs if problem.sense == "max" else problem.costs
+    iterations += _pivot(cells, held, c, np.where(entering, c, np.inf),
+                         64 * _EPS * np.abs(c).max(initial=0.0),
+                         tie)[0]
+    theta, x = np.zeros((k, k)), held[:, 0]
+    theta[tuple(np.transpose(cells))] = np.where(x > tie, x, 0.0)
+    theta[masked > 0] = 0.0
+    error = np.abs(np.r_[theta.sum(axis=1) - r, theta.sum(axis=0) - s]).max()
+    if error > FEASIBILITY_TOL * max(r.sum(), s.sum()):
         raise ArithmeticError(
-            f"simplex produced a negative cell ({x.min():.3e})")
-    x = np.maximum(x, 0.0)
-
-    theta = np.zeros((k, k))
-    theta[rows, cols] = x
-    row_err = np.abs(theta.sum(axis=1) - problem.row_targets).max()
-    col_err = np.abs(theta.sum(axis=0) - problem.col_targets).max()
-    if max(row_err, col_err) > FEASIBILITY_TOL:
-        raise ArithmeticError(
-            f"simplex optimum violates marginals by {max(row_err, col_err):.3e}")
-
+            f"simplex optimum violates marginals by {error:.3e}")
     value = float(np.sum(problem.costs * theta))
     return LpSolution(status="optimal", value=value, theta=theta,
                       iterations=iterations)
@@ -259,7 +219,7 @@ def solve(problem):
 
 def check_feasibility(row_targets, col_targets, zero_mask=frozenset()):
     """True when some matrix meets the targets with the masked cells zero:
-    whether the phase one that ``solve`` runs finds a feasible basis."""
+    whether the phase one that ``solve`` runs keeps no masked mass."""
     k = len(row_targets)
     r, s = _validated_targets(row_targets, col_targets, k)
-    return _phase_one(k, _validated_mask(zero_mask, k), r, s)[2] is not None
+    return _phase_one(k, _validated_mask(zero_mask, k), r, s)[0] is not None

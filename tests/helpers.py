@@ -130,9 +130,10 @@ def enumerate_transport_optimum(costs, row_targets, col_targets,
     for size in range(min(m, len(cells)) + 1):
         for subset in itertools.combinations(range(len(cells)), size):
             sub = A[:, subset]
-            if size and np.linalg.matrix_rank(sub) < size:
+            # lstsq's rank has matrix_rank's cutoff: one SVD, not two.
+            x, _, rank, _ = np.linalg.lstsq(sub, b, rcond=None)
+            if size and rank < size:
                 continue
-            x, *_ = np.linalg.lstsq(sub, b, rcond=None)
             residual = sub @ x - b if size else -b
             if np.abs(residual).max() > atol:
                 continue

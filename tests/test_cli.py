@@ -429,6 +429,35 @@ class TestWacDistRoutes:
         assert out.read_text() == template_csv(
             ("sample", "wac"), (range(1, samples + 1), wac.tolist()))
 
+    @pytest.mark.parametrize("samples", [68, 69])
+    @pytest.mark.parametrize("theta", ["lb", "ub --constraints cs"])
+    def test_face_posteriors_are_computed_once(self, samples, theta,
+                                               tmp_path, monkeypatch):
+        # The objective's face posteriors are the ones the draws use, on
+        # the Monte-Carlo route (68 samples) and the exact law's (69).
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return hmm._iid_posteriors(*args)
+
+        for module in (engine, sweeps):
+            monkeypatch.setattr(module, "_iid_posteriors", counted)
+        faces = simulate(canonical_model(0.5), 300, 4)[1].tolist()
+        out = tmp_path / "wac.csv"
+        assert run("wac-dist", "--eta", "0.5", "--path",
+                   ",".join(map(str, faces)), "--theta", *theta.split(),
+                   "--samples", str(samples), "--seed", "9",
+                   "--out", str(out)) == EXIT_OK
+        assert len(calls) == 1
+        monkeypatch.undo()
+        again = tmp_path / "again.csv"
+        assert run("wac-dist", "--eta", "0.5", "--path",
+                   ",".join(map(str, faces)), "--theta", *theta.split(),
+                   "--samples", str(samples), "--seed", "9",
+                   "--out", str(again)) == EXIT_OK
+        assert again.read_bytes() == out.read_bytes()
+
 
 class TestMarkovSamplerLog:
     # Backward sampling costs O(S * T); a Markov wac-dist states S * T at

@@ -18,7 +18,8 @@ from casino_ewac import (BIASED, FAIR, EwacObjective, HmmModel,
                          stationary, validate_joint_pmf, TransportProblem)
 from casino_ewac.engine import (_EPS, REPORT_COLUMNS, _greedy_stacks,
                                 _nw_fills, _report_values)
-from casino_ewac.hmm import _forward_filter, _smooth_filtered, as_symbol_indices
+from casino_ewac.hmm import (_forward_filter, _iid_posteriors, _smooth_filtered,
+                             as_symbol_indices)
 from casino_ewac import engine, eta_sweep, horizon_sweep
 from helpers import (biased_winnings, brute_force_ewac, closed_form_extremes,
                      cold_memo,
@@ -92,8 +93,11 @@ class TestFaceCountObjective:
         o = as_symbol_indices(model, obs)
         delta = _smooth_filtered(model, o, _forward_filter(model, o))
         expected = ewac_objective(model, obs, delta)
-        got, alpha = path_objective(model, obs)
-        assert alpha is None
+        got, posteriors = path_objective(model, obs)
+        table, start = _iid_posteriors(model, o, np.bincount(
+            o, minlength=model.num_symbols))
+        assert posteriors[0].tobytes() == table.tobytes()
+        assert posteriors[1].tobytes() == start.tobytes()
         tol = 4 * len(obs) * np.finfo(float).eps * len(obs)
         assert biased_winnings(got) == pytest.approx(
             biased_winnings(expected), rel=0, abs=tol * model.rewards.max())

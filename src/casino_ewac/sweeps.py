@@ -6,7 +6,6 @@ path and analyses each truncation from its face counts, which suffice for
 the canonical casino's i.i.d. hidden states.
 """
 
-import functools
 import logging
 from dataclasses import dataclass, fields
 
@@ -36,10 +35,6 @@ _BOUND_PAIRS = (("lb", "ub"), ("lb_cs", "ub_cs"), ("lb_inhom", "ub_inhom"))
 # Levels eta_sweep evaluates at a time: their stacked tables and products
 # take about 7 KB per level, so memory does not grow with the grid.
 _LEVEL_BLOCK = 1 << 12
-# The largest n of binomials drawn by inverting tabulated CDFs (see
-# sample_wac): a face's redraws, and the i.i.d. counts up to the crossover.
-_TABLE_N = 32
-_COUNTS_N = 224
 # wac-dist draws from the exact law when its lattice of W points has W^2 <=
 # _LAW_COST * S: the law's convolutions cost up to about 0.13 ns * W^2, the
 # Monte Carlo 1 to 6 us per sample.
@@ -122,14 +117,10 @@ def sample_wac(model, obs, theta, count, seed, *, filtered=None):
     order, for all samples at once: of the periods no earlier cell took,
     Binomial(left, theta_ij / r_i) go to cell i, r_i the sum of the
     column's cells from i on, and the last cell takes the rest (Devroye
-    1986, *Non-Uniform Random Variate Generation*, ch. XI).  Theta cells
-    the marginal check lets through slightly below zero count as zero.
-
-    The i.i.d. counts when the largest n_j is at most 224, and a face's
-    redraws when its largest b_j is at most 32, are drawn by inversion
-    (Devroye, ch. III.2), one uniform per draw in the order above, from
-    binomial CDF tables; above those caps numpy's sampler is as fast.  A
-    Markov chain logs its S * T sample-periods at ``info``.
+    1986, *Non-Uniform Random Variate Generation*, ch. XI).  Every
+    binomial is numpy's.  Theta cells the marginal check lets through
+    slightly below zero count as zero.  A Markov chain logs its S * T
+    sample-periods at ``info``.
 
     ``wac-dist`` (``_wac_dist``) inverts the loss's exact law instead on
     i.i.d. chains with integral payoffs and short paths, where it has no
@@ -161,13 +152,8 @@ def _sample_wac(model, o, face_counts, theta, count, seed, filtered=None):
     if iid is not None:  # face-major: one binomial set-up per face
         n = face_counts - (faces == o[0])  # periods 2..T
         biased = iid[0][:, 1]
-        if n.max() <= _COUNTS_N:
-            rows = _cdf_rows(biased, n, n.max())[:, :, None]
-            counts = _inverted(rng.random((faces.size, count)),
-                               rows).astype(np.int64)
-        else:
-            counts = rng.binomial(n[:, None], biased[:, None],
-                                  size=(faces.size, count))
+        counts = rng.binomial(n[:, None], biased[:, None],
+                              size=(faces.size, count))
         counts[o[0]] += rng.random(count) >= iid[1][0]
     else:
         logging.getLogger(__name__).info(
@@ -196,14 +182,9 @@ def _sample_wac(model, o, face_counts, theta, count, seed, filtered=None):
         # Each cell's share of the cells not yet drawn: a suffix sum of
         # positive floats is never below its first term, so p <= 1.
         p = column / np.cumsum(column[::-1])[::-1]
-        left, m = counts[j].copy(), counts[j].max()
+        left = counts[j].copy()
         for i, share in zip(cells[:-1].tolist(), p[:-1].tolist()):
-            if m <= _TABLE_N:
-                rows = _cdf_rows(share, np.arange(m + 1), m)
-                redrawn = _inverted(rng.random(count),
-                                    (row[left] for row in rows))
-            else:
-                redrawn = rng.binomial(left, share)
+            redrawn = rng.binomial(left, share)
             wac += redrawn * (w[j] - w[i])
             left -= redrawn
         wac += left * (w[j] - w[cells[-1]])
@@ -313,32 +294,6 @@ def _wac_law(model, o, counts, theta, iid=None):
                 break
             period = np.convolve(period, period)
     return low, pmf
-
-
-@functools.cache
-def _comb(m):
-    """(m, m + 1): C(n, k) in row k, column n, from integers rounded once."""
-    rows = [np.ones(m + 1, dtype=object)]
-    for _ in range(1, m):
-        rows.append(np.concatenate([[0], np.cumsum(rows[-1][:-1])]))
-    return np.array(rows, dtype=float)
-
-
-def _cdf_rows(p, n, m):
-    """(m, n.size): P(Binomial(n, p) <= k) in row k; +inf from k = n on,
-    so that a CDF rounded below 1 never draws more than n."""
-    k = np.arange(m)[:, None]
-    pmf = _comb(max(m, _TABLE_N))[k, n] * p ** k * (1 - p) ** np.maximum(
-        n - k, 0)
-    return np.where(k < n, pmf.cumsum(axis=0), np.inf)
-
-
-def _inverted(u, rows):
-    """Inversion draws: how many of the CDF ``rows`` each uniform reaches."""
-    drawn = np.zeros(u.shape, np.uint8)
-    for row in rows:
-        drawn += u >= row
-    return drawn
 
 
 def default_eta_grid():

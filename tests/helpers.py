@@ -3,8 +3,9 @@
 Nothing here calls the library's recursions or the simplex: smoothing and
 the cheating expectation are recomputed by exhaustive enumeration over
 hidden paths or by the vector form of the forward-backward recursion,
-small transport optima by enumerating basic solutions (for K <= 3 also in
-exact rationals, ``exact_transport_optimum``), and the unmasked
+small transport optima by enumerating the flows on spanning trees of the
+grid (for K <= 3 also basic solutions in exact rationals,
+``exact_transport_optimum``), and the unmasked
 EWAC extremes by the closed-form north-west-corner couplings.  The
 transport solver's pivot path is redone one tableau element and one row at
 a time, both phases of every solve.  The
@@ -14,9 +15,8 @@ periods of each face by a plain loop and redraw each face's fair faces as
 a chain of conditional binomials, one scalar draw per cell and sample,
 consuming the same random numbers in the same order as the library; for
 an i.i.d. chain they draw each face's binomial count and period 1's
-uniform one scalar at a time instead.  A binomial on the library's table
-route is one uniform inverted against its exact CDF in rationals
-(``exact_binomial_cdf``), any other one numpy's scalar draw.  The loss
+uniform one scalar at a time instead.  Every binomial is numpy's scalar
+draw; ``exact_binomial_cdf`` gives its law in exact rationals.  The loss
 moments of an i.i.d. chain come in closed form, and its exact
 distribution, for integer payoffs, by convolving the per-period ones.
 ``exact_canonical_values`` recomputes the canonical casino's bounds and
@@ -32,7 +32,7 @@ the simplex's for a cs mask other than pm, and one evaluation per table),
 report kernel and the JSON and CSV written from arrays.
 """
 
-import bisect
+import collections
 import functools
 import itertools
 import math
@@ -44,7 +44,6 @@ from hypothesis import strategies as st
 
 from casino_ewac.engine import _EPS, _path_objective
 from casino_ewac.hmm import as_symbol_indices
-from casino_ewac.sweeps import _COUNTS_N, _TABLE_N
 
 
 def path_posterior(model, obs):
@@ -103,49 +102,76 @@ def brute_force_ewac(model, obs, theta):
     return float(w[o].sum()) - counterfactual_mean
 
 
+@functools.lru_cache(maxsize=None)
+def _spanning_trees(k):
+    """Every spanning tree of the K x K transport grid, as the steps of its
+    leaf elimination: an int array (trees, 2K - 1, 3) of (cell, leaf,
+    other).  Row i is node i, column j node K + j and cell (i, j) the
+    index i K + j, joining them.  Each step takes a leaf of what is left
+    of the tree, never the last column's node, so that column's target is
+    the one the elimination leaves unread."""
+    root = 2 * k - 1
+    trees = []
+
+    def find(node):
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    for subset in itertools.combinations(range(k * k), 2 * k - 1):
+        parent = list(range(2 * k))
+        ends = [(cell // k, k + cell % k) for cell in subset]
+        for a, b in ends:
+            a, b = find(a), find(b)
+            if a == b:
+                break
+            parent[a] = b
+        else:  # 2K - 1 edges and no cycle: a spanning tree
+            edges = dict(zip(subset, ends))
+            steps = []
+            while edges:
+                degree = collections.Counter(
+                    node for pair in edges.values() for node in pair)
+                cell, leaf = next((cell, node) for cell, pair in edges.items()
+                                  for node in pair
+                                  if degree[node] == 1 and node != root)
+                a, b = edges.pop(cell)
+                steps.append((cell, leaf, a + b - leaf))
+            trees.append(steps)
+    return np.array(trees, dtype=np.intp).reshape(-1, 2 * k - 1, 3)
+
+
 def enumerate_transport_optimum(costs, row_targets, col_targets,
                                 zero_mask=frozenset(), atol=1e-9):
     """Optima of a small transport LP by basic-solution enumeration.
 
-    Enumerates every linearly independent subset of unmasked cells (up to
-    the constraint-system rank), keeps the consistent non-negative
-    solutions, and reads off the extremes.  Returns (min, max), or None if
-    no candidate solution exists.
+    Every vertex is the unique flow on some spanning tree of the K x K
+    grid, the cells beyond its support at zero.  So each spanning tree's
+    flow is solved by leaf elimination (a leaf's cell carries what is left
+    of its target), and the flows that are non-negative and zero on the
+    mask within ``atol`` give the extremes.  The last column's target, the
+    redundant one, goes unread.  Returns (min, max), or None if no tree's
+    flow is kept.
     """
     costs = np.asarray(costs, dtype=float)
     k = costs.shape[0]
-    r = np.asarray(row_targets, dtype=float)
-    s = np.asarray(col_targets, dtype=float)
-    cells = [(i, j) for i in range(k) for j in range(k)
-             if (i, j) not in zero_mask]
-    m = 2 * k - 1
-    A = np.zeros((m, len(cells)))
-    for idx, (i, j) in enumerate(cells):
-        A[i, idx] = 1.0
-        if j < k - 1:
-            A[k + j, idx] = 1.0
-    b = np.concatenate([r, s[:-1]])
-
-    values = []
-    for size in range(min(m, len(cells)) + 1):
-        for subset in itertools.combinations(range(len(cells)), size):
-            sub = A[:, subset]
-            # lstsq's rank has matrix_rank's cutoff: one SVD, not two.
-            x, _, rank, _ = np.linalg.lstsq(sub, b, rcond=None)
-            if size and rank < size:
-                continue
-            residual = sub @ x - b if size else -b
-            if np.abs(residual).max() > atol:
-                continue
-            if size and x.min() < -atol:
-                continue
-            theta = np.zeros((k, k))
-            for idx, cell in enumerate(subset):
-                theta[cells[cell]] = x[idx]
-            values.append(float(np.sum(costs * theta)))
-    if not values:
+    steps = _spanning_trees(k)
+    cell, leaf, other = steps.transpose(2, 0, 1)
+    trees = np.arange(steps.shape[0])
+    left = np.tile(np.concatenate([np.asarray(row_targets, dtype=float),
+                                   np.asarray(col_targets, dtype=float)]),
+                   (trees.size, 1))
+    flow = np.empty(cell.shape)
+    for n in range(cell.shape[1]):
+        flow[:, n] = left[trees, leaf[:, n]]
+        left[trees, other[:, n]] -= flow[:, n]
+    masked = np.isin(cell, [i * k + j for i, j in zero_mask])
+    kept = ((flow.min(axis=1) >= -atol)
+            & (np.abs(np.where(masked, flow, 0.0)).max(axis=1) <= atol))
+    if not kept.any():
         return None
-    return min(values), max(values)
+    values = (costs.ravel()[cell[kept]] * flow[kept]).sum(axis=1)
+    return float(values.min()), float(values.max())
 
 
 def _exact_solution(columns, b):
@@ -747,30 +773,18 @@ def exact_binomial_cdf(n, p):
         math.comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n)))
 
 
-def _binomial(rng, n, p, inverted):
-    """One Binomial(n, p) draw: with ``inverted``, the number of exact CDF
-    values that one uniform reaches; otherwise numpy's sampler."""
-    if not inverted:
-        return int(rng.binomial(n, p))
-    u = Fraction(rng.random())
-    return bisect.bisect_right(exact_binomial_cdf(n, p), u)
-
-
 def _redraw(rng, counts, theta, rewards):
     """Losses from biased counts, one scalar draw at a time: for each face
     j, each nonzero cell i of its theta column in order, each sample, the
     periods left after the earlier cells give Binomial(left, theta_ij /
     r_i) to cell i, r_i the column's sum from cell i on; the last cell
-    takes the rest, with no draw.  Cell i adds w_j - w_i per period.  A
-    face whose largest count is at most the library's table cap draws by
-    inverting one uniform each, any other face by numpy's sampler."""
+    takes the rest, with no draw.  Cell i adds w_j - w_i per period."""
     theta = np.maximum(np.asarray(theta, dtype=float), 0.0)
     count, k = counts.shape
     wac = [0.0] * count
     for j in range(k):
         cells = [i for i in range(k) if theta[i, j] > 0]
         left = [int(b) for b in counts[:, j]]
-        inverted = max(left) <= _TABLE_N
         for n, i in enumerate(cells):
             loss = float(rewards[j] - rewards[i])
             if n == len(cells) - 1:
@@ -780,7 +794,7 @@ def _redraw(rng, counts, theta, rewards):
                 for later in reversed(cells[n:]):
                     rest += float(theta[later, j])
                 share = float(theta[i, j]) / rest
-                drawn = [_binomial(rng, m, share, inverted) for m in left]
+                drawn = [int(rng.binomial(m, share)) for m in left]
             for s in range(count):
                 wac[s] += drawn[s] * loss
                 left[s] -= drawn[s]
@@ -835,8 +849,7 @@ def loop_iid_sample_wac(model, obs, theta, count, seed):
 
     The order of draws: for each face j, for each sample, the biased count
     among the n_j periods after the first that show face j, a
-    Binomial(n_j, p_j), by inversion when the largest n_j is at most the
-    library's counts cap; then one uniform per sample for period 1, biased
+    Binomial(n_j, p_j); then one uniform per sample for period 1, biased
     when it reaches P(fair | o_1) under the initial distribution; then the
     per-face redraws of ``_redraw``.
     """
@@ -847,11 +860,10 @@ def loop_iid_sample_wac(model, obs, theta, count, seed):
         n[face] += 1
     rng = np.random.default_rng(seed)
     counts = np.zeros((count, k), dtype=np.int64)
-    inverted = max(n) <= _COUNTS_N
     for j in range(k):
         p_j = bayes(model.transition[0], model, j)[1]
         for s in range(count):
-            counts[s, j] = _binomial(rng, n[j], p_j, inverted)
+            counts[s, j] = rng.binomial(n[j], p_j)
     fair_first = bayes(model.initial, model, o[0])[0]
     for s in range(count):
         counts[s, o[0]] += rng.random() >= fair_first

@@ -384,15 +384,17 @@ class TestWacDistRoutes:
         ("long-path",
          "d20043bf33f62010e92cd1e914f36b69b754ac450519a9d8e20e4510eaef39ed"),
         ("fractional-payoff",
-         "ac4af4a658d983914eddd149510f6fa2a0a6648f5340cd216100a30322d0e2b0"),
+         "28245672bb223fb31175f271b82f53468275fd56bde452c8020546cb58edc3d4"),
         ("sticky",
-         "bfae1a2bb1ee475ff5f5d6c46d52edcda914154aeaf35440b5050987fbf06f3c"),
+         "093027bbdaab1441016ac1a01f260b9a3afc95e0c0682e580989caebbb755dd1"),
     ])
     def test_monte_carlo_inputs_keep_their_bytes(self, case, digest,
                                                  tmp_path):
-        # Digests recorded before the law route existed: a 10^5-period
-        # canonical @file at 50 samples, an i.i.d. chain whose last payoff
-        # is 6.5, and a Markov chain.
+        # A 10^5-period canonical @file at 50 samples, its digest recorded
+        # before the law route existed; an i.i.d. chain whose last payoff
+        # is 6.5 and a Markov chain, their digests derived from
+        # helpers.loop_iid_sample_wac and loop_count_sample_wac on
+        # helpers.dense_filter, written as "%d,%.12g" lines.
         if case == "long-path":
             path = tmp_path / "long.txt"
             faces = simulate(canonical_model(0.5), 10**5, 1)[1]
@@ -615,27 +617,27 @@ class TestGoldenOutputs:
          "c8cc468a4b8048a088b619203b42804549c4f161036ccc0cfb1712bc13b54c1a"),
         pytest.param(
             "wac-dist --theta lb",
-            "9d3a7ba9f85ef5f5e406407d369c248a5728fbfd5aba2cb7673ebd9c14fb0801",
+            "e133f36fb0a536379c7e725043681566a43efbe7f2bb1cdf90cd9ce24145544b",
             id="wac-dist --theta lb"),
         pytest.param(
             "wac-dist --theta ub",
-            "305bba8003d23cc352788fb80f041ec8a64ec793a504701e72e5f1fb9f230d45",
+            "90470fd84fcf536fd9eac7fbf15cda20bcab92828fd8e049e3465b53b3568246",
             id="wac-dist --theta ub"),
         pytest.param(
             "wac-dist --theta lb --constraints pm",
-            "8a27c77bacd66a4f548926cea2968f3682155eb032c2ea16f34aa9f6080f1d50",
+            "a5b111d6c3ebb9ea9cde624222e6eb49a8280a208df19ec9386cca24a8586e32",
             id="wac-dist --theta lb --constraints pm"),
         pytest.param(
             "wac-dist --theta independence",
-            "b2de943e69b3789e1b631ddbedf058ff68ff6c747d86615c6f057c8e6e7b47f0",
+            "f1e15bc2e1d3399e21a0b378276864b2154cf3604b91ff6e62a08867ff5fc90c",
             id="wac-dist --theta independence"),
         pytest.param(
             "wac-dist --theta comonotonic",
-            "305bba8003d23cc352788fb80f041ec8a64ec793a504701e72e5f1fb9f230d45",
+            "90470fd84fcf536fd9eac7fbf15cda20bcab92828fd8e049e3465b53b3568246",
             id="wac-dist --theta comonotonic"),
         pytest.param(
             "wac-dist --theta countermonotonic",
-            "9d3a7ba9f85ef5f5e406407d369c248a5728fbfd5aba2cb7673ebd9c14fb0801",
+            "e133f36fb0a536379c7e725043681566a43efbe7f2bb1cdf90cd9ce24145544b",
             id="wac-dist --theta countermonotonic"),
     ])
     def test_markov_chain_bytes(self, argv, digest, tmp_path):
@@ -662,7 +664,7 @@ class TestGoldenOutputs:
         text = "sample,wac\n" + "".join(
             "%d,%.12g\n" % (n, x) for n, x in enumerate(wac.tolist(), 1))
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "8a27c77bacd66a4f548926cea2968f3682155eb032c2ea16f34aa9f6080f1d50")
+            "a5b111d6c3ebb9ea9cde624222e6eb49a8280a208df19ec9386cca24a8586e32")
 
     def test_mid_level_lower_bound_is_the_exact_value(self, tmp_path):
         # The EWAC summed as theta_ij f_j (w_j - w_i) keeps the 12th digit

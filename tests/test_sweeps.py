@@ -2,7 +2,6 @@
 
 import hashlib
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from casino_ewac import engine, hmm, sweeps
 from casino_ewac.engine import _face_objective
 from casino_ewac.hmm import (_BLOCK_SAMPLE_PERIODS, _face_posteriors,
                              _forward_filter, as_symbol_indices)
-from casino_ewac.sweeps import _COUNTS_N, _TABLE_N, _cdf_rows
 from helpers import (cold_memo, digit_rows, exact_binomial_cdf, iid_cases,
                      iid_wac_moments, iid_wac_pmf, is_iid, loop_bounds_report,
                      loop_count_sample_wac, loop_iid_sample_wac,
@@ -66,8 +64,8 @@ class TestSampleWac:
         assert draws.biased_counts.dtype == np.int64
 
     @pytest.mark.parametrize("kind,wac", [
-        ("comonotonic", [6.0, 7.0, 2.0, 3.0]),
-        ("countermonotonic", [2.0, -5.0, 5.0, 2.0]),
+        ("comonotonic", [5.0, 6.0, 4.0, 2.0]),
+        ("countermonotonic", [2.0, -6.0, 4.0, 4.0]),
     ])
     def test_golden_draws(self, kind, wac):
         # Golden values: a fixed seed keeps drawing the same uniforms in the
@@ -454,8 +452,8 @@ SWAP_THETA = [[0.0, 0.3], [0.7, 0.0]]
 # is biased; face 3's column redraws Binomial(b_3, 0.35 / 0.5) periods to
 # face 1 (a loss of 5 each) and the rest to face 2 (3.5 each), and the
 # other columns are single cells on their own face, which lose nothing.
-# Both shares here exceed 1/2, where numpy's sampler does not invert the
-# CDF at one uniform, so the two routes draw apart.
+# Both shares here exceed 1/2, where numpy's sampler draws n - Binomial(n,
+# 1 - p) rather than inverting the CDF at one uniform.
 FORCED = HmmModel([0.5, 0.5], [[0.6, 0.4], [0.3, 0.7]],
                   [[0.5, 0.5, 0.0], [0.15, 0.35, 0.5]], [1.0, 2.5, 6.0])
 FORCED_THETA = [[0.15, 0.0, 0.35], [0.0, 0.35, 0.15], [0.0, 0.0, 0.0]]
@@ -480,49 +478,23 @@ def assert_binomial_law(draws, n, p):
     assert np.abs(empirical - cdf).max() <= 1.95 / np.sqrt(draws.size)
 
 
-class TestInvertedBinomials:
-    # Binomials whose largest n is at most a cap invert tabulated CDFs at
-    # one uniform per draw; above it, numpy's sampler draws them.  The
-    # route depends on the input alone: the largest face count after
-    # period 1 against _COUNTS_N for the i.i.d. counts, a face's largest
-    # biased count against _TABLE_N for its redraws.
-    @pytest.mark.parametrize("p", [0.0, 1e-17, 0.05, 0.3, 0.5, 2 / 3, 0.95,
-                                   1 - 1e-16, 1.0])
-    def test_table_is_the_exact_cdf(self, p):
-        # Row k, column l: P(Binomial(l, p) <= k) within 4 l eps of the
-        # exact value, and +inf from k = l on, so no draw exceeds l.
-        table = _cdf_rows(p, np.arange(_TABLE_N + 1), _TABLE_N)
-        assert table.shape == (_TABLE_N, _TABLE_N + 1)
-        eps = np.finfo(float).eps
-        for n in range(_TABLE_N + 1):
-            for k, exact in enumerate(exact_binomial_cdf(n, p)):
-                assert abs(Fraction(table[k, n]) - exact) <= 4 * n * eps
-            assert (table[n:, n] == np.inf).all()
-        # The per-face form, one (n, p) pair per column, agrees.
-        n = np.arange(_TABLE_N + 1)
-        np.testing.assert_array_equal(
-            _cdf_rows(np.full(n.size, p), n, _TABLE_N), table)
-        # So do the counts' larger tables, up to their cap.
-        n = np.array([_TABLE_N + 1, 64, 100, 128, _COUNTS_N])
-        table = _cdf_rows(p, n, _COUNTS_N)
-        for column, l in enumerate(n.tolist()):
-            for k, exact in enumerate(exact_binomial_cdf(l, p)):
-                assert abs(Fraction(table[k, column]) - exact) <= 4 * l * eps
-            assert (table[l:, column] == np.inf).all()
-
+class TestNumpyBinomials:
+    # Every binomial is numpy's, drawn in the scalar oracle's order.  The
+    # sizes straddle where tabulated-CDF routes once took over: n = 224
+    # for the i.i.d. counts and 32 for a face's redraws.  Draws above them
+    # kept their bytes throughout, so the 225 counts and 33 redraws
+    # digests pin numpy's route.
     @pytest.mark.parametrize("n,digest", [
-        (_COUNTS_N, None),
-        (_COUNTS_N + 1,
+        (1, None),
+        (224, None),
+        (225,
          "1ce8a0afc3ecb2c74626e9efa220dd3f3cd17017a544bf43949ea38d49cfa57d"),
-        (_TABLE_N + 1,
-         "c346b1fc3b4be7b2ac0954e51f301334dbe97abed9c40a808909bdc2ed211d9a"),
-    ], ids=["cap", "cap+1", "33"])
-    def test_counts_route_at_the_cap(self, n, digest):
-        # Both sides equal the scalar oracle under the route rule; above
-        # the cap the draws are those of numpy's sampler, as before the
-        # table existed.  The digests of the losses' and counts' bytes come
-        # from the oracle: past the cap, numpy's scalar draws (equal to the
-        # sampler before tables); at 33, inversion against exact CDFs.
+        (33,
+         "73f43b03107d52fd2600724c9ef9ce206e56339a06d7ceb6a1aa8f3fd7661450"),
+    ], ids=["1", "224", "225", "33"])
+    def test_counts_equal_the_scalar_oracle(self, n, digest):
+        # The digests of the losses' and counts' bytes come from the
+        # oracle's numpy scalar draws.
         obs = swap_path(n)
         draws = sample_wac(SWAP, obs, SWAP_THETA, 200, seed=3)
         wac, counts = loop_iid_sample_wac(SWAP, obs, SWAP_THETA, 200, 3)
@@ -533,11 +505,11 @@ class TestInvertedBinomials:
                                   .tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("n,digest", [
-        (_TABLE_N, None),
-        (_TABLE_N + 1,
+        (32, None),
+        (33,
          "a56c8ef762ab64feb067c1463db179b868c028045fef5c1f65e3fd814aa33ea0"),
-    ], ids=["cap", "cap+1"])
-    def test_redraw_route_at_the_cap(self, n, digest):
+    ], ids=["32", "33"])
+    def test_redraws_equal_the_scalar_oracle(self, n, digest):
         obs = forced_path(n)
         alpha = _forward_filter(FORCED, as_symbol_indices(FORCED, obs))
         draws = sample_wac(FORCED, obs, FORCED_THETA, 200, seed=3)
@@ -550,14 +522,14 @@ class TestInvertedBinomials:
             assert hashlib.sha256(draws.wac.tobytes() + draws.biased_counts
                                   .tobytes()).hexdigest() == digest
 
-    def test_counts_at_the_cap_follow_the_binomial_law(self):
-        draws = sample_wac(SWAP, swap_path(_COUNTS_N), SWAP_THETA, 100_000,
+    def test_counts_at_224_follow_the_binomial_law(self):
+        draws = sample_wac(SWAP, swap_path(224), SWAP_THETA, 100_000,
                            seed=23)
         share = 0.4 * 0.7 / (0.6 * 0.3 + 0.4 * 0.7)
-        assert_binomial_law(draws.biased_counts[:, 0], _COUNTS_N, share)
+        assert_binomial_law(draws.biased_counts[:, 0], 224, share)
 
-    def test_redraws_at_the_cap_follow_the_binomial_law(self):
-        n = _TABLE_N
+    def test_redraws_at_32_follow_the_binomial_law(self):
+        n = 32
         draws = sample_wac(FORCED, forced_path(n), FORCED_THETA, 100_000,
                            seed=29)
         to_face_1 = (draws.wac - 3.5 * n) / 1.5

@@ -410,7 +410,7 @@ class TestDegenerateInputs:
     def test_against_the_tableau(self, problem):
         _assert_agrees(problem)
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=600, deadline=None, derandomize=True)
     @given(_degenerate_problems(max_k=4))
     def test_against_enumeration(self, problem):
         sol = solve(problem)

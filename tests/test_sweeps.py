@@ -522,6 +522,32 @@ class TestNumpyBinomials:
             assert hashlib.sha256(draws.wac.tobytes() + draws.biased_counts
                                   .tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("p", [0.0, 1e-17, 0.05, 0.3, 0.5, 2 / 3, 0.95,
+                                   1 - 1e-16, 1.0])
+    def test_edge_shares_equal_the_scalar_oracle(self, p):
+        # The biased die rolls only face 3 and the fair die never does, so
+        # every period is a biased face 3, and its column redraws
+        # Binomial(32, p) periods to face 1 (a loss of 5 each), the rest to
+        # face 2 (3.5 each).  At shares of 0 and 1, or within an ulp of
+        # them, the draws stay whole and in [0, 32]; at 0 exactly the cell
+        # is skipped and nothing is drawn.
+        n = 32
+        model = HmmModel([0.5, 0.5], FORCED.transition,
+                         [[p, 1 - p, 0.0], [0.0, 0.0, 1.0]], FORCED.rewards)
+        theta = [[0.0, 0.0, p], [0.0, 0.0, 1 - p], [0.0, 0.0, 0.0]]
+        obs = [3] * n
+        alpha = _forward_filter(model, as_symbol_indices(model, obs))
+        draws = sample_wac(model, obs, theta, 200, seed=3)
+        wac, counts = loop_count_sample_wac(model, alpha, obs, theta, 200, 3)
+        np.testing.assert_array_equal(draws.biased_counts, counts)
+        np.testing.assert_array_equal(draws.wac, wac)
+        assert (draws.biased_counts == [0, 0, n]).all()
+        to_face_1 = (draws.wac - 3.5 * n) / 1.5
+        np.testing.assert_array_equal(to_face_1, np.round(to_face_1))
+        assert 0 <= to_face_1.min() <= to_face_1.max() <= n
+        if p in (0.0, 1.0):
+            assert (to_face_1 == n * p).all()
+
     def test_counts_at_224_follow_the_binomial_law(self):
         draws = sample_wac(SWAP, swap_path(224), SWAP_THETA, 100_000,
                            seed=23)

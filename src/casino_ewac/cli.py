@@ -52,22 +52,18 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
-log = logging.getLogger("casino_ewac")
-
 __all__ = ["PATH_1", "PATH_2", "main", "entry_point"]
 
 
 def _json_text(report):
     """``json.dumps(report, indent=2, sort_keys=True)`` and a line end for
-    a dict of floats, None and (K, K) arrays, numbers first rounded to 12
+    a dict of floats and (K, K) arrays, numbers first rounded to 12
     significant digits by one ``%``: one ``%`` template of the document
     takes their ``repr``, as ``json`` prints floats but NaN and Infinity."""
     lines, flat = [], []
     for key in sorted(report):
         value = report[key]
-        if value is None:
-            lines.append(f'  "{key}": null')
-        elif isinstance(value, np.ndarray):
+        if isinstance(value, np.ndarray):
             row = "[\n" + ",\n".join(["      %s"] * len(value)) + "\n    ]"
             lines.append(f'  "{key}": [\n'
                          + ",\n".join(["    " + row] * len(value)) + "\n  ]")
@@ -337,22 +333,11 @@ def _cmd_smooth(opts):
 def _cmd_bounds(opts):
     model, o, counts = _model_and_faces(opts)
     objective, _ = _path_objective(model, o, counts)
-    mask = None
-    try:
-        mask = cs_mask(model.emission)
-    except ValueError:
-        log.info("fair die is not uniform; skipping the cs bounds")
-    staircase = mask == pm_mask(model.num_symbols)
-    values, tables = _report_values(model, objective, staircase)
+    values, tables = _report_values(model, objective)
     report = dict(zip(REPORT_COLUMNS, values[0].tolist()),
                   naive=_naive(model, counts),
                   ewac_independence=objective.independence,
                   theta_lb=tables[0, 0], theta_ub=tables[1, 0])
-    if mask is None:
-        report.update(lb_cs=None, ub_cs=None)
-    elif not staircase:  # the simplex
-        pair = ewac_bounds(objective, mask, tag="cs")
-        report.update(lb_cs=pair.lb, ub_cs=pair.ub)
     return [_json_text(report)]
 
 

@@ -9,12 +9,14 @@ biased masses, so both its extremes are linear programs.  Their cost
 w_i * f_j is rank one with increasing payoffs w: without a mask both optima
 are north-west-corner fills against the biased faces sorted by f (Hoffman
 1963; Cambanis, Simons and Stout 1976), and on the staircase j >= i of the
-pm mask (for the canonical dice also the cs mask) greedy fills row by row
-in payoff order (Shamir and Dietrich 1990).  Either way an optimum sees the
-path only through the stable order of f: a memo by dice keeps, read-only
-and under 16 MB, each order's fills (one kernel call fills those missing)
-and pm fills, and the fixed tables; public results are copies.  The
-transportation simplex (``transport.solve``) serves every other mask.
+pm mask (also the cs mask of dice whose likelihood ratio e_b / e_f
+strictly increases with the face) greedy fills row by row in payoff order
+(Shamir and Dietrich 1990).  Either way an optimum sees the path only
+through the stable order of f: a memo by dice keeps, read-only and under
+16 MB, each order's fills (one kernel call fills those missing) and pm
+fills, and the fixed tables; public results are copies.  The
+transportation simplex (``transport.solve``) serves every other mask, the
+cs mask of any other dice among them.
 """
 
 import functools
@@ -26,7 +28,6 @@ from casino_ewac.hmm import (BIASED, FAIR, _forward_filter, _iid_posteriors,
                              _smooth_filtered, as_symbol_indices)
 from casino_ewac.transport import FEASIBILITY_TOL, TransportProblem, solve
 
-_UNIFORM_TOL = 1e-12
 _PMF_ATOL = 1e-8
 _EPS = float(np.finfo(float).eps)
 _MEMO_BOUND = 1 << 24  # bytes of tables the memo holds; see _memoised
@@ -323,11 +324,15 @@ def pm_mask(k):
 
 
 def cs_mask(emission):
-    """Cells forced to zero when the cheat never moves probability toward a
-    face the biased die makes no likelier; cached by the emission's bytes.
-
-    Valid only when the fair die is uniform, since the argument compares
-    biased emission probabilities alone; a tie masks both ordered pairs.
+    """Cells forced to zero by counterfactual stability (Oberst and Sontag
+    2019): the cheat turns a fair roll i into a biased roll j != i only if
+    the likelihood ratio e_b / e_f is strictly larger at j than at i, so
+    (i, j) is masked iff e_b[j] e_f[i] <= e_b[i] e_f[j].  The ratios
+    compare as the exact rationals the floats hold.  A tie masks both
+    ordered pairs, and a face both dice rule out ties with every face.  A
+    monotone likelihood ratio implies first-order dominance (Shaked and
+    Shanthikumar 2007, Thm 1.C.1), so the masked polytope is never empty.
+    Cached by the emission's bytes.
     """
     emission = np.asarray(emission, dtype=float)
     return _cs_mask(emission.shape, emission.tobytes())
@@ -335,17 +340,20 @@ def cs_mask(emission):
 
 @functools.lru_cache(maxsize=16)
 def _cs_mask(shape, data):
-    """``cs_mask`` of the emission matrix of ``shape`` and bytes ``data``."""
-    emission = np.frombuffer(data).reshape(shape)
-    k = emission.shape[1]
-    fair = emission[FAIR]
-    if np.abs(fair - 1.0 / k).max() > _UNIFORM_TOL:
-        raise ValueError(
-            "this constraint set requires a uniform fair die; row 0 of the "
-            "emission matrix is not uniform")
-    e_biased = emission[BIASED]
-    return frozenset((i, j) for i in range(k) for j in range(k)
-                     if i != j and e_biased[j] <= e_biased[i])
+    """``cs_mask`` of the emission matrix of ``shape`` and bytes ``data``:
+    the faces ranked by e_b / e_f (+inf where e_f = 0 < e_b), then one
+    comparison of the ranks."""
+    from fractions import Fraction  # not at module level: ~2 ms of import
+
+    fair, biased = np.frombuffer(data).reshape(shape)
+    ratio = [Fraction(b) / Fraction(f) if f else np.inf
+             for f, b in zip(fair.tolist(), biased.tolist())]
+    at = dict(zip(sorted(set(ratio)), range(len(ratio))))
+    rank = np.array([at[r] for r in ratio])
+    dead = (fair == 0) & (biased == 0)
+    mask = (rank <= rank[:, None]) | dead | dead[:, None]
+    np.fill_diagonal(mask, False)
+    return frozenset(zip(*(cells.tolist() for cells in np.nonzero(mask))))
 
 
 def greedy_column(model, face, sense):
@@ -477,15 +485,18 @@ def _tables_by_order(rows, cols, factor, kinds=("nw",)):
                                     axis=1) for kind in kinds])[:, at]
 
 
-def _report_values(model, stack, staircase=True):
+def _report_values(model, stack):
     """(values, tables): the (E, 8) ``REPORT_COLUMNS`` of the objectives
     ``stack`` by one ``ewac`` of the (n, E, K, K) tables, per factor order
-    (``_tables_by_order``) the fills and the pm fills (the cs pair, NaN
-    without ``staircase``), then the greedy stacks and Frechet couplings.
-    An empty staircase raises as ``ewac_bounds`` with pm and tag "cs"."""
+    (``_tables_by_order``) the fills and, if the dice's ``cs_mask`` is pm,
+    the pm fills (the cs pair), then the greedy stacks and Frechet
+    couplings.  Any other cs mask takes the cs pair of one objective from
+    ``ewac_bounds``; an empty cs polytope raises as there, tag "cs"."""
     rows, cols = model.emission
+    mask = cs_mask(model.emission)
+    staircase = mask == pm_mask(rows.size)
     if staircase and not _memoised(rows, cols, "feasible")[0]:
-        raise _infeasible("cs", pm_mask(rows.size))
+        raise _infeasible("cs", mask)
     tables = _tables_by_order(rows, cols, stack.factor,
                               ("nw", "pm")[:1 + staircase])
     fixed = np.concatenate([_memoised(rows, cols, kind)[0]
@@ -494,7 +505,8 @@ def _report_values(model, stack, staircase=True):
         fixed[:, None], (fixed.shape[0], *tables.shape[1:]))])
     values = stack.ewac(tables)
     if not staircase:
-        values = np.insert(values, [2, 2], np.nan, axis=0)
+        pair = ewac_bounds(stack, mask, tag="cs")
+        values = np.insert(values, [2, 2], [[pair.lb], [pair.ub]], axis=0)
     return values.T, tables
 
 

@@ -20,7 +20,8 @@ draw; ``exact_binomial_cdf`` gives its law in exact rationals.  The loss
 moments of an i.i.d. chain come in closed form, and its exact
 distribution, for integer payoffs, by convolving the per-period ones.
 ``exact_canonical_values`` recomputes the canonical casino's bounds and
-coupling values in exact rationals.  ``iid_cases`` generates i.i.d.
+coupling values in exact rationals, ``fraction_cs_mask`` the cs mask by
+cross-products.  ``iid_cases`` generates i.i.d.
 models for hypothesis.  ``loop_simulate``, ``loop_parse_path``,
 ``loop_nw_fill`` and ``template_csv`` keep the per-period simulation, the
 per-token path parser, the scalar north-west walk and the one-template CSV
@@ -733,25 +734,33 @@ def json_ready(obj):
     return obj
 
 
-def loop_bounds_report(objective, model, mask=None):
-    """(plain bounds, report): lb/ub, lb_cs/ub_cs (None without a cs
-    ``mask``), lb_inhom/ub_inhom at the greedy stacks and ewac_<kind> at
-    the three couplings, the independence value from the objective's sum:
-    two ``ewac_bounds`` calls and one ``ewac`` per table."""
+def loop_bounds_report(objective, model, mask):
+    """(plain bounds, report): lb/ub, lb_cs/ub_cs under the cs ``mask``,
+    lb_inhom/ub_inhom at the greedy stacks and ewac_<kind> at the three
+    couplings, the independence value from the objective's sum: two
+    ``ewac_bounds`` calls and one ``ewac`` per table."""
     from casino_ewac.engine import _copulas, _greedy_stacks, ewac_bounds
 
     plain = ewac_bounds(objective)
-    tied = None if mask is None else ewac_bounds(objective, mask, tag="cs")
+    tied = ewac_bounds(objective, mask, tag="cs")
     best, worst = _greedy_stacks(*model.emission)
-    report = {"lb": plain.lb, "ub": plain.ub,
-              "lb_cs": None if tied is None else tied.lb,
-              "ub_cs": None if tied is None else tied.ub,
-              "lb_inhom": objective.ewac(best),
+    report = {"lb": plain.lb, "ub": plain.ub, "lb_cs": tied.lb,
+              "ub_cs": tied.ub, "lb_inhom": objective.ewac(best),
               "ub_inhom": objective.ewac(worst)}
     for kind, theta in _copulas(model).items():
         report[f"ewac_{kind}"] = objective.ewac(theta)
     report["ewac_independence"] = objective.independence
     return plain, report
+
+
+def fraction_cs_mask(emission):
+    """The cs mask by exact cross-products: (i, j), i != j, whenever
+    e_b[j] e_f[i] <= e_b[i] e_f[j] in the rationals the floats hold."""
+    fair, biased = ([Fraction(x) for x in row]
+                    for row in np.asarray(emission, dtype=float).tolist())
+    k = len(fair)
+    return frozenset((i, j) for i in range(k) for j in range(k)
+                     if i != j and biased[j] * fair[i] <= biased[i] * fair[j])
 
 
 def template_csv(header, columns):

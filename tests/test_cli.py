@@ -112,20 +112,22 @@ class TestBoundsCommand:
         report = json.loads(out.read_text())
         assert report["lb"] <= report["ub"]
 
-    def test_non_uniform_fair_die_skips_cs(self, tmp_path):
-        config = tmp_path / "model.json"
-        config.write_text(json.dumps({
-            "model": {"p": [0.5, 0.5],
-                      "Q": [[0.5, 0.5], [0.5, 0.5]],
-                      "E": [[0.4, 0.6], [0.3, 0.7]],
-                      "w": [1, 2]},
-            "path": [1, 2, 2],
-        }))
+    def test_non_uniform_fair_die_reports_cs(self, tmp_path):
+        # Ratios 0.75 < 7/6: the cs mask is pm, and the cs pair equals
+        # ewac_bounds under it, to the 12 digits printed.
+        model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
+                         [[0.4, 0.6], [0.3, 0.7]], [1, 2])
+        config = model_config(tmp_path / "model.json", model, path=[1, 2, 2])
         out = tmp_path / "bounds.json"
         assert run("bounds", "--config", str(config),
                    "--out", str(out)) == EXIT_OK
         report = json.loads(out.read_text())
-        assert report["lb_cs"] is None and report["ub_cs"] is None
+        pair = ewac_bounds(path_objective(model, [1, 2, 2])[0],
+                           cs_mask(model.emission), tag="cs")
+        assert report["lb_cs"] == float(f"{pair.lb:.12g}")
+        assert report["ub_cs"] == float(f"{pair.ub:.12g}")
+        assert (report["lb"] <= report["lb_cs"] <= report["ub_cs"]
+                <= report["ub"])
 
 
 class TestSweepCommands:
@@ -761,11 +763,8 @@ def loop_bounds_text(model, obs):
     helpers.loop_bounds_report, the naive value and the plain optimisers,
     by ``json.dumps``."""
     objective, _ = path_objective(model, obs)
-    try:
-        mask = cs_mask(model.emission)
-    except ValueError:
-        mask = None
-    plain, report = loop_bounds_report(objective, model, mask)
+    plain, report = loop_bounds_report(objective, model,
+                                       cs_mask(model.emission))
     report.update(naive=naive_ewac(model, obs), theta_lb=plain.theta_lb,
                   theta_ub=plain.theta_ub)
     return json.dumps(json_ready(report), indent=2, sort_keys=True) + "\n"
@@ -797,7 +796,7 @@ class TestReportsFromArrays:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.dictionaries(
         st.text("abcdefghij_", min_size=1, max_size=12),
-        st.none() | JSON_FLOATS | JSON_FLOATS.map(np.float64)
+        JSON_FLOATS | JSON_FLOATS.map(np.float64)
         | st.integers(2, 7).flatmap(json_tables), min_size=1, max_size=14))
     def test_json_writer_equals_json_dumps(self, report):
         assert _json_text(report) == json.dumps(
@@ -808,9 +807,9 @@ class TestReportsFromArrays:
            fair=st.sampled_from(["drawn", "uniform", "increasing"]))
     def test_bounds_and_copulas_equal_json_dumps(self, case, fair,
                                                  tmp_path_factory):
-        # The fair die as drawn (no cs bounds), uniform (the biased die in
-        # any order: the simplex) or uniform beside an increasing biased
-        # die (the pm staircase).
+        # The fair die as drawn or uniform (the likelihood ratio in any
+        # order: the simplex), or uniform beside an increasing biased die
+        # (the pm staircase).
         model, obs = case
         if fair != "drawn":
             biased = model.emission[1]
@@ -844,16 +843,16 @@ class TestReportsFromArrays:
             float(eta)))
 
     def test_infeasible_pm_exits_three(self, tmp_path, capsys, monkeypatch):
-        # An increasing biased die, the only one whose cs mask is pm, never
-        # passes the uniform CDF, so the bounds command meets an empty
-        # staircase only with the mask forced to pm: it exits 3 with the
-        # message of ewac_bounds.
+        # Dice whose cs mask is pm have an increasing likelihood ratio, and
+        # so a biased CDF that never passes the fair one: the bounds
+        # command meets an empty staircase only with the mask forced to
+        # pm.  It exits 3 with the message of ewac_bounds.
         model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
                          [[0.25] * 4, [1.0, 0.0, 0.0, 0.0]], [1, 2, 3, 4])
         objective, _ = path_objective(model, [1, 1, 1])
         with pytest.raises(ValueError) as want:
             ewac_bounds(objective, pm_mask(4), tag="cs")
-        monkeypatch.setattr(casino_ewac.cli, "cs_mask",
+        monkeypatch.setattr(engine, "cs_mask",
                             lambda emission: pm_mask(emission.shape[1]))
         config = model_config(tmp_path / "model.json", model, path=[1, 1, 1])
         assert run("bounds", "--config", str(config)) == EXIT_INFEASIBLE

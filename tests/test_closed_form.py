@@ -89,15 +89,52 @@ def objectives(draw):
 
 
 @st.composite
-def uniform_fair_cases(draw):
-    """(model, obs) with a uniform fair die, so the cs set applies."""
+def fair_cases(draw):
+    """(model, obs) with a fair die uniform or drawn, zero faces allowed:
+    the cs set applies to any."""
     k = draw(st.integers(2, 7))
     q = draw(st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2))
+    fair = (np.full(k, 1.0 / k) if draw(st.booleans())
+            else _probabilities(draw, k, zeros=True))
     model = HmmModel([0.5, 0.5], [[q[0], 1 - q[0]], [q[1], 1 - q[1]]],
-                     [np.full(k, 1.0 / k), _probabilities(draw, k)],
-                     np.arange(1, k + 1))
+                     [fair, _probabilities(draw, k)], np.arange(1, k + 1))
     obs = draw(st.lists(st.integers(1, k), min_size=1, max_size=40))
     return model, obs
+
+
+@st.composite
+def dirichlet_dice(draw, max_k=8):
+    """(2, K) dice, K = 2..max_k: Dirichlet rows of a drawn concentration
+    from a drawn seed, each face zero in the fair die, the biased die, both
+    or neither, and up to two faces copies of others (tied ratios)."""
+    k = draw(st.integers(2, max_k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = draw(st.sampled_from([0.3, 1.0, 4.0]))
+    dice = rng.dirichlet(np.full(k, alpha), size=2)
+    zero = np.array(draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]),
+                                  min_size=k, max_size=k)))
+    dice[0, (zero & 1) > 0] = dice[1, (zero & 2) > 0] = 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        dice[:, draw(st.integers(0, k - 1))] = dice[:, draw(
+            st.integers(0, k - 1))]
+    dice[dice.sum(axis=1) == 0.0, 0] = 1.0
+    return dice / dice.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def dirichlet_objectives(draw, max_k=8):
+    """Rank-one objectives with increasing rewards on ``dirichlet_dice``,
+    the factor zero where the biased die is."""
+    dice = draw(dirichlet_dice(max_k))
+    k = dice.shape[1]
+    rewards = np.cumsum(draw(st.lists(st.floats(0.1, 3.0), min_size=k,
+                                      max_size=k)))
+    factor = np.array(draw(st.lists(
+        st.sampled_from([0.0, 1.0, 7.5]) | st.floats(0.0, 50.0),
+        min_size=k, max_size=k)))
+    factor[dice[1] == 0.0] = 0.0
+    return EwacObjective(rewards=rewards, factor=factor,
+                         row_marginals=dice[0], col_marginals=dice[1])
 
 
 class TestAgainstTheSimplex:
@@ -211,7 +248,7 @@ class TestProperties:
         _assert_feasible(other, relabelled)
 
     @settings(PROPERTY, max_examples=40)
-    @given(uniform_fair_cases())
+    @given(fair_cases())
     def test_bounds_nest(self, case):
         model, obs = case
         obj = ewac_objective(model, obs, smooth(model, obs))
@@ -268,6 +305,37 @@ class TestNoSimplexWithoutAMask:
             assert mask != pm_mask(6)
             with pytest.raises(AssertionError, match="transport.solve"):
                 ewac_bounds(objective, mask, tag="cs")
+
+
+class TestCsOnAnyDice:
+    # A monotone likelihood ratio implies first-order dominance (Shaked and
+    # Shanthikumar 2007, Thm 1.C.1), so no cs mask empties the polytope;
+    # its bounds are the enumerated optima and nest inside the plain ones.
+    @settings(PROPERTY, max_examples=300)
+    @given(dirichlet_dice())
+    def test_polytope_is_never_empty(self, dice):
+        assert check_feasibility(dice[0], dice[1], cs_mask(dice))
+
+    @settings(PROPERTY, max_examples=150)
+    @given(dirichlet_objectives(max_k=4))
+    def test_bounds_equal_enumeration(self, obj):
+        mask = cs_mask(np.vstack([obj.row_marginals, obj.col_marginals]))
+        oracle = enumerate_transport_optimum(
+            obj.coeff, obj.row_marginals, obj.col_marginals, mask)
+        pair = ewac_bounds(obj, mask, tag="cs")
+        np.testing.assert_allclose(_form_extremes(pair, obj), oracle,
+                                   rtol=0, atol=1e-9 * _scale(obj))
+        _assert_feasible(pair, obj)
+
+    @settings(PROPERTY, max_examples=150)
+    @given(dirichlet_objectives())
+    def test_bounds_nest(self, obj):
+        tied = ewac_bounds(obj, cs_mask(np.vstack([
+            obj.row_marginals, obj.col_marginals])), tag="cs")
+        plain = ewac_bounds(obj)
+        tol = 16 * np.finfo(float).eps * _scale(obj) * obj.row_marginals.sum()
+        chain = (plain.lb, tied.lb, tied.ub, plain.ub)
+        assert all(a <= b + tol for a, b in zip(chain, chain[1:])), chain
 
 
 def _balanced(draw, k):

@@ -24,8 +24,28 @@ from casino_ewac import engine, eta_sweep, horizon_sweep
 from helpers import (biased_winnings, brute_force_ewac, closed_form_extremes,
                      cold_memo,
                      exact_fill, iid_cases, loop_bounds_report, loop_nw_fill,
-                     path_objective, random_feasible_theta,
-                     random_small_model, sticky_model)
+                     fraction_cs_mask, path_objective,
+                     random_feasible_theta, random_small_model, sticky_model)
+
+
+def near_tied_rows(k):
+    """(K,) non-negative rows: drawn floats, zeros among them, and faces
+    set to another face's value, to its adjacent float or to twice it, so
+    that exact ties and near ties of values and ratios abound."""
+    value = (st.sampled_from([0.0, 1 / 6, 0.1, 0.3, 0.5])
+             | st.floats(0.0, 1.0) | st.floats(1e-300, 1e-3))
+
+    @st.composite
+    def rows(draw):
+        row = np.array(draw(st.lists(value, min_size=k, max_size=k)))
+        for _ in range(draw(st.integers(0, k))):
+            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            row[i] = draw(st.sampled_from([
+                row[j], np.nextafter(row[j], 0.0), np.nextafter(row[j], 1.0),
+                2 * row[j]]))
+        return row
+
+    return rows()
 
 
 def _objective(eta, obs):
@@ -311,10 +331,38 @@ class TestMasks:
         mask = cs_mask(emission)
         assert (0, 1) in mask and (1, 0) in mask
 
-    def test_cs_requires_a_uniform_fair_die(self):
-        emission = np.vstack([np.array([0.3, 0.2, 0.2, 0.3]), np.full(4, 0.25)])
-        with pytest.raises(ValueError, match="uniform"):
-            cs_mask(emission)
+    @pytest.mark.parametrize("emission,mask", [
+        # Ratios 5/6, 5/4, 5/4, 5/6: faces 1 and 4 tie below faces 2 and 3.
+        ([[0.3, 0.2, 0.2, 0.3], [0.25] * 4],
+         {(0, 3), (3, 0), (1, 2), (2, 1), (1, 0), (1, 3), (2, 0), (2, 3)}),
+        # Face 2 both dice rule out: masked against every face, both ways.
+        # Face 4 only the fair die rules out: ratio +inf, above the rest.
+        ([[0.5, 0.0, 0.5, 0.0], [0.2, 0.0, 0.3, 0.5]],
+         {(1, 0), (1, 2), (1, 3), (0, 1), (2, 1), (3, 1), (2, 0), (3, 0),
+          (3, 2)}),
+    ], ids=["non-uniform-fair", "ruled-out-faces"])
+    def test_cs_ranks_likelihood_ratios(self, emission, mask):
+        assert cs_mask(np.array(emission)) == mask
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(biased=st.integers(2, 8).flatmap(near_tied_rows))
+    def test_uniform_fair_die_keeps_the_biased_only_rule(self, biased):
+        # The rule before the ratio: (i, j) iff e_b[j] <= e_b[i].  With
+        # the fair die's one float on both sides the rationals compare as
+        # the biased floats, so adjacent floats (which a rounded product
+        # by 1/K can merge) stay apart and exact ties stay tied.
+        k = biased.size
+        emission = np.vstack([np.full(k, 1 / k), biased])
+        assert cs_mask(emission) == {(i, j) for i in range(k)
+                                     for j in range(k)
+                                     if i != j and biased[j] <= biased[i]}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 8).flatmap(
+        lambda k: st.tuples(near_tied_rows(k), near_tied_rows(k))))
+    def test_equals_the_cross_product_oracle(self, rows):
+        emission = np.vstack(rows)
+        assert cs_mask(emission) == fraction_cs_mask(emission)
 
 
 # Report cases: (model, path, whether the cs mask is the pm staircase).
@@ -331,44 +379,51 @@ REPORT_CASES = {
     "tied-die": (HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
                           [[0.25] * 4, [0.1, 0.3, 0.3, 0.3]], [1, 2, 3, 4]),
                  [1, 2, 3, 4, 4, 3], False),
-    # A fair die that is not uniform: no cs bounds.
+    # Fair dice that are not uniform.  Ratios 0.75 < 7/6: the staircase.
     "non-uniform-fair": (HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
                                   [[0.4, 0.6], [0.3, 0.7]], [1, 2]),
-                         [1, 2, 2], None),
+                         [1, 2, 2], True),
+    # Ratios 2.5 > 1.25 > 5/6 > 0.625: the simplex.
+    "decreasing-ratio": (HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
+                                  [[0.1, 0.2, 0.3, 0.4], [0.25] * 4],
+                                  [1, 2, 3, 4]), [1, 3, 4, 4, 2], False),
+    # Face 2 ruled out by both dice, face 4 by the fair one: the simplex.
+    "dead-face": (HmmModel([0.5, 0.5], [[0.6, 0.4], [0.2, 0.8]],
+                           [[0.5, 0.0, 0.5, 0.0], [0.2, 0.0, 0.3, 0.5]],
+                           [1, 2, 3, 5]), [4, 1, 3, 4, 4], False),
 }
 
 
 class TestReportValues:
     # The report kernel against helpers.loop_bounds_report, the report as
     # it was built before: two ewac_bounds calls and one evaluation per
-    # table.  Bit for bit; the kernel's cs pair is NaN unless the cs mask
-    # is the pm staircase (the bounds command takes it from the simplex,
-    # or prints null, as the oracle does).
+    # table.  Bit for bit; the kernel takes the cs pair from the pm fills
+    # when the cs mask is the pm staircase, else from ewac_bounds.
     @pytest.mark.parametrize("case", REPORT_CASES)
     def test_equals_the_loop_report(self, case):
         model, obs, staircase = REPORT_CASES[case]
         objective, _ = path_objective(model, obs)
-        mask = None if staircase is None else cs_mask(model.emission)
-        assert (mask == pm_mask(model.num_symbols)) is bool(staircase)
-        values, tables = _report_values(model, objective, bool(staircase))
+        mask = cs_mask(model.emission)
+        assert (mask == pm_mask(model.num_symbols)) is staircase
+        values, tables = _report_values(model, objective)
         plain, want = loop_bounds_report(objective, model, mask)
         assert values.shape == (1, len(REPORT_COLUMNS))
         got = dict(zip(REPORT_COLUMNS, values[0].tolist()))
         for name, value in got.items():
-            if not staircase and name in ("lb_cs", "ub_cs"):
-                assert np.isnan(value), name
-            else:
-                assert value.hex() == float(want[name]).hex(), name
+            assert value.hex() == float(want[name]).hex(), name
         np.testing.assert_array_equal(tables[0, 0], plain.theta_lb)
         np.testing.assert_array_equal(tables[1, 0], plain.theta_ub)
 
-    def test_infeasible_pm_raises_as_ewac_bounds(self):
+    def test_infeasible_pm_raises_as_ewac_bounds(self, monkeypatch):
         # All biased mass on face 1 cannot flow into the upper triangle.
+        # No cs mask empties the polytope, so pm is forced here.
         model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
                          [[0.25] * 4, [1.0, 0.0, 0.0, 0.0]], [1, 2, 3, 4])
         objective, _ = path_objective(model, [1, 1, 1])
         with pytest.raises(InfeasibleMaskError) as want:
             ewac_bounds(objective, pm_mask(4), tag="cs")
+        monkeypatch.setattr(engine, "cs_mask",
+                            lambda emission: pm_mask(emission.shape[1]))
         with pytest.raises(InfeasibleMaskError) as got:
             _report_values(model, objective)
         assert str(got.value) == str(want.value)

@@ -5,11 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casino_ewac
-from casino_ewac import (PATH_1, PATH_2, HmmModel, InfeasibleMaskError,
+from casino_ewac import (PATH_1, PATH_2, HmmModel,
                          SweepRow, canonical_model, copula_pmf, cs_mask,
                          default_eta_grid, default_horizon_grid, eta_sweep,
                          ewac_bounds, ewac_objective, ewac_of_theta,
@@ -354,14 +354,15 @@ class TestSampleWac:
 
 
 @st.composite
-def integral_iid_cases(draw, uniform_fair):
+def integral_iid_cases(draw, constraints):
     """(model, obs) of helpers.iid_cases with integral payoffs (steps of 1
-    to 3) and, if ``uniform_fair``, a uniform fair die and increasing
-    biased probabilities, as the cs mask needs."""
+    to 3) and, for ``constraints`` "pm", a uniform fair die and increasing
+    biased probabilities, so that the pm polytope is not empty; the cs
+    polytope of any dice is not."""
     model, obs = draw(iid_cases())
     k = model.num_symbols
     emission = model.emission
-    if uniform_fair:
+    if constraints == "pm":
         emission = [np.full(k, 1 / k), np.sort(emission[1])]
     steps = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
     return HmmModel(model.initial, model.transition, emission,
@@ -380,12 +381,9 @@ class TestWacLaw:
         # (2 eps seen at T = 1, K = 7); the mean, a sum of T terms of size
         # up to max|w|, within 64 T max|w| eps of ewac_of_theta.
         kind, constraints = (theta.split() + ["none"])[:2]
-        model, obs = data.draw(integral_iid_cases(constraints != "none"))
+        model, obs = data.draw(integral_iid_cases(constraints))
         objective = ewac_objective(model, obs, smooth(model, obs))
-        try:
-            theta = wac_theta(model, obs, kind, constraints)
-        except InfeasibleMaskError:
-            assume(False)  # tied biased probabilities
+        theta = wac_theta(model, obs, kind, constraints)
         o = as_symbol_indices(model, obs)
         low, pmf = sweeps._wac_law(
             model, o, np.bincount(o, minlength=model.num_symbols), theta)

@@ -15,8 +15,9 @@ strictly increases with the face) greedy fills row by row in payoff order
 through the stable order of f: a memo by dice keeps, read-only and under
 16 MB, each order's fills (one kernel call fills those missing) and pm
 fills, and the fixed tables; public results are copies.  The
-transportation simplex (``transport.solve``) serves every other mask, the
-cs mask of any other dice among them.
+transportation simplex (``transport.solve``) serves every other mask.
+``_optimal_tables`` alone picks the route, for one objective or a stack,
+and both ``ewac_bounds`` and the report kernel read its tables.
 """
 
 import functools
@@ -70,7 +71,7 @@ class EwacObjective:
     Attributes:
         rewards: (K,) payoff per face, strictly increasing.
         factor: (K,) per-face factor, non-negative; (E, K) for a stack of
-            E objectives on the same dice.
+            E objectives on the same dice (``coeff`` then (E, K, K)).
         row_marginals: fair emission row (required row sums of theta).
         col_marginals: biased emission row (required column sums of theta).
         independence: the EWAC at the independence coupling ((E,) for a
@@ -85,7 +86,7 @@ class EwacObjective:
 
     @property
     def coeff(self):
-        return np.outer(self.rewards, self.factor)
+        return self.rewards[:, None] * self.factor[..., None, :]
 
     def ewac(self, theta):
         """The EWAC at theta, unchecked (``ewac_of_theta`` validates): a
@@ -100,13 +101,14 @@ class EwacObjective:
 
 @dataclass(frozen=True)
 class EwacBounds:
-    """Lower and upper EWAC values with the optimising PMFs.
+    """Lower and upper EWAC values with the optimising PMFs: floats and
+    (K, K) tables, or (E,) and (E, K, K) arrays for a stack of objectives.
 
     ``theta_lb`` and ``theta_ub`` are None for the time-inhomogeneous
     relaxation, whose optimiser varies by period.  ``iterations`` counts
     the tree pivots of the transportation simplex, phase one plus phase
-    two, of the (lb, ub) solves of a mask other than pm; the fills of the
-    other bounds report (0, 0).
+    two, of the (lb, ub) solves of a mask other than pm (summed over a
+    stack); the fills of the other bounds report (0, 0).
     """
 
     lb: float
@@ -186,28 +188,28 @@ def _path_objective(model, o, counts):
     return _face_objective(model, counts, masses), iid
 
 
-def validate_joint_pmf(theta, row_marginals, col_marginals, atol=_PMF_ATOL):
-    """Check membership of the transportation polytope, raising on failure."""
+def validate_joint_pmf(theta, row_marginals, col_marginals):
+    """Raise unless theta is in the transportation polytope to _PMF_ATOL."""
     theta = np.asarray(theta, dtype=float)
     k = len(row_marginals)
     if theta.shape != (k, k):
         raise ValueError(f"theta must have shape ({k}, {k}), got {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
-    if theta.min() < -atol:
+    if theta.min() < -_PMF_ATOL:
         raise ValueError(f"theta has a negative cell ({theta.min():.3e})")
     row_err = np.abs(theta.sum(axis=1) - row_marginals).max()
     col_err = np.abs(theta.sum(axis=0) - col_marginals).max()
-    if max(row_err, col_err) > atol:
+    if max(row_err, col_err) > _PMF_ATOL:
         raise ValueError(
             f"theta marginals are off by {max(row_err, col_err):.3e}")
     return theta
 
 
-def ewac_of_theta(objective, theta, atol=_PMF_ATOL):
-    """Evaluate the EWAC at one joint PMF by ``EwacObjective.ewac``."""
+def ewac_of_theta(objective, theta):
+    """The EWAC at one joint PMF that ``validate_joint_pmf`` accepts."""
     return objective.ewac(validate_joint_pmf(
-        theta, objective.row_marginals, objective.col_marginals, atol))
+        theta, objective.row_marginals, objective.col_marginals))
 
 
 def _nw_fills(rows, cols, orders):
@@ -284,36 +286,18 @@ def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
 
     The upper bound minimises the coefficient form, the lower bound
     maximises it; both optimisers are vertices and satisfy the mask
-    exactly.  With no mask or ``pm_mask(K)`` they are copies of the fills
-    (``_tables_by_order``) of the stable factor order, and no simplex runs;
-    the pm polytope is empty when the biased CDF passes the fair one by
-    over FEASIBILITY_TOL.
+    exactly.  ``_optimal_tables`` picks the route: with no mask or
+    ``pm_mask(K)`` the tables are copies of fills and no simplex runs.  A
+    stack of objectives gets each row's bounds and tables bit for bit.
 
     Raises:
-        InfeasibleMaskError: if the mask empties the polytope.
+        InfeasibleMaskError: if the mask empties the polytope (pm's when
+            the biased CDF passes the fair one by over FEASIBILITY_TOL).
     """
-    rows, cols, factor = (objective.row_marginals, objective.col_marginals,
-                          objective.factor)
-    iterations, staircase = (0, 0), bool(zero_mask)
-    if staircase and frozenset(map(tuple, zero_mask)) != pm_mask(factor.size):
-        lo, hi = (solve(TransportProblem(objective.coeff, rows, cols,
-                                         zero_mask, sense))
-                  for sense in ("min", "max"))
-        feasible = lo.status == hi.status == "optimal"
-        iterations, hi, lo = (hi.iterations, lo.iterations), hi.theta, lo.theta
-    elif feasible := not staircase or _memoised(rows, cols, "feasible")[0]:
-        hi, lo = _tables_by_order(rows, cols, factor,
-                                  ("pm",) if staircase else ("nw",))[:, 0]
-    if not feasible:
-        raise _infeasible(tag, zero_mask)
+    tables, iterations = _optimal_tables(objective, zero_mask, tag)
+    hi, lo = tables if objective.factor.ndim > 1 else tables[:, 0]
     return EwacBounds(objective.ewac(hi), objective.ewac(lo), hi, lo,
                       constraint_tag=tag, iterations=iterations)
-
-
-def _infeasible(tag, zero_mask):
-    return InfeasibleMaskError(
-        f"constraint set {tag!r} ({len(zero_mask)} forced zeros) admits "
-        "no joint PMF with the required marginals")
 
 
 @functools.lru_cache(maxsize=16)
@@ -460,7 +444,7 @@ def _memoised(rows, cols, kind, keys=((),)):
         made = _memoised(rows, cols, "nw", [(*range(rows.size),)])
         for theta in made[0]:
             validate_joint_pmf(theta, rows, cols)
-    else:  # see ewac_bounds
+    else:  # pm's, see _optimal_tables
         excess = np.cumsum(cols)[:-1] - np.cumsum(rows)[:-1]
         made = [np.array(excess.max(initial=0.0) <= FEASIBILITY_TOL)]
     for key, table in zip(missing, made):
@@ -473,41 +457,53 @@ def _memoised(rows, cols, kind, keys=((),)):
     return [got[key] for key in keys]
 
 
-def _tables_by_order(rows, cols, factor, kinds=("nw",)):
-    """The (2n, E, K, K) optimal tables of each row of the (E, K) or (K,)
-    ``factor`` by its stable order (all they depend on): for each of the n
-    ``kinds``, "nw" or "pm", the memo's max and min tables (``_memoised``),
-    gathered into a new array."""
+def _tables_by_order(rows, cols, factor, kind):
+    """The (2, E, K, K) memo tables ``kind`` ("nw" or "pm"), max and min, of
+    each row of the (E, K) or (K,) ``factor`` by its stable order (all they
+    depend on), gathered into a new array."""
     first = {}  # distinct orders by first row: faster than np.unique here
     at = [first.setdefault(key, len(first)) for key in map(tuple, np.argsort(
         np.atleast_2d(factor), axis=1, kind="stable").tolist())]
-    return np.concatenate([np.stack(_memoised(rows, cols, kind, [*first]),
-                                    axis=1) for kind in kinds])[:, at]
+    return np.stack(_memoised(rows, cols, kind, [*first]), axis=1)[:, at]
+
+
+def _optimal_tables(objective, zero_mask, tag):
+    """((2, E, K, K) tables, (lb, ub) pivots): the max and min tables of
+    each row of the objective's (E, K) or (K,) factor under ``zero_mask``,
+    by the one route decision: no mask, the fills; ``pm_mask(K)``, the
+    memo's pm feasibility, then the staircase fills; any other mask, one
+    ``transport.solve`` per row and sense.  An empty polytope raises."""
+    rows, cols, k = (objective.row_marginals, objective.col_marginals,
+                     objective.rewards.size)
+    if not zero_mask:
+        return _tables_by_order(rows, cols, objective.factor, "nw"), (0, 0)
+    if frozenset(map(tuple, zero_mask)) == pm_mask(k):
+        if _memoised(rows, cols, "feasible")[0]:
+            return _tables_by_order(rows, cols, objective.factor, "pm"), (0, 0)
+    else:
+        solved = [[solve(TransportProblem(coeff, rows, cols, zero_mask, sense))
+                   for coeff in objective.coeff.reshape(-1, k, k)]
+                  for sense in ("max", "min")]
+        if all(lp.theta is not None for lps in solved for lp in lps):
+            return (np.array([[lp.theta for lp in lps] for lps in solved]),
+                    tuple(sum(lp.iterations for lp in lps) for lps in solved))
+    raise InfeasibleMaskError(
+        f"constraint set {tag!r} ({len(zero_mask)} forced zeros) admits "
+        "no joint PMF with the required marginals")
 
 
 def _report_values(model, stack):
     """(values, tables): the (E, 8) ``REPORT_COLUMNS`` of the objectives
-    ``stack`` by one ``ewac`` of the (n, E, K, K) tables, per factor order
-    (``_tables_by_order``) the fills and, if the dice's ``cs_mask`` is pm,
-    the pm fills (the cs pair), then the greedy stacks and Frechet
-    couplings.  Any other cs mask takes the cs pair of one objective from
-    ``ewac_bounds``; an empty cs polytope raises as there, tag "cs"."""
+    ``stack`` by one ``ewac`` of the (8, E, K, K) tables: the
+    ``_optimal_tables`` with no mask and under the dice's ``cs_mask`` (tag
+    "cs"), then the dice's greedy stacks and Frechet couplings."""
     rows, cols = model.emission
-    mask = cs_mask(model.emission)
-    staircase = mask == pm_mask(rows.size)
-    if staircase and not _memoised(rows, cols, "feasible")[0]:
-        raise _infeasible("cs", mask)
-    tables = _tables_by_order(rows, cols, stack.factor,
-                              ("nw", "pm")[:1 + staircase])
-    fixed = np.concatenate([_memoised(rows, cols, kind)[0]
-                            for kind in ("greedy", "frechet")])
-    tables = np.concatenate([tables, np.broadcast_to(
-        fixed[:, None], (fixed.shape[0], *tables.shape[1:]))])
-    values = stack.ewac(tables)
-    if not staircase:
-        pair = ewac_bounds(stack, mask, tag="cs")
-        values = np.insert(values, [2, 2], [[pair.lb], [pair.ub]], axis=0)
-    return values.T, tables
+    plain, tied = (_optimal_tables(stack, mask, tag)[0] for mask, tag in (
+        (frozenset(), "none"), (cs_mask(model.emission), "cs")))
+    tables = np.concatenate([plain, tied, *(np.broadcast_to(
+        _memoised(rows, cols, kind)[0][:, None], plain.shape)
+        for kind in ("greedy", "frechet"))])
+    return stack.ewac(tables).T, tables
 
 
 def naive_ewac(model, obs):

@@ -92,7 +92,7 @@ ETA_SWEEP_COLUMNS = ("eta", "lb", "ub", "lb_cs", "ub_cs", "lb_inhom",
 HORIZON_SWEEP_COLUMNS = ("horizon", "lb", "ub", "naive")
 
 
-def sample_wac(model, obs, theta, count, seed, *, filtered=None):
+def sample_wac(model, obs, theta, count, seed):
     """Draw the cheating-loss distribution induced by one joint PMF.
 
     Each draw samples the hidden states from the exact posterior.  A fair
@@ -110,17 +110,16 @@ def sample_wac(model, obs, theta, count, seed, *, filtered=None):
     posterior biased probability, drawn face by face as one (K, S) array,
     then S uniforms for period 1 (biased when one reaches its fair
     posterior).  Otherwise paths are drawn backwards from the forward
-    filter (``filtered``, if the caller has it) in row blocks of about 2^20
-    sample-periods, each summed to counts and dropped, so no memory grows
-    with S * T.  Each face's multinomial is then drawn as a chain of
-    conditional binomials over the nonzero cells i of its column, in
-    order, for all samples at once: of the periods no earlier cell took,
-    Binomial(left, theta_ij / r_i) go to cell i, r_i the sum of the
-    column's cells from i on, and the last cell takes the rest (Devroye
-    1986, *Non-Uniform Random Variate Generation*, ch. XI).  Every
-    binomial is numpy's.  Theta cells the marginal check lets through
-    slightly below zero count as zero.  A Markov chain logs its S * T
-    sample-periods at ``info``.
+    filter in row blocks of about 2^20 sample-periods, each summed to
+    counts and dropped, so no memory grows with S * T.  Each face's
+    multinomial is then drawn as a chain of conditional binomials over the
+    nonzero cells i of its column, in order, for all samples at once: of
+    the periods no earlier cell took, Binomial(left, theta_ij / r_i) go to
+    cell i, r_i the sum of the column's cells from i on, and the last cell
+    takes the rest (Devroye 1986, *Non-Uniform Random Variate Generation*,
+    ch. XI).  Every binomial is numpy's.  Theta cells the marginal check
+    lets through slightly below zero count as zero.  A Markov chain logs
+    its S * T sample-periods at ``info``.
 
     ``wac-dist`` (``_wac_dist``) inverts the loss's exact law instead on
     i.i.d. chains with integral payoffs and short paths, where it has no
@@ -135,12 +134,12 @@ def sample_wac(model, obs, theta, count, seed, *, filtered=None):
     """
     o = as_symbol_indices(model, obs)
     return _sample_wac(model, o, _face_counts(o, model.num_symbols), theta,
-                       count, seed, filtered)
+                       count, seed)
 
 
 def _sample_wac(model, o, face_counts, theta, count, seed, filtered=None):
     """``sample_wac`` of the 0-based faces ``o`` and their counts;
-    ``filtered`` may also be an i.i.d. chain's ``_iid_posteriors``."""
+    ``filtered``, if given, their forward filter or ``_iid_posteriors``."""
     if count < 1:
         raise ValueError("count must be at least 1")
     theta = np.maximum(
@@ -410,7 +409,7 @@ def _horizon_table(eta, t_grid=None, seed=0):
     # Period 1 too: canonical_model's initial law is its transition row.
     stack = _face_objective(model, counts, counts[..., None]
                             * _face_posteriors(model.initial, model.emission))
-    lb, ub = stack.ewac(_tables_by_order(*model.emission, stack.factor))
+    lb, ub = stack.ewac(_tables_by_order(*model.emission, stack.factor, "nw"))
     return _checked(np.column_stack([t_grid, lb / t_grid, ub / t_grid,
                                      _naive(model, counts) / t_grid]),
                     HORIZON_SWEEP_COLUMNS)

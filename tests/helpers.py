@@ -347,6 +347,17 @@ def loop_solve(problem):
     return status, float(np.sum(problem.costs * theta)), theta, iterations
 
 
+def assert_joint_pmf(theta, rows, cols, atol):
+    """Theta is a finite (K, K) table with no cell below -atol and row and
+    column sums within ``atol`` of ``rows`` and ``cols``: the check of
+    ``validate_joint_pmf``, at a tolerance of the test's choosing."""
+    k = len(rows)
+    assert theta.shape == (k, k) and np.isfinite(theta).all()
+    assert theta.min() >= -atol
+    np.testing.assert_allclose(theta.sum(axis=1), rows, rtol=0, atol=atol)
+    np.testing.assert_allclose(theta.sum(axis=0), cols, rtol=0, atol=atol)
+
+
 def random_feasible_theta(row_marginals, col_marginals, rng, moves=25):
     """A random joint PMF with the given marginals.
 

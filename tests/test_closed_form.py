@@ -23,9 +23,9 @@ from casino_ewac import (BIASED, FAIR, FEASIBILITY_TOL, PATH_1, PATH_2,
                          EwacObjective, HmmModel, InfeasibleMaskError,
                          TransportProblem, canonical_model, check_feasibility,
                          cs_mask, ewac_bounds, ewac_objective,
-                         inhomogeneous_bounds, pm_mask, smooth, solve,
-                         validate_joint_pmf)
-from helpers import (biased_winnings, enumerate_transport_optimum, exact_fill,
+                         inhomogeneous_bounds, pm_mask, smooth, solve)
+from helpers import (assert_joint_pmf, biased_winnings,
+                     enumerate_transport_optimum, exact_fill,
                      exact_transport_optimum, path_objective,
                      random_small_model)
 
@@ -60,8 +60,8 @@ def _simplex_extremes(objective, zero_mask=frozenset()):
 
 def _assert_feasible(pair, objective, atol=1e-12):
     for theta in (pair.theta_lb, pair.theta_ub):
-        validate_joint_pmf(theta, objective.row_marginals,
-                           objective.col_marginals, atol=atol)
+        assert_joint_pmf(theta, objective.row_marginals,
+                         objective.col_marginals, atol)
 
 
 def _probabilities(draw, k, zeros=False):
@@ -336,6 +336,100 @@ class TestCsOnAnyDice:
         tol = 16 * np.finfo(float).eps * _scale(obj) * obj.row_marginals.sum()
         chain = (plain.lb, tied.lb, tied.ub, plain.ub)
         assert all(a <= b + tol for a, b in zip(chain, chain[1:])), chain
+
+
+@st.composite
+def stacked_objectives(draw):
+    """Objectives of E = 1..5 stacked factor rows, zeros, ties and
+    differing stable orders among them, on the canonical dice or on
+    ``dirichlet_dice`` with K = 2..6, whose faces are sorted by likelihood
+    ratio half the time (a feasible pm polytope, the cs mask often pm)."""
+    if draw(st.booleans()):
+        model = canonical_model(0.5)
+        dice, rewards = model.emission, model.rewards
+    else:
+        dice = draw(dirichlet_dice(max_k=6))
+        if draw(st.booleans()):
+            ratio = np.divide(dice[1], dice[0], out=np.where(
+                dice[1] > 0, np.inf, -1.0), where=dice[0] > 0)
+            dice = dice[:, np.argsort(ratio, kind="stable")]
+        rewards = np.cumsum(draw(st.lists(st.floats(0.1, 3.0),
+                                          min_size=dice.shape[1],
+                                          max_size=dice.shape[1])))
+    k = dice.shape[1]
+    factor = np.array(draw(st.lists(st.lists(
+        st.sampled_from([0.0, 1.0, 7.5]) | st.floats(0.0, 50.0),
+        min_size=k, max_size=k), min_size=1, max_size=5)))
+    factor[:, dice[1] == 0.0] = 0.0
+    return EwacObjective(rewards=rewards, factor=factor,
+                         row_marginals=dice[0], col_marginals=dice[1])
+
+
+class TestStackedObjectives:
+    # ewac_bounds of an (E, K) stack of factors is its E single calls bit
+    # for bit on every route (the fills, the staircase, the simplex): lb,
+    # ub and both tables, its pivots their sums, or the single call's
+    # InfeasibleMaskError.
+    @pytest.mark.parametrize("route", ["none", "pm", "cs", "random"])
+    @settings(PROPERTY, max_examples=100)
+    @given(stacked_objectives(), st.data())
+    def test_equals_the_single_calls(self, route, stack, data):
+        k = stack.rewards.size
+        mask = {"none": frozenset(), "pm": pm_mask(k), "cs": cs_mask(
+            np.vstack([stack.row_marginals, stack.col_marginals]))}.get(route)
+        if mask is None:  # any cells but pm's, mostly on the simplex
+            mask = data.draw(st.sets(st.tuples(
+                st.integers(0, k - 1), st.integers(0, k - 1)),
+                min_size=1, max_size=k * k // 2).filter(
+                    lambda cells: cells != pm_mask(k)))
+        singles = []
+        for row in stack.factor:
+            try:
+                singles.append(ewac_bounds(replace(stack, factor=row), mask,
+                                           tag=route))
+            except InfeasibleMaskError as single:
+                with pytest.raises(InfeasibleMaskError) as stacked:
+                    ewac_bounds(stack, mask, tag=route)
+                assert str(stacked.value) == str(single)
+                return
+        pair = ewac_bounds(stack, mask, tag=route)
+        for name in ("lb", "ub", "theta_lb", "theta_ub"):
+            got = getattr(pair, name)
+            want = np.array([getattr(single, name) for single in singles])
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        assert pair.iterations == tuple(
+            sum(single.iterations[i] for single in singles) for i in (0, 1))
+        assert pair.constraint_tag == route
+
+    def test_two_orders_on_the_canonical_dice(self):
+        # Each row is bounded at its own order, also under pm: before, the
+        # first row's order served both, and pm went to the simplex with
+        # the stack flattened into (6, 12) costs.
+        model = canonical_model(0.5)
+        stack = replace(ewac_objective(model, PATH_1, smooth(model, PATH_1)),
+                        factor=np.array([[3.0, 1, 2, 6, 5, 4],
+                                         [1.0, 2, 3, 4, 5, 6]]))
+        pair = ewac_bounds(stack)
+        assert pair.lb.tolist() == pytest.approx([43 / 21, 24 / 7], rel=1e-15)
+        assert pair.ub.tolist() == pytest.approx([149 / 21, 173 / 21],
+                                                 rel=1e-15)
+        for mask in (frozenset(), pm_mask(6)):
+            pair = ewac_bounds(stack, mask)
+            for i, row in enumerate(stack.factor):
+                single = ewac_bounds(replace(stack, factor=row), mask)
+                assert (pair.lb[i], pair.ub[i]) == (single.lb, single.ub)
+                assert pair.theta_lb[i].tobytes() == single.theta_lb.tobytes()
+                assert pair.theta_ub[i].tobytes() == single.theta_ub.tobytes()
+
+    @PROPERTY
+    @given(stacked_objectives())
+    def test_coeff_is_each_rows_outer_product(self, stack):
+        want = np.array([np.outer(stack.rewards, row) for row in stack.factor])
+        assert stack.coeff.shape == want.shape
+        assert stack.coeff.tobytes() == want.tobytes()
+        single = replace(stack, factor=stack.factor[0])
+        assert single.coeff.tobytes() == want[0].tobytes()
 
 
 def _balanced(draw, k):

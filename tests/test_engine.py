@@ -21,7 +21,8 @@ from casino_ewac.engine import (_EPS, REPORT_COLUMNS, _greedy_stacks,
 from casino_ewac.hmm import (_forward_filter, _iid_posteriors, _smooth_filtered,
                              as_symbol_indices)
 from casino_ewac import engine, eta_sweep, horizon_sweep
-from helpers import (biased_winnings, brute_force_ewac, closed_form_extremes,
+from helpers import (assert_joint_pmf, biased_winnings, brute_force_ewac,
+                     closed_form_extremes,
                      cold_memo,
                      exact_fill, iid_cases, loop_bounds_report, loop_nw_fill,
                      fraction_cs_mask, path_objective,
@@ -387,6 +388,14 @@ REPORT_CASES = {
     "decreasing-ratio": (HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
                                   [[0.1, 0.2, 0.3, 0.4], [0.25] * 4],
                                   [1, 2, 3, 4]), [1, 3, 4, 4, 2], False),
+    # A fair die uniform only within 1e-12: the ratios break the biased
+    # tie on faces 1 and 2, so the mask is the staircase, where a rule
+    # for uniform fair dice would mask that pair both ways.
+    "near-uniform-fair": (HmmModel(
+        [0.5, 0.5], [[0.6, 0.4], [0.3, 0.7]],
+        [[1 / 6 + 1e-13, 1 / 6 - 1e-13, *[1 / 6] * 4],
+         np.array([1, 1, 2, 3, 4, 5]) / 16], np.arange(1, 7)),
+        [1, 2, 6, 2, 5, 3, 6, 4], True),
     # Face 2 ruled out by both dice, face 4 by the fair one: the simplex.
     "dead-face": (HmmModel([0.5, 0.5], [[0.6, 0.4], [0.2, 0.8]],
                            [[0.5, 0.0, 0.5, 0.0], [0.2, 0.0, 0.3, 0.5]],
@@ -667,8 +676,8 @@ class TestCopulas:
         model = canonical_model(0.5)
         for kind in ("independence", "comonotonic", "countermonotonic"):
             theta = copula_pmf(model, kind)
-            validate_joint_pmf(theta, model.emission[FAIR],
-                               model.emission[BIASED], atol=1e-12)
+            assert_joint_pmf(theta, model.emission[FAIR],
+                             model.emission[BIASED], 1e-12)
 
     def test_comonotonic_matches_two_pointer_merge(self):
         # Independent construction: walk both marginals in face order and

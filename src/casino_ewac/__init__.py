@@ -11,7 +11,7 @@ from casino_ewac.hmm import (BIASED, FAIR, HmmModel, ZeroLikelihoodError,
                              canonical_model, sample_hidden_paths, simulate,
                              smooth)
 from casino_ewac.paths import PATH_1, PATH_2
-from casino_ewac.sweeps import (SweepRow, WacSamples, default_eta_grid,
+from casino_ewac.sweeps import (WacSamples, default_eta_grid,
                                 default_horizon_grid, eta_sweep, horizon_sweep,
                                 sample_wac)
 from casino_ewac.transport import (FEASIBILITY_TOL, LpSolution,
@@ -30,7 +30,6 @@ __all__ = [
     "LpSolution",
     "PATH_1",
     "PATH_2",
-    "SweepRow",
     "TransportProblem",
     "WacSamples",
     "ZeroLikelihoodError",

@@ -37,15 +37,13 @@ import sys
 import numpy as np
 
 from casino_ewac.engine import (REPORT_COLUMNS, InfeasibleMaskError,
-                                _copulas, _naive, _path_objective,
-                                _report_values, copula_pmf, cs_mask,
-                                ewac_bounds, pm_mask)
+                                _naive, _path_objective, _report_values,
+                                copula_pmf, cs_mask, ewac_bounds, pm_mask)
 from casino_ewac.hmm import (HmmModel, ZeroLikelihoodError, _face_counts,
                              _smoothed_rows, _symbol_indices, canonical_model)
 from casino_ewac.paths import PATH_1, PATH_2
-from casino_ewac.sweeps import (ETA_SWEEP_COLUMNS, HORIZON_SWEEP_COLUMNS,
-                                _eta_table, _horizon_table, _wac_dist,
-                                default_horizon_grid)
+from casino_ewac.sweeps import (_wac_dist, default_horizon_grid, eta_sweep,
+                                horizon_sweep)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -100,15 +98,19 @@ _PARSE_BLOCK = 1 << 20  # bytes
 _JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _table_csv(header, table):
-    """The CSV of a sweep ``table``: the header, then one ``%`` per block
-    of _CSV_BLOCK rows, ``%d`` for the horizon, else 12 significant digits."""
+def _table_csv(rows):
+    """The CSV of a sweep's record array: its field names, then one ``%``
+    per block of _CSV_BLOCK records, read as floats (a view when every
+    field is one), ``%d`` for the horizon, else 12 significant digits."""
+    header = rows.dtype.names
+    floats = np.dtype([(name, float) for name in header])
     template = ",".join("%d" if name == "horizon" else "%.12g"
                         for name in header) + "\n"
     yield ",".join(header) + "\n"
-    for start in range(0, len(table), _CSV_BLOCK):
-        block = table[start:start + _CSV_BLOCK]
-        yield template * len(block) % tuple(block.ravel().tolist())
+    for start in range(0, len(rows), _CSV_BLOCK):
+        block = rows[start:start + _CSV_BLOCK]
+        yield template * len(block) % tuple(
+            block.astype(floats, copy=False).view(float).tolist())
 
 
 @functools.cache  # built by the first command that numbers lines
@@ -198,7 +200,8 @@ def _parse_path(spec):
             faces = _digit_runs(fh)
             if faces is None:
                 fh.seek(0)
-                spec = io.TextIOWrapper(fh).read().replace("\n", ",")
+                spec = io.TextIOWrapper(  # a bad byte is a bad token
+                    fh, errors="backslashreplace").read().replace("\n", ",")
     elif spec.isascii() and spec.isprintable():  # inline, no line ends
         faces = _digit_runs(io.BytesIO(spec.encode()))
     if faces is not None:
@@ -289,6 +292,8 @@ def _load_config(path, command):
         except json.JSONDecodeError as exc:
             raise ValueError(f"config {path}: line {exc.lineno}, column "
                              f"{exc.colno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"config {path}: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"config {path}: expected a JSON object at top level")
     _, options, takes_model, _ = _COMMANDS[command]
@@ -342,8 +347,7 @@ def _cmd_bounds(opts):
 
 
 def _cmd_sweep_eta(opts):
-    return _table_csv(ETA_SWEEP_COLUMNS,
-                      _eta_table(opts["path"], opts["grid"]))
+    return _table_csv(eta_sweep(opts["path"], opts["grid"]))
 
 
 def _cmd_sweep_horizon(opts):
@@ -353,8 +357,7 @@ def _cmd_sweep_horizon(opts):
     if t_grid is None:
         t_grid = default_horizon_grid(opts["t_min"], opts["t_max"],
                                       opts["t_points"])
-    return _table_csv(HORIZON_SWEEP_COLUMNS,
-                      _horizon_table(opts["eta"], t_grid, opts["seed"]))
+    return _table_csv(horizon_sweep(opts["eta"], t_grid, opts["seed"]))
 
 
 def _cmd_wac_dist(opts):
@@ -376,7 +379,9 @@ def _cmd_wac_dist(opts):
 
 
 def _cmd_copulas(opts):
-    return [_json_text(_copulas(_model_and_faces(opts)[0]))]
+    model = _model_and_faces(opts)[0]
+    return [_json_text({kind: copula_pmf(model, kind) for kind in (
+        "independence", "comonotonic", "countermonotonic")})]
 
 
 # sweep-horizon's grid defaults are the library's, as horizon_sweep uses.

@@ -409,14 +409,6 @@ def copula_pmf(model, kind):
         f"'countermonotonic', got {kind!r}")
 
 
-def _copulas(model):
-    """The three benchmark couplings by kind, validated, as copies."""
-    rows, cols = model.emission
-    return dict(zip(("independence", "comonotonic", "countermonotonic"), (
-        validate_joint_pmf(np.outer(rows, cols), rows, cols),
-        *_memoised(rows, cols, "frechet")[0].copy())))
-
-
 REPORT_COLUMNS = ("lb", "ub", "lb_cs", "ub_cs", "lb_inhom", "ub_inhom",
                   "ewac_comonotonic", "ewac_countermonotonic")
 

@@ -3,11 +3,13 @@
 Everything here is deterministic given its seed.  Sweeps over the fairness
 level consume no randomness at all; the horizon sweep simulates one long
 path and analyses each truncation from its face counts, which suffice for
-the canonical casino's i.i.d. hidden states.
+the canonical casino's i.i.d. hidden states.  Each sweep returns one
+``numpy.recarray``, a record per grid point, whose fields are its
+``*_SWEEP_COLUMNS``.
 """
 
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +22,6 @@ from casino_ewac.hmm import (_backward_sample, _face_counts,
 
 __all__ = [
     "WacSamples",
-    "SweepRow",
     "ETA_SWEEP_COLUMNS",
     "HORIZON_SWEEP_COLUMNS",
     "sample_wac",
@@ -53,37 +54,6 @@ class WacSamples:
 
     wac: np.ndarray
     biased_counts: np.ndarray
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point of a sweep; fields not computed stay None.
-
-    ``eta`` is set by fairness sweeps and ``horizon`` by horizon sweeps,
-    where lb, ub and naive hold per-period (divided by T) values.
-    """
-
-    eta: float | None = None
-    horizon: int | None = None
-    lb: float | None = None
-    ub: float | None = None
-    lb_cs: float | None = None
-    ub_cs: float | None = None
-    lb_inhom: float | None = None
-    ub_inhom: float | None = None
-    ewac_independence: float | None = None
-    ewac_comonotonic: float | None = None
-    ewac_countermonotonic: float | None = None
-    naive: float | None = None
-
-    def __post_init__(self):
-        for lo, hi in _BOUND_PAIRS:
-            a, b = getattr(self, lo), getattr(self, hi)
-            if a is not None and b is not None and a > b + _BOUND_SLACK:
-                raise ValueError(f"{lo}={a!r} exceeds {hi}={b!r}")
-
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 ETA_SWEEP_COLUMNS = ("eta", "lb", "ub", "lb_cs", "ub_cs", "lb_inhom",
@@ -310,21 +280,19 @@ def default_horizon_grid(t_min=10, t_max=100_000, points=25):
     return np.unique(np.rint(grid).astype(np.int64))
 
 
-def _checked(table, columns):
-    """``table`` once its rows pass ``SweepRow``'s check, run on the arrays:
-    the first row to fail is made a SweepRow, which raises."""
-    at = dict(zip(columns, table.T))
-    _sweep_rows(columns, table[np.any([
-        at[lo] > at[hi] + _BOUND_SLACK for lo, hi in _BOUND_PAIRS if lo in at],
-        axis=0)][:1])
-    return table
-
-
-def _sweep_rows(columns, table):
-    """The rows of a sweep ``table`` as SweepRows, horizons as ints."""
-    return [SweepRow(**{name: int(value) if name == "horizon" else value
-                        for name, value in zip(columns, row)})
-            for row in table.tolist()]
+def _checked(rows):
+    """``rows``, a sweep's record array, once lb <= ub + 1e-9 holds for each
+    of its bound pairs; the first row that fails raises a ValueError that
+    names its first failing pair, in the order lb/ub, cs, inhom."""
+    pairs = [pair for pair in _BOUND_PAIRS if pair[0] in rows.dtype.names]
+    crossed = np.array([rows[lo] > rows[hi] + _BOUND_SLACK
+                        for lo, hi in pairs])
+    if crossed.any():
+        row, at = np.argwhere(crossed.T)[0]  # row-major: the first row
+        lo, hi = pairs[at]
+        raise ValueError(f"{lo}={rows[lo][row].item()!r} exceeds "
+                         f"{hi}={rows[hi][row].item()!r}")
+    return rows
 
 
 def eta_sweep(obs, eta_grid=None):
@@ -333,24 +301,21 @@ def eta_sweep(obs, eta_grid=None):
     Every row holds the plain, cs-constrained (for these dice, pm) and
     per-period relaxed bounds, the three couplings and the naive estimate.
     The levels form stacks of objectives, one ``_report_values`` per block
-    of 2^12 levels; the rows are one array (``_eta_table``) until here.
+    of 2^12 levels, whose rows fill one (N, 11) float table; the records
+    are a view of its rows.
 
     Args:
         obs: observation path, faces 1..6.
         eta_grid: fairness levels; defaults to ``default_eta_grid()``.
 
     Returns:
-        list of SweepRow in grid order.
+        ``numpy.recarray`` of one record per level in grid order, fields
+        ETA_SWEEP_COLUMNS, all float64.
 
     Raises:
         ValueError: if the grid is empty, a level lies outside [0, 1], or
             a lower bound exceeds its upper bound by over 1e-9.
     """
-    return _sweep_rows(ETA_SWEEP_COLUMNS, _eta_table(obs, eta_grid))
-
-
-def _eta_table(obs, eta_grid=None):
-    """``eta_sweep``'s rows as one (N, 11) array, ETA_SWEEP_COLUMNS."""
     eta_grid = np.asarray(default_eta_grid() if eta_grid is None else eta_grid,
                           dtype=float)
     if eta_grid.size == 0:
@@ -361,17 +326,19 @@ def _eta_table(obs, eta_grid=None):
         canonical_model(eta_grid.max())
     counts = np.bincount(as_symbol_indices(model, obs),
                          minlength=model.num_symbols)
-    naive, blocks = _naive(model, counts), []
+    naive = _naive(model, counts)
+    table = np.empty((eta_grid.size, len(ETA_SWEEP_COLUMNS)))
     for start in range(0, eta_grid.size, _LEVEL_BLOCK):
         etas = eta_grid[start:start + _LEVEL_BLOCK]
         priors = np.column_stack([etas, 1.0 - etas])
         stack = _face_objective(model, counts, counts[:, None]
                                 * _face_posteriors(priors, model.emission))
         values, _ = _report_values(model, stack)
-        blocks.append(np.column_stack([
+        table[start:start + etas.size] = np.column_stack([
             etas, values[:, :6], stack.independence, values[:, 6:],
-            np.full(etas.size, naive)]))
-    return _checked(np.vstack(blocks), ETA_SWEEP_COLUMNS)
+            np.full(etas.size, naive)])
+    return _checked(table.view([(name, float) for name in ETA_SWEEP_COLUMNS],
+                               np.recarray)[:, 0])
 
 
 def horizon_sweep(eta, t_grid=None, seed=0):
@@ -381,16 +348,14 @@ def horizon_sweep(eta, t_grid=None, seed=0):
     lb/T, ub/T and naive/T for each grid value T from the face counts of
     the first T periods.  The counts are summed block by block as the path
     is simulated and no block is kept, so memory does not grow with the
-    horizon.  The bounds are read at the fills of ``_tables_by_order``,
-    the rows one array (``_horizon_table``) until here.  The asymptotic
-    per-period rate is ``asymptotic_ewac_rate(canonical_model(eta))``.
+    horizon.  The bounds are read at the fills of ``_tables_by_order``.
+    The asymptotic per-period rate is
+    ``asymptotic_ewac_rate(canonical_model(eta))``.
+
+    Returns:
+        ``numpy.recarray`` of one record per distinct horizon, increasing,
+        fields HORIZON_SWEEP_COLUMNS: ``horizon`` int64, the rest float64.
     """
-    return _sweep_rows(HORIZON_SWEEP_COLUMNS,
-                       _horizon_table(eta, t_grid, seed))
-
-
-def _horizon_table(eta, t_grid=None, seed=0):
-    """``horizon_sweep``'s rows as one (N, 4) array, HORIZON_SWEEP_COLUMNS."""
     if t_grid is None:
         t_grid = default_horizon_grid()
     t_grid = np.unique(np.asarray(t_grid, dtype=np.int64))
@@ -410,6 +375,6 @@ def _horizon_table(eta, t_grid=None, seed=0):
     stack = _face_objective(model, counts, counts[..., None]
                             * _face_posteriors(model.initial, model.emission))
     lb, ub = stack.ewac(_tables_by_order(*model.emission, stack.factor, "nw"))
-    return _checked(np.column_stack([t_grid, lb / t_grid, ub / t_grid,
-                                     _naive(model, counts) / t_grid]),
-                    HORIZON_SWEEP_COLUMNS)
+    return _checked(np.rec.fromarrays(
+        [t_grid, lb / t_grid, ub / t_grid, _naive(model, counts) / t_grid],
+        names=HORIZON_SWEEP_COLUMNS))

@@ -29,14 +29,15 @@ writer that the CLI, ``simulate`` and the batched fills replaced, as
 references; so do ``loop_bounds_report`` (two ``ewac_bounds`` calls,
 the simplex's for a cs mask other than pm, and one evaluation per table),
 ``json_ready`` (the rounding before ``json.dumps``) and ``attribute_csv``
-(the sweep CSV written attribute by attribute from SweepRows) for the
-report kernel and the JSON and CSV written from arrays.
+(the sweep CSV written attribute by attribute from the sweeps' records)
+for the report kernel and the JSON and CSV written from arrays.
 """
 
 import collections
 import functools
 import itertools
 import math
+import numbers
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -719,9 +720,10 @@ def attribute_csv(header, rows):
     of 2^16 records.  A column is typed by its first value: integers print
     in full and floats with 12 significant digits."""
     text = [",".join(header) + "\n"]
-    if rows:
-        template = ",".join("%d" if type(getattr(rows[0], name)) is int
-                            else "%.12g" for name in header) + "\n"
+    if len(rows):
+        template = ",".join(
+            "%d" if isinstance(getattr(rows[0], name), numbers.Integral)
+            else "%.12g" for name in header) + "\n"
         for start in range(0, len(rows), 1 << 16):
             block = rows[start:start + (1 << 16)]
             text.append(template * len(block) % tuple(
@@ -750,7 +752,7 @@ def loop_bounds_report(objective, model, mask):
     lb_inhom/ub_inhom at the greedy stacks and ewac_<kind> at the three
     couplings, the independence value from the objective's sum: two
     ``ewac_bounds`` calls and one ``ewac`` per table."""
-    from casino_ewac.engine import _copulas, _greedy_stacks, ewac_bounds
+    from casino_ewac.engine import _greedy_stacks, copula_pmf, ewac_bounds
 
     plain = ewac_bounds(objective)
     tied = ewac_bounds(objective, mask, tag="cs")
@@ -758,8 +760,8 @@ def loop_bounds_report(objective, model, mask):
     report = {"lb": plain.lb, "ub": plain.ub, "lb_cs": tied.lb,
               "ub_cs": tied.ub, "lb_inhom": objective.ewac(best),
               "ub_inhom": objective.ewac(worst)}
-    for kind, theta in _copulas(model).items():
-        report[f"ewac_{kind}"] = objective.ewac(theta)
+    for kind in ("independence", "comonotonic", "countermonotonic"):
+        report[f"ewac_{kind}"] = objective.ewac(copula_pmf(model, kind))
     report["ewac_independence"] = objective.independence
     return plain, report
 

@@ -193,10 +193,10 @@ class TestSweepCommands:
         out = tmp_path / "horizon.csv"
         assert run("sweep-horizon", "--eta", "0.3", "--seed", str(seed),
                    "--out", str(out)) == EXIT_OK
-        rows = [row.as_dict() for row in sweeps.horizon_sweep(0.3, seed=seed)]
+        rows = sweeps.horizon_sweep(0.3, seed=seed)
         columns = sweeps.HORIZON_SWEEP_COLUMNS
         assert out.read_bytes() == template_csv(
-            columns, [[row[c] for row in rows] for c in columns]).encode()
+            columns, [rows[c].tolist() for c in columns]).encode()
 
     def test_horizon_sweep_needs_eta(self, capsys):
         assert run("sweep-horizon", "--t-grid", "20") == EXIT_USAGE
@@ -980,6 +980,15 @@ class TestConfigHandling:
         assert run("smooth", "--config", str(config)) == EXIT_USAGE
         assert "line 2" in capsys.readouterr().err
 
+    def test_undecodable_config_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_bytes(b'{"path": "\xff"}')
+        assert run("smooth", "--eta", "0.5",
+                   "--config", str(config)) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: config {config}: 'utf-8' codec can't decode byte 0xff "
+            "in position 10: invalid start byte\n")
+
     def test_model_spec_must_be_unambiguous(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
@@ -1048,6 +1057,32 @@ class TestExitCodes:
         assert str(path) in err
         assert "token 20001 is 'xxxxxxxxxxxxxxxxxxxx', not" in err
         assert len(err) < 200 + len(str(path))
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_undecodable_byte_in_a_path_is_a_bad_token(self, source,
+                                                       tmp_path, capsys):
+        # The tokenizer's text keeps a byte that is not UTF-8 as a
+        # backslash escape, so it is a bad token, named with its file.
+        data = b"1\n\xff\n3\n"
+        if source == "file":
+            name = str(tmp_path / "path.txt")
+            Path(name).write_bytes(data)
+        else:
+            if not os.path.isdir("/dev/fd"):
+                pytest.skip("no /dev/fd")
+            read, write = os.pipe()
+            os.write(write, data)
+            os.close(write)
+            name = f"/dev/fd/{read}"
+        try:
+            code = run("bounds", "--eta", "0.5", "--path", f"@{name}")
+        finally:
+            if source == "pipe":
+                os.close(read)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: bad observation path file {name!r}: "
+            r"token 2 is '\\xff', not a 64-bit integer" "\n")
 
     def test_path_parsing_keeps_its_syntax(self, tmp_path, capsys):
         # Commas and newlines separate faces, spaces are dropped, and

@@ -451,7 +451,6 @@ class TestMemo:
                   for name in ("theta_lb", "theta_ub")),
                 *(copula_pmf(model, kind)
                   for kind in ("comonotonic", "countermonotonic")),
-                *engine._copulas(model).values(),
                 *(greedy_column(model, face, sense) for face in (1, 4)
                   for sense in ("max", "min")),
                 *_report_values(model, objective)]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import casino_ewac
 from casino_ewac import (PATH_1, PATH_2, HmmModel,
-                         SweepRow, canonical_model, copula_pmf, cs_mask,
+                         canonical_model, copula_pmf, cs_mask,
                          default_eta_grid, default_horizon_grid, eta_sweep,
                          ewac_bounds, ewac_objective, ewac_of_theta,
                          horizon_sweep, naive_ewac, sample_hidden_paths,
@@ -32,6 +32,11 @@ def bits(row):
             for name, value in row.items()}
 
 
+def record_dict(record):
+    """A sweep record's fields by name, as Python ints and floats."""
+    return dict(zip(record.dtype.names, record.item()))
+
+
 def per_level_row(obs, eta):
     """One eta_sweep row the slow way: the level's own objective from its
     face counts, ``loop_bounds_report`` (two ``ewac_bounds`` calls and one
@@ -42,7 +47,7 @@ def per_level_row(obs, eta):
     objective = _face_objective(model, counts, counts[:, None] * posteriors)
     _, report = loop_bounds_report(objective, model,
                                    cs_mask(model.emission))
-    return dict(report, eta=eta, horizon=None, naive=naive_ewac(model, obs))
+    return dict(report, eta=eta, naive=naive_ewac(model, obs))
 
 
 def face_counts(hidden, obs, k=6):
@@ -561,43 +566,65 @@ class TestNumpyBinomials:
         assert_binomial_law(to_face_1, n, 0.35 / 0.5)
 
 
-class TestSweepRow:
-    def test_crossed_bounds_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            SweepRow(eta=0.5, lb=2.0, ub=1.0)
+class TestSweepRecords:
+    # Each sweep returns one record array, its fields the sweep's columns.
+    def test_eta_sweep_fields_are_floats(self):
+        rows = eta_sweep(PATH_1, [0.2, 0.5])
+        assert type(rows) is np.recarray
+        assert rows.dtype.names == sweeps.ETA_SWEEP_COLUMNS
+        assert all(rows.dtype[name] == np.float64
+                   for name in rows.dtype.names)
+        assert len(rows) == 2
+        assert rows[1].eta == 0.5 and rows.lb[1] == rows[1].lb
 
-    def test_partial_rows_allowed(self):
-        row = SweepRow(horizon=10, lb=-1.0, ub=3.0, naive=0.5)
-        assert row.lb_cs is None
-        assert row.as_dict()["horizon"] == 10
+    def test_horizon_sweep_horizon_is_int64(self):
+        rows = horizon_sweep(0.5, [50, 10], seed=4)
+        assert type(rows) is np.recarray
+        assert rows.dtype.names == sweeps.HORIZON_SWEEP_COLUMNS
+        assert rows.dtype["horizon"] == np.int64
+        assert all(rows.dtype[name] == np.float64
+                   for name in sweeps.HORIZON_SWEEP_COLUMNS[1:])
+        assert rows.horizon.tolist() == [10, 50]
+        assert type(rows[0].horizon) is np.int64
+
+
+def records(table, columns):
+    """A sweep's record array of the (N, len(columns)) float ``table``,
+    the horizon as an int64 field."""
+    return np.rec.fromarrays([
+        col.astype(np.int64) if name == "horizon" else col
+        for name, col in zip(columns, table.T)], names=columns)
 
 
 class TestSweepTableCheck:
-    # The sweeps check their bound pairs on the array, raising what the
-    # first SweepRow to fail would have raised.
-    @pytest.mark.parametrize("bad", [[], [(2, 3, 4), (3, 1, 2)],
-                                     [(4, 5, 6)], [(0, 1, 2), (0, 3, 4)]])
-    def test_first_failure_is_the_rows_first(self, bad):
+    # The sweeps check their bound pairs on the arrays: the first row that
+    # fails raises, naming its first failing pair.
+    @pytest.mark.parametrize("bad,message", [
+        ([], None),
+        ([(2, 3, 4), (3, 1, 2)], "lb_cs=4.000000002 exceeds ub_cs=4.0"),
+        ([(4, 5, 6)], "lb_inhom=6.000000002 exceeds ub_inhom=6.0"),
+        ([(0, 1, 2), (0, 3, 4)], "lb=2.000000002 exceeds ub=2.0")])
+    def test_first_failure_is_the_rows_first(self, bad, message):
         columns = casino_ewac.sweeps.ETA_SWEEP_COLUMNS
         table = np.tile(np.arange(11.0), (5, 1))
         for row, lo, hi in bad:  # lo exceeds hi by more than the slack
             table[row, lo] = table[row, hi] + 2e-9
+        rows = records(table, columns)
         if not bad:
-            assert casino_ewac.sweeps._checked(table, columns) is table
+            assert casino_ewac.sweeps._checked(rows) is rows
             return
-        with pytest.raises(ValueError) as want:
-            [SweepRow(**dict(zip(columns, row))) for row in table.tolist()]
         with pytest.raises(ValueError) as got:
-            casino_ewac.sweeps._checked(table, columns)
-        assert str(got.value) == str(want.value)
+            casino_ewac.sweeps._checked(rows)
+        assert str(got.value) == message
 
     def test_within_the_slack_passes(self):
         columns = casino_ewac.sweeps.HORIZON_SWEEP_COLUMNS
         table = np.array([[10.0, 1.0 + 1e-9, 1.0, 0.0]])
-        assert casino_ewac.sweeps._checked(table, columns) is table
-        table[0, 1] = np.nextafter(table[0, 1], 2.0)
+        rows = records(table, columns)
+        assert casino_ewac.sweeps._checked(rows) is rows
+        rows.lb[0] = np.nextafter(rows.lb[0], 2.0)
         with pytest.raises(ValueError, match="exceeds ub=1.0"):
-            casino_ewac.sweeps._checked(table, columns)
+            casino_ewac.sweeps._checked(rows)
 
 
 class TestEtaSweep:
@@ -613,7 +640,7 @@ class TestEtaSweep:
                 value = getattr(row, f"ewac_{kind}")
                 assert row.lb - 1e-9 <= value <= row.ub + 1e-9
             assert row.naive == 0.0
-            assert row.horizon is None
+        assert "horizon" not in rows.dtype.names
 
     @pytest.mark.parametrize("grid", [[], np.array([])])
     def test_empty_grid_rejected(self, grid):
@@ -641,7 +668,7 @@ class TestEtaSweep:
         # Paths drawn from a random subset of faces leave faces unseen,
         # whose zero factors tie; the grid repeats levels as often as not.
         rows = eta_sweep(obs, grid)
-        assert [bits(row.as_dict()) for row in rows] == [
+        assert [bits(record_dict(row)) for row in rows] == [
             bits(per_level_row(obs, eta)) for eta in grid]
 
     @pytest.mark.parametrize("obs", [PATH_1, PATH_2])
@@ -649,7 +676,7 @@ class TestEtaSweep:
     def test_builtin_rows_equal_the_per_level_reports(self, obs, grid):
         rows = eta_sweep(obs, grid)
         levels = default_eta_grid().tolist() if grid is None else grid
-        assert [bits(row.as_dict()) for row in rows] == [
+        assert [bits(record_dict(row)) for row in rows] == [
             bits(per_level_row(obs, eta)) for eta in levels]
 
     @pytest.mark.parametrize("obs,orders", [(PATH_1, 1), (PATH_2, 7)])
@@ -682,16 +709,16 @@ class TestEtaSweep:
         # Blocks of 7 levels share the memo's tables: from an empty memo
         # the same rows, bit for bit, still two staircase fills per order,
         # and none for a second sweep.
-        whole = [bits(row.as_dict()) for row in eta_sweep(obs)]
+        whole = [bits(record_dict(row)) for row in eta_sweep(obs)]
         cold_memo(monkeypatch)
         calls = []
         fill = engine._staircase_fill
         monkeypatch.setattr(casino_ewac.sweeps, "_LEVEL_BLOCK", 7)
         monkeypatch.setattr(engine, "_staircase_fill",
                             lambda *args: calls.append(args) or fill(*args))
-        assert [bits(row.as_dict()) for row in eta_sweep(obs)] == whole
+        assert [bits(record_dict(row)) for row in eta_sweep(obs)] == whole
         assert len(calls) == (2 if obs is PATH_1 else 14)
-        assert [bits(row.as_dict()) for row in eta_sweep(obs)] == whole
+        assert [bits(record_dict(row)) for row in eta_sweep(obs)] == whole
         assert len(calls) == (2 if obs is PATH_1 else 14)
 
     def test_matches_single_point_computation(self):
@@ -719,8 +746,8 @@ class TestHorizonSweep:
     def test_rows_are_per_period(self):
         rows = horizon_sweep(0.5, [50, 200], seed=4)
         assert [row.horizon for row in rows] == [50, 200]
+        assert "eta" not in rows.dtype.names
         for row in rows:
-            assert row.eta is None
             assert row.lb <= row.ub
             assert abs(row.ub) <= 6.0  # per-period values are payoff-sized
 
@@ -738,11 +765,10 @@ class TestHorizonSweep:
             objective, _ = path_objective(model, prefix)
             pair = ewac_bounds(objective)
             expected.append(dict(
-                SweepRow().as_dict(), horizon=horizon, lb=pair.lb / horizon,
-                ub=pair.ub / horizon,
+                horizon=horizon, lb=pair.lb / horizon, ub=pair.ub / horizon,
                 naive=naive_ewac(model, prefix) / horizon))
         rows = horizon_sweep(eta, grid, seed)
-        assert [bits(row.as_dict()) for row in rows] == list(map(bits,
+        assert [bits(record_dict(row)) for row in rows] == list(map(bits,
                                                                  expected))
 
     @pytest.mark.parametrize("block", [1, 7, 64])
@@ -753,8 +779,8 @@ class TestHorizonSweep:
         want = horizon_sweep(0.4, grid, seed=9)
         monkeypatch.setattr(hmm, "_SIMULATE_BLOCK", block)
         got = horizon_sweep(0.4, grid, seed=9)
-        assert ([bits(row.as_dict()) for row in got]
-                == [bits(row.as_dict()) for row in want])
+        assert ([bits(record_dict(row)) for row in got]
+                == [bits(record_dict(row)) for row in want])
 
     def test_truncations_share_the_simulated_path(self):
         # The longer row's prefix analysis must equal the shorter row.

@@ -37,8 +37,8 @@ import sys
 import numpy as np
 
 from casino_ewac.engine import (REPORT_COLUMNS, InfeasibleMaskError,
-                                _naive, _path_objective, _report_values,
-                                copula_pmf, cs_mask, ewac_bounds, pm_mask)
+                                _path_objective, _report_values, copula_pmf,
+                                cs_mask, ewac_bounds, pm_mask)
 from casino_ewac.hmm import (HmmModel, ZeroLikelihoodError, _face_counts,
                              _smoothed_rows, _symbol_indices, canonical_model)
 from casino_ewac.paths import PATH_1, PATH_2
@@ -267,7 +267,10 @@ def _cast(key, value):
     ValueError that names the key."""
     kind = _OPTIONS[key][2]
     if kind in (float, int):
-        return _number(value, key, kind)
+        value = _number(value, key, kind)
+        if key != "seed" or value >= 0:  # numpy's error names no option
+            return value
+        raise ValueError(f"seed must be a non-negative integer, got {value}")
     if isinstance(kind, list):  # a comma-separated flag or a config list
         if isinstance(value, str):
             value = [tok for tok in value.split(",") if tok]
@@ -338,12 +341,9 @@ def _cmd_smooth(opts):
 def _cmd_bounds(opts):
     model, o, counts = _model_and_faces(opts)
     objective, _ = _path_objective(model, o, counts)
-    values, tables = _report_values(model, objective)
-    report = dict(zip(REPORT_COLUMNS, values[0].tolist()),
-                  naive=_naive(model, counts),
-                  ewac_independence=objective.independence,
-                  theta_lb=tables[0, 0], theta_ub=tables[1, 0])
-    return [_json_text(report)]
+    values, tables = _report_values(model, objective, counts)
+    return [_json_text(dict(zip(REPORT_COLUMNS, values[0].tolist()),
+                            theta_lb=tables[0, 0], theta_ub=tables[1, 0]))]
 
 
 def _cmd_sweep_eta(opts):

@@ -14,10 +14,10 @@ strictly increases with the face) greedy fills row by row in payoff order
 (Shamir and Dietrich 1990).  Either way an optimum sees the path only
 through the stable order of f: a memo by dice keeps, read-only and under
 16 MB, each order's fills (one kernel call fills those missing) and pm
-fills, and the fixed tables; public results are copies.  The
+fills, and one entry of fixed tables; public results are copies.  The
 transportation simplex (``transport.solve``) serves every other mask.
-``_optimal_tables`` alone picks the route, for one objective or a stack,
-and both ``ewac_bounds`` and the report kernel read its tables.
+``_optimal_tables`` alone picks the route, for one objective or a stack;
+``ewac_bounds``, the report kernel and the horizon sweep read its tables.
 """
 
 import functools
@@ -352,9 +352,9 @@ def greedy_column(model, face, sense):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
     j = int(face) - 1
     k = model.num_symbols
-    if not 0 <= j < k:
+    if j + 1 != face or not 0 <= j < k:  # 1.5 is no face
         raise ValueError(f"face must lie in 1..{k}, got {face}")
-    best, worst = _memoised(*model.emission, "greedy")[0]
+    best, worst = _memoised(*model.emission, "fixed")[0][:2]
     return (worst if sense == "min" else best)[:, j].copy()
 
 
@@ -366,7 +366,7 @@ def inhomogeneous_bounds(objective):
     at least as wide as the time-homogeneous bounds.
     """
     best, worst = _memoised(objective.row_marginals, objective.col_marginals,
-                            "greedy")[0]
+                            "fixed")[0][:2]
     return EwacBounds(objective.ewac(best), objective.ewac(worst), None, None,
                       constraint_tag="inhomogeneous")
 
@@ -396,29 +396,30 @@ def copula_pmf(model, kind):
     the marginals, "comonotonic" couples them through a common uniform
     (highest positive dependence), "countermonotonic" through opposed
     uniforms (lowest).  The last two are the classical Frechet bounds, the
-    ``_nw_fills`` of the face order, copied from the memo.
+    ``_nw_fills`` of the face order, copied from the memo's fixed tables.
     """
     e_fair, e_biased = model.emission
     if kind == "independence":
         return np.outer(e_fair, e_biased)
     if kind in ("comonotonic", "countermonotonic"):
-        return _memoised(e_fair, e_biased, "frechet")[0][
-            int(kind == "countermonotonic")].copy()
+        return _memoised(e_fair, e_biased, "fixed")[0][
+            2 + (kind == "countermonotonic")].copy()
     raise ValueError(
         "kind must be 'independence', 'comonotonic' or "
         f"'countermonotonic', got {kind!r}")
 
 
 REPORT_COLUMNS = ("lb", "ub", "lb_cs", "ub_cs", "lb_inhom", "ub_inhom",
-                  "ewac_comonotonic", "ewac_countermonotonic")
+                  "ewac_independence", "ewac_comonotonic",
+                  "ewac_countermonotonic", "naive")
 
 
 def _memoised(rows, cols, kind, keys=((),)):
     """The memo's read-only tables ``kind`` of the dice (rows, cols) for
     ``keys``: by stable factor order the "nw" and "pm" max and min fills;
-    under () the "greedy" stacks, validated "frechet" couplings and pm's
-    "feasible" flag.  Those missing are made at once; the memo is cleared
-    when it passes _MEMO_BOUND bytes."""
+    under () the "fixed" (4, K, K) greedy max and min stacks and validated
+    couplings.  Those missing are made at once; the memo is cleared when
+    it passes _MEMO_BOUND bytes."""
     global _memo_bytes
     dice = rows.tobytes() + cols.tobytes()
     got = {key: _memo.get((dice, kind, key)) for key in keys}
@@ -430,15 +431,11 @@ def _memoised(rows, cols, kind, keys=((),)):
     elif kind == "pm":
         made = [np.stack([_staircase_fill(rows, cols, np.array(order))
                           for order in (key, key[::-1])]) for key in missing]
-    elif kind == "greedy":
-        made = [_greedy_stacks(rows, cols)]
-    elif kind == "frechet":  # the face order's fills
-        made = _memoised(rows, cols, "nw", [(*range(rows.size),)])
-        for theta in made[0]:
+    else:  # "fixed"
+        frechet = _memoised(rows, cols, "nw", [(*range(rows.size),)])[0]
+        for theta in frechet:
             validate_joint_pmf(theta, rows, cols)
-    else:  # pm's, see _optimal_tables
-        excess = np.cumsum(cols)[:-1] - np.cumsum(rows)[:-1]
-        made = [np.array(excess.max(initial=0.0) <= FEASIBILITY_TOL)]
+        made = [np.concatenate([_greedy_stacks(rows, cols), frechet])]
     for key, table in zip(missing, made):
         table.setflags(write=False)
         got[key] = _memo[dice, kind, key] = table
@@ -462,15 +459,16 @@ def _tables_by_order(rows, cols, factor, kind):
 def _optimal_tables(objective, zero_mask, tag):
     """((2, E, K, K) tables, (lb, ub) pivots): the max and min tables of
     each row of the objective's (E, K) or (K,) factor under ``zero_mask``,
-    by the one route decision: no mask, the fills; ``pm_mask(K)``, the
-    memo's pm feasibility, then the staircase fills; any other mask, one
+    by the one route decision: no mask, the fills; ``pm_mask(K)``, if the
+    dice allow it, the staircase fills; any other mask, one
     ``transport.solve`` per row and sense.  An empty polytope raises."""
     rows, cols, k = (objective.row_marginals, objective.col_marginals,
                      objective.rewards.size)
     if not zero_mask:
         return _tables_by_order(rows, cols, objective.factor, "nw"), (0, 0)
     if frozenset(map(tuple, zero_mask)) == pm_mask(k):
-        if _memoised(rows, cols, "feasible")[0]:
+        excess = np.cumsum(cols)[:-1] - np.cumsum(rows)[:-1]
+        if excess.max(initial=0.0) <= FEASIBILITY_TOL:
             return _tables_by_order(rows, cols, objective.factor, "pm"), (0, 0)
     else:
         solved = [[solve(TransportProblem(coeff, rows, cols, zero_mask, sense))
@@ -484,18 +482,19 @@ def _optimal_tables(objective, zero_mask, tag):
         "no joint PMF with the required marginals")
 
 
-def _report_values(model, stack):
-    """(values, tables): the (E, 8) ``REPORT_COLUMNS`` of the objectives
-    ``stack`` by one ``ewac`` of the (8, E, K, K) tables: the
-    ``_optimal_tables`` with no mask and under the dice's ``cs_mask`` (tag
-    "cs"), then the dice's greedy stacks and Frechet couplings."""
-    rows, cols = model.emission
+def _report_values(model, stack, counts):
+    """(values, tables): the (E, 10) ``REPORT_COLUMNS`` of the objectives
+    ``stack`` of face ``counts``: their independence, ``_naive`` and one
+    ``ewac`` of the (8, E, K, K) tables, the ``_optimal_tables`` with no
+    mask and under the dice's ``cs_mask`` (tag "cs"), then the fixed ones."""
     plain, tied = (_optimal_tables(stack, mask, tag)[0] for mask, tag in (
         (frozenset(), "none"), (cs_mask(model.emission), "cs")))
-    tables = np.concatenate([plain, tied, *(np.broadcast_to(
-        _memoised(rows, cols, kind)[0][:, None], plain.shape)
-        for kind in ("greedy", "frechet"))])
-    return stack.ewac(tables).T, tables
+    tables = np.concatenate([plain, tied, np.broadcast_to(_memoised(
+        *model.emission, "fixed")[0][:, None], (4, *plain.shape[1:]))])
+    values = stack.ewac(tables).T
+    naive = np.full(len(values), _naive(model, counts))
+    return np.column_stack([values[:, :6], stack.independence, values[:, 6:],
+                            naive]), tables
 
 
 def naive_ewac(model, obs):

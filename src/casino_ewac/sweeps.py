@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from casino_ewac.engine import (_face_objective, _naive, _report_values,
-                                _tables_by_order, validate_joint_pmf)
+from casino_ewac.engine import (REPORT_COLUMNS, _face_objective, _naive,
+                                _optimal_tables, _report_values,
+                                validate_joint_pmf)
 from casino_ewac.hmm import (_backward_sample, _face_counts,
                              _face_posteriors, _forward_filter, _iid_posteriors,
                              _simulated_blocks, as_symbol_indices,
@@ -56,9 +57,7 @@ class WacSamples:
     biased_counts: np.ndarray
 
 
-ETA_SWEEP_COLUMNS = ("eta", "lb", "ub", "lb_cs", "ub_cs", "lb_inhom",
-                     "ub_inhom", "ewac_independence", "ewac_comonotonic",
-                     "ewac_countermonotonic", "naive")
+ETA_SWEEP_COLUMNS = ("eta", *REPORT_COLUMNS)
 HORIZON_SWEEP_COLUMNS = ("horizon", "lb", "ub", "naive")
 
 
@@ -326,17 +325,16 @@ def eta_sweep(obs, eta_grid=None):
         canonical_model(eta_grid.max())
     counts = np.bincount(as_symbol_indices(model, obs),
                          minlength=model.num_symbols)
-    naive = _naive(model, counts)
     table = np.empty((eta_grid.size, len(ETA_SWEEP_COLUMNS)))
+    table[:, 0] = eta_grid
     for start in range(0, eta_grid.size, _LEVEL_BLOCK):
         etas = eta_grid[start:start + _LEVEL_BLOCK]
         priors = np.column_stack([etas, 1.0 - etas])
         stack = _face_objective(model, counts, counts[:, None]
                                 * _face_posteriors(priors, model.emission))
-        values, _ = _report_values(model, stack)
-        table[start:start + etas.size] = np.column_stack([
-            etas, values[:, :6], stack.independence, values[:, 6:],
-            np.full(etas.size, naive)])
+        # _ outlives the block: tables freed sooner are trimmed and refaulted
+        values, _ = _report_values(model, stack, counts)
+        table[start:start + etas.size, 1:] = values
     return _checked(table.view([(name, float) for name in ETA_SWEEP_COLUMNS],
                                np.recarray)[:, 0])
 
@@ -348,7 +346,7 @@ def horizon_sweep(eta, t_grid=None, seed=0):
     lb/T, ub/T and naive/T for each grid value T from the face counts of
     the first T periods.  The counts are summed block by block as the path
     is simulated and no block is kept, so memory does not grow with the
-    horizon.  The bounds are read at the fills of ``_tables_by_order``.
+    horizon.  The bounds are read at ``_optimal_tables``' unmasked tables.
     The asymptotic per-period rate is
     ``asymptotic_ewac_rate(canonical_model(eta))``.
 
@@ -356,11 +354,10 @@ def horizon_sweep(eta, t_grid=None, seed=0):
         ``numpy.recarray`` of one record per distinct horizon, increasing,
         fields HORIZON_SWEEP_COLUMNS: ``horizon`` int64, the rest float64.
     """
-    if t_grid is None:
-        t_grid = default_horizon_grid()
-    t_grid = np.unique(np.asarray(t_grid, dtype=np.int64))
-    if t_grid.size == 0 or t_grid[0] < 1:
+    grid = np.asarray(default_horizon_grid() if t_grid is None else t_grid)
+    if grid.size == 0 or (grid % 1).any() or grid.min() < 1:
         raise ValueError("horizon grid must contain positive integers")
+    t_grid = np.unique(grid.astype(np.int64))
     model = canonical_model(eta)
     total, counts, done = np.zeros(model.num_symbols, dtype=np.int64), [], 0
     for _, faces in _simulated_blocks(model, int(t_grid[-1]), seed):
@@ -374,7 +371,7 @@ def horizon_sweep(eta, t_grid=None, seed=0):
     # Period 1 too: canonical_model's initial law is its transition row.
     stack = _face_objective(model, counts, counts[..., None]
                             * _face_posteriors(model.initial, model.emission))
-    lb, ub = stack.ewac(_tables_by_order(*model.emission, stack.factor, "nw"))
+    lb, ub = stack.ewac(_optimal_tables(stack, frozenset(), "none")[0])
     return _checked(np.rec.fromarrays(
         [t_grid, lb / t_grid, ub / t_grid, _naive(model, counts) / t_grid],
         names=HORIZON_SWEEP_COLUMNS))

@@ -747,12 +747,14 @@ def json_ready(obj):
     return obj
 
 
-def loop_bounds_report(objective, model, mask):
+def loop_bounds_report(objective, model, mask, obs):
     """(plain bounds, report): lb/ub, lb_cs/ub_cs under the cs ``mask``,
     lb_inhom/ub_inhom at the greedy stacks and ewac_<kind> at the three
-    couplings, the independence value from the objective's sum: two
-    ``ewac_bounds`` calls and one ``ewac`` per table."""
-    from casino_ewac.engine import _greedy_stacks, copula_pmf, ewac_bounds
+    couplings, the independence value from the objective's sum, and the
+    ``naive_ewac`` of the path ``obs``: two ``ewac_bounds`` calls and one
+    ``ewac`` per table."""
+    from casino_ewac.engine import (_greedy_stacks, copula_pmf, ewac_bounds,
+                                    naive_ewac)
 
     plain = ewac_bounds(objective)
     tied = ewac_bounds(objective, mask, tag="cs")
@@ -763,6 +765,7 @@ def loop_bounds_report(objective, model, mask):
     for kind in ("independence", "comonotonic", "countermonotonic"):
         report[f"ewac_{kind}"] = objective.ewac(copula_pmf(model, kind))
     report["ewac_independence"] = objective.independence
+    report["naive"] = naive_ewac(model, obs)
     return plain, report
 
 

@@ -24,11 +24,12 @@ import casino_ewac.cli
 from casino_ewac import engine, hmm, sweeps
 from casino_ewac import (HmmModel, TransportProblem, canonical_model,
                          copula_pmf, cs_mask, eta_sweep, ewac_bounds,
-                         ewac_objective, horizon_sweep, naive_ewac, pm_mask,
-                         simulate, smooth, solve)
+                         ewac_objective, horizon_sweep, pm_mask, simulate,
+                         smooth, solve)
 from casino_ewac.cli import (EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                              EXIT_USAGE, PATH_1, PATH_2, _json_text,
                              _parse_path, main)
+from casino_ewac.engine import REPORT_COLUMNS
 from helpers import (attribute_csv, cold_memo, dense_filter, dense_smooth,
                      exact_canonical_values, iid_cases, iid_law_draws,
                      iid_wac_pmf, json_ready, loop_bounds_report,
@@ -128,6 +129,30 @@ class TestBoundsCommand:
         assert report["ub_cs"] == float(f"{pair.ub:.12g}")
         assert (report["lb"] <= report["lb_cs"] <= report["ub_cs"]
                 <= report["ub"])
+
+
+class TestOneReportRow:
+    # bounds and sweep-eta print one row, engine.REPORT_COLUMNS: every
+    # number of the bounds JSON is the sweep-eta row's at the same level.
+    @pytest.mark.parametrize("path", ["builtin:1", "builtin:2"])
+    @pytest.mark.parametrize("eta", ["0", "0.2", "0.37", "0.5", "0.99999",
+                                     "1"])
+    def test_bounds_equal_the_sweep_row(self, path, eta, tmp_path):
+        bounds, sweep = tmp_path / "bounds.json", tmp_path / "sweep.csv"
+        assert run("bounds", "--eta", eta, "--path", path,
+                   "--out", str(bounds)) == EXIT_OK
+        assert run("sweep-eta", "--grid", eta, "--path", path,
+                   "--out", str(sweep)) == EXIT_OK
+        report = json.loads(bounds.read_text())
+        assert sorted(report) == sorted([*REPORT_COLUMNS, "theta_lb",
+                                         "theta_ub"])
+        header, row = sweep.read_text().splitlines()
+        assert tuple(header.split(",")) == ("eta", *REPORT_COLUMNS)
+        assert sweeps.ETA_SWEEP_COLUMNS == ("eta", *REPORT_COLUMNS)
+        values = [float(value) for value in row.split(",")]
+        assert values[0] == float(eta)
+        for name, value in zip(REPORT_COLUMNS, values[1:]):
+            assert report[name] == value, name
 
 
 class TestSweepCommands:
@@ -764,9 +789,8 @@ def loop_bounds_text(model, obs):
     by ``json.dumps``."""
     objective, _ = path_objective(model, obs)
     plain, report = loop_bounds_report(objective, model,
-                                       cs_mask(model.emission))
-    report.update(naive=naive_ewac(model, obs), theta_lb=plain.theta_lb,
-                  theta_ub=plain.theta_ub)
+                                       cs_mask(model.emission), obs)
+    report.update(theta_lb=plain.theta_lb, theta_ub=plain.theta_ub)
     return json.dumps(json_ready(report), indent=2, sort_keys=True) + "\n"
 
 
@@ -967,6 +991,27 @@ class TestConfigHandling:
         assert run("smooth", "--eta", "0.5", "--path", "1,2,6",
                    "--out", str(out_flags)) == EXIT_OK
         assert out_flags.read_bytes() == out_config.read_bytes()
+
+    # A negative seed is named when it is cast, as a flag or from a
+    # config, before numpy's own error (which names no option).
+    @pytest.mark.parametrize("argv,config,value", [
+        ("wac-dist --eta 0.5 --seed -1", None, -1),
+        ("sweep-horizon --eta 0.5 --t-grid 10 --seed -1", None, -1),
+        ("wac-dist", {"eta": 0.5, "path": "builtin:1", "seed": -2}, -2),
+        ("sweep-horizon", {"eta": 0.5, "t_grid": [10], "seed": -2}, -2),
+    ])
+    def test_negative_seed_names_the_option(self, argv, config, value,
+                                            tmp_path, capsys):
+        argv = argv.split()
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: seed must be a non-negative integer, got {value}\n")
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.json"

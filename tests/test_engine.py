@@ -403,6 +403,11 @@ REPORT_CASES = {
 }
 
 
+def face_counts(model, obs):
+    """The (K,) counts of the faces of the path ``obs``."""
+    return np.bincount(np.asarray(obs) - 1, minlength=model.num_symbols)
+
+
 class TestReportValues:
     # The report kernel against helpers.loop_bounds_report, the report as
     # it was built before: two ewac_bounds calls and one evaluation per
@@ -414,8 +419,9 @@ class TestReportValues:
         objective, _ = path_objective(model, obs)
         mask = cs_mask(model.emission)
         assert (mask == pm_mask(model.num_symbols)) is staircase
-        values, tables = _report_values(model, objective)
-        plain, want = loop_bounds_report(objective, model, mask)
+        values, tables = _report_values(model, objective,
+                                        face_counts(model, obs))
+        plain, want = loop_bounds_report(objective, model, mask, obs)
         assert values.shape == (1, len(REPORT_COLUMNS))
         got = dict(zip(REPORT_COLUMNS, values[0].tolist()))
         for name, value in got.items():
@@ -434,7 +440,7 @@ class TestReportValues:
         monkeypatch.setattr(engine, "cs_mask",
                             lambda emission: pm_mask(emission.shape[1]))
         with pytest.raises(InfeasibleMaskError) as got:
-            _report_values(model, objective)
+            _report_values(model, objective, face_counts(model, [1, 1, 1]))
         assert str(got.value) == str(want.value)
 
 
@@ -443,8 +449,10 @@ class TestMemo:
     # read-only, results handed out as copies, the size within its bound.
 
     @staticmethod
-    def results(model, objective):
-        """Every public table the memo serves, and the report's values."""
+    def results(model, obs):
+        """Every public table the memo serves, and the report's values, for
+        the path ``obs``."""
+        objective = path_objective(model, obs)[0]
         pairs = [ewac_bounds(objective, mask) for mask in (frozenset(),
                                                           pm_mask(6))]
         return [*(getattr(pair, name) for pair in pairs
@@ -453,30 +461,28 @@ class TestMemo:
                   for kind in ("comonotonic", "countermonotonic")),
                 *(greedy_column(model, face, sense) for face in (1, 4)
                   for sense in ("max", "min")),
-                *_report_values(model, objective)]
+                *_report_values(model, objective, face_counts(model, obs))]
 
     def test_results_are_writable_copies(self, monkeypatch):
         # Overwriting every returned table changes no later result.
         cold_memo(monkeypatch)
         model = canonical_model(0.4)
-        objective = path_objective(model, PATH_2)[0]
-        first = self.results(model, objective)
+        first = self.results(model, PATH_2)
         want = [table.copy() for table in first]
         for table in first:
             assert table.flags.writeable
             table.fill(7.0)
-        for got, table in zip(self.results(model, objective), want):
+        for got, table in zip(self.results(model, PATH_2), want):
             assert got.tobytes() == table.tobytes()
 
     def test_entries_are_read_only(self, monkeypatch):
         cold_memo(monkeypatch)
         model = canonical_model(0.4)
-        self.results(model, path_objective(model, PATH_1)[0])
+        self.results(model, PATH_1)
         eta_sweep(PATH_2, [0.2, 0.7])
         horizon_sweep(0.5, [50, 400])
         inhomogeneous_bounds(path_objective(model, PATH_2)[0])
-        assert {kind for _, kind, _ in engine._memo} == {
-            "nw", "pm", "greedy", "frechet", "feasible"}
+        assert {kind for _, kind, _ in engine._memo} == {"nw", "pm", "fixed"}
         for table in engine._memo.values():
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -530,13 +536,14 @@ class TestMemo:
 
     def test_canonical_dice_take_under_a_megabyte(self, monkeypatch):
         # All 720 factor orders of the canonical dice, fills and pm fills,
-        # with the fixed tables.
+        # with the one entry of fixed tables.
         cold_memo(monkeypatch)
         model = canonical_model(0.5)
         factors = np.array([*itertools.permutations(range(6))], float)
-        _report_values(model, replace(path_objective(model, PATH_1)[0],
-                                      factor=factors))
-        assert len(engine._memo) == 2 * 720 + 3
+        _report_values(model, replace(
+            path_objective(model, PATH_1)[0], factor=factors,
+            independence=np.zeros(len(factors))), face_counts(model, PATH_1))
+        assert len(engine._memo) == 2 * 720 + 1
         assert engine._memo_bytes < 2**20
 
 
@@ -610,6 +617,15 @@ class TestInhomogeneous:
             greedy_column(canonical_model(0.5), 1, "up")
         with pytest.raises(ValueError, match="face"):
             greedy_column(canonical_model(0.5), 7, "max")
+
+    def test_fractional_face_rejected(self):
+        # 1.5 is not read as face 1; an integral 2.0 is face 2.
+        model = canonical_model(0.5)
+        with pytest.raises(ValueError,
+                           match=r"^face must lie in 1\.\.6, got 1\.5$"):
+            greedy_column(model, 1.5, "max")
+        assert (greedy_column(model, 2.0, "min").tobytes()
+                == greedy_column(model, 2, "min").tobytes())
 
 
 class TestNorthWestKernel:

@@ -39,15 +39,15 @@ def record_dict(record):
 
 def per_level_row(obs, eta):
     """One eta_sweep row the slow way: the level's own objective from its
-    face counts, ``loop_bounds_report`` (two ``ewac_bounds`` calls and one
-    evaluation per table) and ``naive_ewac``."""
+    face counts and ``loop_bounds_report`` (two ``ewac_bounds`` calls, one
+    evaluation per table and ``naive_ewac``)."""
     model = canonical_model(eta)
     counts = np.bincount(np.asarray(obs) - 1, minlength=6)
     posteriors = _face_posteriors(np.array([eta, 1.0 - eta]), model.emission)
     objective = _face_objective(model, counts, counts[:, None] * posteriors)
     _, report = loop_bounds_report(objective, model,
-                                   cs_mask(model.emission))
-    return dict(report, eta=eta, naive=naive_ewac(model, obs))
+                                   cs_mask(model.emission), obs)
+    return dict(report, eta=eta)
 
 
 def face_counts(hidden, obs, k=6):
@@ -800,3 +800,13 @@ class TestHorizonSweep:
     def test_invalid_grid_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             horizon_sweep(0.5, [0, 10])
+
+    def test_fractional_horizons_rejected(self):
+        # 2.7 is not truncated to the horizon 2; an integral 2.0 is 2.
+        with pytest.raises(ValueError, match=(
+                "^horizon grid must contain positive integers$")):
+            horizon_sweep(0.5, [2.7, 3.2])
+        got, want = (horizon_sweep(0.5, grid, seed=1)
+                     for grid in ([2.0, 3.0], [2, 3]))
+        assert got.horizon.tolist() == [2, 3]
+        assert got.tobytes() == want.tobytes()

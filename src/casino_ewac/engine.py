@@ -12,12 +12,11 @@ are north-west-corner fills against the biased faces sorted by f (Hoffman
 pm mask (also the cs mask of dice whose likelihood ratio e_b / e_f
 strictly increases with the face) greedy fills row by row in payoff order
 (Shamir and Dietrich 1990).  Either way an optimum sees the path only
-through the stable order of f: a memo by dice keeps, read-only and under
-16 MB, each order's fills (one kernel call fills those missing) and pm
-fills, and one entry of fixed tables; public results are copies.  The
-transportation simplex (``transport.solve``) serves every other mask.
+through the stable order of f, a min fill being the max of the order
+reversed: a memo by dice keeps, read-only and under 16 MB, one fill per
+kind and order and one entry of fixed tables; public results are copies.
 ``_optimal_tables`` alone picks the route, for one objective or a stack;
-``ewac_bounds``, the report kernel and the horizon sweep read its tables.
+the transportation simplex (``transport.solve``) serves other masks.
 """
 
 import functools
@@ -128,14 +127,20 @@ def ewac_objective(model, obs, delta):
         delta: (T, 2) smoothed posterior for the same model and path.
 
     Raises:
-        ValueError: if a face with zero biased emission probability was
-            observed; the counterfactual conditioning is undefined there.
+        ValueError: if a row of delta is no distribution (to 1e-9), or a
+            face with zero biased emission probability was observed; the
+            counterfactual conditioning is undefined there.
     """
     o = as_symbol_indices(model, obs)
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (o.size, 2):
         raise ValueError(
             f"delta must have shape ({o.size}, 2), got {delta.shape}")
+    # An entry outside [0, 1] (NaN too) counts 2, so its row sum is off 1.
+    inside = np.where((delta >= 0) & (delta <= 1), delta, 2.0)
+    bad = np.flatnonzero(np.abs(inside.sum(axis=1) - 1) > 1e-9)
+    if bad.size:
+        raise ValueError(f"delta row {bad[0] + 1} is no distribution")
     return _smoothed_objective(model, o, delta)
 
 
@@ -213,33 +218,32 @@ def ewac_of_theta(objective, theta):
 
 
 def _nw_fills(rows, cols, orders):
-    """(2, E, K, K): the north-west-corner fills against the columns in
-    each of the (E, K) ``orders`` and reversed, the max and min tables of
-    sum_ij w_i f_j theta[i, j], w increasing, of each stable factor order.
+    """(E, K, K): the north-west-corner fill against the columns in each
+    of the (E, K) ``orders``, the max table of sum_ij w_i f_j theta[i, j],
+    w increasing, of that stable factor order, the min of it reversed.
     Cell (i, j) is the overlap min(R_{i+1}, C_{j+1}) - max(R_i, C_j) of
     the row's and column's cumulative-mass intervals (columns in order):
     the least of the two masses and two edge differences, the prefix sums
     carrying their rounding errors (exact by TwoSum; Knuth, TAOCP 4.2.2),
     so a cell is within about an ulp of the exact overlap (on the canonical
     dice, correctly rounded).  Overlaps within rounding of the totals (the
-    columns' summed in face order, as in any batch) count as empty."""
+    columns' summed in face order) count as empty: no fill sees its batch."""
     n, k = orders.shape
-    at = np.concatenate([orders, orders[:, ::-1]])
-    x = np.concatenate([cols[at], rows[None]])
-    cum = np.zeros((2, 2 * n + 1, k + 1))  # prefix sums, and their errors
+    x = np.concatenate([cols[orders], rows[None]])
+    cum = np.zeros((2, n + 1, k + 1))  # prefix sums, and their errors
     total = np.add.accumulate(x, axis=1, out=cum[0, :, 1:])
     step = total - cum[0, :, :-1]
     np.add.accumulate((cum[0, :, :-1] - (total - step)) + (x - step), axis=1,
                       out=cum[1, :, 1:])
     # Where face j's column edges are in each order's row of prefix sums.
-    j = at.argsort(axis=1) + np.arange(0, 2 * n * (k + 1), k + 1)[:, None]
+    j = orders.argsort(axis=1) + np.arange(0, n * (k + 1), k + 1)[:, None]
     flat, r = cum.reshape(2, -1), cum[:, None, -1, :, None]
     up = r[:, :, 1:] - flat.take(j, axis=1)[:, :, None]
     down = flat.take(j + 1, axis=1)[:, :, None] - r[:, :, :-1]
     theta = np.minimum(up[0] + up[1], down[0] + down[1])
     np.minimum(theta, np.minimum(rows[:, None], cols), out=theta)
     theta[theta <= 2 * k * _EPS * max(cols.sum(), cum[0, -1, -1])] = 0
-    return theta.reshape(2, n, k, k)
+    return theta
 
 
 def _staircase_fill(rows, cols, order):
@@ -260,7 +264,6 @@ def _staircase_fill(rows, cols, order):
     prefix together.  Remainders within rounding count as spent.
     """
     k = rows.size
-    order = order.tolist()
     tol = 2 * k * _EPS * max(rows.sum(), cols.sum())
     stock = cols.tolist()
     # room[m]: R(m) - S(m) less what the columns above m hold; row i's cap
@@ -396,7 +399,7 @@ def copula_pmf(model, kind):
     the marginals, "comonotonic" couples them through a common uniform
     (highest positive dependence), "countermonotonic" through opposed
     uniforms (lowest).  The last two are the classical Frechet bounds, the
-    ``_nw_fills`` of the face order, copied from the memo's fixed tables.
+    ``_nw_fills`` of the faces in order and reversed, copied from the memo.
     """
     e_fair, e_biased = model.emission
     if kind == "independence":
@@ -416,10 +419,10 @@ REPORT_COLUMNS = ("lb", "ub", "lb_cs", "ub_cs", "lb_inhom", "ub_inhom",
 
 def _memoised(rows, cols, kind, keys=((),)):
     """The memo's read-only tables ``kind`` of the dice (rows, cols) for
-    ``keys``: by stable factor order the "nw" and "pm" max and min fills;
-    under () the "fixed" (4, K, K) greedy max and min stacks and validated
-    couplings.  Those missing are made at once; the memo is cleared when
-    it passes _MEMO_BOUND bytes."""
+    ``keys``: by stable factor order the "nw" and "pm" max fill (its
+    reversal's is the min); under () the "fixed" (4, K, K) greedy max and
+    min stacks and validated couplings.  Those missing are made at once;
+    the memo is cleared when it passes _MEMO_BOUND bytes."""
     global _memo_bytes
     dice = rows.tobytes() + cols.tobytes()
     got = {key: _memo.get((dice, kind, key)) for key in keys}
@@ -427,15 +430,15 @@ def _memoised(rows, cols, kind, keys=((),)):
     if not missing:
         return [got[key] for key in keys]
     if kind == "nw":
-        made = [*_nw_fills(rows, cols, np.array(missing)).swapaxes(0, 1)]
+        made = [*_nw_fills(rows, cols, np.array(missing))]
     elif kind == "pm":
-        made = [np.stack([_staircase_fill(rows, cols, np.array(order))
-                          for order in (key, key[::-1])]) for key in missing]
+        made = [_staircase_fill(rows, cols, key) for key in missing]
     else:  # "fixed"
-        frechet = _memoised(rows, cols, "nw", [(*range(rows.size),)])[0]
+        faces = (*range(rows.size),)
+        frechet = _memoised(rows, cols, "nw", [faces, faces[::-1]])
         for theta in frechet:
             validate_joint_pmf(theta, rows, cols)
-        made = [np.concatenate([_greedy_stacks(rows, cols), frechet])]
+        made = [np.stack([*_greedy_stacks(rows, cols), *frechet])]
     for key, table in zip(missing, made):
         table.setflags(write=False)
         got[key] = _memo[dice, kind, key] = table
@@ -446,37 +449,38 @@ def _memoised(rows, cols, kind, keys=((),)):
     return [got[key] for key in keys]
 
 
-def _tables_by_order(rows, cols, factor, kind):
-    """The (2, E, K, K) memo tables ``kind`` ("nw" or "pm"), max and min, of
-    each row of the (E, K) or (K,) ``factor`` by its stable order (all they
-    depend on), gathered into a new array."""
-    first = {}  # distinct orders by first row: faster than np.unique here
+def _factor_orders(factor):
+    """(orders, at): the distinct stable orders of the rows of the (E, K)
+    or (K,) ``factor``, all a fill sees of it, and each row's index."""
+    first = {}  # faster than np.unique here
     at = [first.setdefault(key, len(first)) for key in map(tuple, np.argsort(
         np.atleast_2d(factor), axis=1, kind="stable").tolist())]
-    return np.stack(_memoised(rows, cols, kind, [*first]), axis=1)[:, at]
+    return [*first], at
 
 
-def _optimal_tables(objective, zero_mask, tag):
+def _optimal_tables(objective, zero_mask, tag, orders=None):
     """((2, E, K, K) tables, (lb, ub) pivots): the max and min tables of
     each row of the objective's (E, K) or (K,) factor under ``zero_mask``,
-    by the one route decision: no mask, the fills; ``pm_mask(K)``, if the
-    dice allow it, the staircase fills; any other mask, one
-    ``transport.solve`` per row and sense.  An empty polytope raises."""
+    by the one route decision: no mask, the memo's fills of the row's
+    ``_factor_orders`` (``orders`` if given) and their reversals, gathered
+    into a new array; ``pm_mask(K)``, if the dice allow it, the staircase
+    fills likewise; any other mask, one ``transport.solve`` per row and
+    sense.  An empty polytope raises."""
     rows, cols, k = (objective.row_marginals, objective.col_marginals,
                      objective.rewards.size)
-    if not zero_mask:
-        return _tables_by_order(rows, cols, objective.factor, "nw"), (0, 0)
-    if frozenset(map(tuple, zero_mask)) == pm_mask(k):
-        excess = np.cumsum(cols)[:-1] - np.cumsum(rows)[:-1]
-        if excess.max(initial=0.0) <= FEASIBILITY_TOL:
-            return _tables_by_order(rows, cols, objective.factor, "pm"), (0, 0)
-    else:
+    if zero_mask and frozenset(map(tuple, zero_mask)) != pm_mask(k):
         solved = [[solve(TransportProblem(coeff, rows, cols, zero_mask, sense))
                    for coeff in objective.coeff.reshape(-1, k, k)]
                   for sense in ("max", "min")]
         if all(lp.theta is not None for lps in solved for lp in lps):
             return (np.array([[lp.theta for lp in lps] for lps in solved]),
                     tuple(sum(lp.iterations for lp in lps) for lps in solved))
+    elif not zero_mask or (np.cumsum(cols)[:-1] - np.cumsum(rows)[:-1]).max(
+            initial=0.0) <= FEASIBILITY_TOL:
+        keys, at = orders or _factor_orders(objective.factor)
+        tables = _memoised(rows, cols, "pm" if zero_mask else "nw",
+                           [*keys, *(key[::-1] for key in keys)])
+        return np.reshape(tables, (2, -1, k, k))[:, at], (0, 0)
     raise InfeasibleMaskError(
         f"constraint set {tag!r} ({len(zero_mask)} forced zeros) admits "
         "no joint PMF with the required marginals")
@@ -484,17 +488,16 @@ def _optimal_tables(objective, zero_mask, tag):
 
 def _report_values(model, stack, counts):
     """(values, tables): the (E, 10) ``REPORT_COLUMNS`` of the objectives
-    ``stack`` of face ``counts``: their independence, ``_naive`` and one
-    ``ewac`` of the (8, E, K, K) tables, the ``_optimal_tables`` with no
-    mask and under the dice's ``cs_mask`` (tag "cs"), then the fixed ones."""
-    plain, tied = (_optimal_tables(stack, mask, tag)[0] for mask, tag in (
-        (frozenset(), "none"), (cs_mask(model.emission), "cs")))
-    tables = np.concatenate([plain, tied, np.broadcast_to(_memoised(
-        *model.emission, "fixed")[0][:, None], (4, *plain.shape[1:]))])
-    values = stack.ewac(tables).T
-    naive = np.full(len(values), _naive(model, counts))
-    return np.column_stack([values[:, :6], stack.independence, values[:, 6:],
-                            naive]), tables
+    ``stack`` of face ``counts`` and their plain (2, E, K, K) tables; the
+    ``ewac`` of each of ``_optimal_tables`` with no mask and under the cs
+    mask (tag "cs"), sorted once, and of the fixed ones, where they are."""
+    orders = _factor_orders(stack.factor)
+    plain, tied = (_optimal_tables(stack, mask, tag, orders)[0] for mask, tag
+                   in ((frozenset(), "none"), (cs_mask(model.emission), "cs")))
+    fixed = stack.ewac(_memoised(*model.emission, "fixed")[0][:, None])
+    return np.vstack([
+        stack.ewac(plain), stack.ewac(tied), fixed[:2], stack.independence,
+        fixed[2:], np.full_like(fixed[0], _naive(model, counts))]).T, plain
 
 
 def naive_ewac(model, obs):

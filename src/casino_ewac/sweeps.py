@@ -34,8 +34,8 @@ __all__ = [
 
 _BOUND_SLACK = 1e-9
 _BOUND_PAIRS = (("lb", "ub"), ("lb_cs", "ub_cs"), ("lb_inhom", "ub_inhom"))
-# Levels eta_sweep evaluates at a time: their stacked tables and products
-# take about 7 KB per level, so memory does not grow with the grid.
+# Levels eta_sweep evaluates at a time: their tables and products take
+# about 2.6-3.7 KB per level, so memory does not grow with the grid.
 _LEVEL_BLOCK = 1 << 12
 # wac-dist draws from the exact law when its lattice of W points has W^2 <=
 # _LAW_COST * S: the law's convolutions cost up to about 0.13 ns * W^2, the
@@ -300,8 +300,8 @@ def eta_sweep(obs, eta_grid=None):
     Every row holds the plain, cs-constrained (for these dice, pm) and
     per-period relaxed bounds, the three couplings and the naive estimate.
     The levels form stacks of objectives, one ``_report_values`` per block
-    of 2^12 levels, whose rows fill one (N, 11) float table; the records
-    are a view of its rows.
+    of 2^12 levels, whose rows fill that block of one (N, 11) float
+    table; the records are a view of its rows.
 
     Args:
         obs: observation path, faces 1..6.
@@ -323,18 +323,15 @@ def eta_sweep(obs, eta_grid=None):
     model = canonical_model(eta_grid.min())
     if eta_grid.max() > 1.0:
         canonical_model(eta_grid.max())
-    counts = np.bincount(as_symbol_indices(model, obs),
-                         minlength=model.num_symbols)
+    counts = _face_counts(as_symbol_indices(model, obs), model.num_symbols)
     table = np.empty((eta_grid.size, len(ETA_SWEEP_COLUMNS)))
     table[:, 0] = eta_grid
     for start in range(0, eta_grid.size, _LEVEL_BLOCK):
-        etas = eta_grid[start:start + _LEVEL_BLOCK]
-        priors = np.column_stack([etas, 1.0 - etas])
+        block = table[start:start + _LEVEL_BLOCK]
+        priors = np.column_stack([block[:, 0], 1.0 - block[:, 0]])
         stack = _face_objective(model, counts, counts[:, None]
                                 * _face_posteriors(priors, model.emission))
-        # _ outlives the block: tables freed sooner are trimmed and refaulted
-        values, _ = _report_values(model, stack, counts)
-        table[start:start + etas.size, 1:] = values
+        block[:, 1:] = _report_values(model, stack, counts)[0]
     return _checked(table.view([(name, float) for name in ETA_SWEEP_COLUMNS],
                                np.recarray)[:, 0])
 

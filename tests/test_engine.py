@@ -1,8 +1,10 @@
 """Objective assembly, LP bounds, constraint masks, copulas, asymptotics."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +18,10 @@ from casino_ewac import (BIASED, FAIR, EwacObjective, HmmModel,
                          ewac_of_theta, greedy_column, inhomogeneous_bounds,
                          naive_ewac, pm_mask, sample_wac, smooth, solve,
                          stationary, validate_joint_pmf, TransportProblem)
-from casino_ewac.engine import (_EPS, REPORT_COLUMNS, _greedy_stacks,
-                                _nw_fills, _report_values)
-from casino_ewac.hmm import (_forward_filter, _iid_posteriors, _smooth_filtered,
+from casino_ewac.engine import (_EPS, REPORT_COLUMNS, _face_objective,
+                                _greedy_stacks, _nw_fills, _report_values)
+from casino_ewac.hmm import (_face_posteriors, _forward_filter,
+                             _iid_posteriors, _smooth_filtered,
                              as_symbol_indices)
 from casino_ewac import engine, eta_sweep, horizon_sweep
 from helpers import (assert_joint_pmf, biased_winnings, brute_force_ewac,
@@ -95,6 +98,39 @@ class TestObjective:
         model = canonical_model(0.5)
         with pytest.raises(ValueError, match="shape"):
             ewac_objective(model, [1, 2, 3], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("row,spoil", [
+        (4, lambda d: d.__setitem__(3, np.nan)),
+        (9, lambda d: d.__setitem__(8, [np.inf, -np.inf])),
+        (1, lambda d: d.__setitem__((slice(None), BIASED), -d[:, BIASED])),
+        (1, lambda d: d.__imul__(5.0)),
+        (12, lambda d: d.__setitem__(11, [1.5, -0.5])),
+        (30, lambda d: d.__setitem__((29, FAIR), d[29, FAIR] + 2e-9)),
+    ], ids=["nan", "inf", "negated", "times-5", "outside", "sum-off"])
+    def test_malformed_posterior_rejected(self, row, spoil):
+        # A NaN row (lb NaN), a negated biased column ([-11.81, -2.16]) and
+        # the posterior times 5 ([10.78, 59.03]) gave bounds from a factor
+        # that is not the non-negative one documented; the first row that
+        # is no distribution (entries in [0, 1], sum within 1e-9) is named.
+        model = canonical_model(0.5)
+        delta = smooth(model, PATH_1)
+        spoil(delta)
+        with pytest.raises(ValueError,
+                           match=rf"^delta row {row} is no distribution$"):
+            ewac_objective(model, PATH_1, delta)
+
+    @pytest.mark.parametrize("obs", [PATH_1, PATH_2])
+    def test_twelve_digit_posterior_accepted(self, obs):
+        # The smooth CSV prints 12 significant digits; read back, its rows
+        # sum to 1 within far less than 1e-9 and give nearly the bounds.
+        model = canonical_model(0.37)
+        delta = smooth(model, obs)
+        printed = np.array([[float(f"{x:.12g}") for x in row]
+                            for row in delta])
+        got = ewac_bounds(ewac_objective(model, obs, printed))
+        want = ewac_bounds(ewac_objective(model, obs, delta))
+        assert got.lb == pytest.approx(want.lb, abs=1e-9)
+        assert got.ub == pytest.approx(want.ub, abs=1e-9)
 
     def test_observed_face_with_zero_biased_probability_rejected(self):
         model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
@@ -535,8 +571,9 @@ class TestMemo:
             ewac_bounds(path_objective(model, [1, 1])[0], pm_mask(4))
 
     def test_canonical_dice_take_under_a_megabyte(self, monkeypatch):
-        # All 720 factor orders of the canonical dice, fills and pm fills,
-        # with the one entry of fixed tables.
+        # All 720 factor orders of the canonical dice, one fill and one pm
+        # fill each (an order's min tables are its reversal's), with the
+        # one entry of fixed tables: 415,872 bytes, under half a megabyte.
         cold_memo(monkeypatch)
         model = canonical_model(0.5)
         factors = np.array([*itertools.permutations(range(6))], float)
@@ -544,7 +581,60 @@ class TestMemo:
             path_objective(model, PATH_1)[0], factor=factors,
             independence=np.zeros(len(factors))), face_counts(model, PATH_1))
         assert len(engine._memo) == 2 * 720 + 1
-        assert engine._memo_bytes < 2**20
+        assert engine._memo_bytes < 2**19
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_an_order_and_its_reversal_give_the_same_bits_first_or_not(
+            self, data):
+        # The memo holds one table per (dice, kind, order), and a row's
+        # min table is read from its reversed order's entry.  From a cold
+        # memo, asking for sigma, for sigma reversed, for both, or for
+        # both among other orders first, the two tables have the same
+        # bits: no fill depends on its batch or on what the memo held.
+        k = data.draw(st.integers(1, 9))
+        mass = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.01, 1.0)
+
+        def die():
+            values = np.array(data.draw(st.lists(mass, min_size=k,
+                                                 max_size=k)))
+            values[0] += not values.any()
+            return values / values.sum()
+
+        rows, cols = die(), die()
+        sigma = tuple(data.draw(st.permutations(range(k))))
+        others = [tuple(order) for order in data.draw(st.lists(
+            st.permutations(range(k)), max_size=6))]
+        pair = [sigma, sigma[::-1]]
+        for kind in ("nw", "pm"):
+            seen = set()
+            for first in ([sigma], [sigma[::-1]], pair,
+                          [*others, *pair[::-1]]):
+                with mock.patch.object(engine, "_memo", {}), \
+                        mock.patch.object(engine, "_memo_bytes", 0):
+                    engine._memoised(rows, cols, kind, first)
+                    seen.add(tuple(table.tobytes() for table in
+                                   engine._memoised(rows, cols, kind, pair)))
+            assert len(seen) == 1, kind
+
+    def test_a_block_of_levels_peaks_under_16_mib(self):
+        # One eta_sweep block, 2^12 levels of builtin:2 on the canonical
+        # dice: the report evaluates each route's tables where they are,
+        # with no stacked copy of them (23.6 MiB with one).
+        model = canonical_model(0.5)
+        counts = face_counts(model, PATH_2)
+        etas = np.linspace(0.0, 1.0, 4096)
+        stack = _face_objective(model, counts, counts[:, None] * (
+            _face_posteriors(np.column_stack([etas, 1 - etas]),
+                             model.emission)))
+        _report_values(model, stack, counts)  # the memo's tables are made
+        tracemalloc.start()
+        try:
+            _report_values(model, stack, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestInhomogeneous:
@@ -633,9 +723,9 @@ class TestNorthWestKernel:
     @given(st.data())
     def test_equals_the_scalar_walks(self, data):
         # The batched overlaps against the scalar walk of each order and of
-        # it reversed, within 2K eps of the largest total per cell, with
-        # tied and zero masses and a column total equal to a row's; the
-        # marginals hold within the same bound.
+        # it reversed (passed as orders of their own), within 2K eps of the
+        # largest total per cell, with tied and zero masses and a column
+        # total equal to a row's; the marginals hold within the same bound.
         k = data.draw(st.integers(1, 12))
         mass = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.01, 1.0)
 
@@ -650,11 +740,11 @@ class TestNorthWestKernel:
             die(), rows[::-1].copy(), np.roll(rows, 1)]))
         orders = np.array(data.draw(st.lists(
             st.permutations(range(k)), min_size=1, max_size=50)))
-        got = _nw_fills(rows, cols, orders)
-        assert got.shape == (2, len(orders), k, k)
+        got = _nw_fills(rows, cols, np.concatenate([orders, orders[:, ::-1]]))
+        assert got.shape == (2 * len(orders), k, k)
         tol = 2 * k * _EPS * max(rows.sum(), cols.sum())
         for e, at in enumerate(orders):
-            for fill, order in zip(got[:, e], (at, at[::-1])):
+            for fill, order in zip(got[e::len(orders)], (at, at[::-1])):
                 want = np.zeros((k, k))
                 want[:, order] = loop_nw_fill(rows, cols[order])
                 assert np.abs(fill - want).max() <= tol
@@ -669,10 +759,10 @@ class TestNorthWestKernel:
         # some cells.
         rows, cols = canonical_model(0.5).emission
         orders = np.array(list(itertools.permutations(range(6))))
-        got = _nw_fills(rows, cols, orders)
+        got = _nw_fills(rows, cols, np.concatenate([orders, orders[:, ::-1]]))
         exact = [Fraction(x) for x in rows], [Fraction(x) for x in cols]
         for e, at in enumerate(orders):
-            for fill, order in zip(got[:, e], (at, at[::-1])):
+            for fill, order in zip(got[e::len(orders)], (at, at[::-1])):
                 want = np.zeros((6, 6))
                 want[:, order] = exact_fill(
                     exact[0], [exact[1][j] for j in order]).astype(float)

@@ -11,10 +11,12 @@ are north-west-corner fills against the biased faces sorted by f (Hoffman
 1963; Cambanis, Simons and Stout 1976), and on the staircase j >= i of the
 pm mask (also the cs mask of dice whose likelihood ratio e_b / e_f
 strictly increases with the face) greedy fills row by row in payoff order
-(Shamir and Dietrich 1990).  Either way an optimum sees the path only
-through the stable order of f, a min fill being the max of the order
-reversed: a memo by dice keeps, read-only and under 16 MB, one fill per
-kind and order and one entry of fixed tables; public results are copies.
+(Shamir and Dietrich 1990).  One interval-overlap kernel (``_overlaps``)
+makes every unmasked table: the north-west fills, the per-period greedy
+stacks and the two couplings.  An optimum sees the path only through the
+stable order of f, a min fill being the max of the order reversed: a memo
+by dice keeps, read-only and under 16 MB, one fill per kind and order and
+one entry of fixed tables; public results are copies.
 ``_optimal_tables`` alone picks the route, for one objective or a stack;
 the transportation simplex (``transport.solve``) serves other masks.
 """
@@ -217,33 +219,45 @@ def ewac_of_theta(objective, theta):
         theta, objective.row_marginals, objective.col_marginals))
 
 
+def _edges(x):
+    """(2, ..., K + 1): the prefix sums of ``x`` along its last axis, from
+    0, and their rounding errors (exact by TwoSum; Knuth, TAOCP 4.2.2)."""
+    cum = np.zeros((2, *x.shape[:-1], x.shape[-1] + 1))
+    total = np.add.accumulate(x, axis=-1, out=cum[0, ..., 1:])
+    step = total - cum[0, ..., :-1]
+    np.add.accumulate((cum[0, ..., :-1] - (total - step)) + (x - step),
+                      axis=-1, out=cum[1, ..., 1:])
+    return cum
+
+
+def _overlaps(rows, cols, lo, hi):
+    """(..., K, N): cell (i, j) the overlap of row i's cumulative-mass
+    interval (the ``_edges`` of the (..., K) ``rows``) with column j's
+    [lo, hi], edges (sum, error) pairs in (2, ..., N): the least of the
+    masses (``cols``, (N,)) and two edge differences, within about an ulp
+    of the exact one.  A negative overlap is 0, as is one within 2K eps of
+    the total mass (dust; the totals in face order, so no fill sees its
+    batch) unless its column's mass is: such a light column's cells are
+    real, its factor m_j / e_b[j] being huge."""
+    r = _edges(rows)
+    up = r[..., 1:, None] - lo[..., None, :]
+    down = hi[..., None, :] - r[..., :-1, None]
+    theta = np.minimum(up[0] + up[1], down[0] + down[1])
+    np.minimum(theta, np.minimum(rows[..., None], cols), out=theta)
+    tol = 2 * rows.shape[-1] * _EPS * max(cols.sum(), r[0, ..., -1].max())
+    theta[(theta <= tol) & ((theta <= 0) | (cols > tol))] = 0
+    return theta
+
+
 def _nw_fills(rows, cols, orders):
     """(E, K, K): the north-west-corner fill against the columns in each
     of the (E, K) ``orders``, the max table of sum_ij w_i f_j theta[i, j],
-    w increasing, of that stable factor order, the min of it reversed.
-    Cell (i, j) is the overlap min(R_{i+1}, C_{j+1}) - max(R_i, C_j) of
-    the row's and column's cumulative-mass intervals (columns in order):
-    the least of the two masses and two edge differences, the prefix sums
-    carrying their rounding errors (exact by TwoSum; Knuth, TAOCP 4.2.2),
-    so a cell is within about an ulp of the exact overlap (on the canonical
-    dice, correctly rounded).  Overlaps within rounding of the totals (the
-    columns' summed in face order) count as empty: no fill sees its batch."""
-    n, k = orders.shape
-    x = np.concatenate([cols[orders], rows[None]])
-    cum = np.zeros((2, n + 1, k + 1))  # prefix sums, and their errors
-    total = np.add.accumulate(x, axis=1, out=cum[0, :, 1:])
-    step = total - cum[0, :, :-1]
-    np.add.accumulate((cum[0, :, :-1] - (total - step)) + (x - step), axis=1,
-                      out=cum[1, :, 1:])
-    # Where face j's column edges are in each order's row of prefix sums.
-    j = orders.argsort(axis=1) + np.arange(0, n * (k + 1), k + 1)[:, None]
-    flat, r = cum.reshape(2, -1), cum[:, None, -1, :, None]
-    up = r[:, :, 1:] - flat.take(j, axis=1)[:, :, None]
-    down = flat.take(j + 1, axis=1)[:, :, None] - r[:, :, :-1]
-    theta = np.minimum(up[0] + up[1], down[0] + down[1])
-    np.minimum(theta, np.minimum(rows[:, None], cols), out=theta)
-    theta[theta <= 2 * k * _EPS * max(cols.sum(), cum[0, -1, -1])] = 0
-    return theta
+    w increasing, of that stable factor order, the min of it reversed:
+    the ``_overlaps`` of the rows with each column's interval in its
+    order's prefix sums (on the canonical dice, correctly rounded)."""
+    cum, at = _edges(cols[orders]), orders.argsort(axis=1)[None]
+    lo, hi = (np.take_along_axis(cum, at + s, -1) for s in (0, 1))
+    return _overlaps(rows[None], cols, lo, hi)
 
 
 def _staircase_fill(rows, cols, order):
@@ -261,10 +275,12 @@ def _staircase_fill(rows, cols, order):
     row's choice a polymatroid, where the greedy minimises G_i (Edmonds
     1970), and by submodularity dropping column i + 1 from the ground set
     shrinks no other column's greedy share: the row steps minimise every
-    prefix together.  Remainders within rounding count as spent.
+    prefix together.  A take within 2K eps of the total mass is dust, left
+    out, unless its row's or column's mass is (as in ``_overlaps``).
     """
     k = rows.size
     tol = 2 * k * _EPS * max(rows.sum(), cols.sum())
+    dust = (tol * (np.minimum.outer(rows, cols) > tol)).tolist()
     stock = cols.tolist()
     # room[m]: R(m) - S(m) less what the columns above m hold; row i's cap
     # min(rest, room[m]) is rest - max(0, stock(i..m] - rows(i..m]).
@@ -275,7 +291,7 @@ def _staircase_fill(rows, cols, order):
         rest -= take
         for j in [j for j in order if j > i]:
             take = min(stock[j], rest, *room[i + 1:j])
-            if take > tol:
+            if take > dust[i][j]:
                 theta[i, j] = take
                 stock[j] -= take
                 rest -= take
@@ -296,6 +312,8 @@ def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
     Raises:
         InfeasibleMaskError: if the mask empties the polytope (pm's when
             the biased CDF passes the fair one by over FEASIBILITY_TOL).
+        ArithmeticError: if a mask other than pm meets a light face with
+            biased mass (see ``_optimal_tables``).
     """
     tables, iterations = _optimal_tables(objective, zero_mask, tag)
     hi, lo = tables if objective.factor.ndim > 1 else tables[:, 0]
@@ -349,7 +367,8 @@ def greedy_column(model, face, sense):
     With row capacities from the fair die and a column total equal to the
     biased probability of ``face``, sum_i w_i theta[i, face] is maximised
     by filling rows from the highest payoff down and minimised from the
-    lowest up (w increases).  ``sense`` is "max" or "min".
+    lowest up (w increases): the ``_overlaps`` of the rows, from the last
+    or the first, with [0, e_b[face]].  ``sense`` is "max" or "min".
     """
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
@@ -365,31 +384,14 @@ def inhomogeneous_bounds(objective):
     """EWAC bounds when each period may use its own joint PMF.
 
     Periods observing the same face then share a greedy column, so the
-    extremes are the form at the stacked per-face greedy columns; always
-    at least as wide as the time-homogeneous bounds.
+    extremes are the form at the stacked per-face greedy columns (the
+    memo's kernel fills, which keep a light face's cells); always at least
+    as wide as the time-homogeneous bounds.
     """
     best, worst = _memoised(objective.row_marginals, objective.col_marginals,
                             "fixed")[0][:2]
     return EwacBounds(objective.ewac(best), objective.ewac(worst), None, None,
                       constraint_tag="inhomogeneous")
-
-
-def _greedy_stacks(caps, totals):
-    """(2, K, N): the "max" and "min" ``greedy_column`` of each column
-    total, ``caps`` filled from the last row up and from the first down:
-    each column the single-column north-west walk, on Python floats."""
-    caps, k = [*map(float, caps)], len(caps)
-    stacks = np.zeros((2, k, len(totals)))
-    for stack, order in zip(stacks, (range(k - 1, -1, -1), range(k))):
-        held = sum(caps[i] for i in order)
-        for j, total in enumerate(map(float, totals)):
-            tol = (k + 1) * _EPS * max(held, total)
-            for i in order:
-                stack[i, j] = take = min(caps[i], total)
-                total -= take
-                if total <= tol:
-                    break
-    return stacks
 
 
 def copula_pmf(model, kind):
@@ -438,7 +440,10 @@ def _memoised(rows, cols, kind, keys=((),)):
         frechet = _memoised(rows, cols, "nw", [faces, faces[::-1]])
         for theta in frechet:
             validate_joint_pmf(theta, rows, cols)
-        made = [np.stack([*_greedy_stacks(rows, cols), *frechet])]
+        lo = np.zeros((2, 1, rows.size))  # greedy column j is [0, e_b[j]]
+        best, worst = _overlaps(np.stack([rows[::-1], rows]), cols, lo,
+                                np.stack([[cols], lo[1]]))
+        made = [np.stack([best[::-1], worst, *frechet])]
     for key, table in zip(missing, made):
         table.setflags(write=False)
         got[key] = _memo[dice, kind, key] = table
@@ -465,10 +470,21 @@ def _optimal_tables(objective, zero_mask, tag, orders=None):
     ``_factor_orders`` (``orders`` if given) and their reversals, gathered
     into a new array; ``pm_mask(K)``, if the dice allow it, the staircase
     fills likewise; any other mask, one ``transport.solve`` per row and
-    sense.  An empty polytope raises."""
+    sense.  An empty polytope raises, and so does a light face ruled out
+    by the fair die and carrying mass before the simplex, which drops it."""
     rows, cols, k = (objective.row_marginals, objective.col_marginals,
                      objective.rewards.size)
     if zero_mask and frozenset(map(tuple, zero_mask)) != pm_mask(k):
+        tol = 2 * k * _EPS * max(rows.sum(), cols.sum())
+        mass = (objective.factor * cols).reshape(-1, k)
+        light = (rows == 0) & (cols <= tol) & np.any(
+            mass > tol * mass.sum(axis=1, keepdims=True), axis=0)
+        if light.any():
+            j = light.argmax()
+            raise ArithmeticError(
+                f"face {j + 1} has biased mass but its biased probability "
+                f"{cols[j]:.3g} is within rounding of 0 and its fair one 0: "
+                f"no {tag!r} bound, the simplex drops it")
         solved = [[solve(TransportProblem(coeff, rows, cols, zero_mask, sense))
                    for coeff in objective.coeff.reshape(-1, k, k)]
                   for sense in ("max", "min")]

@@ -749,16 +749,18 @@ def json_ready(obj):
 
 def loop_bounds_report(objective, model, mask, obs):
     """(plain bounds, report): lb/ub, lb_cs/ub_cs under the cs ``mask``,
-    lb_inhom/ub_inhom at the greedy stacks and ewac_<kind> at the three
-    couplings, the independence value from the objective's sum, and the
-    ``naive_ewac`` of the path ``obs``: two ``ewac_bounds`` calls and one
-    ``ewac`` per table."""
-    from casino_ewac.engine import (_greedy_stacks, copula_pmf, ewac_bounds,
+    lb_inhom/ub_inhom at the stacked ``greedy_column`` of each face and
+    ewac_<kind> at the three couplings, the independence value from the
+    objective's sum, and the ``naive_ewac`` of the path ``obs``: two
+    ``ewac_bounds`` calls and one ``ewac`` per table."""
+    from casino_ewac.engine import (copula_pmf, ewac_bounds, greedy_column,
                                     naive_ewac)
 
     plain = ewac_bounds(objective)
     tied = ewac_bounds(objective, mask, tag="cs")
-    best, worst = _greedy_stacks(*model.emission)
+    best, worst = (np.column_stack([greedy_column(model, face, sense) for face
+                                    in range(1, model.num_symbols + 1)])
+                   for sense in ("max", "min"))
     report = {"lb": plain.lb, "ub": plain.ub, "lb_cs": tied.lb,
               "ub_cs": tied.ub, "lb_inhom": objective.ewac(best),
               "ub_inhom": objective.ewac(worst)}

@@ -1085,6 +1085,25 @@ class TestOptionTable:
 
 
 class TestExitCodes:
+    def test_light_face_before_the_simplex_is_numerical(self, tmp_path,
+                                                        capsys):
+        # Face 1 is light: the fair die rules it out, and its biased
+        # probability 2^-50 is within the fills' zero threshold.  The
+        # likelihood ratio falls, so the cs pair needs the simplex, which
+        # would drop the face's cells: bounds exits 4 naming the face.
+        config = tmp_path / "lightlr.json"
+        config.write_text(json.dumps({
+            "model": {"p": [0.5, 0.5], "Q": [[0.5, 0.5], [0.5, 0.5]],
+                      "E": [[0, 0.5, 0.5],
+                            [8.881784197001252e-16, 0.7499999999999991,
+                             0.25]],
+                      "w": [1, 2, 3]},
+            "path": [1, 2, 3, 1, 1, 2]}))
+        assert run("bounds", "--config", str(config)) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith(
+            "error: face 1 has biased mass but its biased probability "
+            "8.88e-16 is within rounding of 0")
+
     def test_bad_face_is_a_usage_error(self, capsys):
         assert run("smooth", "--eta", "0.5", "--path", "1,9,2") == EXIT_USAGE
         assert "position 2" in capsys.readouterr().err

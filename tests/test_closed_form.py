@@ -22,7 +22,7 @@ import casino_ewac.engine
 from casino_ewac import (BIASED, FAIR, FEASIBILITY_TOL, PATH_1, PATH_2,
                          EwacObjective, HmmModel, InfeasibleMaskError,
                          TransportProblem, canonical_model, check_feasibility,
-                         cs_mask, ewac_bounds, ewac_objective,
+                         copula_pmf, cs_mask, ewac_bounds, ewac_objective,
                          inhomogeneous_bounds, pm_mask, smooth, solve)
 from helpers import (assert_joint_pmf, biased_winnings,
                      enumerate_transport_optimum, exact_fill,
@@ -591,6 +591,114 @@ class TestStaircaseGreedy:
                 np.testing.assert_allclose(
                     _form_extremes(pair, obj), _simplex_extremes(obj, mask),
                     rtol=0, atol=REL_TOL * _scale(obj))
+
+
+# A light face: the fair die rules it out and its biased probability
+# (2^-50 here, the dice's dyadic rounding) is within the fills' zero
+# threshold 2K eps, so its factor m_j / e_b[j] is about 1e15 and its few
+# cells carry O(1) of every bound.
+LIGHT = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
+                 [[0.5, 0.5, 0.0], [0.25, 0.7499999999999991, 2.0 ** -50]],
+                 [1, 2, 3])
+
+
+def _exact_bounds(obj, mask):
+    """(lb, ub) in rationals: sum_j f_j e_b[j] w_j less the exact max and
+    min of the coefficient form; None if the mask empties the polytope."""
+    exact = exact_transport_optimum(obj.coeff, obj.row_marginals,
+                                    obj.col_marginals, mask)
+    if exact is None:
+        return None
+    constant = sum(Fraction(f) * Fraction(e) * Fraction(w) for f, e, w in zip(
+        obj.factor, obj.col_marginals, obj.rewards))
+    return constant - exact[1], constant - exact[0]
+
+
+@st.composite
+def light_objectives(draw):
+    """Objectives on dice of K = 2, 3 in multiples of 2^-52 that balance
+    exactly, one face light (biased probability at most 2K ulps of 1, the
+    fair die's 0) with a biased mass of order one; the other faces' masses
+    are drawn, and their probabilities are 0 or multiples of 2^-10.  (A
+    column a few ulps above the zero threshold with a mass of order one
+    still loses O(1) of a bound to the dust rule: see ROADMAP.md,
+    "Near-light columns".)"""
+    k, units = draw(st.integers(2, 3)), 2 ** 52
+    light, tiny = draw(st.integers(0, k - 1)), draw(st.integers(1, 2 * k))
+
+    def split():
+        cuts = draw(st.lists(st.integers(0, 2 ** 10), min_size=k - 2,
+                             max_size=k - 2))
+        return np.diff([0, *sorted(cuts), 2 ** 10]) * 2 ** 42
+
+    rows, cols = np.insert(split(), light, 0), np.insert(split(), light, 0)
+    cols[cols.argmax()] -= tiny
+    cols[light] = tiny
+    rows, cols = rows / units, cols / units
+    mass = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=k,
+                                  max_size=k)))
+    mass[light] = draw(st.floats(0.5, 5.0))
+    rewards = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=k,
+                                      max_size=k))).astype(float)
+    return EwacObjective(rewards=rewards, factor=np.divide(
+        mass, cols, out=np.zeros(k), where=cols > 0), row_marginals=rows,
+        col_marginals=cols)
+
+
+class TestLightFaces:
+    # Every fill keeps a light column's cells, so the bounds keep its
+    # term m_j (w_j - w_i); the simplex would drop it, and refuses.
+    def test_light_config_bounds_are_the_exact_optima(self):
+        obj = path_objective(LIGHT, [1, 2, 3, 3, 1, 2])[0]
+        assert cs_mask(LIGHT.emission) == pm_mask(3)
+        for mask in (frozenset(), pm_mask(3)):
+            pair = ewac_bounds(obj, mask, tag="cs")
+            for value, exact in zip((pair.lb, pair.ub),
+                                    _exact_bounds(obj, mask)):
+                assert f"{value:.12g}" == f"{float(exact):.12g}"
+                assert value == pytest.approx(float(exact), rel=REL_TOL)
+        caps = [Fraction(x) for x in obj.row_marginals]
+        loose = inhomogeneous_bounds(obj)
+        for value, flip in zip((loose.lb, loose.ub), (-1, 1)):
+            exact = sum(
+                exact_fill(caps[::flip], [Fraction(e)])[::flip, 0][i]
+                * Fraction(f) * (Fraction(w) - Fraction(obj.rewards[i]))
+                for f, e, w in zip(obj.factor, obj.col_marginals, obj.rewards)
+                for i in range(3))
+            assert value == pytest.approx(float(exact), rel=REL_TOL)
+        assert f"{loose.lb:.12g}, {loose.ub:.12g}" == "1.73333333333, 4.8"
+
+    def test_light_config_couplings_lie_inside_the_bounds(self):
+        obj = path_objective(LIGHT, [1, 2, 3, 3, 1, 2])[0]
+        pair = ewac_bounds(obj)
+        values = [obj.ewac(copula_pmf(LIGHT, kind))
+                  for kind in ("comonotonic", "countermonotonic")]
+        for value in (obj.independence, *values):
+            assert pair.lb <= value <= pair.ub
+
+    @settings(PROPERTY, max_examples=200)
+    @given(light_objectives())
+    @example(EwacObjective(  # a light row, too: the staircase keeps its take
+        rewards=np.array([1.0, 2.0, 3.0]), factor=np.array([0, 0, 2.0 ** 52]),
+        row_marginals=np.array([1, 2 ** 52 - 1, 0]) / 2 ** 52,
+        col_marginals=np.array([0, 2 ** 52 - 1, 1]) / 2 ** 52))
+    def test_light_dice_bounds_are_the_exact_optima(self, obj):
+        scale = np.sum(obj.factor * obj.col_marginals) * obj.rewards.max()
+        for mask in (frozenset(), pm_mask(obj.rewards.size)):
+            exact = _exact_bounds(obj, mask)
+            if exact is None:
+                continue
+            pair = ewac_bounds(obj, mask, tag="pm")
+            for value, oracle in zip((pair.lb, pair.ub), exact):
+                assert abs(value - float(oracle)) <= REL_TOL * scale
+
+    def test_simplex_refuses_a_light_face(self):
+        lr = HmmModel(LIGHT.initial, LIGHT.transition,
+                      LIGHT.emission[:, ::-1], LIGHT.rewards)
+        obj = path_objective(lr, [1, 2, 3, 1, 1, 2])[0]
+        assert cs_mask(lr.emission) != pm_mask(3)
+        with pytest.raises(ArithmeticError, match=r"^face 1 has biased"):
+            ewac_bounds(obj, cs_mask(lr.emission), tag="cs")
 
 
 class TestIdentification:

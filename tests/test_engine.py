@@ -1,6 +1,7 @@
 """Objective assembly, LP bounds, constraint masks, copulas, asymptotics."""
 
 import itertools
+import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -19,7 +20,7 @@ from casino_ewac import (BIASED, FAIR, EwacObjective, HmmModel,
                          naive_ewac, pm_mask, sample_wac, smooth, solve,
                          stationary, validate_joint_pmf, TransportProblem)
 from casino_ewac.engine import (_EPS, REPORT_COLUMNS, _face_objective,
-                                _greedy_stacks, _nw_fills, _report_values)
+                                _memoised, _nw_fills, _report_values)
 from casino_ewac.hmm import (_face_posteriors, _forward_filter,
                              _iid_posteriors, _smooth_filtered,
                              as_symbol_indices)
@@ -678,11 +679,13 @@ class TestInhomogeneous:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
-    def test_greedy_stacks_equal_the_single_column_fills(self, data):
-        # The walks on Python floats give, bit for bit, the single-column
-        # north-west fills of caps from the last row up and from the first
-        # down, also where a cap equals what its column still lacks (tied
-        # values, a column total that is a cap) and at zero caps and totals.
+    def test_greedy_stacks_are_the_exact_overlaps_rounded(self, data):
+        # Each greedy cell is within an ulp of the exact overlap (in
+        # rationals) of its row's cumulative interval, from the last row up
+        # or the first down, with [0, e_b[j]], also where a cap equals what
+        # its column still lacks (tied values, a column total that is a
+        # cap) and at zero caps and totals; a cell is 0 only where that
+        # overlap is dust of a column heavier than dust.
         k = data.draw(st.integers(2, 7))
         mass = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.01, 1.0)
 
@@ -695,12 +698,18 @@ class TestInhomogeneous:
         caps = die()
         totals = data.draw(st.sampled_from([
             die(), caps[::-1].copy(), np.roll(caps, 1)]))
-        want = (np.hstack([loop_nw_fill(caps[::-1], [s])[::-1]
-                           for s in totals]),
-                np.hstack([loop_nw_fill(caps, [s]) for s in totals]))
-        for got, fill in zip(_greedy_stacks(caps, totals), want):
-            assert got.shape == fill.shape
-            assert (got.view(np.int64) == fill.view(np.int64)).all()
+        tol = 2 * k * _EPS * max(caps.sum(), totals.sum())
+        exact = [Fraction(x) for x in caps]
+        stacks = _memoised(caps, totals, "fixed")[0][:2]
+        for got, flip in zip(stacks, (-1, 1)):
+            for j, total in enumerate(totals.tolist()):
+                want = exact_fill(exact[::flip], [Fraction(total)])[::flip, 0]
+                for cell, overlap in zip(got[:, j].tolist(), want):
+                    if cell == 0 and total > tol:
+                        assert overlap <= tol
+                    else:
+                        assert abs(Fraction(cell) - overlap) <= Fraction(
+                            math.ulp(float(overlap)))
 
     def test_sense_validated(self):
         with pytest.raises(ValueError, match="sense"):
@@ -756,7 +765,7 @@ class TestNorthWestKernel:
         # The edges carry their rounding errors, so on the canonical dice
         # every cell of every order is the exact overlap (in rationals)
         # correctly rounded; the walk's remainders miss it by an ulp in
-        # some cells.
+        # some cells.  So is every cell of the greedy max and min stacks.
         rows, cols = canonical_model(0.5).emission
         orders = np.array(list(itertools.permutations(range(6))))
         got = _nw_fills(rows, cols, np.concatenate([orders, orders[:, ::-1]]))
@@ -767,6 +776,11 @@ class TestNorthWestKernel:
                 want[:, order] = exact_fill(
                     exact[0], [exact[1][j] for j in order]).astype(float)
                 assert (fill.view(np.int64) == want.view(np.int64)).all()
+        stacks = _memoised(rows, cols, "fixed")[0][:2]
+        for stack, flip in zip(stacks, (-1, 1)):
+            want = np.hstack([exact_fill(exact[0][::flip], [total])[::flip]
+                              for total in exact[1]]).astype(float)
+            assert (stack.view(np.int64) == want.view(np.int64)).all()
 
 
 class TestCopulas:

@@ -343,7 +343,7 @@ def _cmd_bounds(opts):
     objective, _ = _path_objective(model, o, counts)
     values, tables = _report_values(model, objective, counts)
     return [_json_text(dict(zip(REPORT_COLUMNS, values[0].tolist()),
-                            theta_lb=tables[0, 0], theta_ub=tables[1, 0]))]
+                            theta_lb=tables[0], theta_ub=tables[1]))]
 
 
 def _cmd_sweep_eta(opts):

@@ -13,12 +13,16 @@ pm mask (also the cs mask of dice whose likelihood ratio e_b / e_f
 strictly increases with the face) greedy fills row by row in payoff order
 (Shamir and Dietrich 1990).  One interval-overlap kernel (``_overlaps``)
 makes every unmasked table: the north-west fills, the per-period greedy
-stacks and the two couplings.  An optimum sees the path only through the
+stacks and the two couplings.  The EWAC at theta is sum_j f_j g_j, g_j =
+sum_i theta_ij (w_j - w_i), and an optimum sees the path only through the
 stable order of f, a min fill being the max of the order reversed: a memo
-by dice keeps, read-only and under 16 MB, one fill per kind and order and
-one entry of fixed tables; public results are copies.
-``_optimal_tables`` alone picks the route, for one objective or a stack;
-the transportation simplex (``transport.solve``) serves other masks.
+by dice keeps, read-only and under 16 MB, one fill per kind and order with
+its g as a double-double, and one entry of fixed tables; public results
+are copies.  Every value is one compensated dot (``_dot2``), correctly
+rounded unless within about 8 K^3 eps^2 max_j |f_j g_j| of a rounding
+boundary.  ``_optimal_tables`` alone picks the route, for one objective or
+a stack; the transportation simplex (``transport.solve``) serves other
+masks.
 """
 
 import functools
@@ -33,6 +37,7 @@ from casino_ewac.transport import FEASIBILITY_TOL, TransportProblem, solve
 _PMF_ATOL = 1e-8
 _EPS = float(np.finfo(float).eps)
 _MEMO_BOUND = 1 << 24  # bytes of tables the memo holds; see _memoised
+_DOT_ROWS = 1 << 9  # objectives a report dots at a time, in (E, 8, K) arrays
 _memo, _memo_bytes = {}, 0
 
 __all__ = [
@@ -91,13 +96,11 @@ class EwacObjective:
 
     def ewac(self, theta):
         """The EWAC at theta, unchecked (``ewac_of_theta`` validates): a
-        float, or for tables (..., [E,] K, K) the values, each the same
-        K^2-term sum (the factor repeated over rows: faster than broadcast)."""
-        w = self.rewards
-        terms = theta * np.repeat(self.factor[..., None, :], w.size, axis=-2)
-        terms *= w - w[:, None]
-        values = terms.sum(axis=(-2, -1))
-        return float(values) if values.ndim == 0 else values
+        float, or for tables (..., [E,] K, K) the values, each the ``_dot``
+        of the factor with the table's ``_payoffs``, bit for bit a single
+        table's."""
+        return _dot(self.factor, _payoffs(np.asarray(theta, float),
+                                          self.rewards))
 
 
 @dataclass(frozen=True)
@@ -230,6 +233,45 @@ def _edges(x):
     return cum
 
 
+def _dot2(a, b, rest):
+    """(big, small): sum_j a_j b_j + rest_j along the first axis, within
+    about 8 K^3 eps^2 max|a_j b_j|: each product split exactly into p + e
+    (TwoProd, halves of 26 bits cut in the integer view, no overflow), big
+    the parts of the p on the grid of a power of two over 4K max|p|, exact
+    in any order (ExtractVector; Rump, Ogita and Oishi 2008), small the
+    rest added in order, so a lane has the same bits alone or stacked."""
+    halves = []
+    for x in (a, b):
+        high = ((x.view(np.int64) + (1 << 26)) & -(1 << 27)).view(float)
+        halves += [high, x - high]
+    (ah, al, bh, bl), p = halves, a * b
+    sigma = np.ldexp(1.0, np.frexp(np.abs(p).max(0))[1]
+                     + (4 * len(p) - 1).bit_length())
+    grid = (sigma + p) - sigma
+    return grid.sum(0), sum((p - grid) + (
+        ah * bh - p + ah * bl + al * bh + al * bl + rest))
+
+
+def _dot(factor, payoffs):
+    """sum_j f_j (hi_j + lo_j) along the last axis of the (..., K) factor
+    and (..., 2, K) payoffs by ``_dot2``, broadcast, a float for one pair."""
+    f, hi, lo = np.broadcast_arrays(np.asarray(factor, float),
+                                    payoffs[..., 0, :], payoffs[..., 1, :])
+    values = np.add(*_dot2(f.T, hi.T, (f * lo).T)).T
+    return values if values.ndim else float(values)
+
+
+def _payoffs(theta, w):
+    """(..., 2, K): g_j = sum_i theta[i, j] (w_j - w_i) of (..., K, K)
+    tables as (hi, lo) by ``_dot2``, with the gaps' TwoSum errors."""
+    gap = np.subtract(w, w[:, None], dtype=float)
+    tail, shape = gap - w, (w.size, *[1] * (theta.ndim - 2), w.size)
+    slip = (w - (gap - tail)) - (w[:, None] + tail)
+    theta = np.moveaxis(theta, -2, 0)
+    return np.stack(_dot2(theta, gap.reshape(shape),
+                          theta * slip.reshape(shape)), -2)
+
+
 def _overlaps(rows, cols, lo, hi):
     """(..., K, N): cell (i, j) the overlap of row i's cumulative-mass
     interval (the ``_edges`` of the (..., K) ``rows``) with column j's
@@ -315,9 +357,12 @@ def ewac_bounds(objective, zero_mask=frozenset(), tag="none"):
         ArithmeticError: if a mask other than pm meets a light face with
             biased mass (see ``_optimal_tables``).
     """
-    tables, iterations = _optimal_tables(objective, zero_mask, tag)
-    hi, lo = tables if objective.factor.ndim > 1 else tables[:, 0]
-    return EwacBounds(objective.ewac(hi), objective.ewac(lo), hi, lo,
+    entries, at, iterations = _optimal_tables(objective, zero_mask, tag)
+    stacked = objective.factor.ndim > 1
+    chosen = entries[:, at if stacked else at[0]]
+    values = _dot(objective.factor, chosen[..., -2:, :])
+    lb, ub = values if stacked else values.tolist()
+    return EwacBounds(lb, ub, chosen[0, ..., :-2, :], chosen[1, ..., :-2, :],
                       constraint_tag=tag, iterations=iterations)
 
 
@@ -376,8 +421,8 @@ def greedy_column(model, face, sense):
     k = model.num_symbols
     if j + 1 != face or not 0 <= j < k:  # 1.5 is no face
         raise ValueError(f"face must lie in 1..{k}, got {face}")
-    best, worst = _memoised(*model.emission, "fixed")[0][:2]
-    return (worst if sense == "min" else best)[:, j].copy()
+    best, worst = _memoised(*model.emission, model.rewards, "fixed")[0][:2]
+    return (worst if sense == "min" else best)[:k, j].copy()
 
 
 def inhomogeneous_bounds(objective):
@@ -388,10 +433,10 @@ def inhomogeneous_bounds(objective):
     memo's kernel fills, which keep a light face's cells); always at least
     as wide as the time-homogeneous bounds.
     """
-    best, worst = _memoised(objective.row_marginals, objective.col_marginals,
-                            "fixed")[0][:2]
-    return EwacBounds(objective.ewac(best), objective.ewac(worst), None, None,
-                      constraint_tag="inhomogeneous")
+    best, worst = (_dot(objective.factor, entry[-2:]) for entry in _memoised(
+        objective.row_marginals, objective.col_marginals, objective.rewards,
+        "fixed")[0][:2])
+    return EwacBounds(best, worst, None, None, constraint_tag="inhomogeneous")
 
 
 def copula_pmf(model, kind):
@@ -407,8 +452,8 @@ def copula_pmf(model, kind):
     if kind == "independence":
         return np.outer(e_fair, e_biased)
     if kind in ("comonotonic", "countermonotonic"):
-        return _memoised(e_fair, e_biased, "fixed")[0][
-            2 + (kind == "countermonotonic")].copy()
+        return _memoised(e_fair, e_biased, model.rewards, "fixed")[0][
+            2 + (kind == "countermonotonic"), :e_fair.size].copy()
     raise ValueError(
         "kind must be 'independence', 'comonotonic' or "
         f"'countermonotonic', got {kind!r}")
@@ -419,31 +464,34 @@ REPORT_COLUMNS = ("lb", "ub", "lb_cs", "ub_cs", "lb_inhom", "ub_inhom",
                   "ewac_countermonotonic", "naive")
 
 
-def _memoised(rows, cols, kind, keys=((),)):
-    """The memo's read-only tables ``kind`` of the dice (rows, cols) for
-    ``keys``: by stable factor order the "nw" and "pm" max fill (its
-    reversal's is the min); under () the "fixed" (4, K, K) greedy max and
-    min stacks and validated couplings.  Those missing are made at once;
-    the memo is cleared when it passes _MEMO_BOUND bytes."""
+def _memoised(rows, cols, w, kind, keys=((),)):
+    """The memo's read-only entries ``kind`` of the dice (rows, cols) and
+    payoffs ``w`` for ``keys``, each a (K, K) table above its two rows of
+    ``_payoffs``: by stable factor order the "nw" and "pm" max fill (its
+    reversal's is the min); under () the "fixed" (4, K + 2, K) greedy max
+    and min stacks and validated couplings.  Those missing are made at
+    once; the memo is cleared when it passes _MEMO_BOUND bytes."""
     global _memo_bytes
-    dice = rows.tobytes() + cols.tobytes()
+    dice, k = rows.tobytes() + cols.tobytes() + w.tobytes(), rows.size
     got = {key: _memo.get((dice, kind, key)) for key in keys}
     missing = [key for key, table in got.items() if table is None]
     if not missing:
         return [got[key] for key in keys]
     if kind == "nw":
-        made = [*_nw_fills(rows, cols, np.array(missing))]
+        made = _nw_fills(rows, cols, np.array(missing))
     elif kind == "pm":
-        made = [_staircase_fill(rows, cols, key) for key in missing]
+        made = np.array([_staircase_fill(rows, cols, key) for key in missing])
     else:  # "fixed"
-        faces = (*range(rows.size),)
-        frechet = _memoised(rows, cols, "nw", [faces, faces[::-1]])
+        faces = (*range(k),)
+        frechet = [entry[:k] for entry in _memoised(rows, cols, w, "nw",
+                                                    [faces, faces[::-1]])]
         for theta in frechet:
             validate_joint_pmf(theta, rows, cols)
-        lo = np.zeros((2, 1, rows.size))  # greedy column j is [0, e_b[j]]
+        lo = np.zeros((2, 1, k))  # greedy column j is [0, e_b[j]]
         best, worst = _overlaps(np.stack([rows[::-1], rows]), cols, lo,
                                 np.stack([[cols], lo[1]]))
-        made = [np.stack([best[::-1], worst, *frechet])]
+        made = np.stack([best[::-1], worst, *frechet])[None]
+    made = np.concatenate([made, _payoffs(made, w)], -2)
     for key, table in zip(missing, made):
         table.setflags(write=False)
         got[key] = _memo[dice, kind, key] = table
@@ -457,23 +505,23 @@ def _memoised(rows, cols, kind, keys=((),)):
 def _factor_orders(factor):
     """(orders, at): the distinct stable orders of the rows of the (E, K)
     or (K,) ``factor``, all a fill sees of it, and each row's index."""
-    first = {}  # faster than np.unique here
-    at = [first.setdefault(key, len(first)) for key in map(tuple, np.argsort(
-        np.atleast_2d(factor), axis=1, kind="stable").tolist())]
+    first, rows = {}, factor.reshape(-1, factor.shape[-1])  # np.unique slower
+    at = [first.setdefault(key, len(first)) for key in map(
+        tuple, rows.argsort(axis=1, kind="stable").tolist())]
     return [*first], at
 
 
 def _optimal_tables(objective, zero_mask, tag, orders=None):
-    """((2, E, K, K) tables, (lb, ub) pivots): the max and min tables of
-    each row of the objective's (E, K) or (K,) factor under ``zero_mask``,
-    by the one route decision: no mask, the memo's fills of the row's
-    ``_factor_orders`` (``orders`` if given) and their reversals, gathered
-    into a new array; ``pm_mask(K)``, if the dice allow it, the staircase
-    fills likewise; any other mask, one ``transport.solve`` per row and
-    sense.  An empty polytope raises, and so does a light face ruled out
-    by the fair die and carrying mass before the simplex, which drops it."""
-    rows, cols, k = (objective.row_marginals, objective.col_marginals,
-                     objective.rewards.size)
+    """((2, N, K + 2, K) entries, at, (lb, ub) pivots): row e of the (E, K)
+    or (K,) factor has its max and min tables under ``zero_mask`` above
+    their ``_payoffs`` in entries[:, at[e]]: with no mask the memo's fills
+    of the ``_factor_orders`` (``orders`` if given) and their reversals,
+    under ``pm_mask(K)`` if the dice allow it the staircase fills, else one
+    ``transport.solve`` per row and sense.  An empty polytope raises, and
+    so does a light face with mass before the simplex, which drops it."""
+    rows, cols, w = (objective.row_marginals, objective.col_marginals,
+                     objective.rewards)
+    k = w.size
     if zero_mask and frozenset(map(tuple, zero_mask)) != pm_mask(k):
         tol = 2 * k * _EPS * max(rows.sum(), cols.sum())
         mass = (objective.factor * cols).reshape(-1, k)
@@ -489,14 +537,16 @@ def _optimal_tables(objective, zero_mask, tag, orders=None):
                    for coeff in objective.coeff.reshape(-1, k, k)]
                   for sense in ("max", "min")]
         if all(lp.theta is not None for lps in solved for lp in lps):
-            return (np.array([[lp.theta for lp in lps] for lps in solved]),
+            tables = np.array([[lp.theta for lp in lps] for lps in solved])
+            return (np.concatenate([tables, _payoffs(tables, w)], -2),
+                    np.arange(tables.shape[1]),
                     tuple(sum(lp.iterations for lp in lps) for lps in solved))
-    elif not zero_mask or (np.cumsum(cols)[:-1] - np.cumsum(rows)[:-1]).max(
+    elif not zero_mask or (cols.cumsum()[:-1] - rows.cumsum()[:-1]).max(
             initial=0.0) <= FEASIBILITY_TOL:
         keys, at = orders or _factor_orders(objective.factor)
-        tables = _memoised(rows, cols, "pm" if zero_mask else "nw",
-                           [*keys, *(key[::-1] for key in keys)])
-        return np.reshape(tables, (2, -1, k, k))[:, at], (0, 0)
+        entries = _memoised(rows, cols, w, "pm" if zero_mask else "nw",
+                            [*keys, *(key[::-1] for key in keys)])
+        return np.array(entries).reshape(2, -1, k + 2, k), at, (0, 0)
     raise InfeasibleMaskError(
         f"constraint set {tag!r} ({len(zero_mask)} forced zeros) admits "
         "no joint PMF with the required marginals")
@@ -504,16 +554,34 @@ def _optimal_tables(objective, zero_mask, tag, orders=None):
 
 def _report_values(model, stack, counts):
     """(values, tables): the (E, 10) ``REPORT_COLUMNS`` of the objectives
-    ``stack`` of face ``counts`` and their plain (2, E, K, K) tables; the
-    ``ewac`` of each of ``_optimal_tables`` with no mask and under the cs
-    mask (tag "cs"), sorted once, and of the fixed ones, where they are."""
-    orders = _factor_orders(stack.factor)
-    plain, tied = (_optimal_tables(stack, mask, tag, orders)[0] for mask, tag
-                   in ((frozenset(), "none"), (cs_mask(model.emission), "cs")))
-    fixed = stack.ewac(_memoised(*model.emission, "fixed")[0][:, None])
-    return np.vstack([
-        stack.ewac(plain), stack.ewac(tied), fixed[:2], stack.independence,
-        fixed[2:], np.full_like(fixed[0], _naive(model, counts))]).T, plain
+    ``stack`` of face ``counts`` and the first one's plain (2, K, K)
+    tables.  A row's eight table values are ``_dot2``s of its factor, in
+    blocks of _DOT_ROWS rows, with the payoff rows of its max and min tables
+    of ``_optimal_tables`` with no mask and under the cs mask (tag "cs"),
+    sorted once, and of the four fixed ones: one (2, K, 8, rows) gather by
+    index from a table of the routes' payoff rows, in that order."""
+    k, orders = model.num_symbols, _factor_orders(stack.factor)
+    rows = stack.factor.size // k
+    (plain, at), (tied, tat) = (
+        _optimal_tables(stack, mask, tag, orders)[:2] for mask, tag in (
+            (frozenset(), "none"), (cs_mask(model.emission), "cs")))
+    fixed = _memoised(*model.emission, model.rewards, "fixed")[0]
+    table = np.concatenate([entries[..., k:, :].reshape(-1, 2, k) for entries
+                            in (plain, tied, fixed)]).transpose(1, 2, 0)
+    n, m = plain.shape[1], 2 * plain.shape[1] + 2 * tied.shape[1]
+    index = np.add.outer([0, n, 2 * n, 2 * n + tied.shape[1],
+                          *range(m, m + 4)], np.zeros(rows, np.intp))
+    index[:2] += at
+    index[2:4] += tat
+    factor = np.ascontiguousarray(stack.factor.reshape(rows, k).T, float)
+    values = np.empty((rows, 10))
+    values[:, 6], values[:, 9] = stack.independence, _naive(model, counts)
+    for s in range(0, rows, _DOT_ROWS):
+        f, chunk = factor[:, None, s:s + _DOT_ROWS], slice(s, s + _DOT_ROWS)
+        hi, lo = table[:, :, index[:, chunk]]
+        values[chunk, [0, 1, 2, 3, 4, 5, 7, 8]] = np.add(
+            *_dot2(f, hi, f * lo)).T
+    return values, plain[:, at[0], :k]
 
 
 def naive_ewac(model, obs):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from casino_ewac.engine import (REPORT_COLUMNS, _face_objective, _naive,
-                                _optimal_tables, _report_values,
+                                _report_values, ewac_bounds,
                                 validate_joint_pmf)
 from casino_ewac.hmm import (_backward_sample, _face_counts,
                              _face_posteriors, _forward_filter, _iid_posteriors,
@@ -34,8 +34,8 @@ __all__ = [
 
 _BOUND_SLACK = 1e-9
 _BOUND_PAIRS = (("lb", "ub"), ("lb_cs", "ub_cs"), ("lb_inhom", "ub_inhom"))
-# Levels eta_sweep evaluates at a time: their tables and products take
-# about 2.6-3.7 KB per level, so memory does not grow with the grid.
+# Levels eta_sweep evaluates at a time, about 0.75 KB each at the peak of a
+# block's report (its dots run 2^9 levels at a time): memory is bounded.
 _LEVEL_BLOCK = 1 << 12
 # wac-dist draws from the exact law when its lattice of W points has W^2 <=
 # _LAW_COST * S: the law's convolutions cost up to about 0.13 ns * W^2, the
@@ -343,7 +343,7 @@ def horizon_sweep(eta, t_grid=None, seed=0):
     lb/T, ub/T and naive/T for each grid value T from the face counts of
     the first T periods.  The counts are summed block by block as the path
     is simulated and no block is kept, so memory does not grow with the
-    horizon.  The bounds are read at ``_optimal_tables``' unmasked tables.
+    horizon.  The bounds are ``ewac_bounds``' of the truncations' stack.
     The asymptotic per-period rate is
     ``asymptotic_ewac_rate(canonical_model(eta))``.
 
@@ -368,7 +368,7 @@ def horizon_sweep(eta, t_grid=None, seed=0):
     # Period 1 too: canonical_model's initial law is its transition row.
     stack = _face_objective(model, counts, counts[..., None]
                             * _face_posteriors(model.initial, model.emission))
-    lb, ub = stack.ewac(_optimal_tables(stack, frozenset(), "none")[0])
+    pair = ewac_bounds(stack)
     return _checked(np.rec.fromarrays(
-        [t_grid, lb / t_grid, ub / t_grid, _naive(model, counts) / t_grid],
-        names=HORIZON_SWEEP_COLUMNS))
+        [t_grid, pair.lb / t_grid, pair.ub / t_grid,
+         _naive(model, counts) / t_grid], names=HORIZON_SWEEP_COLUMNS))

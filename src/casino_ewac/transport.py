@@ -192,7 +192,10 @@ def solve(problem):
     """Optimise the transport problem.  The optimum is a polytope vertex.
 
     Maximisation runs the minimiser on negated costs, so the identity
-    max(c) == -min(-c) holds exactly.
+    max(c) == -min(-c) holds exactly.  ArithmeticError if theta misses
+    the marginals by over FEASIBILITY_TOL, or if its dust in the column of
+    a face the rows rule out (row target 0) carries over FEASIBILITY_TOL of
+    sum |c| theta: a light face, whose huge costs make its few cells count.
     """
     k = problem.costs.shape[0]
     r, s = problem.row_targets, problem.col_targets
@@ -205,13 +208,18 @@ def solve(problem):
     iterations += _pivot(cells, held, c, np.where(entering, c, np.inf),
                          64 * _EPS * np.abs(c).max(initial=0.0),
                          tie)[0]
-    theta, x = np.zeros((k, k)), held[:, 0]
-    theta[tuple(np.transpose(cells))] = np.where(x > tie, x, 0.0)
+    theta, x, at = np.zeros((k, k)), held[:, 0], tuple(np.transpose(cells))
+    theta[at] = np.where(x > tie, x, 0.0)
     theta[masked > 0] = 0.0
     error = np.abs(np.r_[theta.sum(axis=1) - r, theta.sum(axis=0) - s]).max()
     if error > FEASIBILITY_TOL * max(r.sum(), s.sum()):
         raise ArithmeticError(
             f"simplex optimum violates marginals by {error:.3e}")
+    dust = np.abs(problem.costs[at]) @ np.where(
+        (x > 0) & (x <= tie) & (r[at[1]] == 0), x, 0.0)
+    if dust > FEASIBILITY_TOL * np.sum(np.abs(problem.costs) * theta):
+        raise ArithmeticError(
+            f"simplex dust of a light face carries {dust:.3e} of the form")
     value = float(np.sum(problem.costs * theta))
     return LpSolution(status="optimal", value=value, theta=theta,
                       iterations=iterations)

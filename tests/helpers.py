@@ -20,8 +20,10 @@ draw; ``exact_binomial_cdf`` gives its law in exact rationals.  The loss
 moments of an i.i.d. chain come in closed form, and its exact
 distribution, for integer payoffs, by convolving the per-period ones.
 ``exact_canonical_values`` recomputes the canonical casino's bounds and
-coupling values in exact rationals, ``fraction_cs_mask`` the cs mask by
-cross-products.  ``iid_cases`` generates i.i.d.
+coupling values in exact rationals, ``exact_ewac`` the value of any
+(factor, table) pair (``nearest_sweep_values`` and ``misprinted_cells``
+hold a sweep's table columns against it), ``fraction_cs_mask`` the cs
+mask by cross-products.  ``iid_cases`` generates i.i.d.
 models for hypothesis.  ``loop_simulate``, ``loop_parse_path``,
 ``loop_nw_fill`` and ``template_csv`` keep the per-period simulation, the
 per-token path parser, the scalar north-west walk and the one-template CSV
@@ -526,6 +528,89 @@ def exact_canonical_values(eta, obs):
             "ewac_independence": ewac(np.outer(e_fair, e_biased)),
             "ewac_comonotonic": ewac(fill(list(range(k)))),
             "ewac_countermonotonic": ewac(fill(list(range(k))[::-1]))}
+
+
+def exact_payoffs(theta, rewards):
+    """[g_j]: sum_i theta_ij (w_j - w_i) of a (K, K) table in rationals,
+    all the EWAC of any objective sees of the table."""
+    w = [Fraction(x) for x in np.asarray(rewards).tolist()]
+    cells = [[Fraction(x) for x in row] for row in np.asarray(theta).tolist()]
+    return [sum(row[j] * (w[j] - w[i]) for i, row in enumerate(cells))
+            for j in range(len(w))]
+
+
+def exact_ewac(factor, theta, rewards):
+    """The EWAC of a (factor, table) pair in rationals, every float read
+    exactly: sum_ij theta_ij f_j (w_j - w_i), the form
+    ``EwacObjective.ewac`` evaluates."""
+    return sum(Fraction(f) * g for f, g in zip(
+        np.asarray(factor).tolist(), exact_payoffs(theta, rewards)))
+
+
+# The sweep columns evaluated at a table, in the order of the report.
+TABLE_COLUMNS = ("lb", "ub", "lb_cs", "ub_cs", "lb_inhom", "ub_inhom",
+                 "ewac_comonotonic", "ewac_countermonotonic")
+
+
+def nearest_sweep_values(obs, eta_grid):
+    """{column: [float]}: for each of TABLE_COLUMNS the float nearest the
+    exact EWAC (``exact_ewac``) of each level's factor and table on the
+    path ``obs``.  The factors are each level's ``_path_objective``, the
+    tables those of ``ewac_bounds`` (plain and cs), ``greedy_column`` and
+    ``copula_pmf``; each distinct table's payoffs are made once, and every
+    term being dyadic, each value is one integer division, which rounds
+    correctly."""
+    from casino_ewac import (EwacObjective, canonical_model, copula_pmf,
+                             cs_mask, ewac_bounds, greedy_column)
+
+    model = canonical_model(0.5)  # the dice do not depend on eta
+    k, w = model.num_symbols, model.rewards
+    factor = np.array([path_objective(canonical_model(eta), obs)[0].factor
+                       for eta in eta_grid]).reshape(-1, k)
+    stack = EwacObjective(rewards=w, factor=factor,
+                          row_marginals=model.emission[0],
+                          col_marginals=model.emission[1])
+    tables = [pair.theta_lb if lower else pair.theta_ub
+              for pair in (ewac_bounds(stack), ewac_bounds(
+                  stack, cs_mask(model.emission), tag="cs"))
+              for lower in (True, False)]
+    tables += [np.broadcast_to(table, factor.shape + (k,)) for table in (
+        *(np.column_stack([greedy_column(model, j, sense)
+                           for j in range(1, k + 1)])
+          for sense in ("max", "min")),
+        *(copula_pmf(model, kind)
+          for kind in ("comonotonic", "countermonotonic")))]
+    payoffs, values = {}, {name: [] for name in TABLE_COLUMNS}
+    for f, *cells in zip(factor.tolist(), *tables):
+        f = [x.as_integer_ratio() for x in f]
+        for name, table in zip(TABLE_COLUMNS, cells):
+            g = payoffs.get(table.tobytes())
+            if g is None:
+                g = payoffs[table.tobytes()] = exact_payoffs(table, w)
+            terms = [(n * x.numerator, d * x.denominator)
+                     for (n, d), x in zip(f, g)]
+            scale = max(d for _, d in terms)
+            values[name].append(sum(n * (scale // d) for n, d in terms)
+                                / scale)
+    return values
+
+
+def misprinted_cells(obs, eta_grid, csv_text):
+    """[(eta, column, printed, correct)]: the cells of TABLE_COLUMNS in the
+    ``sweep-eta`` CSV of the path ``obs`` on ``eta_grid`` whose text is not
+    ``%.12g`` of ``nearest_sweep_values``."""
+    header, *lines = csv_text.splitlines()
+    assert len(lines) == len(eta_grid)
+    at = [header.split(",").index(name) for name in TABLE_COLUMNS]
+    nearest = nearest_sweep_values(obs, eta_grid)
+    bad = []
+    for e, (eta, line) in enumerate(zip(np.asarray(eta_grid).tolist(),
+                                        lines)):
+        cells = line.split(",")
+        for name, i in zip(TABLE_COLUMNS, at):
+            if cells[i] != "%.12g" % nearest[name][e]:
+                bad.append((eta, name, cells[i], "%.12g" % nearest[name][e]))
+    return bad
 
 
 def round12(value):

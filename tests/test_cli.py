@@ -763,6 +763,67 @@ class TestGoldenOutputs:
                              "2,0.999985714347,1.42856530614e-05"]
 
 
+class TestCorrectlyRoundedCells:
+    # Cells of the 20,001-level sweeps (np.linspace(0, 1, 20003)[1:-1])
+    # that the K^2-term sums of the tables printed one unit off in the
+    # 12th digit, now the correct rounding of their exact values (see
+    # helpers.misprinted_cells); the countermonotonic coupling's table is
+    # the lb table at these levels.
+    CELLS = {
+        "builtin:1": [
+            (0.05529447055294471, ("ub_inhom",), "67.5027995881"),
+            (0.19228077192280774, ("lb", "ewac_countermonotonic"),
+             "-8.14629931457"),
+            (0.39631036896310373, ("lb", "ewac_countermonotonic"),
+             "-0.0521712848664"),
+            (0.3982601739826018, ("lb", "ewac_countermonotonic"),
+             "-0.00058589842777"),
+            (0.39831016898310173, ("lb", "ewac_countermonotonic"),
+             "0.000731406583102"),
+            (0.6355364463553645, ("lb_cs",), "7.43784128181"),
+            (0.8178182181781822, ("lb", "ewac_countermonotonic"),
+             "3.12291128887")],
+        "builtin:2": [
+            (0.15493450654934507, ("lb_cs",), "17.918056022"),
+            (0.22132786721327868, ("ub_cs",), "24.513813493"),
+            (0.8206679332066794, ("ub",), "9.84022642874"),
+            (0.9899010098990102, ("ub",), "0.623191117439")],
+    }
+
+    @pytest.mark.parametrize("path", sorted(CELLS))
+    def test_misprinted_cells_print_their_correct_rounding(self, path,
+                                                           tmp_path):
+        cells = self.CELLS[path]
+        grid = np.linspace(0, 1, 20003)[1:-1]
+        assert all(eta in grid for eta, _, _ in cells)
+        out = tmp_path / "sweep.csv"
+        assert run("sweep-eta", "--path", path, "--grid",
+                   ",".join(repr(eta) for eta, _, _ in cells),
+                   "--out", str(out)) == EXIT_OK
+        header, *lines = out.read_text().splitlines()
+        for (_, names, text), line in zip(cells, lines):
+            row = dict(zip(header.split(","), line.split(",")))
+            assert [row[name] for name in names] == [text] * len(names)
+
+    def test_huge_factor_prints_no_nan(self, tmp_path):
+        # Face 1's biased probability is 1e-300 and it is observed, so its
+        # factor is about 2e300: a Dekker split of it would overflow to
+        # NaN.  The bounds keep the parent's values.
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({
+            "model": {"p": [0, 1], "Q": [[0, 1], [0, 1]],
+                      "E": [[0.25] * 4, [1e-300, 0.3, 0.3, 0.4]],
+                      "w": [1, 2, 3, 4]},
+            "path": [1, 2, 3, 4, 1]}))
+        out = tmp_path / "bounds.json"
+        assert run("bounds", "--config", str(config),
+                   "--out", str(out)) == EXIT_OK
+        assert "NaN" not in out.read_text()
+        report = json.loads(out.read_text())
+        assert [report[key] for key in REPORT_COLUMNS[:6]] == [
+            1.125, 1.875, 1.875, 1.875, -8.29166666667, 5.29166666667]
+
+
 class TestCopulasCommand:
     def test_three_matrices(self, tmp_path):
         out = tmp_path / "copulas.json"

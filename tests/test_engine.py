@@ -28,9 +28,10 @@ from casino_ewac import engine, eta_sweep, horizon_sweep
 from helpers import (assert_joint_pmf, biased_winnings, brute_force_ewac,
                      closed_form_extremes,
                      cold_memo,
-                     exact_fill, iid_cases, loop_bounds_report, loop_nw_fill,
-                     fraction_cs_mask, path_objective,
-                     random_feasible_theta, random_small_model, sticky_model)
+                     exact_ewac, exact_fill, iid_cases, loop_bounds_report,
+                     loop_nw_fill, fraction_cs_mask, nearest_sweep_values,
+                     path_objective, random_feasible_theta,
+                     random_small_model, sticky_model)
 
 
 def near_tied_rows(k):
@@ -463,8 +464,8 @@ class TestReportValues:
         got = dict(zip(REPORT_COLUMNS, values[0].tolist()))
         for name, value in got.items():
             assert value.hex() == float(want[name]).hex(), name
-        np.testing.assert_array_equal(tables[0, 0], plain.theta_lb)
-        np.testing.assert_array_equal(tables[1, 0], plain.theta_ub)
+        np.testing.assert_array_equal(tables[0], plain.theta_lb)
+        np.testing.assert_array_equal(tables[1], plain.theta_ub)
 
     def test_infeasible_pm_raises_as_ewac_bounds(self, monkeypatch):
         # All biased mass on face 1 cannot flow into the upper triangle.
@@ -479,6 +480,114 @@ class TestReportValues:
         with pytest.raises(InfeasibleMaskError) as got:
             _report_values(model, objective, face_counts(model, [1, 1, 1]))
         assert str(got.value) == str(want.value)
+
+
+@st.composite
+def rounding_cases(draw):
+    """(model, stack, theta) on dice of K <= 8: drawn masses with zeros,
+    now and then a light face (fair 0, biased 2^-50, its factors 2^50
+    times their draw), drawn payoffs with fractional gaps, an (E, K)
+    factor stack with zeros and ties, and a random joint PMF (None for
+    K = 1)."""
+    k = draw(st.integers(1, 8))
+    mass = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.01, 1.0)
+
+    def die():
+        values = np.array(draw(st.lists(mass, min_size=k, max_size=k)))
+        values[0] += not values.any()
+        return values / values.sum()
+
+    rows, cols = die(), die()
+    factor = np.array(draw(st.lists(st.lists(
+        st.sampled_from([0.0, 1.0, 3.0]) | st.floats(0.0, 1e3),
+        min_size=k, max_size=k), min_size=1, max_size=5)))
+    for _ in range(draw(st.integers(0, k))):  # ties within a row
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        factor[:, i] = factor[:, j]
+    if k > 1 and draw(st.booleans()):
+        light = draw(st.integers(0, k - 1))
+        rows[light] = cols[light] = 0.0
+        for row in (rows, cols):
+            row[(light + 1) % k] += not row.any()
+            row /= row.sum()
+        cols[light] = 2.0 ** -50
+        factor[:, light] *= 2.0 ** 50
+    rewards = np.cumsum(draw(st.lists(
+        st.sampled_from([1.0, 0.5, 0.1]) | st.floats(0.01, 10.0),
+        min_size=k, max_size=k)))
+    model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [rows, cols],
+                     rewards)
+    theta = (None if k == 1 else random_feasible_theta(
+        rows, cols, np.random.default_rng(draw(st.integers(0, 99)))))
+    return model, EwacObjective(
+        rewards=model.rewards, factor=factor,
+        row_marginals=model.emission[0], col_marginals=model.emission[1],
+        independence=np.zeros(len(factor))), theta
+
+
+class TestCorrectRounding:
+    # Every value an evaluation returns is the float nearest the exact
+    # value (in rationals) of its factor row and table: ewac, ewac_of_theta,
+    # ewac_bounds (stacked and one row at a time), inhomogeneous_bounds,
+    # the report's table columns and eta_sweep's.
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(rounding_cases())
+    def test_random_dice_and_factor_stacks(self, case):
+        model, stack, theta = case
+        w, k = model.rewards, model.num_symbols
+
+        def nearest(factor, table):
+            return float(exact_ewac(factor, table, w))
+
+        fixed = [np.column_stack([greedy_column(model, j, sense)
+                                  for j in range(1, k + 1)])
+                 for sense in ("max", "min")]
+        fixed += [copula_pmf(model, kind)
+                  for kind in ("comonotonic", "countermonotonic")]
+        plain, loose = ewac_bounds(stack), inhomogeneous_bounds(stack)
+        try:
+            tied = ewac_bounds(stack, cs_mask(model.emission), tag="cs")
+            values = _report_values(model, stack, np.ones(k, int))[0]
+        except (ArithmeticError, InfeasibleMaskError):  # a light face
+            tied = values = None
+        for e, factor in enumerate(stack.factor):
+            one = replace(stack, factor=factor)
+            single = ewac_bounds(one)
+            assert (single.lb, single.ub) == (plain.lb[e], plain.ub[e])
+            assert plain.lb[e] == nearest(factor, plain.theta_lb[e])
+            assert plain.ub[e] == nearest(factor, plain.theta_ub[e])
+            assert loose.lb[e] == nearest(factor, fixed[0])
+            assert loose.ub[e] == nearest(factor, fixed[1])
+            if theta is not None:
+                assert stack.ewac(theta)[e] == nearest(factor, theta)
+                assert ewac_of_theta(one, theta) == nearest(factor, theta)
+            if values is None:
+                continue
+            tables = [plain.theta_lb[e], plain.theta_ub[e], tied.theta_lb[e],
+                      tied.theta_ub[e], *fixed]
+            assert values[e, [0, 1, 2, 3, 4, 5, 7, 8]].tolist() == [
+                nearest(factor, table) for table in tables]
+
+    def test_integer_rewards_and_factors_are_read_as_floats(self):
+        # The split reads a float's bits, so integer arrays are converted
+        # first: the independence coupling's value is exactly 2/3 here.
+        obj = EwacObjective(rewards=np.arange(1, 4), factor=np.arange(1, 4),
+                            row_marginals=np.full(3, 1 / 3),
+                            col_marginals=np.full(3, 1 / 3))
+        theta = np.outer(obj.row_marginals, obj.col_marginals)
+        floats = replace(obj, rewards=obj.rewards.astype(float),
+                         factor=obj.factor.astype(float))
+        assert obj.ewac(theta) == floats.ewac(theta) == 2 / 3
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(obs=st.sampled_from([PATH_1, PATH_2])
+           | st.lists(st.integers(1, 6), min_size=1, max_size=40),
+           grid=st.lists(st.sampled_from([0.0, 0.5, 1.0])
+                         | st.floats(0.0, 1.0), min_size=1, max_size=12))
+    def test_canonical_eta_grids(self, obs, grid):
+        rows = eta_sweep(obs, grid)
+        for name, values in nearest_sweep_values(obs, grid).items():
+            assert rows[name].tolist() == values, name
 
 
 class TestMemo:
@@ -574,7 +683,8 @@ class TestMemo:
     def test_canonical_dice_take_under_a_megabyte(self, monkeypatch):
         # All 720 factor orders of the canonical dice, one fill and one pm
         # fill each (an order's min tables are its reversal's), with the
-        # one entry of fixed tables: 415,872 bytes, under half a megabyte.
+        # one entry of four fixed tables, each (6, 6) table above its two
+        # rows of payoffs: 554,496 bytes, about half a megabyte.
         cold_memo(monkeypatch)
         model = canonical_model(0.5)
         factors = np.array([*itertools.permutations(range(6))], float)
@@ -582,17 +692,18 @@ class TestMemo:
             path_objective(model, PATH_1)[0], factor=factors,
             independence=np.zeros(len(factors))), face_counts(model, PATH_1))
         assert len(engine._memo) == 2 * 720 + 1
-        assert engine._memo_bytes < 2**19
+        assert engine._memo_bytes == (2 * 720 + 4) * (6 + 2) * 6 * 8
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
     def test_an_order_and_its_reversal_give_the_same_bits_first_or_not(
             self, data):
-        # The memo holds one table per (dice, kind, order), and a row's
-        # min table is read from its reversed order's entry.  From a cold
-        # memo, asking for sigma, for sigma reversed, for both, or for
-        # both among other orders first, the two tables have the same
-        # bits: no fill depends on its batch or on what the memo held.
+        # The memo holds one entry, a table above its payoff rows, per
+        # (dice, kind, order), and a row's min table is read from its
+        # reversed order's entry.  From a cold memo, asking for sigma, for
+        # sigma reversed, for both, or for both among other orders first,
+        # the two entries have the same bits: no fill or payoff row depends
+        # on its batch or on what the memo held.
         k = data.draw(st.integers(1, 9))
         mass = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.01, 1.0)
 
@@ -602,7 +713,7 @@ class TestMemo:
             values[0] += not values.any()
             return values / values.sum()
 
-        rows, cols = die(), die()
+        rows, cols, rewards = die(), die(), np.arange(1.0, k + 1)
         sigma = tuple(data.draw(st.permutations(range(k))))
         others = [tuple(order) for order in data.draw(st.lists(
             st.permutations(range(k)), max_size=6))]
@@ -613,15 +724,17 @@ class TestMemo:
                           [*others, *pair[::-1]]):
                 with mock.patch.object(engine, "_memo", {}), \
                         mock.patch.object(engine, "_memo_bytes", 0):
-                    engine._memoised(rows, cols, kind, first)
-                    seen.add(tuple(table.tobytes() for table in
-                                   engine._memoised(rows, cols, kind, pair)))
+                    engine._memoised(rows, cols, rewards, kind, first)
+                    seen.add(tuple(entry.tobytes() for entry in
+                                   engine._memoised(rows, cols, rewards, kind,
+                                                    pair)))
             assert len(seen) == 1, kind
 
-    def test_a_block_of_levels_peaks_under_16_mib(self):
+    def test_a_block_of_levels_peaks_under_4_mib(self):
         # One eta_sweep block, 2^12 levels of builtin:2 on the canonical
-        # dice: the report evaluates each route's tables where they are,
-        # with no stacked copy of them (23.6 MiB with one).
+        # dice: the report gathers payoff rows, never an (E, K, K) table,
+        # 2^9 levels at a time (3.0 MiB; 10.2 MiB when it evaluated each
+        # route's tables, 23.6 MiB with a stacked copy of them).
         model = canonical_model(0.5)
         counts = face_counts(model, PATH_2)
         etas = np.linspace(0.0, 1.0, 4096)
@@ -635,7 +748,7 @@ class TestMemo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20
+        assert peak <= 4 * 2**20
 
 
 class TestInhomogeneous:
@@ -700,7 +813,7 @@ class TestInhomogeneous:
             die(), caps[::-1].copy(), np.roll(caps, 1)]))
         tol = 2 * k * _EPS * max(caps.sum(), totals.sum())
         exact = [Fraction(x) for x in caps]
-        stacks = _memoised(caps, totals, "fixed")[0][:2]
+        stacks = _memoised(caps, totals, np.arange(k), "fixed")[0][:2, :k]
         for got, flip in zip(stacks, (-1, 1)):
             for j, total in enumerate(totals.tolist()):
                 want = exact_fill(exact[::flip], [Fraction(total)])[::flip, 0]
@@ -776,7 +889,7 @@ class TestNorthWestKernel:
                 want[:, order] = exact_fill(
                     exact[0], [exact[1][j] for j in order]).astype(float)
                 assert (fill.view(np.int64) == want.view(np.int64)).all()
-        stacks = _memoised(rows, cols, "fixed")[0][:2]
+        stacks = _memoised(rows, cols, np.arange(6), "fixed")[0][:2, :6]
         for stack, flip in zip(stacks, (-1, 1)):
             want = np.hstack([exact_fill(exact[0][::flip], [total])[::flip]
                               for total in exact[1]]).astype(float)

@@ -1,14 +1,16 @@
 """Transportation LP solver against enumeration oracles and exact identities."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casino_ewac.transport as transport
-from casino_ewac import (FEASIBILITY_TOL, PATH_1, PATH_2, TransportProblem,
-                         canonical_model, check_feasibility, cs_mask,
-                         ewac_objective, pm_mask, smooth, solve)
+from casino_ewac import (FEASIBILITY_TOL, PATH_1, PATH_2, HmmModel,
+                         TransportProblem, canonical_model, check_feasibility,
+                         cs_mask, ewac_objective, pm_mask, smooth, solve)
 from helpers import enumerate_transport_optimum, loop_solve
 
 _EPS = float(np.finfo(float).eps)
@@ -519,3 +521,57 @@ class TestNoStateBetweenCalls:
         reference = first.theta.copy()
         first.theta[:] = 7.0
         assert solve(problem).theta.tobytes() == reference.tobytes()
+
+
+def _configured(fair, biased, rewards, obs, transition=((0.5, 0.5),
+                                                        (0.5, 0.5))):
+    """(model, objective) of a two-state casino with these dice and path."""
+    model = HmmModel([0.5, 0.5], transition, [fair, biased], rewards)
+    return model, ewac_objective(model, obs, smooth(model, obs))
+
+
+class TestLightColumns:
+    # A light column: the fair die rules its face out and its biased
+    # probability, 2^-50, is within the 2K eps dust threshold, so its cost
+    # w_i f_j is about 1e15 and its few cells carry O(1) of the objective.
+    # The tree drops them as dust; solve refuses rather than report an
+    # optimum without them (lb = ub = -0.4 here, the exact [-6.4, -3.4]).
+    @pytest.mark.parametrize("sense", ["max", "min"])
+    def test_dust_that_carries_the_objective_raises(self, sense):
+        model, obj = _configured([0, 0.5, 0.5],
+                                 [2.0 ** -50, 0.7499999999999991, 0.25],
+                                 [1, 2, 3], [1, 2, 3, 1, 1, 2])
+        problem = TransportProblem(obj.coeff, *model.emission,
+                                   cs_mask(model.emission), sense)
+        with pytest.raises(ArithmeticError, match=r"^simplex dust of a light face"):
+            solve(problem)
+
+    def test_ordinary_dice_keep_their_tables(self):
+        # The first 16 hex digits of the tables' SHA-256, taken before the
+        # dust check: the K = 150 die of CI's "Large unsorted die" step,
+        # ratio.json's falling likelihood ratio and the canonical dice
+        # under both masks (one LP each), max then min.
+        k, rows = 150, [37 * j % 151 for j in range(1, 151)]
+        cases = {
+            "die150": (_configured(
+                [1 / k] * k, [b / sum(rows) for b in rows], range(1, k + 1),
+                [7 * t % k + 1 for t in range(200)],
+                ((0.9, 0.1), (0.1, 0.9))), ("6b723b973a46b718",
+                                            "407ffbb477621b38")),
+            "ratio": (_configured(
+                [0.1, 0.2, 0.3, 0.4], [0.25] * 4, [1, 2, 3, 4],
+                [1, 4, 2, 4, 3, 1, 2]), ("63b3ff9b36392ffb",
+                                         "3766f64d2e8d442c")),
+        }
+        model = canonical_model(0.5)
+        cases["canonical"] = ((model, ewac_objective(
+            model, PATH_2, smooth(model, PATH_2))), ("a39714f5f5d56e78",
+                                                     "af20bf8fd21d72b9"))
+        for name, ((model, obj), want) in cases.items():
+            masks = [cs_mask(model.emission)]
+            masks += [pm_mask(6)] if name == "canonical" else []
+            for mask in masks:
+                got = tuple(hashlib.sha256(solve(TransportProblem(
+                    obj.coeff, *model.emission, mask, sense)).theta.tobytes(
+                    )).hexdigest()[:16] for sense in ("max", "min"))
+                assert got == want, name
